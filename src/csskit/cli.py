@@ -73,10 +73,10 @@ def _sha256(path: str) -> str:
 
 
 def _manifest(args, command: str, inputs: List[str]) -> RunManifest:
-    params = {k: v for k, v in vars(args).items() if k != "func"}
+    params = {k: v for k, v in vars(args).items() if k not in ("func", "argv")}
     return RunManifest(
         command=command,
-        argv=sys.argv[1:],
+        argv=args.argv,
         params=params,
         seed=getattr(args, "seed", None),
         version=__version__,
@@ -350,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--missing", choices=["pairwise-psd", "none"], default="none")
     pc.add_argument("--standardize", action="store_true")
     pc.add_argument("--out", default=None, help="output covariance CSV")
-    _add_common(pc, seed_required=False)
     pc.set_defaults(func=cmd_covest)
 
     pk = sub.add_parser("choose-k", help="select the subset size by testing")
@@ -385,8 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.argv = argv
     try:
         return args.func(args, parser)
     except CssKitError as exc:

@@ -61,13 +61,6 @@ def sample_cov(x) -> SymMatrix:
     return (cov + cov.T) / 2.0
 
 
-def pairwise_counts(x) -> np.ndarray:
-    """Matrix of jointly observed row counts per column pair."""
-    data = _as_data(x)
-    mask = ~np.isnan(data.values)
-    return mask.astype(np.int64).T @ mask.astype(np.int64)
-
-
 def pairwise_cov(x) -> Tuple[SymMatrix, np.ndarray]:
     """Pairwise-complete covariance (before PSD projection) and overlap counts.
 

@@ -29,11 +29,13 @@ residual covariance after projecting out the selected columns
     criterion, not the current subset size.
 
 Greedy and swap searches never rank candidates by re-evaluating from
-scratch; they use :func:`score_candidate` / :func:`score_all`, whose values
-are *order-equivalent* to the objective (argmin over candidates matches
-argmin of ``evaluate`` on the grown subset) but cheaper by at least one
-power of ``p``.  State is carried by :class:`SubsetState`, updated in
-O(p^2) per move by :func:`advance` / :func:`retract`.
+scratch; they use :func:`score_all`, whose values are *order-equivalent* to
+the objective (argmin over candidates matches argmin of ``evaluate`` on the
+grown subset) but cheaper by at least one power of ``p``.  State is carried
+by :class:`SubsetState`, the same for all six criteria, updated in O(p^2)
+per move by :func:`advance` / :func:`retract`.  CanonCorr keeps nothing of
+its own in the state: each :func:`score_all` call pseudo-inverts the
+complement block once and scores every candidate from it.
 """
 
 import math
@@ -80,33 +82,15 @@ class Criterion:
 
 
 @dataclass
-class CanonCorrCache:
-    """Extra state for CanonCorr scoring.
-
-    ``complement`` is kept ascending; ``complement_pinv`` is
-    ``pinv(sigma[-U, -U])``, downdated/updated as the subset changes and
-    rebuilt from scratch every ``ceil(p / 2)`` modifications to bound drift.
-    ``swapped_residual`` is the role-reversed residual
-    ``sigma_U - sigma_{U,-U} pinv(sigma_{-U}) sigma_{-U,U}`` over the subset
-    in its insertion order.
-    """
-
-    complement: IndexSet
-    complement_pinv: np.ndarray
-    swapped_residual: np.ndarray
-    mods: int = 0
-
-
-@dataclass
 class SubsetState:
     """Incremental caches for one ordered subset of one matrix.
 
     Fields mirror what the search algorithms need: the full residual
     covariance, the pseudo-inverse of the selected block (in subset order),
-    its log-determinant (``-inf`` once the block goes numerically
-    singular), and criterion-specific extras.  ``sigma`` is a read-only
-    reference to the source matrix, kept so that scoring can reach raw
-    entries without re-plumbing every call site.
+    and its log-determinant (``-inf`` once the block goes numerically
+    singular).  ``sigma`` is a read-only reference to the source matrix,
+    kept so that scoring can reach raw entries without re-plumbing every
+    call site.
     """
 
     subset: IndexSet
@@ -114,7 +98,6 @@ class SubsetState:
     block_pinv: np.ndarray
     log_det_block: float
     sigma: np.ndarray
-    extras: Optional[CanonCorrCache] = None
 
     def complement(self) -> np.ndarray:
         mask = np.ones(self.sigma.shape[0], dtype=bool)
@@ -210,20 +193,12 @@ def init_state(criterion: Criterion, sigma: SymMatrix) -> SubsetState:
     p = criterion.p
     if sigma.shape != (p, p):
         raise DimMismatch(f"sigma shape {sigma.shape} does not match p={p}")
-    extras = None
-    if criterion.kind == CriterionKind.CANON_CORR:
-        extras = CanonCorrCache(
-            complement=tuple(range(p)),
-            complement_pinv=symmat.pseudo_inverse(sigma),
-            swapped_residual=np.zeros((0, 0)),
-        )
     return SubsetState(
         subset=(),
         residual=sigma.copy(),
         block_pinv=np.zeros((0, 0)),
         log_det_block=0.0,
         sigma=sigma,
-        extras=extras,
     )
 
 
@@ -235,64 +210,6 @@ def state_from_subset(
     for i in symmat.check_subset(criterion.p, subset):
         state = advance(criterion, state, state.sigma, i)
     return state
-
-
-def _rebuild_swapped_residual(
-    sigma: np.ndarray, subset: IndexSet, complement: IndexSet, cpinv: np.ndarray
-) -> np.ndarray:
-    if not subset:
-        return np.zeros((0, 0))
-    uu = list(subset)
-    if not complement:
-        return sigma[np.ix_(uu, uu)].copy()
-    cc = list(complement)
-    cross = sigma[np.ix_(uu, cc)]
-    out = sigma[np.ix_(uu, uu)] - cross @ (cpinv @ cross.T)
-    out = (out + out.T) / 2.0
-    d = np.einsum("ii->i", out)
-    np.maximum(d, 0.0, out=d)
-    return out
-
-
-def _advance_extras(
-    state: SubsetState, sigma: np.ndarray, i: int, new_subset: IndexSet
-) -> CanonCorrCache:
-    cache = state.extras
-    pos = cache.complement.index(i)
-    new_comp = cache.complement[:pos] + cache.complement[pos + 1 :]
-    mods = cache.mods + 1
-    if mods >= math.ceil(sigma.shape[0] / 2) or not new_comp:
-        cpinv = (
-            symmat.pseudo_inverse(sigma[np.ix_(list(new_comp), list(new_comp))])
-            if new_comp
-            else np.zeros((0, 0))
-        )
-        mods = 0
-    else:
-        cpinv = symmat.pinv_remove(
-            cache.complement_pinv, cache.complement, pos, sigma=sigma
-        )
-    swapped = _rebuild_swapped_residual(sigma, new_subset, new_comp, cpinv)
-    return CanonCorrCache(new_comp, cpinv, swapped, mods)
-
-
-def _retract_extras(
-    state: SubsetState, sigma: np.ndarray, var: int, new_subset: IndexSet
-) -> CanonCorrCache:
-    cache = state.extras
-    new_comp = tuple(sorted(cache.complement + (var,)))
-    mods = cache.mods + 1
-    if mods >= math.ceil(sigma.shape[0] / 2):
-        cpinv = symmat.pseudo_inverse(sigma[np.ix_(list(new_comp), list(new_comp))])
-        mods = 0
-    else:
-        grown = symmat.pinv_add(cache.complement_pinv, sigma, cache.complement, var)
-        # pinv_add appends ``var`` last; permute back to ascending order
-        order = list(cache.complement) + [var]
-        perm = [order.index(t) for t in new_comp]
-        cpinv = grown[np.ix_(perm, perm)]
-    swapped = _rebuild_swapped_residual(sigma, new_subset, new_comp, cpinv)
-    return CanonCorrCache(new_comp, cpinv, swapped, mods)
 
 
 def advance(
@@ -317,11 +234,7 @@ def advance(
         new_ld = state.log_det_block + math.log(pivot)
     else:
         new_ld = float("-inf")
-    new_subset = state.subset + (i,)
-    extras = None
-    if criterion.kind == CriterionKind.CANON_CORR:
-        extras = _advance_extras(state, sigma, i, new_subset)
-    return SubsetState(new_subset, new_res, new_pinv, new_ld, state.sigma, extras)
+    return SubsetState(state.subset + (i,), new_res, new_pinv, new_ld, state.sigma)
 
 
 def retract(
@@ -368,11 +281,7 @@ def retract(
         # removed variable was numerically redundant: span unchanged
         new_res = state.residual
         new_ld = symmat.log_det(sigma[np.ix_(idx, idx)]) if idx else 0.0
-
-    extras = None
-    if criterion.kind == CriterionKind.CANON_CORR:
-        extras = _retract_extras(state, sigma, var, new_subset)
-    return SubsetState(new_subset, new_res, new_pinv, new_ld, state.sigma, extras)
+    return SubsetState(new_subset, new_res, new_pinv, new_ld, state.sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -455,57 +364,75 @@ def score_all(
         return cands, head + logs.sum(axis=1)
 
     if kind == CriterionKind.CANON_CORR:
-        return cands, _score_canon_corr(criterion, state, cands)
+        return cands, _score_canon_corr(state, cands)
 
     raise DimMismatch(f"unknown criterion kind {kind}")
 
 
-def _score_canon_corr(
-    criterion: Criterion, state: SubsetState, cands: np.ndarray
-) -> np.ndarray:
-    """Scores for CanonCorr: for each candidate i, with V = U + (i,),
+def _score_canon_corr(state: SubsetState, cands: np.ndarray) -> np.ndarray:
+    """Scores for CanonCorr.  With ``C`` the ascending complement of the
+    subset ``S`` (size k), ``D = diag(sigma_C)^(-1/2)``, the generalised
+    inverse ``Cp = D pinv(D sigma_C D) D``, ``A = sigma_{S,C} Cp``,
+    leverages ``l = diag(sigma_C Cp)`` and the swapped residual
+    ``K = sigma_S - A sigma_{C,S}`` (the residual of ``S`` on ``C``), the
+    score of candidate i at position j of C, with ``V = S + (i,)``, is
 
-        f(i) = trace(pinv(sigma_V)[:k, :k] @ swapped_residual)
-             + beta^T pinv(sigma_V) beta / beta_i   [if beta_i > tol]
-             - 1{residual_ii > tol}
+        f(i) = <pinv(sigma_V)[:k, :k], K>
+             + x^T pinv(sigma_V) x / Cp_jj    [if Cp_jj > 0 and l_j ~ 1]
+             - 1{i adds rank to S}
 
-    where beta is the column of the residual of V on the rest, restricted
-    to V.  Order-equivalent to evaluate on V (argmin matches).
+    with ``x = (A[:, j], l_j)``.  Taking i out of the conditioning set adds
+    ``x x^T / Cp_jj`` to the residual of V when i lies outside the span of
+    the rest of C (its leverage is then 1) and nothing otherwise, so
+    ``f(i) + const = -cc(V)``: order-equivalent to evaluate on V.  The
+    value is the same with any generalised inverse of ``sigma_C`` or
+    ``sigma_V`` in place of the pseudo-inverse.
+
+    Every rank decision is made relative to each variable's own variance:
+    the leverages are those of the unit-diagonal block, and i adds rank
+    when its residual on S exceeds ``RANK_TOL * sigma_ii``, the test
+    :func:`csskit.symmat.pinv_add` applies.  So, like the canonical
+    correlations themselves, the scores do not depend on the units of any
+    one variable.
     """
     sigma = state.sigma
-    cache = state.extras
-    u = state.subset
-    k = len(u)
-    uu = list(u)
-    tol = _zero_tol(sigma)
-    rtol = _zero_tol(state.residual)
+    s = np.asarray(state.subset, dtype=int)
+    k = s.size
+    comp = state.complement()
+    cross = sigma[np.ix_(s, comp)]
+    sigma_c = sigma[np.ix_(comp, comp)]
+    dc = sigma_c.diagonal()
+    d = np.divide(1.0, np.sqrt(np.maximum(dc, 0.0)), out=np.zeros_like(dc), where=dc > 0.0)
+    cp = d[:, None] * symmat.pseudo_inverse(d[:, None] * sigma_c * d[None, :]) * d[None, :]
+    a = cross @ cp
+    swapped = sigma[np.ix_(s, s)] - a @ cross.T
+    swapped = (swapped + swapped.T) / 2.0
+    lev = np.einsum("ij,ji->i", sigma_c, cp)
+    # the eigenvalue cutoff on the singular-value scale, as low_rank_root
+    lev_tol = math.sqrt(RANK_TOL)
+    pos = np.searchsorted(comp, cands)  # positions of candidates in comp
+    b = sigma[np.ix_(s, cands)]
+    c = sigma.diagonal()[cands]
+    adds_rank = c - np.einsum("ij,ij->j", b, state.block_pinv @ b) > RANK_TOL * c
+    # for i in the span of S, the zero-padded pinv(sigma_S) is a generalised
+    # inverse of sigma_V; it avoids pinv_add's rank-deficient border, which
+    # loses accuracy when proportional columns differ widely in scale
+    padded = np.zeros((k + 1, k + 1))
+    padded[:k, :k] = state.block_pinv
     scores = np.empty(len(cands))
-    for a, i in enumerate(cands.tolist()):
-        pos = cache.complement.index(i)
-        rest = cache.complement[:pos] + cache.complement[pos + 1 :]
-        cpinv_rest = symmat.pinv_remove(
-            cache.complement_pinv, cache.complement, pos, sigma=sigma
-        )
-        vpinv = symmat.pinv_add(state.block_pinv, sigma, u, i)
-        vv = uu + [i]
-        if rest:
-            rr = list(rest)
-            t = cpinv_rest @ sigma[rr, i]
-            beta = sigma[vv, i] - sigma[np.ix_(vv, rr)] @ t
+    for n, (i, j) in enumerate(zip(cands.tolist(), pos.tolist())):
+        if adds_rank[n]:
+            vpinv = symmat.pinv_add(state.block_pinv, sigma, state.subset, i)
         else:
-            beta = sigma[vv, i].astype(float, copy=True)
-        bj = float(beta[-1])
-        term2 = float(beta @ vpinv @ beta) / bj if bj > tol else 0.0
-        term1 = float(np.sum(vpinv[:k, :k] * cache.swapped_residual)) if k else 0.0
-        ind = 1.0 if float(state.residual[i, i]) > rtol else 0.0
-        scores[a] = term1 + term2 - ind
+            vpinv = padded
+        term1 = float(np.sum(vpinv[:k, :k] * swapped))
+        cjj = float(cp[j, j])
+        term2 = 0.0
+        if cjj > 0.0 and 1.0 - lev[j] <= lev_tol:
+            x = np.append(a[:, j], lev[j])
+            term2 = float(x @ vpinv @ x) / cjj
+        scores[n] = term1 + term2 - float(adds_rank[n])
     return scores
-
-
-def score_candidate(criterion: Criterion, state: SubsetState, i: int) -> float:
-    """Score of a single candidate; see :func:`score_all`."""
-    _, scores = score_all(criterion, state, [int(i)])
-    return float(scores[0])
 
 
 # ---------------------------------------------------------------------------

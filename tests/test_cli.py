@@ -22,7 +22,8 @@ def diag_cov(tmp_path):
 
 def test_select_greedy_on_cov(diag_cov, tmp_path, capsys):
     out = tmp_path / "sel.csv"
-    code = main(["select", "--cov", diag_cov, "--k", "2", "--out", str(out)])
+    argv = ["select", "--cov", diag_cov, "--k", "2", "--out", str(out)]
+    code = main(argv)
     assert code == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "k,objective,avg_r2,subset"
@@ -32,6 +33,7 @@ def test_select_greedy_on_cov(diag_cov, tmp_path, capsys):
     assert float(avg_r2) == pytest.approx(1.0 - 1.0 / 6.0)
     manifest = json.loads((tmp_path / "sel.csv.manifest.json").read_text())
     assert manifest["command"] == "select"
+    assert manifest["argv"] == argv  # what main() was given, not sys.argv
     assert diag_cov in manifest["input_digests"]
     assert "total_s" in manifest["timings"]
 
@@ -179,6 +181,8 @@ def test_exit_code_two_on_bad_flags(diag_cov):
         ["select", "--cov", diag_cov, "--k", "1", "--k-range", "1..2"],
         ["simulate", "--trials", "2", "--seed", "1"],  # no scenario
         ["select", "--cov", diag_cov, "--k-range", "3..1"],
+        ["covest", "--data", diag_cov, "--seed", "1"],  # covest draws nothing
+        ["covest", "--data", diag_cov, "--threads", "1"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

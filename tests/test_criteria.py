@@ -154,6 +154,23 @@ def test_diag_det_perfect_fit_sentinel():
     assert evaluate(crit, sigma, (0,)) == -np.inf
 
 
+def _assert_argmin_attained(crit, sigma, state, tag):
+    """The incremental pick attains the reference minimum; exact ties
+    (equal scores) resolve to the lowest index."""
+    subset = state.subset
+    cands, scores = score_all(crit, state)
+    pos = int(np.argmin(scores))
+    vals = np.array([evaluate(crit, sigma, subset + (int(i),)) for i in cands])
+    lo = float(np.min(vals))
+    if lo == -np.inf:
+        assert vals[pos] == -np.inf, tag
+    else:
+        slack = 1e-9 * max(1.0, abs(lo))
+        assert vals[pos] <= lo + slack, tag
+    ties = np.flatnonzero(scores == scores[pos])
+    assert pos == ties[0]
+
+
 def test_argmin_consistency_sampled():
     # score_all ranks candidates exactly as the reference evaluation does
     # (the full 200-instance sweep runs in the acceptance gate).
@@ -171,23 +188,87 @@ def test_argmin_consistency_sampled():
             if kind == CriterionKind.DET_RESIDUAL and rank < p:
                 continue  # every candidate hits the -inf sentinel
             state = state_from_subset(crit, sigma, subset)
-            cands, scores = score_all(crit, state)
-            pos = int(np.argmin(scores))
-            vals = np.array(
-                [evaluate(crit, sigma, subset + (int(i),)) for i in cands]
-            )
-            lo = float(np.min(vals))
-            # the incremental pick attains the reference minimum; exact
-            # ties (equal scores) resolve to the lowest index
-            if lo == -np.inf:
-                assert vals[pos] == -np.inf, (t, kind, subset)
-            else:
-                slack = 1e-9 * max(1.0, abs(lo))
-                assert vals[pos] <= lo + slack, (t, kind, subset)
-            ties = np.flatnonzero(scores == scores[pos])
-            assert pos == ties[0]
+            _assert_argmin_attained(crit, sigma, state, (t, kind, subset))
             checked += 1
     assert checked > 100
+
+    # CanonCorr scores read sigma directly, so a state reached through a
+    # retract, an extreme scale or an exact duplicate column must rank
+    # candidates the same way.  Duplicates are what exercise the rank
+    # gates: a duplicated variable never adds rank to its twin.
+    for t in range(60):
+        p = int(rng.integers(5, 9))
+        rank = p if t % 2 else p - 2
+        sigma = rand_psd(rng, p, rank) * (1e-12, 1.0, 1e12)[t % 3]
+        if t % 5 == 0:
+            sigma[:, 1] = sigma[:, 0]
+            sigma[1, :] = sigma[0, :]
+        size = int(rng.integers(0, 4))
+        perm = rng.permutation(p).tolist()
+        subset = tuple(perm[:size])
+        crit = Criterion(CriterionKind.CANON_CORR, p=p, k=size + 1)
+        if t % 4 < 2:
+            # advance one extra variable at a random position, retract it
+            at = int(rng.integers(0, size + 1))
+            grown = subset[:at] + (perm[size],) + subset[at:]
+            state = retract(crit, state_from_subset(crit, sigma, grown), sigma, at)
+            assert state.subset == subset
+        else:
+            state = state_from_subset(crit, sigma, subset)
+        _assert_argmin_attained(crit, sigma, state, (t, subset))
+
+
+def test_canon_corr_pick_does_not_depend_on_units():
+    # Canonical correlations do not change when one variable is rescaled,
+    # so the CanonCorr pick on D sigma D must attain the evaluate argmin on
+    # sigma.  The reference is taken on the unscaled matrix because
+    # evaluate's eigenvalue cutoff, relative to the largest eigenvalue, is
+    # not itself unit-free once variances spread over many decades.
+    #
+    # Hand case: x2 = 1000 (x0 + x1) lies in the span of the rest of the
+    # complement but has a large variance; it is x3's unique best partner.
+    load = np.zeros((5, 4))
+    load[0, 0] = load[1, 1] = load[4, 2] = 1.0
+    load[2, :2] = 1000.0
+    load[3] = (1.0, -1.0, 0.0, 0.5)
+    sigma = load @ load.T
+    crit = Criterion(CriterionKind.CANON_CORR, p=5, k=2)
+    cands, scores = score_all(crit, state_from_subset(crit, sigma, (3,)))
+    vals = [evaluate(crit, sigma, (3, int(i))) for i in cands]
+    assert cands[np.argmin(scores)] == cands[np.argmin(vals)] == 2
+
+    rng = np.random.default_rng(83)
+    for t in range(60):
+        p = int(rng.integers(5, 9))
+        base = rand_psd(rng, p, p if t % 2 else p - 2)
+        if t % 3 == 0:
+            base[:, 1] = base[:, 0]
+            base[1, :] = base[0, :]
+        d = 10.0 ** rng.uniform(-3.0, 3.0, p)
+        sigma = d[:, None] * base * d[None, :]
+        size = int(rng.integers(0, 4))
+        subset = tuple(rng.permutation(p)[:size].tolist())
+        crit = Criterion(CriterionKind.CANON_CORR, p=p, k=size + 1)
+        cands, scores = score_all(crit, state_from_subset(crit, sigma, subset))
+        vals = np.array([evaluate(crit, base, subset + (int(i),)) for i in cands])
+        lo = float(np.min(vals))
+        assert vals[int(np.argmin(scores))] <= lo + 1e-9 * max(1.0, abs(lo)), (t, subset)
+
+
+def test_canon_corr_rank_indicator_ignores_roundoff():
+    # Once the subset spans the range of a rank-2 sigma, every residual
+    # entry is roundoff; no candidate may be credited with added rank.
+    rng = np.random.default_rng(89)
+    crit = Criterion(CriterionKind.CANON_CORR, p=5, k=3)
+    for t in range(40):
+        g = rng.standard_normal((5, 2))
+        g[3] = g[1]
+        sigma = g @ g.T / 5 * 10.0 ** rng.uniform(-6.0, 6.0)
+        state = state_from_subset(crit, sigma, (2, 4))
+        cands, scores = score_all(crit, state)
+        vals = np.array([evaluate(crit, sigma, (2, 4, int(i))) for i in cands])
+        assert np.ptp(scores - vals) < 1e-8, t
+        _assert_argmin_attained(crit, sigma, state, t)
 
 
 def test_advance_retract_roundtrip():
@@ -206,23 +287,6 @@ def test_advance_retract_roundtrip():
     assert state.log_det_block == pytest.approx(
         symmat.log_det(sigma[np.ix_([1, 3, 0], [1, 3, 0])]), abs=1e-8
     )
-
-
-def test_canon_corr_state_tracks_complement():
-    rng = np.random.default_rng(71)
-    sigma = rand_psd(rng, 7) + 0.2 * np.eye(7)
-    crit = Criterion(CriterionKind.CANON_CORR, p=7, k=3)
-    state = state_from_subset(crit, sigma, (2, 5))
-    comp = [0, 1, 3, 4, 6]
-    assert list(state.extras.complement) == comp
-    want = symmat.pseudo_inverse(sigma[np.ix_(comp, comp)])
-    assert rel_err(state.extras.complement_pinv, want) < 1e-8
-    state = retract(crit, state, sigma, 0)
-    comp2 = [0, 1, 3, 4, 6, 2]
-    want2 = symmat.pseudo_inverse(
-        sigma[np.ix_(sorted(comp2), sorted(comp2))]
-    )
-    assert rel_err(state.extras.complement_pinv, want2) < 1e-8
 
 
 def test_objective_from_state_matches_evaluate():
