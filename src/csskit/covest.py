@@ -157,15 +157,16 @@ def read_data_csv(path: str, header: bool = False) -> DataMatrix:
     return DataMatrix(out)
 
 
-def read_cov_csv(path: str, header: bool = False, tol: float = 1e-8) -> SymMatrix:
+def read_cov_csv(path: str, header: bool = False) -> SymMatrix:
     """Read a covariance matrix from a plain ``p x p`` CSV grid.
 
-    Symmetry is checked at ``tol`` (relative) and then enforced exactly.
+    Symmetry is checked by :func:`csskit.symmat.as_symmetric` and then
+    enforced exactly.
     """
     data = read_data_csv(path, header)
     if data.has_missing:
         raise NonFinite(f"{path}: covariance grid contains missing entries")
-    return symmat.as_symmetric(data.values, tol=tol)
+    return symmat.as_symmetric(data.values)
 
 
 def write_matrix_csv(path: str, m: np.ndarray, header: Optional[Sequence[str]] = None):

@@ -20,13 +20,20 @@ residual covariance after projecting out the selected columns
 ``DiagDet``
     ``log det(sigma_S) + sum_{j not in S} log R(S)_{jj}`` -- the
     log-likelihood-shaped objective whose minimization is equivalent to a
-    diagonal-residual Gaussian fit.  Returns ``-inf`` when a residual
-    diagonal entry underflows (perfect fit) or the selected block is
-    singular.
+    diagonal-residual Gaussian fit.  Returns ``-inf`` when some variable
+    outside ``S`` is fit perfectly or the selected block is singular.
 ``IsoLrt``
     ``log det(sigma_S) + (p - k) log(trace(R(S)) / (p - k))`` -- the
     isotropic-residual analogue; ``k`` is a fixed parameter of the
-    criterion, not the current subset size.
+    criterion, not the current subset size.  Returns ``-inf`` when every
+    variable outside ``S`` is fit perfectly.
+
+Every rank decision is the rule of :mod:`csskit.symmat`: a variable adds
+rank to ``S``, and is not fit perfectly by it, when its residual variance
+exceeds ``RANK_TOL`` times its own (:func:`csskit.symmat.adds_rank`), and
+blocks go through :func:`csskit.symmat.ginv` and
+:func:`csskit.symmat.log_det`.  No decision depends on the units of a
+variable.
 
 Greedy and swap searches never rank candidates by re-evaluating from
 scratch; they use :func:`score_all`, whose values are *order-equivalent* to
@@ -80,6 +87,13 @@ class Criterion:
         if self.kind == CriterionKind.ISO_LRT and self.k >= self.p:
             raise DimMismatch("IsoLrt requires k < p")
 
+    @property
+    def score_degree(self) -> int:
+        """Power of sigma's scale in score differences (0: unit-free)."""
+        if self.kind == CriterionKind.FROB_RESIDUAL:
+            return 2
+        return int(self.kind in (CriterionKind.CSS_TRACE, CriterionKind.DET_RESIDUAL))
+
 
 @dataclass
 class SubsetState:
@@ -104,14 +118,6 @@ class SubsetState:
         if self.subset:
             mask[list(self.subset)] = False
         return np.flatnonzero(mask)
-
-
-def _zero_tol(res: np.ndarray) -> float:
-    """Indicator tolerance for rank-one pivots: RANK_TOL * trace / p."""
-    p = res.shape[0]
-    if p == 0:
-        return 0.0
-    return RANK_TOL * max(float(np.trace(res)), 0.0) / p
 
 
 def _complement_of(p: int, subset: Sequence[int]) -> List[int]:
@@ -143,12 +149,10 @@ def evaluate(criterion: Criterion, sigma: SymMatrix, subset: Sequence[int]) -> f
         if not u or not comp:
             return 0.0
         uu = list(u)
-        pinv_s = symmat.pseudo_inverse(sigma[np.ix_(uu, uu)])
-        pinv_c = symmat.pseudo_inverse(sigma[np.ix_(comp, comp)])
         cross = sigma[np.ix_(uu, comp)]
-        # trace(pinv_s @ cross @ pinv_c @ cross.T) without forming products
-        left = pinv_s @ cross
-        right = cross @ pinv_c
+        # trace(G_S @ cross @ G_C @ cross.T) without forming products
+        left = symmat.ginv(sigma[np.ix_(uu, uu)]) @ cross
+        right = cross @ symmat.ginv(sigma[np.ix_(comp, comp)])
         return -float(np.sum(left * right))
 
     res = symmat.residual_covariance(sigma, u)
@@ -158,27 +162,29 @@ def evaluate(criterion: Criterion, sigma: SymMatrix, subset: Sequence[int]) -> f
     if kind == CriterionKind.FROB_RESIDUAL:
         block = res[np.ix_(comp, comp)]
         return float(np.sum(block * block))
+    ld_block = symmat.log_det(sigma[np.ix_(list(u), list(u))])
+    return _readout(criterion, sigma, res, comp, ld_block)
+
+
+def _readout(criterion: Criterion, sigma, res, comp, ld_block: float) -> float:
+    """DetResidual, DiagDet and IsoLrt from the residual ``res``, the
+    complement ``comp`` and ``ld_block = log det(sigma_S)``.  A variable of
+    ``comp`` that does not add rank to ``S`` is fit perfectly: one sends
+    DetResidual and DiagDet to ``-inf``, IsoLrt needs all of them."""
+    kind = criterion.kind
+    diag = res.diagonal()[comp]
+    fits = ~symmat.adds_rank(diag, sigma.diagonal()[comp])
+    if kind == CriterionKind.ISO_LRT:
+        if np.all(fits):
+            return float("-inf")
+        m = criterion.p - criterion.k
+        return ld_block + m * math.log(float(np.sum(diag)) / m)
+    if np.any(fits):
+        return float("-inf")
     if kind == CriterionKind.DET_RESIDUAL:
         return symmat.log_det(res[np.ix_(comp, comp)])
-
-    # DiagDet / IsoLrt share the selected-block log-determinant
-    uu = list(u)
-    ld_block = symmat.log_det(sigma[np.ix_(uu, uu)]) if u else 0.0
     if kind == CriterionKind.DIAG_DET:
-        tol = _zero_tol(sigma)
-        diag = res.diagonal()[comp]
-        if len(comp) == 0:
-            return ld_block
-        if np.min(diag) <= tol:
-            return float("-inf")
         return ld_block + float(np.sum(np.log(diag)))
-    if kind == CriterionKind.ISO_LRT:
-        m = criterion.p - criterion.k
-        tr = float(np.sum(res.diagonal()[comp]))
-        tol = _zero_tol(sigma)
-        if tr <= tol * max(len(comp), 1):
-            return float("-inf")
-        return ld_block + m * math.log(tr / m)
     raise DimMismatch(f"unknown criterion kind {kind}")
 
 
@@ -227,10 +233,10 @@ def advance(
     if i in state.subset:
         raise DimMismatch(f"index {i} already selected")
     pivot = float(state.residual[i, i])
-    ztol = _zero_tol(state.residual)
-    new_res = symmat.residual_add(state.residual, i, ztol)
+    var = float(sigma[i, i])
+    new_res = symmat.residual_add(state.residual, i, var)
     new_pinv = symmat.pinv_add(state.block_pinv, sigma, state.subset, i)
-    if pivot > ztol and math.isfinite(state.log_det_block):
+    if symmat.adds_rank(pivot, var) and math.isfinite(state.log_det_block):
         new_ld = state.log_det_block + math.log(pivot)
     else:
         new_ld = float("-inf")
@@ -249,7 +255,8 @@ def retract(
     beta_v``.  Because ``beta`` is recomputed from ``sigma`` and the fresh
     pseudo-inverse, the result is one rank-one update away from the
     from-scratch residual regardless of the state's history.  A redundant
-    variable (``beta_v`` at noise level) leaves the residual unchanged.
+    variable (one that does not add rank: ``adds_rank(beta_v, sigma_vv)``
+    is false) leaves the residual unchanged.
     Cost O(p^2 + p k).
     """
     sigma = np.asarray(sigma, dtype=float)
@@ -267,20 +274,17 @@ def retract(
     else:
         beta = sigma[:, var].copy()
     pivot = float(beta[var])
-    ztol = _zero_tol(sigma)
-    if pivot > ztol:
-        new_res = state.residual + np.outer(beta, beta / pivot)
+    new_res = state.residual  # unchanged span if var was redundant
+    adds = symmat.adds_rank(pivot, sigma[var, var])
+    if adds:
+        new_res = new_res + np.outer(beta, beta / pivot)
         new_res = (new_res + new_res.T) / 2.0
         d = np.einsum("ii->i", new_res)
         np.maximum(d, 0.0, out=d)
-        if math.isfinite(state.log_det_block):
-            new_ld = state.log_det_block - math.log(pivot)
-        else:
-            new_ld = symmat.log_det(sigma[np.ix_(idx, idx)]) if idx else 0.0
+    if adds and math.isfinite(state.log_det_block):
+        new_ld = state.log_det_block - math.log(pivot)
     else:
-        # removed variable was numerically redundant: span unchanged
-        new_res = state.residual
-        new_ld = symmat.log_det(sigma[np.ix_(idx, idx)]) if idx else 0.0
+        new_ld = symmat.log_det(sigma[np.ix_(idx, idx)])
     return SubsetState(new_subset, new_res, new_pinv, new_ld, state.sigma)
 
 
@@ -316,9 +320,8 @@ def score_all(
 
     res = state.residual
     kind = criterion.kind
-    ztol = _zero_tol(res)
     diag = res.diagonal()[cands].astype(float, copy=True)
-    ok = diag > ztol
+    ok = symmat.adds_rank(diag, sigma.diagonal()[cands])
     safe = np.where(ok, diag, 1.0)
 
     if kind == CriterionKind.CSS_TRACE:
@@ -351,15 +354,12 @@ def score_all(
         rc = res[np.ix_(comp, comp)]
         dg = rc.diagonal().astype(float, copy=True)
         pos = np.searchsorted(comp, cands)  # positions of candidates in comp
-        dref = dg[pos]
-        cok = dref > ztol
-        csafe = np.where(cok, dref, 1.0)
         rows = rc[pos, :]
-        terms = dg[None, :] - np.where(cok[:, None], rows * rows / csafe[:, None], 0.0)
+        terms = dg[None, :] - np.where(ok[:, None], rows * rows / safe[:, None], 0.0)
         np.maximum(terms, 0.0, out=terms)
         with np.errstate(divide="ignore"):
             logs = np.log(terms)
-            head = np.log(np.where(cok, dref, 0.0))
+            head = np.log(np.where(ok, diag, 0.0))
         logs[np.arange(len(cands)), pos] = 0.0  # exclude j == i from the sum
         return cands, head + logs.sum(axis=1)
 
@@ -371,8 +371,8 @@ def score_all(
 
 def _score_canon_corr(state: SubsetState, cands: np.ndarray) -> np.ndarray:
     """Scores for CanonCorr.  With ``C`` the ascending complement of the
-    subset ``S`` (size k), ``D = diag(sigma_C)^(-1/2)``, the generalised
-    inverse ``Cp = D pinv(D sigma_C D) D``, ``A = sigma_{S,C} Cp``,
+    subset ``S`` (size k), the generalised inverse ``Cp = ginv(sigma_C)``
+    (:func:`csskit.symmat.ginv`), ``A = sigma_{S,C} Cp``,
     leverages ``l = diag(sigma_C Cp)`` and the swapped residual
     ``K = sigma_S - A sigma_{C,S}`` (the residual of ``S`` on ``C``), the
     score of candidate i at position j of C, with ``V = S + (i,)``, is
@@ -389,9 +389,9 @@ def _score_canon_corr(state: SubsetState, cands: np.ndarray) -> np.ndarray:
     ``sigma_V`` in place of the pseudo-inverse.
 
     Every rank decision is made relative to each variable's own variance:
-    the leverages are those of the unit-diagonal block, and i adds rank
-    when its residual on S exceeds ``RANK_TOL * sigma_ii``, the test
-    :func:`csskit.symmat.pinv_add` applies.  So, like the canonical
+    the leverages are those of the unit-diagonal block, and whether i adds
+    rank to S is :func:`csskit.symmat.adds_rank`, as in
+    :func:`csskit.symmat.pinv_add`.  So, like the canonical
     correlations themselves, the scores do not depend on the units of any
     one variable.
     """
@@ -401,19 +401,17 @@ def _score_canon_corr(state: SubsetState, cands: np.ndarray) -> np.ndarray:
     comp = state.complement()
     cross = sigma[np.ix_(s, comp)]
     sigma_c = sigma[np.ix_(comp, comp)]
-    dc = sigma_c.diagonal()
-    d = np.divide(1.0, np.sqrt(np.maximum(dc, 0.0)), out=np.zeros_like(dc), where=dc > 0.0)
-    cp = d[:, None] * symmat.pseudo_inverse(d[:, None] * sigma_c * d[None, :]) * d[None, :]
+    cp = symmat.ginv(sigma_c)
     a = cross @ cp
     swapped = sigma[np.ix_(s, s)] - a @ cross.T
     swapped = (swapped + swapped.T) / 2.0
     lev = np.einsum("ij,ji->i", sigma_c, cp)
-    # the eigenvalue cutoff on the singular-value scale, as low_rank_root
+    # leverage 1 within the rank cutoff taken on the singular-value scale
     lev_tol = math.sqrt(RANK_TOL)
     pos = np.searchsorted(comp, cands)  # positions of candidates in comp
     b = sigma[np.ix_(s, cands)]
     c = sigma.diagonal()[cands]
-    adds_rank = c - np.einsum("ij,ij->j", b, state.block_pinv @ b) > RANK_TOL * c
+    adds_rank = symmat.adds_rank(c - np.einsum("ij,ij->j", b, state.block_pinv @ b), c)
     # for i in the span of S, the zero-padded pinv(sigma_S) is a generalised
     # inverse of sigma_V; it avoids pinv_add's rank-deficient border, which
     # loses accuracy when proportional columns differ widely in scale
@@ -444,29 +442,16 @@ def objective_from_state(criterion: Criterion, state: SubsetState) -> float:
     """Objective of the state's subset, read from the caches when cheap.
 
     Agrees with :func:`evaluate` to update-roundoff (tested at 1e-8).
-    CanonCorr and DetResidual fall back to ``evaluate``.
+    CanonCorr falls back to ``evaluate``.
     """
     kind = criterion.kind
     res = state.residual
     if kind == CriterionKind.CSS_TRACE:
         return float(np.trace(res))
+    if kind == CriterionKind.CANON_CORR:
+        return evaluate(criterion, state.sigma, state.subset)
     comp = state.complement()
     if kind == CriterionKind.FROB_RESIDUAL:
         block = res[np.ix_(comp, comp)]
         return float(np.sum(block * block))
-    if kind == CriterionKind.DIAG_DET:
-        if comp.size == 0:
-            return state.log_det_block
-        tol = _zero_tol(state.sigma)
-        diag = res.diagonal()[comp]
-        if np.min(diag) <= tol:
-            return float("-inf")
-        return state.log_det_block + float(np.sum(np.log(diag)))
-    if kind == CriterionKind.ISO_LRT:
-        m = criterion.p - criterion.k
-        tr = float(np.sum(res.diagonal()[comp]))
-        tol = _zero_tol(state.sigma)
-        if tr <= tol * max(comp.size, 1):
-            return float("-inf")
-        return state.log_det_block + m * math.log(tr / m)
-    return evaluate(criterion, state.sigma, state.subset)
+    return _readout(criterion, state.sigma, res, comp, state.log_det_block)

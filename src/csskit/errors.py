@@ -19,7 +19,7 @@ class NonFinite(CssKitError):
 
 class NotPSD(CssKitError):
     """A matrix that must be positive semidefinite has a significantly
-    negative eigenvalue (below ``-rank_tol * lambda_max``)."""
+    negative eigenvalue (below ``-RANK_TOL * lambda_max``)."""
 
 
 class HasMissing(CssKitError):

@@ -8,8 +8,10 @@ lexicographically and keeps the first best).
 The swapping search sweeps the subset positions in order; at each position
 the incumbent is retracted and every outside variable (incumbent included)
 is scored.  The incumbent is kept unless some candidate is strictly better
-by more than ``SWAP_MARGIN``, which makes sweeps terminate (the objective
-is nonincreasing and cycles are impossible).  Convergence is a full sweep
+by more than ``SWAP_MARGIN * (trace(sigma) / p) ** criterion.score_degree``
+(the margin in the criterion's units, so the moves do not depend on the
+scale of ``sigma``), which makes sweeps terminate (the objective is
+nonincreasing and cycles are impossible).  Convergence is a full sweep
 with no accepted swap; ``max_sweeps`` caps the effort and is reported, not
 an error.
 """
@@ -28,7 +30,8 @@ from .criteria import Criterion, SubsetState
 from .errors import DimMismatch, KTooLarge, TooManySubsets
 from .symmat import IndexSet, SymMatrix
 
-# A candidate must beat the incumbent by this much to be swapped in.
+# A candidate must beat the incumbent by this much, in units of
+# (trace(sigma) / p) ** criterion.score_degree, to be swapped in.
 SWAP_MARGIN = 1e-12
 
 # Default cap on exhaustive enumeration.
@@ -152,6 +155,8 @@ def _swap_once(
     state = criteria.state_from_subset(crit, sigma, init)
     current = list(init)
     k = config.k
+    unit = max(float(np.trace(sigma)), 0.0) / sigma.shape[0]
+    margin = SWAP_MARGIN * unit**crit.score_degree
     trajectory = [criteria.objective_from_state(crit, state)]
     sweeps = 0
     floor = config.objective_floor
@@ -165,7 +170,7 @@ def _swap_once(
             a = int(np.argmin(scores))
             incumbent_pos = int(np.searchsorted(cands, var))
             pick = var
-            if int(cands[a]) != var and scores[a] < scores[incumbent_pos] - SWAP_MARGIN:
+            if int(cands[a]) != var and scores[a] < scores[incumbent_pos] - margin:
                 pick = int(cands[a])
             if decisions is not None:
                 decisions.append(

@@ -13,11 +13,12 @@ each model implies for a *correct* subset:
     isotropic.  Used for the stricter model with one shared residual
     variance.
 
-Both are nonnegative (Hadamard / AM-GM).  When the diagonal (resp. trace)
-of ``R`` itself vanishes numerically, both determinants vanish and the
-statistic is taken to be 0 -- the subset explains everything it could.
-When only ``det R`` vanishes the statistic is ``+inf`` (honest rejection:
-the residual is singular but not diagonal).
+Both are nonnegative (Hadamard / AM-GM).  When some (resp. every)
+non-selected variable does not add rank to ``U`` (the unit-free rule
+:func:`csskit.symmat.adds_rank`), both determinants vanish and the statistic
+is taken to be 0 -- the subset explains everything it could.  When only
+``det R`` vanishes the statistic is ``+inf`` (honest rejection: the
+residual is singular but not diagonal).
 
 Null critical values are Monte Carlo quantiles of the exact finite-sample
 laws, which are sums of independent chi-square ratios and therefore cheap
@@ -104,13 +105,7 @@ class SizeSelectionReport:
         return json.dumps(self.to_json_dict(), indent=indent)
 
 
-def _residual_block(sigma_hat: np.ndarray, subset: IndexSet) -> np.ndarray:
-    comp = [j for j in range(sigma_hat.shape[0]) if j not in set(subset)]
-    res = symmat.residual_covariance(sigma_hat, subset)
-    return res[np.ix_(comp, comp)]
-
-
-def _stat_core(sigma_hat, n, subset, isotropic: bool, rank_tol: float) -> float:
+def _stat_core(sigma_hat, n, subset, isotropic: bool) -> float:
     sigma_hat = np.asarray(sigma_hat, dtype=float)
     p = sigma_hat.shape[0]
     if sigma_hat.ndim != 2 or sigma_hat.shape != (p, p):
@@ -121,33 +116,27 @@ def _stat_core(sigma_hat, n, subset, isotropic: bool, rank_tol: float) -> float:
         raise DimMismatch("subset must leave at least one variable out")
     if n < 1:
         raise DimMismatch(f"n must be positive, got {n}")
-    r = _residual_block(sigma_hat, u)
-    tol = rank_tol * max(float(np.trace(sigma_hat)), 0.0) / p
+    comp = [j for j in range(p) if j not in set(u)]
+    r = symmat.residual_covariance(sigma_hat, u)[np.ix_(comp, comp)]
     diag = r.diagonal()
-    if isotropic:
-        tr = float(diag.sum())
-        if tr <= tol * m:
-            return 0.0
-        fitted = m * math.log(tr / m)
-    else:
-        if float(diag.min()) <= tol:
-            return 0.0
-        fitted = float(np.sum(np.log(diag)))
-    w = symmat.eigh_desc(r).values
-    if float(w[-1]) <= tol:
-        return float("inf")
-    return float(n * (fitted - np.sum(np.log(w))))
+    fits = ~symmat.adds_rank(diag, sigma_hat.diagonal()[comp])
+    if np.any(fits):
+        # det R vanishes, and so does the fitted determinant unless the
+        # isotropic fit still has residual variance to spread
+        return 0.0 if np.all(fits) or not isotropic else float("inf")
+    fitted = m * math.log(float(diag.sum()) / m) if isotropic else float(np.sum(np.log(diag)))
+    return float(n * (fitted - symmat.log_det(r)))  # +inf when det R is 0
 
 
-def stat_T(sigma_hat: SymMatrix, n: int, subset: Sequence[int], rank_tol: float = RANK_TOL) -> float:
+def stat_T(sigma_hat: SymMatrix, n: int, subset: Sequence[int]) -> float:
     """Diagonality statistic ``n log(det(Diag R)/det R)`` for the residual
     of the non-selected block.  ``subset`` may be empty (tests k = 0)."""
-    return _stat_core(sigma_hat, n, subset, isotropic=False, rank_tol=rank_tol)
+    return _stat_core(sigma_hat, n, subset, isotropic=False)
 
 
-def stat_Ttilde(sigma_hat: SymMatrix, n: int, subset: Sequence[int], rank_tol: float = RANK_TOL) -> float:
+def stat_Ttilde(sigma_hat: SymMatrix, n: int, subset: Sequence[int]) -> float:
     """Isotropy statistic ``n log((trace(R)/m)^m / det R)``, m = p - k."""
-    return _stat_core(sigma_hat, n, subset, isotropic=True, rank_tol=rank_tol)
+    return _stat_core(sigma_hat, n, subset, isotropic=True)
 
 
 # ---------------------------------------------------------------------------
@@ -233,17 +222,17 @@ def mc_quantile_pcss(
 def cc_sum(sigma: SymMatrix, a: Sequence[int], b: Sequence[int]) -> float:
     """Sum of squared canonical correlations between column sets ``a`` and
     ``b`` under covariance ``sigma``:
-    ``trace(pinv(sigma_a) sigma_ab pinv(sigma_b) sigma_ba)``."""
+    ``trace(G_a sigma_ab G_b sigma_ba)`` with the generalised inverses
+    ``G = ginv(.)`` of :func:`csskit.symmat.ginv`."""
     sigma = np.asarray(sigma, dtype=float)
     p = sigma.shape[0]
     aa = list(symmat.check_subset(p, a))
     bb = list(symmat.check_subset(p, b))
     if not aa or not bb:
         return 0.0
-    pinv_a = symmat.pseudo_inverse(sigma[np.ix_(aa, aa)])
-    pinv_b = symmat.pseudo_inverse(sigma[np.ix_(bb, bb)])
     cross = sigma[np.ix_(aa, bb)]
-    return float(np.sum((pinv_a @ cross) * (cross @ pinv_b)))
+    left = symmat.ginv(sigma[np.ix_(aa, aa)]) @ cross
+    return float(np.sum(left * (cross @ symmat.ginv(sigma[np.ix_(bb, bb)]))))
 
 
 def choose_k(

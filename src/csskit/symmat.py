@@ -3,15 +3,17 @@
 Everything in the toolkit that touches spectra goes through this module, so
 that pseudo-inversion, PSD projection, log-determinants, and rank decisions
 all share one eigendecomposition backend (:func:`numpy.linalg.eigh`) and one
-tolerance convention:
+rank rule, free of the units of every variable:
 
-* eigenvalues at or below ``rank_tol * lambda_max`` are treated as zero
-  (``rank_tol`` defaults to :data:`RANK_TOL`, relative to the largest
-  eigenvalue of the operand);
-* an eigenvalue below ``-rank_tol * lambda_max`` means the input was not
-  positive semidefinite to begin with and raises :class:`~csskit.errors.NotPSD`;
-* a singular log-determinant is reported as IEEE ``-inf`` so downstream code
-  can branch on it explicitly (``math.isinf``).
+* a variable adds rank to a subset when its residual variance exceeds
+  ``RANK_TOL`` times its own variance (:func:`adds_rank`), the one pivot and
+  perfect-fit test of the package;
+* a block is singular when its unit-diagonal form ``D m D``, with
+  ``D = diag(m)^(-1/2)``, has an eigenvalue at or below ``RANK_TOL *
+  lambda_max`` (:func:`log_det`; :func:`ginv`, the generalised inverse
+  behind every Schur complement and canonical correlation);
+* an eigenvalue below ``-RANK_TOL * lambda_max`` raises
+  :class:`~csskit.errors.NotPSD`; a singular log-determinant is ``-inf``.
 
 The rank-one subset updates (:func:`residual_add`, :func:`pinv_add`,
 :func:`pinv_remove`) are the workhorses of the search algorithms.  After every
@@ -20,13 +22,13 @@ clamped to zero; selected rows and columns of a residual decay to roughly
 machine scale but are never zeroed exactly.
 """
 
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DimMismatch, NonFinite, NotPSD
 
-# Relative spectral cutoff shared by every rank decision in the package.
+# The one relative cutoff behind every rank decision in the package.
 RANK_TOL = 1e-10
 
 SymMatrix = np.ndarray
@@ -77,10 +79,10 @@ def check_subset(p: int, subset: Sequence[int]) -> IndexSet:
     return out
 
 
-def as_symmetric(m: np.ndarray, tol: float = 1e-8) -> SymMatrix:
+def as_symmetric(m: np.ndarray) -> SymMatrix:
     """Validate a matrix as symmetric and return an exactly symmetric copy.
 
-    Asymmetry up to ``tol * max(1, |m|_max)`` is attributed to I/O roundoff
+    Asymmetry up to ``1e-8 * max(1, |m|_max)`` is attributed to I/O roundoff
     and symmetrized away; anything larger raises :class:`DimMismatch`.
     NaN or infinity raises :class:`NonFinite`.
     """
@@ -90,7 +92,7 @@ def as_symmetric(m: np.ndarray, tol: float = 1e-8) -> SymMatrix:
         raise NonFinite("matrix contains NaN or infinity")
     if m.size:
         gap = float(np.max(np.abs(m - m.T)))
-        if gap > tol * max(1.0, float(np.max(np.abs(m)))):
+        if gap > 1e-8 * max(1.0, float(np.max(np.abs(m)))):
             raise DimMismatch(f"matrix is not symmetric (max asymmetry {gap:g})")
     return _sym(m)
 
@@ -110,16 +112,23 @@ def eigh_desc(m: SymMatrix) -> EigenDecomp:
     return EigenDecomp(w[::-1].copy(), v[:, ::-1].copy())
 
 
-def _psd_spectrum(m: SymMatrix, rank_tol: float) -> Tuple[np.ndarray, np.ndarray, float]:
+def adds_rank(resid_var, var):
+    """The rank rule, elementwise: a variable adds rank to a subset when its
+    residual variance ``resid_var`` on the subset exceeds ``RANK_TOL`` times
+    its own variance ``var``.  Both scale as its units squared."""
+    return resid_var > RANK_TOL * var
+
+
+def _psd_spectrum(m: SymMatrix) -> Tuple[np.ndarray, np.ndarray, float]:
     """Eigendecomposition plus the PSD admissibility check.
 
     Returns ``(values desc, vectors, cut)`` where ``cut`` is the zero
-    threshold ``rank_tol * lambda_max``.  Raises :class:`NotPSD` if any
+    threshold ``RANK_TOL * lambda_max``.  Raises :class:`NotPSD` if any
     eigenvalue falls below ``-cut``.
     """
     w, v = eigh_desc(m)
     lam_max = max(float(w[0]), 0.0) if w.size else 0.0
-    cut = rank_tol * lam_max
+    cut = RANK_TOL * lam_max
     if w.size and float(w[-1]) < -cut:
         raise NotPSD(
             f"matrix has eigenvalue {w[-1]:.3e} below -{cut:.3e}; "
@@ -128,10 +137,10 @@ def _psd_spectrum(m: SymMatrix, rank_tol: float) -> Tuple[np.ndarray, np.ndarray
     return w, v, cut
 
 
-def pseudo_inverse(m: SymMatrix, rank_tol: float = RANK_TOL) -> SymMatrix:
+def pseudo_inverse(m: SymMatrix) -> SymMatrix:
     """Moore-Penrose pseudo-inverse of a symmetric PSD matrix.
 
-    Eigenvalues at or below ``rank_tol * lambda_max`` are treated as exact
+    Eigenvalues at or below ``RANK_TOL * lambda_max`` are treated as exact
     zeros and inverted to zero, so the result satisfies the Moore-Penrose
     identities at the numerical rank.
 
@@ -142,7 +151,7 @@ def pseudo_inverse(m: SymMatrix, rank_tol: float = RANK_TOL) -> SymMatrix:
     >>> pseudo_inverse(np.diag([2.0, 0.0])).tolist()
     [[0.5, 0.0], [0.0, 0.0]]
     """
-    w, v, cut = _psd_spectrum(m, rank_tol)
+    w, v, cut = _psd_spectrum(m)
     if w.size == 0:
         return np.zeros((0, 0))
     inv = np.where(w > cut, 1.0, 0.0) / np.where(w > cut, w, 1.0)
@@ -162,28 +171,47 @@ def psd_project(m: SymMatrix) -> SymMatrix:
     return _clamp_diag(_sym((v * w) @ v.T))
 
 
-def log_det(m: SymMatrix, rank_tol: float = RANK_TOL) -> float:
+def ginv(m: SymMatrix) -> SymMatrix:
+    """Generalised inverse ``G = D pseudo_inverse(D m D) D`` with
+    ``D = diag(m)^(-1/2)`` (0 for zero variances): ``m G m = m`` for PSD
+    ``m``, which is all a Schur complement or a canonical correlation needs,
+    and the rank cutoff falls on the unit-diagonal form."""
+    m = np.asarray(m, dtype=float)
+    dg = m.diagonal()
+    d = np.divide(1.0, np.sqrt(np.maximum(dg, 0.0)), out=np.zeros_like(dg), where=dg > 0.0)
+    return d[:, None] * pseudo_inverse(d[:, None] * m * d[None, :]) * d[None, :]
+
+
+def log_det(m: SymMatrix) -> float:
     """Log-determinant of a symmetric PSD matrix, ``-inf`` when singular.
 
-    Singularity is decided at the shared spectral cutoff: any eigenvalue at
-    or below ``rank_tol * lambda_max`` sends the result to ``-inf``.  The
-    empty matrix has determinant 1, hence log-determinant 0.
+    Computed as ``log det(D m D) + sum(log m_ii)``, ``D = diag(m)^(-1/2)``,
+    so singularity (a zero diagonal entry, or an eigenvalue of ``D m D`` at
+    or below ``RANK_TOL * lambda_max``) is decided on the unit-diagonal form.
+    The empty matrix has log-determinant 0.
     """
-    w, _, cut = _psd_spectrum(m, rank_tol)
-    if w.size == 0:
+    m = np.asarray(m, dtype=float)
+    _check_square(m)
+    if m.size == 0:
         return 0.0
+    dg = m.diagonal()
+    if float(np.min(dg)) <= 0.0:
+        _psd_spectrum(m)  # raises NotPSD when m is indefinite
+        return float("-inf")
+    d = 1.0 / np.sqrt(dg)
+    w, _, cut = _psd_spectrum(d[:, None] * m * d[None, :])
     if float(w[-1]) <= cut:
         return float("-inf")
-    return float(np.sum(np.log(w)))
+    return float(np.sum(np.log(w)) + np.sum(np.log(dg)))
 
 
-def low_rank_root(x: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+def low_rank_root(x: np.ndarray) -> np.ndarray:
     """Thin root of a Gram matrix: returns ``r`` rows with ``root.T @ root``
     equal to ``x.T @ x``, where ``r`` is the numerical rank of ``x``.
 
     Useful for compressing an ``n x p`` data matrix with ``n >> p`` (or a
     rank-deficient one) before repeated covariance work.  Singular values at
-    or below ``sqrt(rank_tol) * s_max`` are dropped, which matches the
+    or below ``sqrt(RANK_TOL) * s_max`` are dropped, which matches the
     eigenvalue cutoff on the Gram matrix itself.
     """
     x = np.asarray(x, dtype=float)
@@ -196,7 +224,7 @@ def low_rank_root(x: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
     _, s, vt = np.linalg.svd(x, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((0, x.shape[1]))
-    r = int(np.sum(s > np.sqrt(rank_tol) * s[0]))
+    r = int(np.sum(s > np.sqrt(RANK_TOL) * s[0]))
     return s[:r, None] * vt[:r]
 
 
@@ -205,13 +233,11 @@ def low_rank_root(x: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def residual_covariance(
-    sigma: SymMatrix, subset: Sequence[int], rank_tol: float = RANK_TOL
-) -> SymMatrix:
+def residual_covariance(sigma: SymMatrix, subset: Sequence[int]) -> SymMatrix:
     """Residual covariance after projecting out the selected columns.
 
     For a PSD matrix ``sigma`` and index set ``U`` this is the generalized
-    Schur complement ``sigma - sigma[:, U] @ pinv(sigma[U, U]) @ sigma[U, :]``
+    Schur complement ``sigma - sigma[:, U] @ ginv(sigma[U, U]) @ sigma[U, :]``
     as a full ``p x p`` matrix: entry ``(i, j)`` is the covariance of the
     residuals of variables ``i`` and ``j`` after regression on the subset.
     Rows and columns of selected variables come out at roughly machine scale
@@ -226,27 +252,26 @@ def residual_covariance(
         return sigma.copy()
     idx = list(u)
     cols = sigma[:, idx]
-    pinv = pseudo_inverse(sigma[np.ix_(idx, idx)], rank_tol)
-    res = sigma - cols @ (pinv @ cols.T)
+    res = sigma - cols @ (ginv(sigma[np.ix_(idx, idx)]) @ cols.T)
     return _clamp_diag(_sym(res))
 
 
-def residual_add(res: SymMatrix, i: int, zero_tol: float) -> SymMatrix:
+def residual_add(res: SymMatrix, i: int, var: float) -> SymMatrix:
     """Rank-one update of a residual covariance when variable ``i`` joins
     the selected set.
 
     With ``beta = res[:, i]`` the update is ``res - outer(beta, beta) /
-    beta[i]`` provided the pivot ``beta[i]`` exceeds ``zero_tol``; otherwise
-    variable ``i`` is already (numerically) in the span of the selection and
-    the residual is returned unchanged.  Callers choose ``zero_tol`` relative
-    to scale, typically ``RANK_TOL * trace(res) / p``.
+    beta[i]`` provided variable ``i``, of own variance ``var`` (its
+    ``sigma_ii``), adds rank: ``adds_rank(beta[i], var)``.  Otherwise it is
+    already (numerically) in the span of the selection and the residual is
+    returned unchanged.
     """
     res = np.asarray(res, dtype=float)
     p = _check_square(res)
     if not 0 <= i < p:
         raise DimMismatch(f"index {i} out of range for dimension {p}")
     pivot = float(res[i, i])
-    if pivot <= zero_tol:
+    if not adds_rank(pivot, var):
         return res
     beta = res[:, i]
     out = res - np.outer(beta, beta / pivot)
@@ -258,7 +283,6 @@ def pinv_add(
     sigma: SymMatrix,
     current: Sequence[int],
     i: int,
-    rank_tol: float = RANK_TOL,
 ) -> SymMatrix:
     """Grow a selected-block pseudo-inverse by one variable.
 
@@ -269,7 +293,7 @@ def pinv_add(
     With ``b = sigma[U, i]``, ``c = sigma[i, i]``, ``d = block_pinv @ b`` and
     Schur complement ``s = c - b @ d``:
 
-    * ``s > rank_tol * c`` (new variable adds rank): the inverse gains the
+    * ``adds_rank(s, c)`` (new variable adds rank): the inverse gains the
       familiar border ``[[P + d d^T/s, -d/s], [-d^T/s, 1/s]]``;
     * otherwise (new variable numerically in the span): the appended column
       satisfies ``b = A d``, and the pseudo-inverse is ``[[G, G d],
@@ -290,7 +314,7 @@ def pinv_add(
     if not 0 <= i < p or i in u:
         raise DimMismatch(f"cannot append index {i} to subset {u}")
     if k == 0:
-        return pseudo_inverse(sigma[np.ix_([i], [i])], rank_tol)
+        return pseudo_inverse(sigma[np.ix_([i], [i])])
 
     idx = list(u)
     b = sigma[idx, i]
@@ -300,7 +324,7 @@ def pinv_add(
     d = block_pinv @ b
     s = c - float(b @ d)
     out = np.empty((k + 1, k + 1))
-    if s > rank_tol * c:
+    if adds_rank(s, c):
         out[:k, :k] = block_pinv + np.outer(d, d / s)
         out[:k, k] = -d / s
         out[k, :k] = -d / s
@@ -328,22 +352,19 @@ def pinv_remove(
     block_pinv: SymMatrix,
     current: Sequence[int],
     position: int,
-    sigma: Optional[SymMatrix] = None,
-    rank_tol: float = RANK_TOL,
+    sigma: SymMatrix,
 ) -> SymMatrix:
     """Shrink a selected-block pseudo-inverse by the variable at ``position``.
 
-    The O(k^2) downdate permutes the removed variable last, partitions the
-    pseudo-inverse as ``[[P, q], [q^T, r]]``, and returns ``P - q q^T / r``
-    (or ``P`` when ``r`` is numerically zero).  That identity is exact when
-    the removed variable added rank; when it was linearly dependent on the
-    rest there is no O(k^2) recovery from the pseudo-inverse alone.
-
-    Passing ``sigma`` enables verification: the candidate ``X`` is accepted
-    only if it satisfies the Penrose identities ``A X A = A`` and
-    ``X A X = X`` for the reduced block ``A`` (within ``1e-8`` relative
-    Frobenius), otherwise the reduced block is freshly pseudo-inverted.  All
-    search-internal callers pass ``sigma``.
+    The O(k^2) downdate permutes the removed variable ``v`` last, partitions
+    the pseudo-inverse as ``[[P, q], [q^T, r]]``, and returns
+    ``P - q q^T / r`` if ``adds_rank(1 / r, sigma_vv)`` (``1 / r`` is the
+    residual variance of ``v`` on the rest when it adds rank), else ``P``.
+    That identity is exact when ``v`` added rank; when it was dependent on
+    the rest there is no O(k^2) recovery from the pseudo-inverse alone, so
+    the candidate ``X`` is accepted only if it satisfies ``A X A = A`` and
+    ``X A X = X`` for the reduced block ``A`` of ``sigma`` (within ``1e-8``
+    relative Frobenius); otherwise ``A`` is freshly pseudo-inverted.
     """
     block_pinv = np.asarray(block_pinv, dtype=float)
     k = _check_square(block_pinv)
@@ -360,21 +381,19 @@ def pinv_remove(
     pblock = mp[: k - 1, : k - 1]
     q = mp[: k - 1, k - 1]
     r = float(mp[k - 1, k - 1])
-    scale = float(np.abs(mp).max()) if mp.size else 0.0
-    if r > rank_tol * max(scale, 1.0):
+    sigma = np.asarray(sigma, dtype=float)
+    if r > 0.0 and adds_rank(1.0 / r, sigma[u[position], u[position]]):
         cand = pblock - np.outer(q, q / r)
     else:
         cand = pblock.copy()
     cand = _sym(cand)
-    if sigma is not None:
-        sigma = np.asarray(sigma, dtype=float)
-        rest = [u[j] for j in keep]
-        a = sigma[np.ix_(rest, rest)]
-        norm_a = float(np.linalg.norm(a))
-        norm_x = float(np.linalg.norm(cand))
-        ax = a @ cand
-        axa_ok = float(np.linalg.norm(ax @ a - a)) <= 1e-8 * max(norm_a, 1e-300)
-        xax_ok = float(np.linalg.norm(cand @ ax - cand)) <= 1e-8 * max(norm_x, 1e-300)
-        if not (axa_ok and xax_ok):
-            cand = pseudo_inverse(a, rank_tol)
+    rest = [u[j] for j in keep]
+    a = sigma[np.ix_(rest, rest)]
+    norm_a = float(np.linalg.norm(a))
+    norm_x = float(np.linalg.norm(cand))
+    ax = a @ cand
+    axa_ok = float(np.linalg.norm(ax @ a - a)) <= 1e-8 * max(norm_a, 1e-300)
+    xax_ok = float(np.linalg.norm(cand @ ax - cand)) <= 1e-8 * max(norm_x, 1e-300)
+    if not (axa_ok and xax_ok):
+        cand = pseudo_inverse(a)
     return cand

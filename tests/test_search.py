@@ -119,6 +119,18 @@ def test_scale_equivariant_selection():
         assert scaled.objective == pytest.approx(c * base_s.objective, rel=1e-9)
 
 
+def test_swap_margin_follows_units():
+    # The swap margin scales with each criterion's score units, so at any
+    # scale of sigma swap makes the moves it makes at unit scale.
+    g = np.random.default_rng(1).standard_normal((12, 12))
+    sigma = g @ g.T / 12
+    for kind in CriterionKind:
+        cfg = SearchConfig(k=3, criterion=Criterion(kind, p=12, k=3), seed=1)
+        base = swap(sigma, cfg)
+        for c in (1e-14, 1e-8, 1e8, 1e14):
+            assert swap(c * sigma, cfg).subset == base.subset, (kind, c)
+
+
 def test_exhaustive_diagonal_and_cap():
     crit = css(4, 2)
     res = exhaustive(np.diag([4.0, 1.0, 3.0, 2.0]), 2, crit)

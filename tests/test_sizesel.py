@@ -1,12 +1,13 @@
 """Size selection: test statistics, Monte Carlo null laws, choose_k driver."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from csskit import simlab, sizesel
-from csskit.criteria import Criterion, CriterionKind
+from csskit import covest, simlab, sizesel
+from csskit.criteria import Criterion, CriterionKind, evaluate
 from csskit.errors import DegreesOfFreedom, DimMismatch, NoFeasibleK
 from csskit.search import SearchConfig, swap
 from csskit.simlab import ScenarioSpec
@@ -63,6 +64,57 @@ def test_stat_degenerate_conventions():
     # determinant vanishes but the diagonal does not: +inf
     sigma = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
     assert stat_T(sigma, 10, (0,)) == np.inf
+
+
+def test_statistic_and_fit_do_not_depend_on_units():
+    # Rescaling variable j by d_j leaves stat_T unchanged and adds
+    # 2 sum(log d) to the DiagDet objective, including the perfect-fit (0)
+    # and singular-residual (+inf) verdicts of rank p - 2 matrices.
+    # Variances spread over twelve decades.
+    rng = np.random.default_rng(223)
+    for t in range(200):
+        p = int(rng.integers(4, 10))
+        g = rng.standard_normal((p, p if t % 2 else p - 2))
+        sigma = g @ g.T / p
+        d = 10.0 ** rng.uniform(-6.0, 6.0, p)
+        scaled = d[:, None] * sigma * d[None, :]
+        subset = tuple(rng.permutation(p)[: int(rng.integers(0, 4))].tolist())
+        crit = Criterion(CriterionKind.DIAG_DET, p=p, k=max(1, len(subset)))
+        shift = 2.0 * float(np.sum(np.log(d)))
+        pairs = [
+            (stat_T(scaled, 50, subset), stat_T(sigma, 50, subset)),
+            (evaluate(crit, scaled, subset) - shift, evaluate(crit, sigma, subset)),
+        ]
+        for got, want in pairs:
+            if np.isinf(want):
+                assert got == want, (t, subset)
+            else:
+                assert got == pytest.approx(want, rel=1e-6, abs=1e-6), (t, subset)
+
+
+def test_choose_k_does_not_depend_on_units():
+    # One variable in micro-units, another in mega-units: the same walk.
+    x = simlab.sample(simlab.sizesel_a2_spec(), 200, seed=[2, 0, 0])
+    sigma = covest.sample_cov(x)
+
+    def run(s):
+        return choose_k(s, n=200, restarts=2, mc_samples=2000, seed=1)
+
+    base = run(sigma)
+    assert base.chosen_k == 21
+    for col, c in ((30, 1e-6), (5, 1e6)):
+        d = np.ones(50)
+        d[col] = c
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no spurious perfect fit either
+            report = run(d[:, None] * sigma * d[None, :])
+        assert report.chosen_k == base.chosen_k
+        assert report.chosen_subset == base.chosen_subset
+        assert len(report.records) == len(base.records)
+        for got, want in zip(report.records, base.records):
+            assert got.subset == want.subset
+            assert got.statistic == pytest.approx(want.statistic, rel=1e-6)
+            assert not got.perfect_fit
 
 
 def test_stat_nonnegative_on_random_instances():

@@ -77,6 +77,35 @@ def test_log_det():
     assert_allclose(symmat.log_det(np.diag([2.0, 3.0])), np.log(6.0), rtol=1e-12)
     assert symmat.log_det(np.diag([1.0, 0.0])) == -np.inf
     assert symmat.log_det(np.zeros((0, 0))) == 0.0
+    # singularity does not depend on how far apart the variances are
+    assert_allclose(symmat.log_det(np.diag([1e-12, 1e12])), 0.0, atol=1e-12)
+    assert symmat.log_det(np.array([[1e-12, 1e-6], [1e-6, 1.0]])) == -np.inf
+    with pytest.raises(NotPSD):
+        symmat.log_det(np.diag([1.0, -1.0]))
+
+
+def test_adds_rank():
+    assert symmat.adds_rank(1e-9, 1.0) and not symmat.adds_rank(1e-11, 1.0)
+    assert symmat.adds_rank(1e-21, 1e-12) and not symmat.adds_rank(0.0, 0.0)
+    got = symmat.adds_rank(np.array([1.0, 1e-3, 1e3]), np.array([1.0, 1e9, 1e12]))
+    assert got.tolist() == [True, False, True]
+
+
+def test_ginv_is_a_generalised_inverse():
+    rng = np.random.default_rng(13)
+    for p, rank in [(4, 4), (6, 3), (7, 5)]:
+        a = rand_psd(rng, p, rank)
+        a[:, 0] = a[0, :] = 0.0  # a variable of zero variance
+        g = symmat.ginv(a)
+        assert_allclose(a @ g @ a, a, atol=1e-8)
+        assert_allclose(g, g.T, atol=1e-12)
+        assert np.all(g[0] == 0.0)
+    # full rank: the inverse itself, D^-1 inv(c) D^-1 for a = D c D, at
+    # any spread of the variances
+    c = np.eye(3) + 0.5
+    d = np.array([1e-6, 1.0, 1e6])
+    g = symmat.ginv(d[:, None] * c * d[None, :])
+    assert_allclose(d[:, None] * g * d[None, :], np.linalg.inv(c), atol=1e-12)
 
 
 def test_psd_project_hand_value():
@@ -132,6 +161,28 @@ def test_residual_empty_subset_is_copy():
     assert sigma[0, 0] == 2.0
 
 
+def test_residual_and_log_det_do_not_depend_on_units():
+    # Rescaling variable j by d_j rescales the residual covariance to
+    # D R D and adds 2 sum(log d) to the log-determinant; no rank decision
+    # may move.  Variances spread over twelve decades, rank p or p - 2.
+    rng = np.random.default_rng(211)
+    for t in range(200):
+        p = int(rng.integers(4, 10))
+        sigma = rand_psd(rng, p, p if t % 2 else p - 2)
+        d = 10.0 ** rng.uniform(-6.0, 6.0, p)
+        scaled = d[:, None] * sigma * d[None, :]
+        subset = tuple(rng.permutation(p)[: int(rng.integers(0, 4))].tolist())
+        want = symmat.residual_covariance(sigma, subset)
+        got = symmat.residual_covariance(scaled, subset) / d[:, None] / d[None, :]
+        assert np.abs(got - want).max() < 1e-8, (t, subset)
+        want_ld = symmat.log_det(sigma)
+        got_ld = symmat.log_det(scaled) - 2.0 * np.sum(np.log(d))
+        if np.isinf(want_ld):
+            assert got_ld == -np.inf, t
+        else:
+            assert abs(got_ld - want_ld) < 1e-6 * max(1.0, abs(want_ld)), t
+
+
 def test_residual_trace_monotone_in_subset():
     rng = np.random.default_rng(19)
     for _ in range(20):
@@ -154,8 +205,7 @@ def test_residual_add_matches_from_scratch():
             for order in itertools.permutations(u):
                 res = sigma.copy()
                 for i in order:
-                    tol = symmat.RANK_TOL * np.trace(res) / p
-                    res = symmat.residual_add(res, i, tol)
+                    res = symmat.residual_add(res, i, sigma[i, i])
                 want = symmat.residual_covariance(sigma, order)
                 assert np.linalg.norm(res - want) < 1e-8
 
@@ -163,8 +213,7 @@ def test_residual_add_matches_from_scratch():
 def test_residual_add_zero_pivot_is_noop():
     sigma = np.array([[1.0, 1.0], [1.0, 1.0]])
     res = symmat.residual_covariance(sigma, (0,))  # variable 1 now redundant
-    tol = symmat.RANK_TOL * np.trace(sigma) / 2
-    assert_allclose(symmat.residual_add(res, 1, tol), res)
+    assert_allclose(symmat.residual_add(res, 1, sigma[1, 1]), res)
 
 
 def rel_err(got, want):
