@@ -164,7 +164,7 @@ def cmd_select(args, parser: argparse.ArgumentParser) -> int:
                     max_sweeps=args.max_sweeps,
                     seed=args.seed + 1000003 * k,
                 )
-                result = search.swap(sigma, cfg, threads=args.threads)
+                result = search.swap(sigma, cfg)
             else:
                 result = search.exhaustive(sigma, k, crit)
             rows.append((k, result.subset, result.objective))
@@ -249,7 +249,6 @@ def cmd_choose_k(args, parser: argparse.ArgumentParser) -> int:
         mc_samples=args.mc_samples,
         seed=args.seed,
         k_max=args.k_max,
-        threads=args.threads,
     )
     manifest.timings["total_s"] = time.perf_counter() - t0
     text = report.to_json() + "\n"
@@ -278,7 +277,6 @@ def cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
             seed=args.seed,
             mar_prob=args.mar_prob,
             restarts=args.restarts,
-            threads=args.threads,
         )
     else:
         rows, summary = simlab.run_sizesel_study(
@@ -290,7 +288,6 @@ def cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
             seed=args.seed,
             restarts=args.restarts,
             mc_samples=args.mc_samples,
-            threads=args.threads,
         )
     manifest.timings["total_s"] = time.perf_counter() - t0
     if args.out:
@@ -309,9 +306,7 @@ def cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sp: argparse.ArgumentParser, *, seed_required: bool):
-    sp.add_argument("--threads", type=int, default=None,
-                    help="worker threads (default: CSSKIT_THREADS or cpu count)")
+def _add_seed(sp: argparse.ArgumentParser, *, seed_required: bool):
     sp.add_argument("--seed", type=int, default=None, required=seed_required,
                     help="base RNG seed" + (" (required)" if seed_required else ""))
 
@@ -341,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--pca", action="store_true",
                     help="append the eigenvalue cumulative-variance column")
     ps.add_argument("--out", default=None, help="output CSV (default: stdout)")
-    _add_common(ps, seed_required=False)
+    _add_seed(ps, seed_required=False)
     ps.set_defaults(func=cmd_select)
 
     pc = sub.add_parser("covest", help="estimate a covariance matrix")
@@ -362,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("--restarts", type=int, default=1)
     pk.add_argument("--k-max", type=int, default=None)
     pk.add_argument("--out", default=None, help="output report JSON")
-    _add_common(pk, seed_required=True)
+    _add_seed(pk, seed_required=True)
     pk.set_defaults(func=cmd_choose_k)
 
     pm = sub.add_parser("simulate", help="run a shipped synthetic study")
@@ -377,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--restarts", type=int, default=10)
     pm.add_argument("--mc-samples", type=int, default=100_000)
     pm.add_argument("--out", default=None, help="output rows CSV")
-    _add_common(pm, seed_required=True)
+    _add_seed(pm, seed_required=True)
     pm.set_defaults(func=cmd_simulate)
 
     return parser

@@ -277,10 +277,8 @@ def retract(
     new_res = state.residual  # unchanged span if var was redundant
     adds = symmat.adds_rank(pivot, sigma[var, var])
     if adds:
-        new_res = new_res + np.outer(beta, beta / pivot)
-        new_res = (new_res + new_res.T) / 2.0
-        d = np.einsum("ii->i", new_res)
-        np.maximum(d, 0.0, out=d)
+        g = beta / math.sqrt(pivot)
+        new_res = symmat._clamp_diag(new_res + np.outer(g, g))
     if adds and math.isfinite(state.log_det_block):
         new_ld = state.log_det_block - math.log(pivot)
     else:

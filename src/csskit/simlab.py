@@ -274,7 +274,6 @@ def run_missing_study(
     seed: int = 0,
     mar_prob: float = 0.05,
     restarts: int = 10,
-    threads: Optional[int] = None,
 ) -> Tuple[List[dict], dict]:
     """Recovery of the ``missing-a1`` subset from MAR data.
 
@@ -293,7 +292,7 @@ def run_missing_study(
         data = sample(spec, n, seed=[seed, t, 0])
         sigma_hat = covest.pairwise_cov_psd(data)
         cfg = SearchConfig(k=k, criterion=crit, restarts=restarts, seed=seed + t)
-        result = search.swap(sigma_hat, cfg, threads=threads)
+        result = search.swap(sigma_hat, cfg)
         met = _trial_metrics(spec, pop, result.subset)
         rng_base = np.random.default_rng([seed, t, 1])
         baseline = tuple(sorted(rng_base.choice(spec.p, size=k, replace=False).tolist()))
@@ -348,7 +347,6 @@ def run_sizesel_study(
     seed: int = 0,
     restarts: int = 10,
     mc_samples: int = 100_000,
-    threads: Optional[int] = None,
 ) -> Tuple[List[dict], dict]:
     """Size selection on the ``sizesel-a2`` scenario.
 
@@ -370,7 +368,6 @@ def run_sizesel_study(
             restarts=restarts,
             mc_samples=mc_samples,
             seed=seed,
-            threads=threads,
         )
         sel = report.chosen_subset
         overlap = len(set(spec.subset).intersection(sel))

@@ -92,7 +92,8 @@ class SizeSelectionReport:
                 {
                     "k": r.k,
                     "subset": list(r.subset),
-                    "statistic": r.statistic,
+                    # +inf (singular, non-diagonal residual) has no JSON number
+                    "statistic": None if r.statistic == math.inf else r.statistic,
                     "critical_value": r.critical_value,
                     "reject": r.reject,
                     "perfect_fit": r.perfect_fit,
@@ -245,7 +246,6 @@ def choose_k(
     mc_samples: int = 100_000,
     seed: int = 0,
     k_max: Optional[int] = None,
-    threads: Optional[int] = None,
 ) -> SizeSelectionReport:
     """Smallest subset size whose goodness-of-fit test fails to reject.
 
@@ -292,7 +292,7 @@ def choose_k(
                 max_sweeps=max_sweeps,
                 seed=seed + 1000003 * k,
             )
-            result = search.swap(sigma_hat, cfg, threads=threads)
+            result = search.swap(sigma_hat, cfg)
             subset = tuple(sorted(result.subset))
             perfect = result.objective == float("-inf")
         if perfect:

@@ -16,12 +16,15 @@ rank rule, free of the units of every variable:
   :class:`~csskit.errors.NotPSD`; a singular log-determinant is ``-inf``.
 
 The rank-one subset updates (:func:`residual_add`, :func:`pinv_add`,
-:func:`pinv_remove`) are the workhorses of the search algorithms.  After every
-update the result is re-symmetrized and tiny negative diagonal entries are
-clamped to zero; selected rows and columns of a residual decay to roughly
-machine scale but are never zeroed exactly.
+:func:`pinv_remove`) are the workhorses of the search algorithms.  The
+residual update is formed as ``outer(g, g)``, which keeps an exactly
+symmetric residual exactly symmetric; the bordered pseudo-inverse updates
+are re-symmetrized.  Tiny negative diagonal entries are clamped to zero;
+selected rows and columns of a residual decay to roughly machine scale but
+are never zeroed exactly.
 """
 
+import math
 from typing import NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -82,8 +85,9 @@ def check_subset(p: int, subset: Sequence[int]) -> IndexSet:
 def as_symmetric(m: np.ndarray) -> SymMatrix:
     """Validate a matrix as symmetric and return an exactly symmetric copy.
 
-    Asymmetry up to ``1e-8 * max(1, |m|_max)`` is attributed to I/O roundoff
-    and symmetrized away; anything larger raises :class:`DimMismatch`.
+    Asymmetry up to ``1e-8 * |m|_max`` is attributed to I/O roundoff and
+    symmetrized away; anything larger raises :class:`DimMismatch`, whatever
+    the units of ``m``.
     NaN or infinity raises :class:`NonFinite`.
     """
     m = np.asarray(m, dtype=float)
@@ -92,7 +96,7 @@ def as_symmetric(m: np.ndarray) -> SymMatrix:
         raise NonFinite("matrix contains NaN or infinity")
     if m.size:
         gap = float(np.max(np.abs(m - m.T)))
-        if gap > 1e-8 * max(1.0, float(np.max(np.abs(m)))):
+        if gap > 1e-8 * float(np.max(np.abs(m))):
             raise DimMismatch(f"matrix is not symmetric (max asymmetry {gap:g})")
     return _sym(m)
 
@@ -260,11 +264,11 @@ def residual_add(res: SymMatrix, i: int, var: float) -> SymMatrix:
     """Rank-one update of a residual covariance when variable ``i`` joins
     the selected set.
 
-    With ``beta = res[:, i]`` the update is ``res - outer(beta, beta) /
-    beta[i]`` provided variable ``i``, of own variance ``var`` (its
-    ``sigma_ii``), adds rank: ``adds_rank(beta[i], var)``.  Otherwise it is
-    already (numerically) in the span of the selection and the residual is
-    returned unchanged.
+    With ``beta = res[:, i]`` the update is ``res - outer(g, g)``, ``g =
+    beta / sqrt(beta[i])``, provided variable ``i``, of own variance ``var``
+    (its ``sigma_ii``), adds rank: ``adds_rank(beta[i], var)``.  Otherwise it
+    is already (numerically) in the span of the selection and the residual
+    is returned unchanged.
     """
     res = np.asarray(res, dtype=float)
     p = _check_square(res)
@@ -273,9 +277,8 @@ def residual_add(res: SymMatrix, i: int, var: float) -> SymMatrix:
     pivot = float(res[i, i])
     if not adds_rank(pivot, var):
         return res
-    beta = res[:, i]
-    out = res - np.outer(beta, beta / pivot)
-    return _clamp_diag(_sym(out))
+    g = res[:, i] / math.sqrt(pivot)
+    return _clamp_diag(res - np.outer(g, g))
 
 
 def pinv_add(

@@ -183,6 +183,10 @@ def test_exit_code_two_on_bad_flags(diag_cov):
         ["select", "--cov", diag_cov, "--k-range", "3..1"],
         ["covest", "--data", diag_cov, "--seed", "1"],  # covest draws nothing
         ["covest", "--data", diag_cov, "--threads", "1"],
+        # no command takes a thread count
+        ["select", "--cov", diag_cov, "--k", "1", "--threads", "1"],
+        ["choose-k", "--data", diag_cov, "--seed", "1", "--threads", "1"],
+        ["simulate", "--scenario", "missing-a1", "--seed", "1", "--threads", "1"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -289,6 +289,26 @@ def test_advance_retract_roundtrip():
     )
 
 
+def test_advance_retract_keep_residual_exactly_symmetric():
+    # The rank-one updates are formed as outer(g, g), so an exactly
+    # symmetric sigma gives an exactly symmetric residual after any moves.
+    rng = np.random.default_rng(71)
+    for trial in range(20):
+        p = int(rng.integers(4, 30))
+        a = rand_psd(rng, p, rank=p if trial % 2 else max(2, p - 3))
+        sigma = float(10.0 ** rng.uniform(-6, 6)) * (a + a.T) / 2
+        crit = Criterion(CriterionKind.CSS_TRACE, p=p, k=p)
+        state = init_state(crit, sigma)
+        for _ in range(30):
+            k = len(state.subset)
+            if k and (k == p or rng.random() < 0.4):
+                state = retract(crit, state, sigma, int(rng.integers(k)))
+            else:
+                outside = [j for j in range(p) if j not in state.subset]
+                state = advance(crit, state, sigma, int(rng.choice(outside)))
+            assert np.array_equal(state.residual, state.residual.T)
+
+
 def test_objective_from_state_matches_evaluate():
     rng = np.random.default_rng(73)
     sigma = rand_psd(rng, 6) + 0.1 * np.eye(6)

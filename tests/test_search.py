@@ -48,13 +48,6 @@ def test_greedy_nestedness():
             assert part.subset == full.nested_subsets[k - 1]
 
 
-def test_greedy_objective_floor():
-    cfg = SearchConfig(k=3, criterion=css(3, 3), objective_floor=1.5)
-    res = greedy(np.diag([1.0, 2.0, 3.0]), cfg)
-    assert res.subset == (2, 1)  # stopped once the trace fell to 1.0
-    assert res.objective == pytest.approx(1.0)
-
-
 def test_swap_trajectory_monotone():
     rng = np.random.default_rng(89)
     for _ in range(10):
@@ -94,16 +87,29 @@ def test_search_chain_orderings():
         assert polished.objective <= gr.objective + 1e-9
 
 
-def test_swap_deterministic_and_thread_stable():
+def test_swap_deterministic_and_thread_stable(monkeypatch):
+    # Force each side of the pool rule; every path gives the same result.
+    pools = []
+
+    class Pool(search.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(search, "ThreadPoolExecutor", Pool)
     rng = np.random.default_rng(103)
     sigma = rand_psd(rng, 10)
     cfg = SearchConfig(k=4, criterion=css(10, 4), restarts=4, seed=17)
-    a = swap(sigma, cfg, threads=1)
-    b = swap(sigma, cfg, threads=1)
-    c = swap(sigma, cfg, threads=4)
-    assert a.subset == b.subset == c.subset
-    assert abs(a.objective - b.objective) <= 1e-12
-    assert abs(a.objective - c.objective) <= 1e-12
+    outcomes = []
+    for min_p, workers in ((10, "4"), (10, "1"), (11, "4"), (10, "4")):
+        monkeypatch.setattr(search, "POOL_MIN_P", min_p)
+        monkeypatch.setenv("CSSKIT_THREADS", workers)
+        res = swap(sigma, cfg)
+        outcomes.append((res.subset, res.objective, res.trajectory, res.sweeps_used))
+    assert pools == [4, 4]  # p >= POOL_MIN_P and 4 workers allowed
+    assert all(out == outcomes[0] for out in outcomes)
+    swap(sigma, SearchConfig(k=4, criterion=css(10, 4), seed=17))
+    assert pools == [4, 4]  # a single restart runs no pool
 
 
 def test_scale_equivariant_selection():
@@ -137,7 +143,7 @@ def test_exhaustive_diagonal_and_cap():
     assert tuple(sorted(res.subset)) == (0, 2)
     assert res.objective == pytest.approx(3.0)
     with pytest.raises(TooManySubsets):
-        exhaustive(np.eye(30), 15, css(30, 15), cap=1000)
+        exhaustive(np.eye(40), 20, css(40, 20))  # C(40, 20) > EXHAUSTIVE_CAP
 
 
 def test_exhaustive_lexicographic_tie_break():

@@ -13,6 +13,8 @@ from csskit.search import SearchConfig, swap
 from csskit.simlab import ScenarioSpec
 from csskit.sizesel import (
     Model,
+    SizeSelectionReport,
+    SizeTestRecord,
     cc_sum,
     choose_k,
     mc_quantile_pcss,
@@ -229,6 +231,22 @@ def test_choose_k_errors():
     pop = simlab.population_cov(pcss_toy_spec(noise=0.0))
     with pytest.raises(NoFeasibleK):
         choose_k(pop, n=50, model=Model.PCSS, mc_samples=2000, seed=0, k_max=1)
+
+
+def test_report_with_infinite_statistic_is_strict_json():
+    records = [
+        SizeTestRecord(0, (), float("inf"), 12.5, True),
+        SizeTestRecord(1, (2,), 3.0, 4.0, False),
+    ]
+    report = SizeSelectionReport(records, 1, (2,), 0.05, Model.SUBSET_FACTOR, 2000, 0)
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    blob = json.loads(report.to_json(), parse_constant=refuse)
+    assert blob["records"][0]["statistic"] is None
+    assert blob["records"][0]["reject"] is True
+    assert blob["records"][1]["statistic"] == 3.0
 
 
 def test_report_json_round_trip():

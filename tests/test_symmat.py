@@ -48,11 +48,15 @@ def test_pseudo_inverse_rejects_indefinite():
 
 
 def test_as_symmetric():
-    m = np.array([[1.0, 0.5 + 5e-9], [0.5, 1.0]])
-    out = symmat.as_symmetric(m)
-    assert out[0, 1] == out[1, 0]
-    with pytest.raises(DimMismatch):
-        symmat.as_symmetric(np.array([[1.0, 0.5], [0.2, 1.0]]))
+    # The asymmetry check is relative to the largest entry, so a matrix in
+    # small units is still checked, and roundoff is still symmetrized.
+    near = np.array([[1.0, 0.5 + 5e-9], [0.5, 1.0]])
+    for c in (1e-12, 1e-9, 1.0, 1e9):
+        out = symmat.as_symmetric(c * near)
+        assert out[0, 1] == out[1, 0]
+        assert_allclose(out, c * np.array([[1.0, 0.5], [0.5, 1.0]]), rtol=1e-8)
+        with pytest.raises(DimMismatch):
+            symmat.as_symmetric(c * np.array([[1.0, 0.5], [0.2, 1.0]]))
     with pytest.raises(NonFinite):
         symmat.as_symmetric(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
