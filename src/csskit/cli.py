@@ -97,12 +97,8 @@ def _load_sigma(args) -> np.ndarray:
     if args.cov:
         sigma = covest.read_cov_csv(args.cov, header=args.header)
     else:
-        data = covest.read_data_csv(args.data, header=args.header)
-        if data.has_missing:
-            sigma = covest.pairwise_cov_psd(data)
-        else:
-            sigma = covest.sample_cov(data)
-    if getattr(args, "standardize", False):
+        sigma = covest.pairwise_cov_psd(covest.read_data_csv(args.data, header=args.header))
+    if args.standardize:
         sigma = covest.to_correlation(sigma)
     return sigma
 
@@ -135,6 +131,7 @@ def cmd_select(args, parser: argparse.ArgumentParser) -> int:
     manifest = _manifest(args, "select", [args.cov or args.data])
     t0 = time.perf_counter()
     sigma = _load_sigma(args)
+    manifest.timings["load_s"] = time.perf_counter() - t0
     p = sigma.shape[0]
     kind = CRITERION_TOKENS[args.criterion]
     ks = list(range(args.k_range[0], args.k_range[1] + 1)) if args.k_range else [args.k]
@@ -204,15 +201,13 @@ def cmd_covest(args, parser: argparse.ArgumentParser) -> int:
     manifest = _manifest(args, "covest", [args.data])
     t0 = time.perf_counter()
     data = covest.read_data_csv(args.data, header=args.header)
-    diagnostics = {"n": data.n, "p": data.p, "missing": args.missing}
-    if args.missing == "pairwise-psd":
-        sigma = covest.pairwise_cov_psd(data)
-        diagnostics.update(covest.covest_diagnostics(data))
-    else:
-        sigma = covest.sample_cov(data)
-        diagnostics["missing_fraction"] = 0.0
+    pairwise = args.missing == "pairwise-psd"
+    sigma = covest.pairwise_cov_psd(data) if pairwise else covest.sample_cov(data)
     if args.standardize:
         sigma = covest.to_correlation(sigma)
+    manifest.timings["load_s"] = time.perf_counter() - t0
+    diagnostics = {"n": data.n, "p": data.p, "missing": args.missing}
+    diagnostics.update(covest.covest_diagnostics(data) if pairwise else {"missing_fraction": 0.0})
     manifest.timings["total_s"] = time.perf_counter() - t0
     if args.out:
         covest.write_matrix_csv(args.out, sigma)
@@ -236,10 +231,8 @@ def cmd_choose_k(args, parser: argparse.ArgumentParser) -> int:
     manifest = _manifest(args, "choose-k", [args.data])
     t0 = time.perf_counter()
     data = covest.read_data_csv(args.data, header=args.header)
-    if data.has_missing:
-        sigma = covest.pairwise_cov_psd(data)
-    else:
-        sigma = covest.sample_cov(data)
+    sigma = covest.pairwise_cov_psd(data)
+    manifest.timings["load_s"] = time.perf_counter() - t0
     report = sizesel.choose_k(
         sigma,
         n=data.n,

@@ -3,13 +3,36 @@
 Conventions: rows are observations, columns are variables, and the
 covariance divisor is ``n`` (not ``n - 1``) throughout -- the objectives
 downstream are normalized by ``n``, so the maximum-likelihood divisor keeps
-the algebra exact.  Missing entries are NaN inside :class:`DataMatrix`;
-CSV input treats empty fields, ``NA``, and ``NaN`` as missing.
+the algebra exact.  Missing entries are NaN inside :class:`DataMatrix`.
+
+CSV grammar (:func:`read_data_csv`, and :func:`read_cov_csv` on top of it):
+
+* one row per line, fields separated by ``,`` (a quoted field holds no
+  comma); every row has as many fields as the first, else
+  :class:`~csskit.errors.DimMismatch` names the line;
+* lines with no characters at all are skipped; with ``header=True`` the
+  first remaining line is skipped unread;
+* a field may be enclosed in double quotes when the quote is its first
+  character; ``""`` inside quotes is one quote character;
+* a field that is empty, all whitespace, or ``NA`` or ``nan`` in any case,
+  bare or quoted and with any surrounding whitespace, is missing (NaN);
+* any other field is a number as numpy reads it: optional surrounding
+  whitespace, sign, digits, ``.``, exponent, or ``inf`` / ``infinity`` in
+  any case; anything else, ``1_000`` included, raises
+  :class:`~csskit.errors.DimMismatch` naming the line and column;
+* there is no comment character: ``#`` is an ordinary, non-numeric byte;
+* an infinite value (``inf``, or ``1e400`` after overflow) raises
+  :class:`~csskit.errors.NonFinite`.
+
+Lines are rewritten only where they hold a missing field other than
+``nan`` (which numpy reads itself), then parsed by :func:`numpy.loadtxt`.
 """
 
 import csv
+import itertools
+import re
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -125,36 +148,97 @@ def to_correlation(sigma: SymMatrix) -> SymMatrix:
 # CSV I/O
 # ---------------------------------------------------------------------------
 
-MISSING_TOKENS = ("", "NA", "NaN")
+# numpy reports a cell it cannot parse as "... string 'x' to float64 at row
+# R, column C" (R 0-based over the lines it was given, C 1-based).
+_BAD_CELL = re.compile(r"could not convert string (.*) to \w+ at row (\d+), column (\d+)")
 
 
-def _read_rows(path: str, header: bool) -> list:
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if header and rows:
-        rows = rows[1:]
-    return rows
+def _is_missing(field: str) -> bool:
+    """An empty, blank or ``NA`` field (any case), bare or double-quoted."""
+    token = field.rstrip()
+    if len(token) >= 2 and token[0] == '"' == token[-1]:
+        token = token[1:-1]
+    token = token.strip()
+    return not token or token.lower() == "na"
 
 
-def _parse_cell(cell: str) -> float:
-    token = cell.strip()
-    if token in MISSING_TOKENS or token.lower() in ("na", "nan"):
-        return float("nan")
-    return float(token)
+def _may_hold_missing(line: str) -> bool:
+    """Cheap screen: False only if no field of ``line`` can be missing."""
+    if line[0] == "," or line[-1] == "," or ",," in line or '"' in line:
+        return True
+    if " " in line or not line.isprintable():  # any whitespace at all
+        return True
+    low = line.lower()
+    return low.count("na") != low.count("nan")  # an "na" outside "nan"
+
+
+def _normalise(line: str) -> str:
+    """``line`` with every missing field rewritten as ``nan``; a line the
+    screen passes is returned as it is."""
+    if not _may_hold_missing(line):
+        return line
+    return ",".join(["nan" if _is_missing(f) else f for f in line.split(",")])
+
+
+def _data_lines(path: str, fh, header: bool, skipped: List[int]) -> Iterator[str]:
+    """The data lines of ``fh`` with every missing field rewritten as ``nan``.
+
+    Blank lines and the header (the first non-blank line, when ``header``)
+    are dropped and their line numbers appended to ``skipped``.  A line with
+    another field count than the first raises :class:`DimMismatch`.
+    """
+    width = None
+    for lineno, line in enumerate(fh, 1):
+        line = line.rstrip("\n")
+        if not line or header:
+            header = header and not line
+            skipped.append(lineno)
+            continue
+        line = _normalise(line)
+        commas = line.count(",")
+        if width is None:
+            width = commas
+        elif commas != width:
+            raise DimMismatch(
+                f"{path}: line {lineno} has {commas + 1} fields, expected {width + 1}"
+            )
+        yield line
+
+
+def _file_line(row: int, skipped: List[int]) -> int:
+    """1-based line number of data row ``row`` (0-based)."""
+    line = row + 1
+    for s in skipped:
+        if s <= line:
+            line += 1
+    return line
 
 
 def read_data_csv(path: str, header: bool = False) -> DataMatrix:
-    """Read a comma-separated data matrix; empty/NA/NaN cells are missing."""
-    rows = _read_rows(path, header)
-    if not rows:
-        raise DimMismatch(f"{path}: no data rows")
-    width = len(rows[0])
-    out = np.empty((len(rows), width))
-    for r, row in enumerate(rows):
-        if len(row) != width:
-            raise DimMismatch(f"{path}: row {r} has {len(row)} fields, expected {width}")
-        out[r] = [_parse_cell(c) for c in row]
-    return DataMatrix(out)
+    """Read a comma-separated data matrix; see the module docstring for the
+    grammar.  A cell that is neither missing nor a number, or a row of
+    another width, raises :class:`DimMismatch` naming the line."""
+    skipped: List[int] = []
+    with open(path) as fh:
+        lines = _data_lines(path, fh, header, skipped)
+        first = next(lines, None)
+        if first is None:
+            raise DimMismatch(f"{path}: no data rows")
+        try:
+            values = np.loadtxt(
+                itertools.chain((first,), lines),
+                delimiter=",", ndmin=2, dtype=float, quotechar='"', comments=None,
+            )
+        except ValueError as exc:
+            bad = _BAD_CELL.match(str(exc))
+            if bad is None:
+                raise DimMismatch(f"{path}: {exc}") from None
+            line = _file_line(int(bad.group(2)), skipped)
+            raise DimMismatch(
+                f"{path}: line {line}, column {bad.group(3)}: "
+                f"{bad.group(1)} is not a number"
+            ) from None
+    return DataMatrix(values)
 
 
 def read_cov_csv(path: str, header: bool = False) -> SymMatrix:

@@ -300,7 +300,8 @@ def score_all(
     (default: the full complement).  Scores are order-equivalent to
     ``evaluate`` on the grown subset: the argmin candidate is the same, and
     ties are broken toward the lowest index by taking the first minimum.
-    ``-inf`` marks a perfect fit under DiagDet/IsoLrt.
+    ``-inf`` marks a perfect fit under DiagDet/IsoLrt, decided by the same
+    rank rule as ``evaluate``.
     """
     sigma = state.sigma
     p = criterion.p
@@ -343,18 +344,27 @@ def score_all(
         cols = res[:, cands]
         colsq = np.einsum("ij,ij->j", cols, cols)
         rest = np.maximum(tr - np.where(ok, colsq / safe, 0.0), 0.0)
+        # -inf when, once the candidate joins, every variable is fit
+        # perfectly by the rank rule of evaluate.  Their residual variances
+        # then sum to at most RANK_TOL * trace(sigma), so only candidates
+        # below that are checked (the subset's own rows are 0; a candidate
+        # that adds no rank is -inf by its own term below).
+        near = np.flatnonzero(~symmat.adds_rank(rest, np.trace(sigma)))
+        if near.size:
+            left = res.diagonal()[:, None] - cols[:, near] ** 2 / safe[near]
+            fit = ~symmat.adds_rank(left, sigma.diagonal()[:, None]).any(axis=0)
+            rest[near[fit]] = 0.0
         with np.errstate(divide="ignore"):
             scores = np.log(np.where(ok, diag, 0.0)) + m * np.log(rest)
         return cands, scores
 
     if kind == CriterionKind.DIAG_DET:
         comp = state.complement()
-        rc = res[np.ix_(comp, comp)]
-        dg = rc.diagonal().astype(float, copy=True)
         pos = np.searchsorted(comp, cands)  # positions of candidates in comp
-        rows = rc[pos, :]
-        terms = dg[None, :] - np.where(ok[:, None], rows * rows / safe[:, None], 0.0)
-        np.maximum(terms, 0.0, out=terms)
+        rows = res[np.ix_(cands, comp)]
+        terms = res.diagonal()[comp] - np.where(ok[:, None], rows * rows / safe[:, None], 0.0)
+        # zero the perfect fits, by the rank rule of evaluate
+        terms *= symmat.adds_rank(terms, sigma.diagonal()[comp])
         with np.errstate(divide="ignore"):
             logs = np.log(terms)
             head = np.log(np.where(ok, diag, 0.0))

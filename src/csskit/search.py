@@ -3,7 +3,10 @@
 All three return a :class:`SearchResult`.  Ties are broken toward the
 lowest variable index everywhere (candidates are scored in ascending order
 and the first minimum wins; exhaustive enumerates subsets
-lexicographically and keeps the first best).
+lexicographically and keeps the first best).  All three first pass
+``sigma`` through :func:`csskit.symmat.as_symmetric`, the check covariance
+files get: an asymmetric ``sigma`` raises, since the pick would depend on
+which triangle is read.
 
 The swapping search sweeps the subset positions in order; at each position
 the incumbent is retracted and every outside variable (incumbent included)
@@ -11,9 +14,10 @@ is scored.  The incumbent is kept unless some candidate is strictly better
 by more than ``SWAP_MARGIN * (trace(sigma) / p) ** criterion.score_degree``
 (the margin in the criterion's units, so the moves do not depend on the
 scale of ``sigma``), which makes sweeps terminate (the objective is
-nonincreasing and cycles are impossible).  Convergence is a full sweep
-with no accepted swap; ``max_sweeps`` caps the effort and is reported, not
-an error.
+nonincreasing and cycles are impossible).  A kept incumbent keeps the
+state from before its retraction instead of being added back.
+Convergence is a full sweep with no accepted swap; ``max_sweeps`` caps the
+effort and is reported, not an error.
 
 Restarts run on a thread pool only where that pays: ``p >= POOL_MIN_P``,
 more than one restart, and more than one worker allowed by
@@ -119,7 +123,7 @@ def _check_problem(sigma: SymMatrix, config: SearchConfig) -> np.ndarray:
         )
     if config.k > p:
         raise KTooLarge(f"k={config.k} exceeds dimension p={p}")
-    return sigma
+    return symmat.as_symmetric(sigma)
 
 
 def greedy(sigma: SymMatrix, config: SearchConfig) -> SearchResult:
@@ -179,8 +183,8 @@ def _swap_once(
                 decisions.append(
                     (tuple(current[:j] + current[j + 1 :]), var, pick, cands.copy(), scores.copy())
                 )
-            state = criteria.advance(crit, state_u, sigma, pick)
             if pick != var:
+                state = criteria.advance(crit, state_u, sigma, pick)
                 current[j] = pick
                 changed = True
                 trajectory.append(criteria.objective_from_state(crit, state))
@@ -246,7 +250,7 @@ def exhaustive(sigma: SymMatrix, k: int, criterion: Criterion) -> SearchResult:
     Raises :class:`TooManySubsets` when ``C(p, k)`` exceeds
     ``EXHAUSTIVE_CAP`` (2e6).
     """
-    sigma = np.asarray(sigma, dtype=float)
+    sigma = symmat.as_symmetric(sigma)
     p = sigma.shape[0]
     if criterion.p != p:
         raise DimMismatch(

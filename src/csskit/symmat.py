@@ -83,22 +83,25 @@ def check_subset(p: int, subset: Sequence[int]) -> IndexSet:
 
 
 def as_symmetric(m: np.ndarray) -> SymMatrix:
-    """Validate a matrix as symmetric and return an exactly symmetric copy.
+    """Validate a matrix as symmetric and return it exactly symmetric.
 
     Asymmetry up to ``1e-8 * |m|_max`` is attributed to I/O roundoff and
-    symmetrized away; anything larger raises :class:`DimMismatch`, whatever
-    the units of ``m``.
+    symmetrized away in a copy; anything larger raises :class:`DimMismatch`,
+    whatever the units of ``m``.  An exactly symmetric ``m`` is returned
+    as it is (its symmetrization would equal it bit for bit).
     NaN or infinity raises :class:`NonFinite`.
     """
     m = np.asarray(m, dtype=float)
     _check_square(m)
-    if m.size and not np.all(np.isfinite(m)):
+    if not m.size:
+        return m
+    if not np.all(np.isfinite(m)):
         raise NonFinite("matrix contains NaN or infinity")
-    if m.size:
-        gap = float(np.max(np.abs(m - m.T)))
-        if gap > 1e-8 * float(np.max(np.abs(m))):
-            raise DimMismatch(f"matrix is not symmetric (max asymmetry {gap:g})")
-    return _sym(m)
+    d = m - m.T
+    gap = float(np.max(np.abs(d, out=d)))
+    if gap > 1e-8 * max(float(m.max()), -float(m.min())):
+        raise DimMismatch(f"matrix is not symmetric (max asymmetry {gap:g})")
+    return m if gap == 0.0 else _sym(m)
 
 
 def eigh_desc(m: SymMatrix) -> EigenDecomp:

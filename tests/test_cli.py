@@ -35,7 +35,8 @@ def test_select_greedy_on_cov(diag_cov, tmp_path, capsys):
     assert manifest["command"] == "select"
     assert manifest["argv"] == argv  # what main() was given, not sys.argv
     assert diag_cov in manifest["input_digests"]
-    assert "total_s" in manifest["timings"]
+    timings = manifest["timings"]
+    assert 0.0 <= timings["load_s"] <= timings["total_s"]
 
 
 def test_select_k_range_and_pca(diag_cov, capsys):
@@ -113,6 +114,8 @@ def test_covest_pairwise_round_trip(tmp_path):
     got = covest.read_cov_csv(str(out))
     want = covest.pairwise_cov_psd(vals)
     assert_allclose(got, want, atol=0, rtol=0)  # 17-digit round-trip is exact
+    timings = json.loads((tmp_path / "cov.csv.manifest.json").read_text())["timings"]
+    assert 0.0 <= timings["load_s"] <= timings["total_s"]
     diag = json.loads((tmp_path / "cov.csv.diag.json").read_text())
     assert diag["missing"] == "pairwise-psd"
     assert 0.05 < diag["missing_fraction"] < 0.15
@@ -141,6 +144,8 @@ def test_choose_k_end_to_end(tmp_path, capsys):
     assert report["chosen_k"] == 2
     assert report["chosen_subset"] == [0, 1]
     assert report["records"][-1]["reject"] is False
+    timings = json.loads((tmp_path / "report.json.manifest.json").read_text())["timings"]
+    assert 0.0 <= timings["load_s"] <= timings["total_s"]
 
 
 def test_choose_k_requires_seed(tmp_path):
@@ -172,6 +177,20 @@ def test_exit_code_three_on_bad_inputs(tmp_path):
     assert main(["select", "--cov", str(lopsided), "--k", "1"]) == 3
     small = write_cov(tmp_path / "small.csv", np.eye(2))
     assert main(["select", "--cov", small, "--k", "5"]) == 3
+
+
+def test_exit_code_three_on_a_non_numeric_cell(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("1,2\nabc,3\n")
+    for argv in (
+        ["select", "--data", str(bad), "--k", "1"],
+        ["select", "--cov", str(bad), "--k", "1"],
+        ["covest", "--data", str(bad)],
+        ["choose-k", "--data", str(bad), "--seed", "1"],
+    ):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "DimMismatch" in err and "line 2, column 1" in err
 
 
 def test_exit_code_two_on_bad_flags(diag_cov):

@@ -1,11 +1,20 @@
 """Covariance construction: sample, pairwise-complete with PSD repair, CSV IO."""
 
+import csv
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from csskit import covest, simlab
-from csskit.errors import HasMissing, InsufficientOverlap, ZeroVariance
+from csskit.errors import (
+    CssKitError,
+    DimMismatch,
+    HasMissing,
+    InsufficientOverlap,
+    NonFinite,
+    ZeroVariance,
+)
 
 NAN = float("nan")
 
@@ -102,6 +111,151 @@ def test_read_data_csv_missing_tokens(tmp_path):
     assert values.shape == (3, 3)
     assert np.isnan(values[0, 1]) and np.isnan(values[1, 1]) and np.isnan(values[1, 2])
     assert values[2, 1] == 5.0
+
+
+# ---------------------------------------------------------------------------
+# CSV reader: the per-cell parser it replaced, kept as the oracle
+# ---------------------------------------------------------------------------
+
+
+def _oracle_cell(cell: str) -> float:
+    token = cell.strip()
+    if token in ("", "NA", "NaN") or token.lower() in ("na", "nan"):
+        return float("nan")
+    try:
+        return float(token)
+    except ValueError:
+        # this parser let the ValueError escape; the reader's typed error
+        raise DimMismatch(f"bad cell {cell!r}") from None
+
+
+def _oracle_read(path: str, header: bool = False) -> covest.DataMatrix:
+    """``csv.reader`` rows, blank rows dropped, then ``float()`` per cell."""
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    if header and rows:
+        rows = rows[1:]
+    if not rows:
+        raise DimMismatch(f"{path}: no data rows")
+    width = len(rows[0])
+    out = np.empty((len(rows), width))
+    for r, row in enumerate(rows):
+        if len(row) != width:
+            raise DimMismatch(f"{path}: row {r} has {len(row)} fields, expected {width}")
+        out[r] = [_oracle_cell(c) for c in row]
+    return covest.DataMatrix(out)
+
+
+def _outcome(read, path, header):
+    try:
+        return read(path, header).values
+    except CssKitError as exc:
+        return type(exc)
+
+
+# Every field the random files are made of, besides signed numbers.
+_TOKENS = (
+    "", " ", "NA", "na", " NA ", "NaN", "nan", "\t1.25\t", "\t-3e2 ", '"5"',
+    '"NA"', '""', '" "', '" na "', "inf", "1e400", "abc",
+)
+
+
+def _random_number(rng) -> str:
+    sign = ("", "-", "+")[rng.integers(3)]
+    body = ("7", "12.5", "0.125", "3.", ".5", "1234567.891")[rng.integers(6)]
+    exp = ("", "", "e5", "E-3", "e+02", "e-300")[rng.integers(6)]
+    return sign + body + exp
+
+
+def _random_csv(rng) -> str:
+    width = int(rng.integers(1, 5))
+    lines = []
+    if rng.random() < 0.3:
+        lines.append(",".join(["x"] * width))  # a bad data row unless header=True
+    for _ in range(int(rng.integers(0, 6))):
+        if rng.random() < 0.15:
+            lines.append("")
+        n = width + (int(rng.choice([-1, 1])) if rng.random() < 0.04 else 0)
+        cells = [
+            _random_number(rng) if rng.random() < 0.7 else _TOKENS[rng.integers(len(_TOKENS))]
+            for _ in range(max(n, 1))
+        ]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + ("\n" if rng.random() < 0.8 else "")
+
+
+def test_read_data_csv_matches_the_per_cell_parser(tmp_path):
+    path = str(tmp_path / "d.csv")
+    rng = np.random.default_rng(173)
+    x = rng.standard_normal((40, 30))
+    x[rng.random(x.shape) < 0.1] = np.nan
+    np.savetxt(path, x, fmt="%.10g", delimiter=",")  # "nan" for missing cells
+    assert np.array_equal(
+        covest.read_data_csv(path).values, _oracle_read(path).values, equal_nan=True
+    )
+    counts = {"matrix": 0, "error": 0}
+    for _ in range(2500):
+        text = _random_csv(rng)
+        with open(path, "w") as fh:
+            fh.write(text)
+        header = bool(rng.random() < 0.3)
+        want = _outcome(_oracle_read, path, header)
+        got = _outcome(covest.read_data_csv, path, header)
+        if isinstance(want, type):
+            assert got is want, (text, header)
+            counts["error"] += 1
+        else:
+            assert isinstance(got, np.ndarray), (text, header, got)
+            assert np.array_equal(got, want, equal_nan=True), (text, header)
+            counts["matrix"] += 1
+    assert min(counts.values()) >= 500, counts
+
+
+def test_read_data_csv_names_bad_cell_and_ragged_row(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("h1,h2\n\n1,2\n\n3,abc\n")
+    with pytest.raises(DimMismatch, match=r"d\.csv: line 5, column 2: 'abc' is not a number"):
+        covest.read_data_csv(str(path), header=True)
+    path.write_text("1,2\n3,4\n\n5,6,7\n")
+    with pytest.raises(DimMismatch, match=r"d\.csv: line 4 has 3 fields, expected 2"):
+        covest.read_data_csv(str(path))
+    # Python-only spellings are not numbers
+    path.write_text("1,1_000\n")
+    with pytest.raises(DimMismatch, match="line 1, column 2"):
+        covest.read_data_csv(str(path))
+    path.write_text("1,inf\n")
+    with pytest.raises(NonFinite):
+        covest.read_data_csv(str(path))
+    path.write_text("\n\n")
+    with pytest.raises(DimMismatch, match="no data rows"):
+        covest.read_data_csv(str(path))
+
+
+def test_read_data_csv_header_skips_first_nonblank_line_only(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("\n\nx,y\n1,2\n\n3,4\n")
+    assert covest.read_data_csv(str(path), header=True).values.tolist() == [[1, 2], [3, 4]]
+    path.write_text("1,2\n3,4\n")
+    assert covest.read_data_csv(str(path), header=True).values.tolist() == [[3, 4]]
+    assert covest.read_data_csv(str(path)).values.tolist() == [[1, 2], [3, 4]]
+
+
+def test_read_data_csv_one_column_blank_looking_cells(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text('1\n \n""\n\t\n\n" NA "\n6\n')  # the empty line is skipped
+    got = covest.read_data_csv(str(path)).values
+    assert got.shape == (6, 1)
+    assert np.array_equal(got[:, 0], [1, NAN, NAN, NAN, NAN, 6], equal_nan=True)
+
+
+def test_read_data_csv_has_no_comment_character(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("1,2\n#3,4\n")
+    with pytest.raises(DimMismatch, match="line 2, column 1"):
+        covest.read_data_csv(str(path))
+    path.write_text("1,2 # a note\n")
+    with pytest.raises(DimMismatch, match="line 1, column 2"):
+        covest.read_data_csv(str(path))
 
 
 def test_diagnostics_keys():

@@ -154,6 +154,31 @@ def test_diag_det_perfect_fit_sentinel():
     assert evaluate(crit, sigma, (0,)) == -np.inf
 
 
+def test_score_all_perfect_fits_match_evaluate():
+    # On rank-deficient sigma, score_all marks a candidate -inf exactly when
+    # evaluate does, whatever moves led to the state: a perfect fit is
+    # decided by the rank rule, not by roundoff in the residual.
+    rng = np.random.default_rng(83)
+    for t in range(60):
+        p = int(rng.integers(4, 9))
+        sigma = rand_psd(rng, p, rank=max(2, p - 2)) * (1e-9, 1.0, 1e9)[t % 3]
+        for kind in (CriterionKind.DIAG_DET, CriterionKind.ISO_LRT):
+            crit = Criterion(kind, p=p, k=3)
+            state = init_state(crit, sigma)
+            for _ in range(8):
+                k = len(state.subset)
+                if k == 3 or (k and rng.random() < 0.4):
+                    state = retract(crit, state, sigma, int(rng.integers(k)))
+                else:
+                    outside = [j for j in range(p) if j not in state.subset]
+                    state = advance(crit, state, sigma, int(rng.choice(outside)))
+                cands, scores = score_all(crit, state)
+                vals = [evaluate(crit, sigma, state.subset + (int(i),)) for i in cands]
+                assert np.array_equal(np.isneginf(scores), np.isneginf(vals)), (
+                    t, kind, state.subset, scores, vals,
+                )
+
+
 def _assert_argmin_attained(crit, sigma, state, tag):
     """The incremental pick attains the reference minimum; exact ties
     (equal scores) resolve to the lowest index."""

@@ -60,6 +60,52 @@ def test_swap_trajectory_monotone():
         assert res.sweeps_used >= 1
 
 
+def test_swap_keeps_the_state_of_a_kept_incumbent(monkeypatch):
+    # The state is advanced only to build the start and for an accepted
+    # swap; a kept incumbent is not retracted and added back.
+    from csskit import criteria
+
+    calls = []
+    advance = criteria.advance
+
+    def counting_advance(*args):
+        calls.append(args[3])
+        return advance(*args)
+
+    monkeypatch.setattr(criteria, "advance", counting_advance)
+    rng = np.random.default_rng(97)
+    for _ in range(10):
+        p = int(rng.integers(8, 14))
+        sigma = rand_psd(rng, p)
+        calls.clear()
+        res = swap(sigma, SearchConfig(k=4, criterion=css(p, 4), seed=3))
+        accepted = len(res.trajectory) - 1
+        assert len(calls) == 4 + accepted
+        assert res.sweeps_used >= 1
+
+
+def test_search_rejects_asymmetric_sigma():
+    # The pick would depend on which triangle is read: CssTrace greedy k=1
+    # picked variable 1 on this matrix and 0 on its transpose.
+    sigma = np.array([[1.0, 0.9, 0.0], [0.1, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    cfg = SearchConfig(k=1, criterion=css(3, 1), restarts=2, seed=1)
+    for m in (sigma, sigma.T, 1e-9 * sigma):
+        with pytest.raises(DimMismatch):
+            greedy(m, cfg)
+        with pytest.raises(DimMismatch):
+            swap(m, cfg)
+        with pytest.raises(DimMismatch):
+            swap(m, cfg, init=[0])
+        with pytest.raises(DimMismatch):
+            exhaustive(m, 1, css(3, 1))
+    # roundoff-level asymmetry is symmetrized; exact symmetry is used as is
+    near = rand_psd(np.random.default_rng(101), 5)
+    assert search._check_problem(near, SearchConfig(k=2, criterion=css(5, 2))) is near
+    near[0, 1] += 1e-14
+    fixed = search._check_problem(near, SearchConfig(k=2, criterion=css(5, 2)))
+    assert np.array_equal(fixed, fixed.T)
+
+
 def test_swap_improves_on_its_init():
     rng = np.random.default_rng(97)
     sigma = rand_psd(rng, 9)
