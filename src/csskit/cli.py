@@ -202,12 +202,16 @@ def cmd_covest(args, parser: argparse.ArgumentParser) -> int:
     t0 = time.perf_counter()
     data = covest.read_data_csv(args.data, header=args.header)
     pairwise = args.missing == "pairwise-psd"
-    sigma = covest.pairwise_cov_psd(data) if pairwise else covest.sample_cov(data)
+    if pairwise:
+        parts = covest.pairwise_parts(data)
+        sigma = parts[2]
+    else:
+        sigma = covest.sample_cov(data)
     if args.standardize:
         sigma = covest.to_correlation(sigma)
     manifest.timings["load_s"] = time.perf_counter() - t0
     diagnostics = {"n": data.n, "p": data.p, "missing": args.missing}
-    diagnostics.update(covest.covest_diagnostics(data) if pairwise else {"missing_fraction": 0.0})
+    diagnostics.update(covest.covest_diagnostics(data, *parts) if pairwise else {"missing_fraction": 0.0})
     manifest.timings["total_s"] = time.perf_counter() - t0
     if args.out:
         covest.write_matrix_csv(args.out, sigma)

@@ -111,6 +111,23 @@ def pairwise_cov(x) -> Tuple[SymMatrix, np.ndarray]:
     return (psi + psi.T) / 2.0, counts.astype(np.int64)
 
 
+def pairwise_parts(x) -> Tuple[SymMatrix, np.ndarray, SymMatrix]:
+    """``(psi, counts, sigma)``: the pairwise-complete estimate and overlap
+    counts of :func:`pairwise_cov`, and ``sigma``, the estimate of
+    :func:`pairwise_cov_psd`.
+
+    With no missing entries ``psi`` and ``sigma`` are both
+    :func:`sample_cov` (the same object: there is nothing to project) and
+    every count is ``n``.  Otherwise ``sigma = psd_project(psi)``.
+    """
+    data = _as_data(x)
+    if not data.has_missing:
+        cov = sample_cov(data)
+        return cov, np.full((data.p, data.p), data.n), cov
+    psi, counts = pairwise_cov(data)
+    return psi, counts, symmat.psd_project(psi)
+
+
 def pairwise_cov_psd(x) -> SymMatrix:
     """PSD-projected pairwise-complete covariance.
 
@@ -118,11 +135,7 @@ def pairwise_cov_psd(x) -> SymMatrix:
     same arithmetic, no projection).  Otherwise the pairwise estimate is
     projected onto the PSD cone by eigenvalue clamping.
     """
-    data = _as_data(x)
-    if not data.has_missing:
-        return sample_cov(data)
-    psi, _ = pairwise_cov(data)
-    return symmat.psd_project(psi)
+    return pairwise_parts(x)[2]
 
 
 def to_correlation(sigma: SymMatrix) -> SymMatrix:
@@ -264,26 +277,15 @@ def write_matrix_csv(path: str, m: np.ndarray, header: Optional[Sequence[str]] =
             writer.writerow([format(v, ".17g") for v in row])
 
 
-def covest_diagnostics(x) -> Dict[str, object]:
-    """Diagnostics for a pairwise-complete estimate: eigenvalue floor before
-    and after projection plus overlap-count extremes."""
-    data = _as_data(x)
-    if not data.has_missing:
-        cov = sample_cov(data)
-        w = symmat.eigh_desc(cov).values
-        return {
-            "missing_fraction": 0.0,
-            "min_overlap": int(data.n),
-            "max_overlap": int(data.n),
-            "min_eig_before": float(w[-1]),
-            "min_eig_after": float(w[-1]),
-        }
-    psi, counts = pairwise_cov(data)
+def covest_diagnostics(x, psi: SymMatrix, counts: np.ndarray, sigma: SymMatrix) -> Dict[str, object]:
+    """Diagnostics for a pairwise-complete estimate from its parts,
+    ``psi, counts, sigma = pairwise_parts(x)``: missing fraction,
+    overlap-count extremes and the eigenvalue floor before and after
+    projection.  Nothing is estimated again."""
     w_before = symmat.eigh_desc(psi).values
-    w_after = symmat.eigh_desc(symmat.psd_project(psi)).values
-    frac = float(np.isnan(data.values).mean())
+    w_after = w_before if sigma is psi else symmat.eigh_desc(sigma).values
     return {
-        "missing_fraction": frac,
+        "missing_fraction": float(np.isnan(_as_data(x).values).mean()),
         "min_overlap": int(counts.min()),
         "max_overlap": int(counts.max()),
         "min_eig_before": float(w_before[-1]),

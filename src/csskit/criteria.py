@@ -223,8 +223,8 @@ def advance(
 ) -> SubsetState:
     """Grow the state by variable ``i`` (appended to the subset order).
 
-    Rank-one update of the residual, bordered update of the selected-block
-    pseudo-inverse, and pivot update of its log-determinant
+    Rank-one update of the residual, :func:`csskit.symmat.pinv_add` for the
+    selected-block pseudo-inverse, and pivot update of its log-determinant
     (``log det(sigma_{U+i}) = log det(sigma_U) + log(residual_ii)``).
     Cost O(p^2).  Returns a new state; the input is not modified.
     """
@@ -248,11 +248,14 @@ def retract(
 ) -> SubsetState:
     """Drop the subset entry at ``position``, undoing its contribution.
 
-    The selected-block pseudo-inverse is downdated (with verification
-    against ``sigma``); the residual is rebuilt by re-adding the removed
-    variable's residual profile ``beta = sigma[:, v] - sigma[:, U] @
-    pinv(sigma_U) @ sigma[U, v]`` as a rank-one term ``beta beta^T /
-    beta_v``.  Because ``beta`` is recomputed from ``sigma`` and the fresh
+    The selected-block pseudo-inverse is downdated by
+    :func:`csskit.symmat.pinv_remove` while the block is nonsingular
+    (``log_det_block`` finite): every member then adds rank to the rest, so
+    the downdate is exact.  A singular block is freshly pseudo-inverted
+    without the removed variable.  The residual is rebuilt by re-adding the
+    removed variable's residual profile ``beta = sigma[:, v] - sigma[:, U]
+    @ pinv(sigma_U) @ sigma[U, v]`` as a rank-one term ``beta beta^T /
+    beta_v``.  Because ``beta`` is recomputed from ``sigma`` and the new
     pseudo-inverse, the result is one rank-one update away from the
     from-scratch residual regardless of the state's history.  A redundant
     variable (one that does not add rank: ``adds_rank(beta_v, sigma_vv)``
@@ -265,9 +268,12 @@ def retract(
         raise DimMismatch(f"position {position} out of range for subset size {k}")
     var = state.subset[position]
     new_subset = state.subset[:position] + state.subset[position + 1 :]
-    new_pinv = symmat.pinv_remove(state.block_pinv, state.subset, position, sigma=sigma)
-
     idx = list(new_subset)
+    if math.isfinite(state.log_det_block):
+        new_pinv = symmat.pinv_remove(state.block_pinv, position)
+    else:
+        new_pinv = symmat.pseudo_inverse(sigma[np.ix_(idx, idx)])
+
     if idx:
         t = new_pinv @ sigma[idx, var]
         beta = sigma[:, var] - sigma[:, idx] @ t
@@ -378,23 +384,36 @@ def score_all(
 
 
 def _score_canon_corr(state: SubsetState, cands: np.ndarray) -> np.ndarray:
-    """Scores for CanonCorr.  With ``C`` the ascending complement of the
-    subset ``S`` (size k), the generalised inverse ``Cp = ginv(sigma_C)``
-    (:func:`csskit.symmat.ginv`), ``A = sigma_{S,C} Cp``,
-    leverages ``l = diag(sigma_C Cp)`` and the swapped residual
-    ``K = sigma_S - A sigma_{C,S}`` (the residual of ``S`` on ``C``), the
-    score of candidate i at position j of C, with ``V = S + (i,)``, is
+    """Scores for CanonCorr, all candidates at once.  With ``C`` the
+    ascending complement of the subset ``S`` (size k), the generalised
+    inverse ``Cp = ginv(sigma_C)`` (:func:`csskit.symmat.ginv`),
+    ``A = sigma_{S,C} Cp``, leverages ``l = diag(sigma_C Cp)`` and the
+    swapped residual ``K = sigma_S - A sigma_{C,S}`` (the residual of ``S``
+    on ``C``), the score of candidate i at position j of C, with
+    ``V = S + (i,)``, is
 
-        f(i) = <pinv(sigma_V)[:k, :k], K>
-             + x^T pinv(sigma_V) x / Cp_jj    [if Cp_jj > 0 and l_j ~ 1]
+        f(i) = <G_V[:k, :k], K>
+             + x^T G_V x / Cp_jj    [if Cp_jj > 0 and l_j ~ 1]
              - 1{i adds rank to S}
 
-    with ``x = (A[:, j], l_j)``.  Taking i out of the conditioning set adds
+    with ``x = (A[:, j], l_j)`` and ``G_V`` a generalised inverse of
+    ``sigma_V``.  Taking i out of the conditioning set adds
     ``x x^T / Cp_jj`` to the residual of V when i lies outside the span of
     the rest of C (its leverage is then 1) and nothing otherwise, so
     ``f(i) + const = -cc(V)``: order-equivalent to evaluate on V.  The
     value is the same with any generalised inverse of ``sigma_C`` or
-    ``sigma_V`` in place of the pseudo-inverse.
+    ``sigma_V``.
+
+    ``G_V`` is built from ``G = pinv(sigma_S)``, the state's block, in
+    closed form: with ``b = sigma_{S,i}``, ``d = G b`` and Schur complement
+    ``s = sigma_ii - b^T d``, it is the bordered inverse of
+    :func:`csskit.symmat.pinv_add` when i adds rank (``w = 1/s``), and the
+    zero-padded ``G`` when it does not (``w = 0``), so
+
+        <G_V[:k, :k], K> = <G, K> + w d^T K d
+        x^T G_V x = A_j^T G A_j + w (d^T A_j - l_j)^2
+
+    for every candidate from a few k x |cands| products.
 
     Every rank decision is made relative to each variable's own variance:
     the leverages are those of the unit-diagonal block, and whether i adds
@@ -405,7 +424,6 @@ def _score_canon_corr(state: SubsetState, cands: np.ndarray) -> np.ndarray:
     """
     sigma = state.sigma
     s = np.asarray(state.subset, dtype=int)
-    k = s.size
     comp = state.complement()
     cross = sigma[np.ix_(s, comp)]
     sigma_c = sigma[np.ix_(comp, comp)]
@@ -414,31 +432,21 @@ def _score_canon_corr(state: SubsetState, cands: np.ndarray) -> np.ndarray:
     swapped = sigma[np.ix_(s, s)] - a @ cross.T
     swapped = (swapped + swapped.T) / 2.0
     lev = np.einsum("ij,ji->i", sigma_c, cp)
-    # leverage 1 within the rank cutoff taken on the singular-value scale
-    lev_tol = math.sqrt(RANK_TOL)
     pos = np.searchsorted(comp, cands)  # positions of candidates in comp
+    g = state.block_pinv
     b = sigma[np.ix_(s, cands)]
     c = sigma.diagonal()[cands]
-    adds_rank = symmat.adds_rank(c - np.einsum("ij,ij->j", b, state.block_pinv @ b), c)
-    # for i in the span of S, the zero-padded pinv(sigma_S) is a generalised
-    # inverse of sigma_V; it avoids pinv_add's rank-deficient border, which
-    # loses accuracy when proportional columns differ widely in scale
-    padded = np.zeros((k + 1, k + 1))
-    padded[:k, :k] = state.block_pinv
-    scores = np.empty(len(cands))
-    for n, (i, j) in enumerate(zip(cands.tolist(), pos.tolist())):
-        if adds_rank[n]:
-            vpinv = symmat.pinv_add(state.block_pinv, sigma, state.subset, i)
-        else:
-            vpinv = padded
-        term1 = float(np.sum(vpinv[:k, :k] * swapped))
-        cjj = float(cp[j, j])
-        term2 = 0.0
-        if cjj > 0.0 and 1.0 - lev[j] <= lev_tol:
-            x = np.append(a[:, j], lev[j])
-            term2 = float(x @ vpinv @ x) / cjj
-        scores[n] = term1 + term2 - float(adds_rank[n])
-    return scores
+    d = g @ b
+    schur = c - np.einsum("ij,ij->j", b, d)
+    adds = symmat.adds_rank(schur, c)
+    w = np.divide(1.0, schur, out=np.zeros_like(schur), where=adds)
+    term1 = float(np.sum(g * swapped)) + w * np.einsum("ij,ij->j", d, swapped @ d)
+    aj, lj, cjj = a[:, pos], lev[pos], cp.diagonal()[pos]
+    # leverage 1 within the rank cutoff taken on the singular-value scale
+    outside = (cjj > 0.0) & (1.0 - lj <= math.sqrt(RANK_TOL))
+    quad = np.einsum("ij,ij->j", aj, g @ aj) + w * (np.einsum("ij,ij->j", d, aj) - lj) ** 2
+    term2 = np.divide(quad, cjj, out=np.zeros_like(quad), where=outside)
+    return term1 + term2 - adds
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,12 @@ rank rule, free of the units of every variable:
 The rank-one subset updates (:func:`residual_add`, :func:`pinv_add`,
 :func:`pinv_remove`) are the workhorses of the search algorithms.  The
 residual update is formed as ``outer(g, g)``, which keeps an exactly
-symmetric residual exactly symmetric; the bordered pseudo-inverse updates
-are re-symmetrized.  Tiny negative diagonal entries are clamped to zero;
-selected rows and columns of a residual decay to roughly machine scale but
-are never zeroed exactly.
+symmetric residual exactly symmetric.  A block pseudo-inverse is updated
+only by an exact identity, else freshly pseudo-inverted: :func:`pinv_add`
+borders it when the new variable adds rank, and :func:`pinv_remove` is the
+Schur downdate of a nonsingular block; both re-symmetrize.  Tiny negative
+diagonal entries are clamped to zero; selected rows and columns of a
+residual decay to roughly machine scale but are never zeroed exactly.
 """
 
 import math
@@ -212,29 +214,6 @@ def log_det(m: SymMatrix) -> float:
     return float(np.sum(np.log(w)) + np.sum(np.log(dg)))
 
 
-def low_rank_root(x: np.ndarray) -> np.ndarray:
-    """Thin root of a Gram matrix: returns ``r`` rows with ``root.T @ root``
-    equal to ``x.T @ x``, where ``r`` is the numerical rank of ``x``.
-
-    Useful for compressing an ``n x p`` data matrix with ``n >> p`` (or a
-    rank-deficient one) before repeated covariance work.  Singular values at
-    or below ``sqrt(RANK_TOL) * s_max`` are dropped, which matches the
-    eigenvalue cutoff on the Gram matrix itself.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise DimMismatch(f"expected a 2-d array, got shape {x.shape}")
-    if x.size and not np.all(np.isfinite(x)):
-        raise NonFinite("data contains NaN or infinity")
-    if x.size == 0:
-        return np.zeros((0, x.shape[1]))
-    _, s, vt = np.linalg.svd(x, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((0, x.shape[1]))
-    r = int(np.sum(s > np.sqrt(RANK_TOL) * s[0]))
-    return s[:r, None] * vt[:r]
-
-
 # ---------------------------------------------------------------------------
 # Residual covariances and their rank-one updates
 # ---------------------------------------------------------------------------
@@ -293,20 +272,13 @@ def pinv_add(
     """Grow a selected-block pseudo-inverse by one variable.
 
     Given ``block_pinv = pinv(sigma[U, U])`` for the ordered subset ``U``,
-    returns ``pinv(sigma[V, V])`` for ``V = U + (i,)`` in O(k^2) plus the
-    cost of gathering one column, using the bordered-inverse identities.
+    returns ``pinv(sigma[V, V])`` for ``V = U + (i,)``.
 
     With ``b = sigma[U, i]``, ``c = sigma[i, i]``, ``d = block_pinv @ b`` and
-    Schur complement ``s = c - b @ d``:
-
-    * ``adds_rank(s, c)`` (new variable adds rank): the inverse gains the
-      familiar border ``[[P + d d^T/s, -d/s], [-d^T/s, 1/s]]``;
-    * otherwise (new variable numerically in the span): the appended column
-      satisfies ``b = A d``, and the pseudo-inverse is ``[[G, G d],
-      [d^T G, d^T G d]]`` with ``G = Q P Q`` and ``Q = I - d d^T/(1 + d^T d)``.
-
-    Both branches assume ``sigma`` is PSD, which forces ``b`` into the range
-    of ``sigma[U, U]``.
+    Schur complement ``s = c - b @ d``: when ``adds_rank(s, c)``, the
+    bordered identity ``[[P + d d^T/s, -d/s], [-d^T/s, 1/s]]`` is exact
+    (``sigma`` is PSD, so ``b`` lies in the range of ``sigma[U, U]``) and
+    costs O(k^2).  Otherwise the grown block is freshly pseudo-inverted.
     """
     sigma = np.asarray(sigma, dtype=float)
     p = _check_square(sigma)
@@ -319,9 +291,6 @@ def pinv_add(
         )
     if not 0 <= i < p or i in u:
         raise DimMismatch(f"cannot append index {i} to subset {u}")
-    if k == 0:
-        return pseudo_inverse(sigma[np.ix_([i], [i])])
-
     idx = list(u)
     b = sigma[idx, i]
     c = float(sigma[i, i])
@@ -329,77 +298,33 @@ def pinv_add(
         raise NotPSD(f"diagonal entry {i} is negative ({c:g})")
     d = block_pinv @ b
     s = c - float(b @ d)
+    if not adds_rank(s, c):
+        v = idx + [i]
+        return pseudo_inverse(sigma[np.ix_(v, v)])
     out = np.empty((k + 1, k + 1))
-    if adds_rank(s, c):
-        out[:k, :k] = block_pinv + np.outer(d, d / s)
-        out[:k, k] = -d / s
-        out[k, :k] = -d / s
-        out[k, k] = 1.0 / s
-    else:
-        delta = float(d @ d)
-        e = block_pinv @ d
-        de = float(d @ e)
-        shrink = 1.0 + delta
-        g = (
-            block_pinv
-            - np.outer(d, e / shrink)
-            - np.outer(e / shrink, d)
-            + (de / shrink**2) * np.outer(d, d)
-        )
-        gd = g @ d
-        out[:k, :k] = g
-        out[:k, k] = gd
-        out[k, :k] = gd
-        out[k, k] = float(d @ gd)
+    out[:k, :k] = block_pinv + np.outer(d, d / s)
+    out[:k, k] = -d / s
+    out[k, :k] = -d / s
+    out[k, k] = 1.0 / s
     return _sym(out)
 
 
-def pinv_remove(
-    block_pinv: SymMatrix,
-    current: Sequence[int],
-    position: int,
-    sigma: SymMatrix,
-) -> SymMatrix:
-    """Shrink a selected-block pseudo-inverse by the variable at ``position``.
+def pinv_remove(block_pinv: SymMatrix, position: int) -> SymMatrix:
+    """Shrink the inverse of a nonsingular block by the variable at
+    ``position``.
 
-    The O(k^2) downdate permutes the removed variable ``v`` last, partitions
-    the pseudo-inverse as ``[[P, q], [q^T, r]]``, and returns
-    ``P - q q^T / r`` if ``adds_rank(1 / r, sigma_vv)`` (``1 / r`` is the
-    residual variance of ``v`` on the rest when it adds rank), else ``P``.
-    That identity is exact when ``v`` added rank; when it was dependent on
-    the rest there is no O(k^2) recovery from the pseudo-inverse alone, so
-    the candidate ``X`` is accepted only if it satisfies ``A X A = A`` and
-    ``X A X = X`` for the reduced block ``A`` of ``sigma`` (within ``1e-8``
-    relative Frobenius); otherwise ``A`` is freshly pseudo-inverted.
+    Partitioning ``block_pinv`` with the removed variable last as
+    ``[[P, q], [q^T, r]]``, the inverse of the remaining block is the Schur
+    downdate ``P - q q^T / r``, exact when the block is nonsingular.  A
+    singular block has no such identity; its caller pseudo-inverts the
+    remaining block afresh (see :func:`csskit.criteria.retract`).  Cost
+    O(k^2).
     """
     block_pinv = np.asarray(block_pinv, dtype=float)
     k = _check_square(block_pinv)
-    u = tuple(int(j) for j in current)
-    if len(u) != k:
-        raise DimMismatch(
-            f"block_pinv of size {k} does not match subset of size {len(u)}"
-        )
     if not 0 <= position < k:
         raise DimMismatch(f"position {position} out of range for subset size {k}")
     keep = [j for j in range(k) if j != position]
-    perm = keep + [position]
-    mp = block_pinv[np.ix_(perm, perm)]
-    pblock = mp[: k - 1, : k - 1]
-    q = mp[: k - 1, k - 1]
-    r = float(mp[k - 1, k - 1])
-    sigma = np.asarray(sigma, dtype=float)
-    if r > 0.0 and adds_rank(1.0 / r, sigma[u[position], u[position]]):
-        cand = pblock - np.outer(q, q / r)
-    else:
-        cand = pblock.copy()
-    cand = _sym(cand)
-    rest = [u[j] for j in keep]
-    a = sigma[np.ix_(rest, rest)]
-    norm_a = float(np.linalg.norm(a))
-    norm_x = float(np.linalg.norm(cand))
-    ax = a @ cand
-    axa_ok = float(np.linalg.norm(ax @ a - a)) <= 1e-8 * max(norm_a, 1e-300)
-    xax_ok = float(np.linalg.norm(cand @ ax - cand)) <= 1e-8 * max(norm_x, 1e-300)
-    if not (axa_ok and xax_ok):
-        cand = pseudo_inverse(a)
-    return cand
+    q = block_pinv[keep, position]
+    r = float(block_pinv[position, position])
+    return _sym(block_pinv[np.ix_(keep, keep)] - np.outer(q, q / r))

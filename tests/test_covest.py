@@ -260,7 +260,7 @@ def test_read_data_csv_has_no_comment_character(tmp_path):
 
 def test_diagnostics_keys():
     x = np.array([[1.0, 2.0], [3.0, NAN], [NAN, 4.0], [5.0, 6.0]])
-    diag = covest.covest_diagnostics(x)
+    diag = covest.covest_diagnostics(x, *covest.pairwise_parts(x))
     assert diag["missing_fraction"] == pytest.approx(0.25)
     assert diag["min_overlap"] == 2
     assert diag["max_overlap"] == 3

@@ -314,6 +314,37 @@ def test_advance_retract_roundtrip():
     )
 
 
+def test_retract_dependent_column():
+    # After removing one of two identical variables the Schur downdate is
+    # wrong (the block was singular); retract must recover pinv([[1]]).
+    sigma = np.array([[1.0, 1.0], [1.0, 1.0]])
+    crit = Criterion(CriterionKind.CSS_TRACE, p=2, k=2)
+    state = retract(crit, state_from_subset(crit, sigma, (0, 1)), sigma, 1)
+    assert state.subset == (0,)
+    assert_allclose(state.block_pinv, np.array([[1.0]]), atol=1e-10)
+    assert_allclose(state.residual, symmat.residual_covariance(sigma, (0,)), atol=1e-10)
+
+
+def test_canon_corr_scores_without_pinv_add(monkeypatch):
+    # CanonCorr scores every candidate in closed form from the state's
+    # block, and they differ from -cc of the grown subset by one constant.
+    rng = np.random.default_rng(79)
+    calls = []
+    pinv_add = symmat.pinv_add
+    monkeypatch.setattr(symmat, "pinv_add", lambda *a: calls.append(a) or pinv_add(*a))
+    for t in range(20):
+        p = int(rng.integers(5, 10))
+        sigma = rand_psd(rng, p, p if t % 2 else p - 2)
+        subset = tuple(rng.permutation(p)[: int(rng.integers(0, 4))].tolist())
+        crit = Criterion(CriterionKind.CANON_CORR, p=p, k=len(subset) + 1)
+        state = state_from_subset(crit, sigma, subset)
+        before = len(calls)
+        cands, scores = score_all(crit, state)
+        assert len(calls) == before, t
+        vals = np.array([evaluate(crit, sigma, subset + (int(i),)) for i in cands])
+        assert np.ptp(scores - vals) < 1e-8, (t, subset)
+
+
 def test_advance_retract_keep_residual_exactly_symmetric():
     # The rank-one updates are formed as outer(g, g), so an exactly
     # symmetric sigma gives an exactly symmetric residual after any moves.

@@ -55,9 +55,16 @@ def test_psd_project_dominates_random_candidates(a, seed):
 def test_pseudo_inverse_penrose(a):
     x = symmat.pseudo_inverse(a)
     scale = max(1.0, np.linalg.norm(a), np.linalg.norm(x))
-    assert np.linalg.norm(a @ x @ a - a) <= 1e-8 * scale
-    assert np.linalg.norm(x @ a @ x - x) <= 1e-8 * scale
-    assert np.linalg.norm(a @ x - (a @ x).T) <= 1e-8 * scale
+    # Forming X A X in floating point, and X itself (the exact pseudo-inverse
+    # of a matrix within about p eps |A| of A), each cost about
+    # p eps kappa |X| with kappa = |A|_2 |X|_2, which the kept spectrum lets
+    # reach 1 / RANK_TOL; 1e-8 covers the cut eigenvalues (each at most
+    # RANK_TOL |A|_2).
+    kappa = np.linalg.norm(a, 2) * np.linalg.norm(x, 2)
+    tol = (1e-8 + 8 * a.shape[0] * np.finfo(float).eps * kappa) * scale
+    assert np.linalg.norm(a @ x @ a - a) <= tol
+    assert np.linalg.norm(x @ a @ x - x) <= tol
+    assert np.linalg.norm(a @ x - (a @ x).T) <= tol
 
 
 @settings(max_examples=50, deadline=None)
