@@ -247,6 +247,8 @@ def cmd_choose_k(args, parser: argparse.ArgumentParser) -> int:
         seed=args.seed,
         k_max=args.k_max,
     )
+    manifest.timings["search_s"] = report.search_s
+    manifest.timings["calibrate_s"] = report.calibrate_s
     manifest.timings["total_s"] = time.perf_counter() - t0
     text = report.to_json() + "\n"
     if args.out:
@@ -303,8 +305,15 @@ def cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def _add_seed(sp: argparse.ArgumentParser, *, seed_required: bool):
-    sp.add_argument("--seed", type=int, default=None, required=seed_required,
+    sp.add_argument("--seed", type=_seed, default=None, required=seed_required,
                     help="base RNG seed" + (" (required)" if seed_required else ""))
 
 

@@ -21,9 +21,12 @@ is taken to be 0 -- the subset explains everything it could.  When only
 residual is singular but not diagonal).
 
 Null critical values are Monte Carlo quantiles of the exact finite-sample
-laws, which are sums of independent chi-square ratios and therefore cheap
-to draw in bulk; see :func:`mc_quantile_subset_factor` and
-:func:`mc_quantile_pcss`.  The null law requires ``n > p``.
+laws, which are built from independent chi-square columns and therefore
+cheap to draw in bulk; see :func:`mc_quantile_subset_factor` and
+:func:`mc_quantile_pcss`.  Each column is drawn once per block of sizes and
+shared by every k of the block, so the draws are independent within each k
+and common random numbers across k -- each test of the walk uses only its
+own k's law.  The null law requires ``n > p``.
 
 :func:`choose_k` walks k = 0, 1, 2, ... and returns the smallest k whose
 test fails to reject, searching each size with the swapping algorithm
@@ -34,10 +37,11 @@ minimizing the statistic over subsets.
 
 import json
 import math
+import time
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -68,7 +72,11 @@ class SizeTestRecord:
 
 @dataclass
 class SizeSelectionReport:
-    """Full record of a choose_k run, JSON-serializable."""
+    """Full record of a choose_k run, JSON-serializable.
+
+    ``search_s`` and ``calibrate_s`` are the wall seconds the walk spent in
+    subset search and in critical values; they stay out of the JSON report,
+    which is byte-reproducible."""
 
     records: List[SizeTestRecord]
     chosen_k: int
@@ -77,6 +85,8 @@ class SizeSelectionReport:
     model: Model
     mc_samples: int
     seed: int
+    search_s: float = field(default=0.0, compare=False)
+    calibrate_s: float = field(default=0.0, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -143,76 +153,219 @@ def stat_Ttilde(sigma_hat: SymMatrix, n: int, subset: Sequence[int]) -> float:
 # ---------------------------------------------------------------------------
 # Monte Carlo critical values
 # ---------------------------------------------------------------------------
+#
+# Both null laws are built from chi-square columns of mc_samples draws.  A
+# column is a stream of its own, keyed by its family and degrees of freedom
+# (generator ``default_rng([seed, family, df])``), so every size k of one
+# ``(n, p, mc_samples, seed)`` assembles its law from the same columns:
+# independent within each k, common random numbers across k.  Sizes are
+# calibrated in blocks on a fixed grid of _BLOCK; one pass over the samples
+# in chunks of _CHUNK draws the columns a block needs once and keeps, per k,
+# only the upper tail that the quantile interpolates in.  A chi-square
+# stream drawn in chunks yields the same values as one call, so no value
+# depends on the blocking, the chunking or the order of the calls.
+
+_NUMERATOR, _DENOMINATOR, _PCSS_EXTRA = 0, 1, 2  # column families
+_BLOCK = 16
+_CHUNK = 1024
 
 
-def _check_mc_args(n: int, p: int, k: int, alpha: float, mc_samples: int):
-    if not 0 < alpha < 1:
-        raise DimMismatch(f"alpha must be in (0, 1), got {alpha}")
-    if mc_samples < 1000:
-        raise DimMismatch(f"mc_samples must be >= 1000, got {mc_samples}")
+def _check_law_args(n: int, p: int, k: int, seed: int):
+    if seed < 0:
+        raise DimMismatch(f"seed must be non-negative, got {seed}")
     if not 0 <= k <= p - 1:
         raise DimMismatch(f"k={k} out of range for p={p}")
     if n <= p:
         raise DegreesOfFreedom(f"null law needs n > p (got n={n}, p={p})")
 
 
+def _check_mc_args(n: int, p: int, k: int, alpha: float, mc_samples: int, seed: int):
+    if not 0 < alpha < 1:
+        raise DimMismatch(f"alpha must be in (0, 1), got {alpha}")
+    if mc_samples < 1000:
+        raise DimMismatch(f"mc_samples must be >= 1000, got {mc_samples}")
+    _check_law_args(n, p, k, seed)
+
+
+def _chunks(mc_samples: int, seed: int, family: int, dfs: Sequence[int]):
+    """Draws of the chi-square columns ``dfs`` of one family, one array of
+    shape (len(dfs), chunk) per chunk of samples.  The array is reused: each
+    chunk overwrites the one before."""
+    gens = [np.random.default_rng([seed, family, df]) for df in dfs]
+    buf = np.empty((len(dfs), min(_CHUNK, mc_samples)))
+    for start in range(0, mc_samples, _CHUNK):
+        out = buf[:, : min(_CHUNK, mc_samples - start)]
+        for row, gen, df in zip(out, gens, dfs):
+            gen.standard_gamma(df / 2, out=row)  # chi2_df = 2 Gamma(df/2)
+        out *= 2
+        yield out
+
+
+def _subset_factor_rows(n: int, p: int, k_lo: int, k_hi: int, mc_samples: int, seed: int):
+    """Null draws of ``stat_T`` for sizes k_lo <= k < k_hi, one array of
+    shape (k_hi - k_lo, chunk) per chunk of samples.
+
+    At size k (m = p - k) numerator column d pairs with denominator column
+    n - k - 1 - d, d = 1 ... m - 1: row i of ``num`` holds df i + 1, row i
+    of ``den`` df n - p + i, so size k reads ``num[:m-1] / den[m-2::-1]``."""
+    top = p - k_lo - 1
+    nums = _chunks(mc_samples, seed, _NUMERATOR, range(1, top + 1))
+    dens = _chunks(mc_samples, seed, _DENOMINATOR, range(n - p, n - p + top))
+    ratio = np.empty((top, min(_CHUNK, mc_samples)))
+    for num, den in zip(nums, dens):
+        out = np.zeros((k_hi - k_lo, num.shape[1]))
+        for row, k in zip(out, range(k_lo, k_hi)):
+            terms = p - k - 1
+            if terms > 0:
+                r = np.divide(num[:terms], den[terms - 1 :: -1], out=ratio[:terms, : num.shape[1]])
+                np.log1p(r, out=r)
+                np.sum(r, axis=0, out=row)
+        out *= n
+        yield out
+
+
+def _pcss_rows(n: int, p: int, k_lo: int, k_hi: int, mc_samples: int, seed: int):
+    """Null draws of ``stat_Ttilde`` for sizes k_lo <= k < k_hi, chunked as
+    :func:`_subset_factor_rows`.
+
+    Size k (m = p - k) reads the denominator columns n - p ... n - k - 1
+    (rows 0 ... m - 1 of ``den``) through cumulative sums of the draws and
+    their logs, and one column of df m(m - 1)/2 of its own."""
+    live = [p - k for k in range(k_lo, k_hi) if p - k > 1]
+    dens = _chunks(mc_samples, seed, _DENOMINATOR, range(n - p, n - k_lo))
+    extras = _chunks(mc_samples, seed, _PCSS_EXTRA, [m * (m - 1) // 2 for m in live])
+    for den, extra in zip(dens, extras):
+        sums = np.cumsum(den, axis=0)
+        log_sums = np.cumsum(np.log(den), axis=0)
+        out = np.zeros((k_hi - k_lo, den.shape[1]))
+        # the sizes with m > 1 lead the block
+        for row, m, e in zip(out, live, extra):
+            row[:] = m * np.log((e + sums[m - 1]) / m) - log_sums[m - 1]
+        out *= n
+        yield out
+
+
+def _upper_tail(chunks, size: int) -> np.ndarray:
+    """The ``size`` largest values of every row of the chunks laid side by
+    side, sorted ascending.
+
+    Each row keeps its candidates and, once it has seen ``size`` values, a
+    floor: the smallest of its ``size`` largest so far.  A value at or below
+    the floor cannot change the tail, so only the values above it are kept."""
+    kept = floors = None
+    for chunk in chunks:
+        if kept is None:
+            kept = [[] for _ in chunk]
+            floors = np.full(len(chunk), -np.inf)
+        for i, row in enumerate(chunk):
+            kept[i].append(row[row > floors[i]])
+            if sum(part.size for part in kept[i]) >= size + _CHUNK:
+                top = _top(np.concatenate(kept[i]), size)
+                kept[i] = [top]
+                floors[i] = top.min()
+    return np.array([np.sort(_top(np.concatenate(parts), size)) for parts in kept])
+
+
+def _top(values: np.ndarray, size: int) -> np.ndarray:
+    return np.partition(values, values.size - size)[-size:]
+
+
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _Calibration:
+    """Critical values of one model's null law, one block table per
+    ``(n, p, mc_samples, seed, alpha)`` and block of _BLOCK sizes.  A call
+    whose table exists is a hit; a call that fills it is a miss."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.cache_clear()
+
+    def cache_clear(self):
+        self.tables = {}
+        self.hits = self.misses = 0
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self.hits, self.misses, None, len(self.tables))
+
+    def quantile(self, n: int, p: int, k: int, alpha: float, mc_samples: int, seed: int) -> float:
+        _check_mc_args(n, p, k, alpha, mc_samples, seed)
+        k_lo = k - k % _BLOCK
+        key = (int(n), int(p), int(mc_samples), int(seed), float(alpha), k_lo)
+        table = self.tables.get(key)
+        if table is None:
+            self.misses += 1
+            table = self.tables[key] = self._fill(n, p, k_lo, alpha, mc_samples, seed)
+        else:
+            self.hits += 1
+        return float(table[k - k_lo])
+
+    def _fill(self, n, p, k_lo, alpha, mc_samples, seed) -> np.ndarray:
+        # np.quantile's default (linear) rule: interpolate between order
+        # statistics floor(h) and floor(h) + 1, h = (mc_samples - 1)(1 - alpha)
+        h = (mc_samples - 1) * (1.0 - alpha)
+        lo = math.floor(h)
+        gamma = h - lo
+        k_hi = min(k_lo + _BLOCK, p)
+        tail = _upper_tail(self.rows(n, p, k_lo, k_hi, mc_samples, seed), mc_samples - lo)
+        a = tail[:, 0]
+        b = tail[:, min(1, tail.shape[1] - 1)]
+        diff = b - a
+        return b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
+
+
+_SUBSET_FACTOR = _Calibration(_subset_factor_rows)
+_PCSS = _Calibration(_pcss_rows)
+
+
 def null_draws_subset_factor(n: int, p: int, k: int, mc_samples: int, seed: int) -> np.ndarray:
     """Draws from the null law of ``stat_T`` at a correct size-k subset:
-    ``n * sum_{j=2}^{p-k} log(1 + chi2_{j-1} / chi2_{n-k-j})``, all draws
-    independent.  Degenerate at 0 when k = p - 1."""
-    m = p - k
-    if m == 1:
-        return np.zeros(mc_samples)
-    rng = np.random.default_rng(seed)
-    total = np.zeros(mc_samples)
-    for j in range(2, m + 1):
-        num = rng.chisquare(j - 1, mc_samples)
-        den = rng.chisquare(n - k - j, mc_samples)
-        total += np.log1p(num / den)
-    return n * total
+    ``n * sum_{j=2}^{p-k} log(1 + chi2_{j-1} / chi2_{n-k-j})``, the
+    chi-square columns independent within each k and shared across k
+    (common random numbers): these are row k of the draws
+    :func:`mc_quantile_subset_factor` calibrates on.  Degenerate at 0 when
+    k = p - 1."""
+    _check_law_args(n, p, k, seed)
+    return np.concatenate(list(_subset_factor_rows(n, p, k, k + 1, mc_samples, seed)), axis=1)[0]
 
 
 def null_draws_pcss(n: int, p: int, k: int, mc_samples: int, seed: int) -> np.ndarray:
     """Draws from the null law of ``stat_Ttilde`` at a correct size-k subset:
 
         n * log( ((chi2_{m(m-1)/2} + sum_j chi2_{n-k-j}) / m)^m
-                 / prod_{j=1}^m chi2_{n-k-j} ),   m = p - k.
+                 / prod_{j=1}^m chi2_{n-k-j} ),   m = p - k,
 
-    Degenerate at 0 when k = p - 1."""
-    m = p - k
-    if m == 1:
-        return np.zeros(mc_samples)
-    rng = np.random.default_rng(seed)
-    denom_sum = np.zeros(mc_samples)
-    denom_logs = np.zeros(mc_samples)
-    for j in range(1, m + 1):
-        c = rng.chisquare(n - k - j, mc_samples)
-        denom_sum += c
-        denom_logs += np.log(c)
-    extra = rng.chisquare(m * (m - 1) // 2, mc_samples)
-    return n * (m * np.log((extra + denom_sum) / m) - denom_logs)
+    the chi-square columns independent within each k and the
+    ``chi2_{n-k-j}`` shared across k (common random numbers): these are row
+    k of the draws :func:`mc_quantile_pcss` calibrates on.  Degenerate at 0
+    when k = p - 1."""
+    _check_law_args(n, p, k, seed)
+    return np.concatenate(list(_pcss_rows(n, p, k, k + 1, mc_samples, seed)), axis=1)[0]
 
 
-@lru_cache(maxsize=None)
 def mc_quantile_subset_factor(
     n: int, p: int, k: int, alpha: float, mc_samples: int, seed: int
 ) -> float:
-    """(1 - alpha)-quantile of :func:`null_draws_subset_factor`, cached on
-    its full argument tuple."""
-    _check_mc_args(n, p, k, alpha, mc_samples)
-    draws = null_draws_subset_factor(n, p, k, mc_samples, seed)
-    return float(np.quantile(draws, 1.0 - alpha))
+    """(1 - alpha)-quantile, as ``np.quantile`` takes it, of
+    :func:`null_draws_subset_factor`.  Sizes are calibrated and cached in
+    blocks; ``cache_clear()`` drops every table and ``cache_info()`` counts
+    hits and misses as ``functools.lru_cache`` does."""
+    return _SUBSET_FACTOR.quantile(n, p, k, alpha, mc_samples, seed)
 
 
-@lru_cache(maxsize=None)
 def mc_quantile_pcss(
     n: int, p: int, k: int, alpha: float, mc_samples: int, seed: int
 ) -> float:
-    """(1 - alpha)-quantile of :func:`null_draws_pcss`, cached on its full
-    argument tuple."""
-    _check_mc_args(n, p, k, alpha, mc_samples)
-    draws = null_draws_pcss(n, p, k, mc_samples, seed)
-    return float(np.quantile(draws, 1.0 - alpha))
+    """(1 - alpha)-quantile of :func:`null_draws_pcss`, calibrated and cached
+    as :func:`mc_quantile_subset_factor`."""
+    return _PCSS.quantile(n, p, k, alpha, mc_samples, seed)
+
+
+mc_quantile_subset_factor.cache_clear = _SUBSET_FACTOR.cache_clear
+mc_quantile_subset_factor.cache_info = _SUBSET_FACTOR.cache_info
+mc_quantile_pcss.cache_clear = _PCSS.cache_clear
+mc_quantile_pcss.cache_info = _PCSS.cache_info
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +414,8 @@ def choose_k(
     both-determinants-vanish convention and the record is flagged
     ``perfect_fit``.
 
-    Raises :class:`DegreesOfFreedom` unless ``n > p``, and
+    Raises :class:`DegreesOfFreedom` unless ``n > p``,
+    :class:`DimMismatch` on a negative ``seed``, and
     :class:`NoFeasibleK` only when a user-imposed ``k_max`` cuts the walk
     short of ``p - 1`` (at k = p - 1 the statistic is identically 0).
     """
@@ -272,6 +426,8 @@ def choose_k(
         raise DimMismatch(f"sigma_hat must be square, got {sigma_hat.shape}")
     if n <= p:
         raise DegreesOfFreedom(f"size selection needs n > p (got n={n}, p={p})")
+    if seed < 0:
+        raise DimMismatch(f"seed must be non-negative, got {seed}")
     if model == Model.SUBSET_FACTOR:
         stat_fn, quant_fn, kind = stat_T, mc_quantile_subset_factor, CriterionKind.DIAG_DET
     else:
@@ -279,8 +435,10 @@ def choose_k(
 
     k_hi = p - 1 if k_max is None else min(int(k_max), p - 1)
     records: List[SizeTestRecord] = []
+    search_s = calibrate_s = 0.0
     for k in range(0, k_hi + 1):
         perfect = False
+        t0 = time.perf_counter()
         if k == 0:
             subset: IndexSet = ()
         else:
@@ -295,6 +453,7 @@ def choose_k(
             result = search.swap(sigma_hat, cfg)
             subset = tuple(sorted(result.subset))
             perfect = result.objective == float("-inf")
+        search_s += time.perf_counter() - t0
         if perfect:
             statistic = 0.0
             warnings.warn(
@@ -305,7 +464,9 @@ def choose_k(
             )
         else:
             statistic = stat_fn(sigma_hat, n, subset)
+        t0 = time.perf_counter()
         critical = quant_fn(n, p, k, alpha, mc_samples, seed)
+        calibrate_s += time.perf_counter() - t0
         rej = bool(statistic > critical)
         records.append(SizeTestRecord(k, subset, statistic, critical, rej, perfect))
         if not rej:
@@ -317,6 +478,8 @@ def choose_k(
                 model=model,
                 mc_samples=mc_samples,
                 seed=seed,
+                search_s=search_s,
+                calibrate_s=calibrate_s,
             )
     raise NoFeasibleK(
         f"all sizes k <= {k_hi} rejected at level {alpha}; "

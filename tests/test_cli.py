@@ -146,6 +146,8 @@ def test_choose_k_end_to_end(tmp_path, capsys):
     assert report["records"][-1]["reject"] is False
     timings = json.loads((tmp_path / "report.json.manifest.json").read_text())["timings"]
     assert 0.0 <= timings["load_s"] <= timings["total_s"]
+    assert timings["search_s"] >= 0.0 and timings["calibrate_s"] >= 0.0
+    assert timings["search_s"] + timings["calibrate_s"] <= timings["total_s"] - timings["load_s"]
 
 
 def test_choose_k_requires_seed(tmp_path):
@@ -206,6 +208,10 @@ def test_exit_code_two_on_bad_flags(diag_cov):
         ["select", "--cov", diag_cov, "--k", "1", "--threads", "1"],
         ["choose-k", "--data", diag_cov, "--seed", "1", "--threads", "1"],
         ["simulate", "--scenario", "missing-a1", "--seed", "1", "--threads", "1"],
+        # seeds are non-negative
+        ["select", "--cov", diag_cov, "--k", "1", "--method", "swap", "--seed", "-1"],
+        ["choose-k", "--data", diag_cov, "--header", "--seed", "-1"],
+        ["simulate", "--scenario", "missing-a1", "--seed", "-1"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

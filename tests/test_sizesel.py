@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from csskit import covest, simlab, sizesel
 from csskit.criteria import Criterion, CriterionKind, evaluate
@@ -154,6 +155,12 @@ def test_mc_quantile_argument_checks():
         mc_quantile_subset_factor(50, 8, 1, 0.05, 10, 0)
     with pytest.raises(DimMismatch):
         mc_quantile_pcss(50, 8, 9, 0.05, 2000, 0)
+    for draws in (null_draws_subset_factor, null_draws_pcss):
+        for k in (-1, 8):
+            with pytest.raises(DimMismatch):
+                draws(50, 8, k, 2000, 0)
+        with pytest.raises(DegreesOfFreedom):
+            draws(8, 8, 1, 2000, 0)
 
 
 def test_cc_sum_values():
@@ -261,3 +268,113 @@ def test_report_json_round_trip():
     assert blob["alpha"] == report.alpha
     assert len(blob["records"]) == len(report.records)
     assert blob["records"][-1]["reject"] is False
+
+
+# ---------------------------------------------------------------------------
+# Calibration from shared chi-square columns
+# ---------------------------------------------------------------------------
+
+MODELS = (
+    (mc_quantile_subset_factor, null_draws_subset_factor),
+    (mc_quantile_pcss, null_draws_pcss),
+)
+
+
+def old_subset_factor_draws(n, p, k, mc_samples, seed):
+    # every k drawn afresh from one generator: the per-k sampler that
+    # shared columns replace, kept as an oracle for the law
+    rng = np.random.default_rng(seed)
+    total = np.zeros(mc_samples)
+    for j in range(2, p - k + 1):
+        total += np.log1p(rng.chisquare(j - 1, mc_samples) / rng.chisquare(n - k - j, mc_samples))
+    return n * total
+
+
+def old_pcss_draws(n, p, k, mc_samples, seed):
+    m = p - k
+    rng = np.random.default_rng(seed)
+    denom = np.array([rng.chisquare(n - k - j, mc_samples) for j in range(1, m + 1)])
+    extra = rng.chisquare(m * (m - 1) // 2, mc_samples)
+    return n * (m * np.log((extra + denom.sum(axis=0)) / m) - np.log(denom).sum(axis=0))
+
+
+@pytest.mark.parametrize("quantile, draws", MODELS)
+def test_critical_value_does_not_depend_on_call_order(quantile, draws):
+    # p = 40 spans three blocks of sizes
+    n, p, mc, seed = 60, 40, 3000, 7
+    quantile.cache_clear()
+    cold = {k: quantile(n, p, k, 0.05, mc, seed) for k in (0, 17, 39)}
+    for k, want in cold.items():
+        assert want == pytest.approx(np.quantile(draws(n, p, k, mc, seed), 0.95), rel=1e-12)
+    quantile.cache_clear()
+    warm = {k: quantile(n, p, k, 0.05, mc, seed) for k in reversed(range(p))}
+    for k, want in cold.items():
+        quantile.cache_clear()
+        assert quantile(n, p, k, 0.05, mc, seed) == want
+        assert warm[k] == want
+    assert warm[p - 1] == 0.0
+    # another alpha, seed or size reads other draws
+    assert quantile(n, p, 0, 0.01, mc, seed) > cold[0]
+    assert quantile(n, p, 0, 0.05, mc, seed + 1) != cold[0]
+    assert quantile(n, p, 0, 0.05, mc + 1, seed) != cold[0]
+
+
+@pytest.mark.parametrize("quantile, draws", MODELS)
+def test_cache_clear_draws_again(quantile, draws, monkeypatch):
+    calls = []
+    real = sizesel._chunks
+
+    def counting(*args):
+        calls.append(args[2:])  # (family, dfs)
+        return real(*args)
+
+    monkeypatch.setattr(sizesel, "_chunks", counting)
+    quantile.cache_clear()
+    first = [quantile(30, 20, k, 0.05, 2000, 1) for k in range(20)]
+    drawn = len(calls)
+    assert drawn == 4  # two families, two blocks of sizes
+    info = quantile.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (18, 2, 2)
+    assert [quantile(30, 20, k, 0.05, 2000, 1) for k in range(20)] == first
+    assert len(calls) == drawn
+    quantile.cache_clear()
+    assert quantile.cache_info() == (0, 0, None, 0)
+    assert quantile(30, 20, 3, 0.05, 2000, 1) == first[3]
+    assert len(calls) == drawn + 2
+
+
+def test_draws_do_not_depend_on_chunking(monkeypatch):
+    want = [draws(25, 9, 2, 5000, 4) for _, draws in MODELS]
+    monkeypatch.setattr(sizesel, "_CHUNK", 777)
+    for (_, draws), w in zip(MODELS, want):
+        assert np.array_equal(draws(25, 9, 2, 5000, 4), w)
+
+
+@pytest.mark.parametrize(
+    "draws, oracle",
+    [(null_draws_subset_factor, old_subset_factor_draws), (null_draws_pcss, old_pcss_draws)],
+)
+@pytest.mark.parametrize("n, p", [(30, 6), (10, 8)])  # n = p + 2: the df ranges overlap
+def test_shared_columns_keep_the_law(draws, oracle, n, p):
+    for k in range(p - 1):
+        got = draws(n, p, k, 20_000, 11)
+        want = oracle(n, p, k, 20_000, 12)
+        assert scipy.stats.ks_2samp(got, want).pvalue > 1e-3, k
+
+
+def test_negative_seed_is_a_dim_mismatch():
+    sigma = covest.sample_cov(simlab.sample(pcss_toy_spec(noise=0.2), 60, seed=[7, 0]))
+    with pytest.raises(DimMismatch):
+        choose_k(sigma, n=60, mc_samples=2000, seed=-1)
+    for quantile, draws in MODELS:
+        with pytest.raises(DimMismatch):
+            quantile(60, 8, 1, 0.05, 2000, -1)
+        with pytest.raises(DimMismatch):
+            draws(60, 8, 1, 2000, -1)
+
+
+def test_choose_k_reports_phase_times():
+    x = simlab.sample(pcss_toy_spec(noise=0.2), 300, seed=[7, 0])
+    report = choose_k(covest.sample_cov(x), n=300, model=Model.PCSS, mc_samples=2000, seed=3)
+    assert report.search_s >= 0.0 and report.calibrate_s > 0.0
+    assert "search_s" not in report.to_json() and "calibrate_s" not in report.to_json()
