@@ -16,7 +16,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -51,17 +51,7 @@ class RunManifest:
     started_at: float = 0.0
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": "csskit/run-manifest/v1",
-            "command": self.command,
-            "argv": self.argv,
-            "params": self.params,
-            "seed": self.seed,
-            "version": self.version,
-            "input_digests": self.input_digests,
-            "timings": self.timings,
-            "started_at": self.started_at,
-        }
+        return {"schema": "csskit/run-manifest/v1", **asdict(self)}
 
 
 def _sha256(path: str) -> str:
@@ -147,7 +137,7 @@ def cmd_select(args, parser: argparse.ArgumentParser) -> int:
         crit = Criterion(kind, p=p, k=k_top)
         result = search.greedy(sigma, SearchConfig(k=k_top, criterion=crit))
         for k in ks:
-            prefix = result.nested_subsets[k - 1]
+            prefix = result.subset[:k]
             obj = criteria.evaluate(Criterion(kind, p=p, k=k), sigma, prefix)
             rows.append((k, prefix, obj))
     else:

@@ -32,7 +32,7 @@ import csv
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -266,13 +266,11 @@ def read_cov_csv(path: str, header: bool = False) -> SymMatrix:
     return symmat.as_symmetric(data.values)
 
 
-def write_matrix_csv(path: str, m: np.ndarray, header: Optional[Sequence[str]] = None):
+def write_matrix_csv(path: str, m: np.ndarray):
     """Write a matrix with 17 significant digits (exact float round-trip)."""
     m = np.atleast_2d(np.asarray(m, dtype=float))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        if header is not None:
-            writer.writerow(list(header))
         for row in m:
             writer.writerow([format(v, ".17g") for v in row])
 

@@ -48,7 +48,7 @@ complement block once and scores every candidate from it.
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -114,15 +114,7 @@ class SubsetState:
     sigma: np.ndarray
 
     def complement(self) -> np.ndarray:
-        mask = np.ones(self.sigma.shape[0], dtype=bool)
-        if self.subset:
-            mask[list(self.subset)] = False
-        return np.flatnonzero(mask)
-
-
-def _complement_of(p: int, subset: Sequence[int]) -> List[int]:
-    chosen = set(subset)
-    return [j for j in range(p) if j not in chosen]
+        return symmat.complement(self.sigma.shape[0], self.subset)
 
 
 # ---------------------------------------------------------------------------
@@ -142,18 +134,13 @@ def evaluate(criterion: Criterion, sigma: SymMatrix, subset: Sequence[int]) -> f
     if sigma.shape != (p, p):
         raise DimMismatch(f"sigma shape {sigma.shape} does not match p={p}")
     u = symmat.check_subset(p, subset)
-    comp = _complement_of(p, u)
+    comp = symmat.complement(p, u)
     kind = criterion.kind
 
     if kind == CriterionKind.CANON_CORR:
-        if not u or not comp:
+        if not u or not comp.size:
             return 0.0
-        uu = list(u)
-        cross = sigma[np.ix_(uu, comp)]
-        # trace(G_S @ cross @ G_C @ cross.T) without forming products
-        left = symmat.ginv(sigma[np.ix_(uu, uu)]) @ cross
-        right = cross @ symmat.ginv(sigma[np.ix_(comp, comp)])
-        return -float(np.sum(left * right))
+        return -cc_sum(sigma, u, comp)
 
     res = symmat.residual_covariance(sigma, u)
 
@@ -164,6 +151,23 @@ def evaluate(criterion: Criterion, sigma: SymMatrix, subset: Sequence[int]) -> f
         return float(np.sum(block * block))
     ld_block = symmat.log_det(sigma[np.ix_(list(u), list(u))])
     return _readout(criterion, sigma, res, comp, ld_block)
+
+
+def cc_sum(sigma: SymMatrix, a: Sequence[int], b: Sequence[int]) -> float:
+    """Sum of squared canonical correlations between column sets ``a`` and
+    ``b`` under covariance ``sigma``:
+    ``trace(G_a sigma_ab G_b sigma_ba)`` with the generalised inverses
+    ``G = ginv(.)`` of :func:`csskit.symmat.ginv`."""
+    sigma = np.asarray(sigma, dtype=float)
+    p = sigma.shape[0]
+    aa = list(symmat.check_subset(p, a))
+    bb = list(symmat.check_subset(p, b))
+    if not aa or not bb:
+        return 0.0
+    cross = sigma[np.ix_(aa, bb)]
+    # trace(G_a @ cross @ G_b @ cross.T) without forming products
+    left = symmat.ginv(sigma[np.ix_(aa, aa)]) @ cross
+    return float(np.sum(left * (cross @ symmat.ginv(sigma[np.ix_(bb, bb)]))))
 
 
 def _readout(criterion: Criterion, sigma, res, comp, ld_block: float) -> float:
@@ -297,29 +301,18 @@ def retract(
 # ---------------------------------------------------------------------------
 
 
-def score_all(
-    criterion: Criterion, state: SubsetState, candidates: Optional[Sequence[int]] = None
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Scores for appending each candidate to the current subset.
+def score_all(criterion: Criterion, state: SubsetState) -> Tuple[np.ndarray, np.ndarray]:
+    """Scores for appending each variable outside the subset to it.
 
-    Returns ``(candidates, scores)`` with candidates in ascending order
-    (default: the full complement).  Scores are order-equivalent to
+    Returns ``(candidates, scores)``, the candidates being the complement of
+    the subset in ascending order.  Scores are order-equivalent to
     ``evaluate`` on the grown subset: the argmin candidate is the same, and
     ties are broken toward the lowest index by taking the first minimum.
     ``-inf`` marks a perfect fit under DiagDet/IsoLrt, decided by the same
     rank rule as ``evaluate``.
     """
     sigma = state.sigma
-    p = criterion.p
-    if candidates is None:
-        cands = state.complement()
-    else:
-        cands = np.asarray(sorted(int(c) for c in candidates), dtype=int)
-        if len(set(cands.tolist())) != len(cands):
-            raise DimMismatch("duplicate candidates")
-        for c in cands.tolist():
-            if not 0 <= c < p or c in state.subset:
-                raise DimMismatch(f"candidate {c} invalid for subset {state.subset}")
+    cands = state.complement()
     if cands.size == 0:
         return cands, np.zeros(0)
 
@@ -365,16 +358,14 @@ def score_all(
         return cands, scores
 
     if kind == CriterionKind.DIAG_DET:
-        comp = state.complement()
-        pos = np.searchsorted(comp, cands)  # positions of candidates in comp
-        rows = res[np.ix_(cands, comp)]
-        terms = res.diagonal()[comp] - np.where(ok[:, None], rows * rows / safe[:, None], 0.0)
+        rows = res[np.ix_(cands, cands)]
+        terms = res.diagonal()[cands] - np.where(ok[:, None], rows * rows / safe[:, None], 0.0)
         # zero the perfect fits, by the rank rule of evaluate
-        terms *= symmat.adds_rank(terms, sigma.diagonal()[comp])
+        terms *= symmat.adds_rank(terms, sigma.diagonal()[cands])
         with np.errstate(divide="ignore"):
             logs = np.log(terms)
             head = np.log(np.where(ok, diag, 0.0))
-        logs[np.arange(len(cands)), pos] = 0.0  # exclude j == i from the sum
+        np.fill_diagonal(logs, 0.0)  # exclude j == i from the sum
         return cands, head + logs.sum(axis=1)
 
     if kind == CriterionKind.CANON_CORR:
@@ -383,8 +374,8 @@ def score_all(
     raise DimMismatch(f"unknown criterion kind {kind}")
 
 
-def _score_canon_corr(state: SubsetState, cands: np.ndarray) -> np.ndarray:
-    """Scores for CanonCorr, all candidates at once.  With ``C`` the
+def _score_canon_corr(state: SubsetState, comp: np.ndarray) -> np.ndarray:
+    """Scores for CanonCorr, all candidates at once.  With ``C = comp`` the
     ascending complement of the subset ``S`` (size k), the generalised
     inverse ``Cp = ginv(sigma_C)`` (:func:`csskit.symmat.ginv`),
     ``A = sigma_{S,C} Cp``, leverages ``l = diag(sigma_C Cp)`` and the
@@ -413,7 +404,7 @@ def _score_canon_corr(state: SubsetState, cands: np.ndarray) -> np.ndarray:
         <G_V[:k, :k], K> = <G, K> + w d^T K d
         x^T G_V x = A_j^T G A_j + w (d^T A_j - l_j)^2
 
-    for every candidate from a few k x |cands| products.
+    for every candidate from a few k x (p - k) products.
 
     Every rank decision is made relative to each variable's own variance:
     the leverages are those of the unit-diagonal block, and whether i adds
@@ -424,7 +415,6 @@ def _score_canon_corr(state: SubsetState, cands: np.ndarray) -> np.ndarray:
     """
     sigma = state.sigma
     s = np.asarray(state.subset, dtype=int)
-    comp = state.complement()
     cross = sigma[np.ix_(s, comp)]
     sigma_c = sigma[np.ix_(comp, comp)]
     cp = symmat.ginv(sigma_c)
@@ -432,19 +422,17 @@ def _score_canon_corr(state: SubsetState, cands: np.ndarray) -> np.ndarray:
     swapped = sigma[np.ix_(s, s)] - a @ cross.T
     swapped = (swapped + swapped.T) / 2.0
     lev = np.einsum("ij,ji->i", sigma_c, cp)
-    pos = np.searchsorted(comp, cands)  # positions of candidates in comp
     g = state.block_pinv
-    b = sigma[np.ix_(s, cands)]
-    c = sigma.diagonal()[cands]
-    d = g @ b
-    schur = c - np.einsum("ij,ij->j", b, d)
+    c = sigma.diagonal()[comp]
+    d = g @ cross
+    schur = c - np.einsum("ij,ij->j", cross, d)
     adds = symmat.adds_rank(schur, c)
     w = np.divide(1.0, schur, out=np.zeros_like(schur), where=adds)
     term1 = float(np.sum(g * swapped)) + w * np.einsum("ij,ij->j", d, swapped @ d)
-    aj, lj, cjj = a[:, pos], lev[pos], cp.diagonal()[pos]
+    cjj = cp.diagonal()
     # leverage 1 within the rank cutoff taken on the singular-value scale
-    outside = (cjj > 0.0) & (1.0 - lj <= math.sqrt(RANK_TOL))
-    quad = np.einsum("ij,ij->j", aj, g @ aj) + w * (np.einsum("ij,ij->j", d, aj) - lj) ** 2
+    outside = (cjj > 0.0) & (1.0 - lev <= math.sqrt(RANK_TOL))
+    quad = np.einsum("ij,ij->j", a, g @ a) + w * (np.einsum("ij,ij->j", d, a) - lev) ** 2
     term2 = np.divide(quad, cjj, out=np.zeros_like(quad), where=outside)
     return term1 + term2 - adds
 

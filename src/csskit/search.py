@@ -31,7 +31,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -59,8 +59,10 @@ POOL_MIN_P = 200
 class SearchConfig:
     """Search request: target size, criterion, and search knobs.
 
-    ``restarts`` and ``seed`` only matter for :func:`swap` (restart ``r``
-    draws its starting subset with seed ``seed + r``).
+    ``k`` must equal ``criterion.k`` (IsoLrt takes its exponent ``p - k``
+    from the criterion).  ``restarts`` and ``seed`` only matter for
+    :func:`swap` (restart ``r`` draws its starting subset with seed
+    ``seed + r``).
     """
 
     k: int
@@ -72,6 +74,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.k < 1:
             raise DimMismatch(f"k must be >= 1, got {self.k}")
+        if self.k != self.criterion.k:
+            raise DimMismatch(f"k={self.k} does not match the criterion's k={self.criterion.k}")
         if self.restarts < 1:
             raise DimMismatch(f"restarts must be >= 1, got {self.restarts}")
         if self.max_sweeps < 1:
@@ -86,15 +90,14 @@ class SearchResult:
     positional order for swap).  ``objective`` is always recomputed from
     scratch on the final subset.  ``trajectory`` records the objective
     after each accepted move (greedy: each addition; swap: the initial
-    subset and then each accepted swap).  ``nested_subsets`` (greedy only)
-    holds the prefix subsets of sizes 1..k; ``sweeps_used`` (swap only)
-    counts the sweeps actually run.
+    subset and then each accepted swap).  Greedy's prefix ``subset[:j]`` is
+    its pick of size j.  ``sweeps_used`` (swap only) counts the sweeps
+    actually run.
     """
 
     subset: IndexSet
     objective: float
     trajectory: List[float] = field(default_factory=list)
-    nested_subsets: Optional[List[IndexSet]] = None
     sweeps_used: Optional[int] = None
 
 
@@ -121,35 +124,26 @@ def _check_problem(sigma: SymMatrix, config: SearchConfig) -> np.ndarray:
         raise DimMismatch(
             f"criterion dimension {config.criterion.p} does not match sigma ({p})"
         )
-    if config.k > p:
-        raise KTooLarge(f"k={config.k} exceeds dimension p={p}")
     return symmat.as_symmetric(sigma)
 
 
 def greedy(sigma: SymMatrix, config: SearchConfig) -> SearchResult:
     """Greedy forward selection: k successive argmin-score additions.
 
-    Deterministic.  Produces nested subsets by construction.
+    Deterministic.  The subset is in insertion order, so its prefixes are
+    the nested picks of every smaller size.
     """
     sigma = _check_problem(sigma, config)
     crit = config.criterion
     state = criteria.init_state(crit, sigma)
     trajectory: List[float] = []
-    nested: List[IndexSet] = []
     for _ in range(config.k):
         cands, scores = criteria.score_all(crit, state)
         a = int(np.argmin(scores))
         state = criteria.advance(crit, state, sigma, int(cands[a]))
-        nested.append(state.subset)
         trajectory.append(criteria.objective_from_state(crit, state))
     objective = criteria.evaluate(crit, sigma, state.subset)
-    return SearchResult(
-        subset=state.subset,
-        objective=objective,
-        trajectory=trajectory,
-        nested_subsets=nested,
-        sweeps_used=None,
-    )
+    return SearchResult(state.subset, objective, trajectory)
 
 
 def _swap_once(
@@ -157,7 +151,7 @@ def _swap_once(
     config: SearchConfig,
     init: IndexSet,
     decisions: Optional[list] = None,
-) -> Tuple[IndexSet, float, List[float], int]:
+) -> SearchResult:
     """One swapping run from an explicit starting subset."""
     crit = config.criterion
     state = criteria.state_from_subset(crit, sigma, init)
@@ -193,7 +187,7 @@ def _swap_once(
         if trajectory[-1] == float("-inf"):
             break  # perfect fit: nothing left to improve
     objective = criteria.evaluate(crit, sigma, tuple(current))
-    return tuple(current), objective, trajectory, sweeps
+    return SearchResult(tuple(current), objective, trajectory, sweeps)
 
 
 def swap(
@@ -221,10 +215,9 @@ def swap(
         start = symmat.check_subset(p, init)
         if len(start) != config.k:
             raise DimMismatch(f"init has size {len(start)}, expected k={config.k}")
-        sub, obj, traj, sweeps = _swap_once(sigma, config, start, decisions)
-        return SearchResult(sub, obj, traj, None, sweeps)
+        return _swap_once(sigma, config, start, decisions)
 
-    def run(r: int) -> Tuple[IndexSet, float, List[float], int]:
+    def run(r: int) -> SearchResult:
         rng = np.random.default_rng(config.seed + r)
         start = tuple(sorted(rng.choice(p, size=config.k, replace=False).tolist()))
         return _swap_once(sigma, config, start, decisions)
@@ -236,12 +229,7 @@ def swap(
     else:
         outcomes = [run(r) for r in range(config.restarts)]
 
-    best = outcomes[0]
-    for cand in outcomes[1:]:
-        if cand[1] < best[1]:
-            best = cand
-    sub, obj, traj, sweeps = best
-    return SearchResult(sub, obj, traj, None, sweeps)
+    return min(outcomes, key=lambda res: res.objective)  # first minimum
 
 
 def exhaustive(sigma: SymMatrix, k: int, criterion: Criterion) -> SearchResult:
@@ -268,4 +256,4 @@ def exhaustive(sigma: SymMatrix, k: int, criterion: Criterion) -> SearchResult:
         if val < best_val:
             best_val = val
             best_sub = comb
-    return SearchResult(best_sub, best_val, [best_val], None, None)
+    return SearchResult(best_sub, best_val, [best_val])

@@ -1,13 +1,12 @@
 """Synthetic scenarios: population covariances, samplers, and desk studies.
 
-A :class:`ScenarioSpec` describes a distribution in which a known subset
-``S`` of ``k*`` variables drives the rest: ``X_S`` is Gaussian with
-covariance ``sigma_s``, and the remaining variables are
-``W (X_S - mu_S) + eps`` plus their means, where ``eps`` has independent
-components.  Two noise shapes are supported: a single shared variance
-(``model = "pcss"``) and per-variable variances with per-variable laws
-(``model = "subset-factor"``).  Optional MAR masking deletes each cell
-independently with probability ``mar_prob``.
+A :class:`ScenarioSpec` describes a zero-mean distribution in which a known
+subset ``S`` of ``k*`` variables drives the rest: ``X_S`` is Gaussian with
+covariance ``sigma_s``, and the remaining variables are ``W X_S + eps``,
+where ``eps`` has independent zero-mean components.  Two noise shapes are
+supported: a single shared variance (``model = "pcss"``) and per-variable
+variances with per-variable laws (``model = "subset-factor"``).  Optional
+MAR masking deletes each cell independently with probability ``mar_prob``.
 
 Two presets ship as checked-in data files under ``presets/`` (guarded by a
 checksum test):
@@ -32,7 +31,7 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,7 +52,8 @@ class ScenarioSpec:
 
     ``noise_sigma2`` is used when ``model == "pcss"``; ``d_diag`` (strictly
     positive) and ``noise_laws`` (one of ``NOISE_LAWS`` per non-selected
-    variable) when ``model == "subset-factor"``.  ``mu`` defaults to zero.
+    variable) when ``model == "subset-factor"``.  Every variable has mean
+    zero.
     """
 
     model: Model
@@ -64,7 +64,6 @@ class ScenarioSpec:
     noise_sigma2: Optional[float] = None
     d_diag: Optional[np.ndarray] = None
     noise_laws: Optional[Tuple[str, ...]] = None
-    mu: Optional[np.ndarray] = None
     mar_prob: float = 0.0
 
     def __post_init__(self):
@@ -97,18 +96,12 @@ class ScenarioSpec:
             for law in self.noise_laws:
                 if law not in NOISE_LAWS:
                     raise DimMismatch(f"unknown noise law {law!r}")
-        if self.mu is None:
-            self.mu = np.zeros(self.p)
-        self.mu = np.asarray(self.mu, dtype=float)
-        if self.mu.shape != (self.p,):
-            raise DimMismatch(f"mu shape {self.mu.shape}, expected ({self.p},)")
         if not 0.0 <= self.mar_prob < 1.0:
             raise DimMismatch(f"mar_prob must be in [0, 1), got {self.mar_prob}")
 
     @property
-    def complement(self) -> List[int]:
-        chosen = set(self.subset)
-        return [j for j in range(self.p) if j not in chosen]
+    def complement(self) -> np.ndarray:
+        return symmat.complement(self.p, self.subset)
 
     def noise_variances(self) -> np.ndarray:
         if self.model == Model.PCSS:
@@ -169,7 +162,6 @@ def sample(spec: ScenarioSpec, n: int, seed) -> DataMatrix:
     out = np.empty((n, spec.p))
     out[:, list(spec.subset)] = xs
     out[:, spec.complement] = xc
-    out += spec.mu
     if spec.mar_prob > 0.0:
         drop = rng.random((n, spec.p)) < spec.mar_prob
         out = np.where(drop, np.nan, out)
@@ -243,29 +235,22 @@ def sizesel_a2_spec(signal: float = 0.254, factors: str = "gaussian") -> Scenari
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TrialMetrics:
-    """Per-trial selection quality relative to the scenario's true subset."""
-
-    exact_recovery: bool
-    overlap: int
-    pop_css_objective: float
-    cc_sum_value: float
-
-
-def _trial_metrics(spec: ScenarioSpec, pop: np.ndarray, selected: IndexSet) -> TrialMetrics:
+def _trial_metrics(
+    spec: ScenarioSpec, pop: np.ndarray, selected: Sequence[int], prefix: str = ""
+) -> dict:
+    """The row fields of one selection, scored against the scenario's true
+    subset under the population covariance, keys led by ``prefix``."""
     true_set = set(spec.subset)
     sel = tuple(sorted(selected))
     overlap = len(true_set.intersection(sel))
     crit = Criterion(CriterionKind.CSS_TRACE, p=spec.p, k=len(sel))
-    obj = criteria.evaluate(crit, pop, sel)
-    ccv = sizesel.cc_sum(pop, sel, spec.subset)
-    return TrialMetrics(
-        exact_recovery=(overlap == len(true_set) and len(sel) == len(true_set)),
-        overlap=overlap,
-        pop_css_objective=float(obj),
-        cc_sum_value=float(ccv),
-    )
+    return {
+        prefix + "selected": ";".join(str(i) for i in sel),
+        prefix + "exact_recovery": int(overlap == len(true_set) and len(sel) == len(true_set)),
+        prefix + "overlap": overlap,
+        prefix + "pop_css_objective": float(criteria.evaluate(crit, pop, sel)),
+        prefix + "cc_sum": float(criteria.cc_sum(pop, sel, spec.subset)),
+    }
 
 
 def run_missing_study(
@@ -293,23 +278,13 @@ def run_missing_study(
         sigma_hat = covest.pairwise_cov_psd(data)
         cfg = SearchConfig(k=k, criterion=crit, restarts=restarts, seed=seed + t)
         result = search.swap(sigma_hat, cfg)
-        met = _trial_metrics(spec, pop, result.subset)
         rng_base = np.random.default_rng([seed, t, 1])
-        baseline = tuple(sorted(rng_base.choice(spec.p, size=k, replace=False).tolist()))
-        base_met = _trial_metrics(spec, pop, baseline)
+        baseline = rng_base.choice(spec.p, size=k, replace=False).tolist()
         rows.append(
             {
                 "trial": t,
-                "selected": ";".join(str(i) for i in sorted(result.subset)),
-                "exact_recovery": int(met.exact_recovery),
-                "overlap": met.overlap,
-                "pop_css_objective": met.pop_css_objective,
-                "cc_sum": met.cc_sum_value,
-                "baseline_selected": ";".join(str(i) for i in baseline),
-                "baseline_exact_recovery": int(base_met.exact_recovery),
-                "baseline_overlap": base_met.overlap,
-                "baseline_pop_css_objective": base_met.pop_css_objective,
-                "baseline_cc_sum": base_met.cc_sum_value,
+                **_trial_metrics(spec, pop, result.subset),
+                **_trial_metrics(spec, pop, baseline, "baseline_"),
             }
         )
     summary = {
@@ -377,7 +352,7 @@ def run_sizesel_study(
                 "chosen_k": report.chosen_k,
                 "selected": ";".join(str(i) for i in sorted(sel)),
                 "overlap": overlap,
-                "cc_sum": float(sizesel.cc_sum(pop, sel, spec.subset)) if sel else 0.0,
+                "cc_sum": criteria.cc_sum(pop, sel, spec.subset),
             }
         )
     ks = [r["chosen_k"] for r in rows]

@@ -112,8 +112,8 @@ class SizeSelectionReport:
             ],
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def _stat_core(sigma_hat, n, subset, isotropic: bool) -> float:
@@ -127,7 +127,7 @@ def _stat_core(sigma_hat, n, subset, isotropic: bool) -> float:
         raise DimMismatch("subset must leave at least one variable out")
     if n < 1:
         raise DimMismatch(f"n must be positive, got {n}")
-    comp = [j for j in range(p) if j not in set(u)]
+    comp = symmat.complement(p, u)
     r = symmat.residual_covariance(sigma_hat, u)[np.ix_(comp, comp)]
     diag = r.diagonal()
     fits = ~symmat.adds_rank(diag, sigma_hat.diagonal()[comp])
@@ -373,29 +373,12 @@ mc_quantile_pcss.cache_info = _PCSS.cache_info
 # ---------------------------------------------------------------------------
 
 
-def cc_sum(sigma: SymMatrix, a: Sequence[int], b: Sequence[int]) -> float:
-    """Sum of squared canonical correlations between column sets ``a`` and
-    ``b`` under covariance ``sigma``:
-    ``trace(G_a sigma_ab G_b sigma_ba)`` with the generalised inverses
-    ``G = ginv(.)`` of :func:`csskit.symmat.ginv`."""
-    sigma = np.asarray(sigma, dtype=float)
-    p = sigma.shape[0]
-    aa = list(symmat.check_subset(p, a))
-    bb = list(symmat.check_subset(p, b))
-    if not aa or not bb:
-        return 0.0
-    cross = sigma[np.ix_(aa, bb)]
-    left = symmat.ginv(sigma[np.ix_(aa, aa)]) @ cross
-    return float(np.sum(left * (cross @ symmat.ginv(sigma[np.ix_(bb, bb)]))))
-
-
 def choose_k(
     sigma_hat: SymMatrix,
     n: int,
     alpha: float = 0.05,
     model: Model = Model.SUBSET_FACTOR,
     restarts: int = 1,
-    max_sweeps: int = 100,
     mc_samples: int = 100_000,
     seed: int = 0,
     k_max: Optional[int] = None,
@@ -443,13 +426,7 @@ def choose_k(
             subset: IndexSet = ()
         else:
             crit = Criterion(kind=kind, p=p, k=k)
-            cfg = SearchConfig(
-                k=k,
-                criterion=crit,
-                restarts=restarts,
-                max_sweeps=max_sweeps,
-                seed=seed + 1000003 * k,
-            )
+            cfg = SearchConfig(k=k, criterion=crit, restarts=restarts, seed=seed + 1000003 * k)
             result = search.swap(sigma_hat, cfg)
             subset = tuple(sorted(result.subset))
             perfect = result.objective == float("-inf")

@@ -84,6 +84,13 @@ def check_subset(p: int, subset: Sequence[int]) -> IndexSet:
     return out
 
 
+def complement(p: int, subset: Sequence[int]) -> np.ndarray:
+    """The indices of ``[0, p)`` not in ``subset``, ascending."""
+    mask = np.ones(p, dtype=bool)
+    mask[list(subset)] = False
+    return np.flatnonzero(mask)
+
+
 def as_symmetric(m: np.ndarray) -> SymMatrix:
     """Validate a matrix as symmetric and return it exactly symmetric.
 

@@ -171,6 +171,19 @@ def test_simulate_missing_smoke(tmp_path):
     assert summary["trials"] == 2
 
 
+def test_simulate_missing_rows_header(tmp_path):
+    out = tmp_path / "trials.csv"
+    code = main(
+        ["simulate", "--scenario", "missing-a1", "--trials", "2", "--n", "150",
+         "--restarts", "1", "--seed", "5", "--out", str(out)]
+    )
+    assert code == 0
+    lines = out.read_text().splitlines()
+    fields = ["selected", "exact_recovery", "overlap", "pop_css_objective", "cc_sum"]
+    assert lines[0].split(",") == ["trial", *fields, *("baseline_" + f for f in fields)]
+    assert [len(line.split(",")) for line in lines] == [11, 11, 11]
+
+
 def test_exit_code_three_on_bad_inputs(tmp_path):
     missing = str(tmp_path / "nope.csv")
     assert main(["select", "--cov", missing, "--k", "1"]) == 3

@@ -9,6 +9,7 @@ from csskit.criteria import (
     Criterion,
     CriterionKind,
     advance,
+    cc_sum,
     evaluate,
     init_state,
     retract,
@@ -98,6 +99,33 @@ def test_canon_corr_boundary_values():
     sigma = np.eye(3)
     assert evaluate(crit, sigma, ()) == 0.0
     assert evaluate(crit, sigma, (0, 1, 2)) == 0.0
+
+
+def test_cc_sum_values():
+    assert cc_sum(np.eye(6), (0, 1), (3, 4)) == pytest.approx(0.0, abs=1e-12)
+    rng = np.random.default_rng(149)
+    g = rng.standard_normal((9, 6))
+    sigma = g.T @ g / 9
+    # a set against itself: one perfect correlation per coordinate
+    assert cc_sum(sigma, (1, 4), (1, 4)) == pytest.approx(2.0, abs=1e-8)
+    assert cc_sum(sigma, (), (1, 2)) == 0.0
+
+
+def test_canon_corr_evaluate_is_negated_cc_sum():
+    # evaluate's CanonCorr branch is cc_sum, bit for bit, on full-rank and
+    # rank-deficient sigma alike; an empty side gives +0.0, not -0.0.
+    rng = np.random.default_rng(151)
+    for _ in range(60):
+        p = int(rng.integers(3, 10))
+        sigma = rand_psd(rng, p, rank=int(rng.integers(1, p + 1)))
+        k = int(rng.integers(1, p))
+        u = tuple(rng.permutation(p)[:k].tolist())
+        comp = [j for j in range(p) if j not in u]
+        crit = Criterion(CriterionKind.CANON_CORR, p=p, k=k)
+        assert evaluate(crit, sigma, u) == -cc_sum(sigma, u, comp)
+    for subset in [(), (0, 1, 2)]:
+        value = evaluate(Criterion(CriterionKind.CANON_CORR, p=3, k=3), np.eye(3), subset)
+        assert value == 0.0 and np.copysign(1.0, value) == 1.0
 
 
 def test_det_residual_equals_determinant_ratio():

@@ -24,7 +24,7 @@ def test_greedy_diagonal():
     res = greedy(np.diag([1.0, 2.0, 3.0]), SearchConfig(k=2, criterion=css(3, 2)))
     assert res.subset == (2, 1)
     assert res.objective == pytest.approx(1.0)
-    assert res.nested_subsets == [(2,), (2, 1)]
+    assert [res.subset[:k] for k in (1, 2)] == [(2,), (2, 1)]
     assert_allclose(res.trajectory, [3.0, 1.0])
 
 
@@ -45,7 +45,6 @@ def test_greedy_nestedness():
         for k in range(1, 4):
             part = greedy(sigma, SearchConfig(k=k, criterion=css(p, k)))
             assert part.subset == full.subset[:k]
-            assert part.subset == full.nested_subsets[k - 1]
 
 
 def test_swap_trajectory_monotone():
@@ -206,6 +205,18 @@ def test_config_validation():
         SearchConfig(k=2, criterion=css(3, 2), restarts=0)
     with pytest.raises(DimMismatch):
         swap(np.eye(4), SearchConfig(k=2, criterion=css(4, 2)), init=(0, 1, 2))
+
+
+def test_config_k_must_match_criterion():
+    # IsoLrt's exponent p - k comes from the criterion, so a config of
+    # another k would score one size with another size's law.
+    iso = Criterion(CriterionKind.ISO_LRT, p=6, k=3)
+    for k in (2, 4):
+        with pytest.raises(DimMismatch, match="criterion"):
+            SearchConfig(k=k, criterion=iso)
+        with pytest.raises(DimMismatch, match="criterion"):
+            SearchConfig(k=k, criterion=css(6, 3))
+    assert SearchConfig(k=3, criterion=iso).k == 3
 
 
 def test_population_preset_optimum():

@@ -16,7 +16,6 @@ from csskit.sizesel import (
     Model,
     SizeSelectionReport,
     SizeTestRecord,
-    cc_sum,
     choose_k,
     mc_quantile_pcss,
     mc_quantile_subset_factor,
@@ -161,15 +160,6 @@ def test_mc_quantile_argument_checks():
                 draws(50, 8, k, 2000, 0)
         with pytest.raises(DegreesOfFreedom):
             draws(8, 8, 1, 2000, 0)
-
-
-def test_cc_sum_values():
-    assert cc_sum(np.eye(6), (0, 1), (3, 4)) == pytest.approx(0.0, abs=1e-12)
-    rng = np.random.default_rng(149)
-    sigma = rand_pd(rng, 6)
-    # a set against itself: one perfect correlation per coordinate
-    assert cc_sum(sigma, (1, 4), (1, 4)) == pytest.approx(2.0, abs=1e-8)
-    assert cc_sum(sigma, (), (1, 2)) == 0.0
 
 
 def test_search_minimizes_statistic():
