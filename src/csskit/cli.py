@@ -112,10 +112,6 @@ def _parse_k_range(text: str):
 
 
 def cmd_select(args, parser: argparse.ArgumentParser) -> int:
-    if (args.cov is None) == (args.data is None):
-        parser.error("exactly one of --cov / --data is required")
-    if (args.k is None) == (args.k_range is None):
-        parser.error("exactly one of --k / --k-range is required")
     if args.method == "swap" and args.seed is None:
         parser.error("--method swap requires --seed")
     manifest = _manifest(args, "select", [args.cov or args.data])
@@ -153,7 +149,7 @@ def cmd_select(args, parser: argparse.ArgumentParser) -> int:
                 )
                 result = search.swap(sigma, cfg)
             else:
-                result = search.exhaustive(sigma, k, crit)
+                result = search.exhaustive(sigma, SearchConfig(k=k, criterion=crit))
             rows.append((k, result.subset, result.objective))
 
     header = ["k", "objective", "avg_r2", "subset"]
@@ -316,12 +312,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("select", help="search for a column subset")
-    ps.add_argument("--cov", help="covariance CSV (p x p grid)")
-    ps.add_argument("--data", help="data CSV (rows = observations)")
+    source = ps.add_mutually_exclusive_group(required=True)
+    source.add_argument("--cov", help="covariance CSV (p x p grid)")
+    source.add_argument("--data", help="data CSV (rows = observations)")
     ps.add_argument("--header", action="store_true", help="input has a header row")
-    ps.add_argument("--k", type=int, default=None, help="subset size")
-    ps.add_argument("--k-range", type=_parse_k_range, default=None, metavar="A..B",
-                    help="inclusive range of subset sizes")
+    size = ps.add_mutually_exclusive_group(required=True)
+    size.add_argument("--k", type=int, default=None, help="subset size")
+    size.add_argument("--k-range", type=_parse_k_range, default=None, metavar="A..B",
+                      help="inclusive range of subset sizes")
     ps.add_argument("--method", choices=["greedy", "swap", "exhaustive"],
                     default="greedy")
     ps.add_argument("--criterion", choices=sorted(CRITERION_TOKENS), default="css")

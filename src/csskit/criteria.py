@@ -28,12 +28,12 @@ residual covariance after projecting out the selected columns
     criterion, not the current subset size.  Returns ``-inf`` when every
     variable outside ``S`` is fit perfectly.
 
-Every rank decision is the rule of :mod:`csskit.symmat`: a variable adds
-rank to ``S``, and is not fit perfectly by it, when its residual variance
-exceeds ``RANK_TOL`` times its own (:func:`csskit.symmat.adds_rank`), and
-blocks go through :func:`csskit.symmat.ginv` and
-:func:`csskit.symmat.log_det`.  No decision depends on the units of a
-variable.
+Every rank decision is one of the two tests of :mod:`csskit.symmat`: a
+variable adds rank to ``S``, and is not fit perfectly by it, when its
+residual variance exceeds ``RANK_TOL`` times its own
+(:func:`csskit.symmat.adds_rank`), and blocks go through
+:func:`csskit.symmat.ginv` and :func:`csskit.symmat.log_det`.  No decision
+depends on the units of a variable.
 
 Greedy and swap searches never rank candidates by re-evaluating from
 scratch; they use :func:`score_all`, whose values are *order-equivalent* to
@@ -42,7 +42,9 @@ grown subset) but cheaper by at least one power of ``p``.  State is carried
 by :class:`SubsetState`, the same for all six criteria, updated in O(p^2)
 per move by :func:`advance` / :func:`retract`.  CanonCorr keeps nothing of
 its own in the state: each :func:`score_all` call pseudo-inverts the
-complement block once and scores every candidate from it.
+complement block once and scores every candidate from it.  Inputs are
+checked once, where they enter: ``sigma`` in :func:`init_state`, an index in
+:func:`advance`, a position in :func:`retract`; the kernels trust the state.
 """
 
 import math
@@ -53,7 +55,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from . import symmat
-from .errors import DimMismatch
+from .errors import DimMismatch, NotPSD
 from .symmat import RANK_TOL, IndexSet, SymMatrix
 
 
@@ -198,11 +200,17 @@ def _readout(criterion: Criterion, sigma, res, comp, ld_block: float) -> float:
 
 
 def init_state(criterion: Criterion, sigma: SymMatrix) -> SubsetState:
-    """Fresh state for the empty subset."""
-    sigma = np.asarray(sigma, dtype=float)
+    """Fresh state for the empty subset, and the one check of its ``sigma``:
+    :func:`csskit.symmat.as_symmetric`, shape ``p x p``, and no negative
+    diagonal entry (:class:`NotPSD`).  Moves and scores trust ``state.sigma``.
+    """
+    sigma = symmat.as_symmetric(sigma)
     p = criterion.p
     if sigma.shape != (p, p):
         raise DimMismatch(f"sigma shape {sigma.shape} does not match p={p}")
+    low = float(sigma.diagonal().min())
+    if low < 0.0:
+        raise NotPSD(f"sigma has a negative diagonal entry ({low:g})")
     return SubsetState(
         subset=(),
         residual=sigma.copy(),
@@ -217,7 +225,7 @@ def state_from_subset(
 ) -> SubsetState:
     """State for an explicit subset, built by successive advances."""
     state = init_state(criterion, sigma)
-    for i in symmat.check_subset(criterion.p, subset):
+    for i in subset:
         state = advance(criterion, state, state.sigma, i)
     return state
 
@@ -230,12 +238,14 @@ def advance(
     Rank-one update of the residual, :func:`csskit.symmat.pinv_add` for the
     selected-block pseudo-inverse, and pivot update of its log-determinant
     (``log det(sigma_{U+i}) = log det(sigma_U) + log(residual_ii)``).
-    Cost O(p^2).  Returns a new state; the input is not modified.
+    Cost O(p^2).  Returns a new state; the input is not modified.  ``i``
+    must lie in ``[0, p)`` and not be selected yet, else :class:`DimMismatch`.
+    The move reads ``state.sigma``, not its ``sigma`` argument.
     """
-    sigma = np.asarray(sigma, dtype=float)
     i = int(i)
-    if i in state.subset:
-        raise DimMismatch(f"index {i} already selected")
+    if not 0 <= i < criterion.p or i in state.subset:
+        raise DimMismatch(f"cannot append index {i} to subset {state.subset}")
+    sigma = state.sigma
     pivot = float(state.residual[i, i])
     var = float(sigma[i, i])
     new_res = symmat.residual_add(state.residual, i, var)
@@ -244,7 +254,7 @@ def advance(
         new_ld = state.log_det_block + math.log(pivot)
     else:
         new_ld = float("-inf")
-    return SubsetState(state.subset + (i,), new_res, new_pinv, new_ld, state.sigma)
+    return SubsetState(state.subset + (i,), new_res, new_pinv, new_ld, sigma)
 
 
 def retract(
@@ -264,12 +274,13 @@ def retract(
     from-scratch residual regardless of the state's history.  A redundant
     variable (one that does not add rank: ``adds_rank(beta_v, sigma_vv)``
     is false) leaves the residual unchanged.
-    Cost O(p^2 + p k).
+    Cost O(p^2 + p k).  ``position`` must lie in ``[0, k)``, else
+    :class:`DimMismatch`.  The move reads ``state.sigma``, not its ``sigma``.
     """
-    sigma = np.asarray(sigma, dtype=float)
     k = len(state.subset)
     if not 0 <= position < k:
         raise DimMismatch(f"position {position} out of range for subset size {k}")
+    sigma = state.sigma
     var = state.subset[position]
     new_subset = state.subset[:position] + state.subset[position + 1 :]
     idx = list(new_subset)
@@ -293,7 +304,7 @@ def retract(
         new_ld = state.log_det_block - math.log(pivot)
     else:
         new_ld = symmat.log_det(sigma[np.ix_(idx, idx)])
-    return SubsetState(new_subset, new_res, new_pinv, new_ld, state.sigma)
+    return SubsetState(new_subset, new_res, new_pinv, new_ld, sigma)
 
 
 # ---------------------------------------------------------------------------

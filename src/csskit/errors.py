@@ -48,10 +48,6 @@ class ZeroVariance(CssKitError):
         super().__init__(f"column {i} has zero variance")
 
 
-class KTooLarge(CssKitError):
-    """Requested subset size exceeds the number of variables."""
-
-
 class TooManySubsets(CssKitError):
     """Exhaustive enumeration would exceed the configured cap."""
 

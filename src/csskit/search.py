@@ -3,10 +3,12 @@
 All three return a :class:`SearchResult`.  Ties are broken toward the
 lowest variable index everywhere (candidates are scored in ascending order
 and the first minimum wins; exhaustive enumerates subsets
-lexicographically and keeps the first best).  All three first pass
-``sigma`` through :func:`csskit.symmat.as_symmetric`, the check covariance
-files get: an asymmetric ``sigma`` raises, since the pick would depend on
-which triangle is read.
+lexicographically and keeps the first best).  All three take ``(sigma,
+config)``, and :class:`SearchConfig` checks the request.  Greedy and swap
+check ``sigma`` by building their states with
+:func:`csskit.criteria.init_state`; exhaustive, which builds none, runs
+:func:`csskit.symmat.as_symmetric` itself.  An asymmetric ``sigma``
+raises, since the pick would depend on which triangle is read.
 
 The swapping search sweeps the subset positions in order; at each position
 the incumbent is retracted and every outside variable (incumbent included)
@@ -36,8 +38,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import criteria, symmat
-from .criteria import Criterion, SubsetState
-from .errors import DimMismatch, KTooLarge, TooManySubsets
+from .criteria import Criterion
+from .errors import DimMismatch, TooManySubsets
 from .symmat import IndexSet, SymMatrix
 
 # A candidate must beat the incumbent by this much, in units of
@@ -115,27 +117,15 @@ def resolve_threads() -> int:
     return os.cpu_count() or 1
 
 
-def _check_problem(sigma: SymMatrix, config: SearchConfig) -> np.ndarray:
-    sigma = np.asarray(sigma, dtype=float)
-    p = sigma.shape[0] if sigma.ndim == 2 else -1
-    if sigma.ndim != 2 or sigma.shape != (p, p):
-        raise DimMismatch(f"sigma must be square, got shape {sigma.shape}")
-    if config.criterion.p != p:
-        raise DimMismatch(
-            f"criterion dimension {config.criterion.p} does not match sigma ({p})"
-        )
-    return symmat.as_symmetric(sigma)
-
-
 def greedy(sigma: SymMatrix, config: SearchConfig) -> SearchResult:
     """Greedy forward selection: k successive argmin-score additions.
 
     Deterministic.  The subset is in insertion order, so its prefixes are
     the nested picks of every smaller size.
     """
-    sigma = _check_problem(sigma, config)
     crit = config.criterion
     state = criteria.init_state(crit, sigma)
+    sigma = state.sigma
     trajectory: List[float] = []
     for _ in range(config.k):
         cands, scores = criteria.score_all(crit, state)
@@ -147,15 +137,16 @@ def greedy(sigma: SymMatrix, config: SearchConfig) -> SearchResult:
 
 
 def _swap_once(
-    sigma: np.ndarray,
+    sigma: SymMatrix,
     config: SearchConfig,
-    init: IndexSet,
+    init: Sequence[int],
     decisions: Optional[list] = None,
 ) -> SearchResult:
     """One swapping run from an explicit starting subset."""
     crit = config.criterion
     state = criteria.state_from_subset(crit, sigma, init)
-    current = list(init)
+    sigma = state.sigma
+    current = list(state.subset)
     k = config.k
     unit = max(float(np.trace(sigma)), 0.0) / sigma.shape[0]
     margin = SWAP_MARGIN * unit**crit.score_degree
@@ -209,13 +200,11 @@ def swap(
     ``(kept_subset, incumbent, picked, candidates, scores)`` for the
     single-run form; intended for diagnostics and tests.
     """
-    sigma = _check_problem(sigma, config)
-    p = sigma.shape[0]
+    p = config.criterion.p
     if init is not None:
-        start = symmat.check_subset(p, init)
-        if len(start) != config.k:
-            raise DimMismatch(f"init has size {len(start)}, expected k={config.k}")
-        return _swap_once(sigma, config, start, decisions)
+        if len(init) != config.k:
+            raise DimMismatch(f"init has size {len(init)}, expected k={config.k}")
+        return _swap_once(sigma, config, init, decisions)
 
     def run(r: int) -> SearchResult:
         rng = np.random.default_rng(config.seed + r)
@@ -232,27 +221,23 @@ def swap(
     return min(outcomes, key=lambda res: res.objective)  # first minimum
 
 
-def exhaustive(sigma: SymMatrix, k: int, criterion: Criterion) -> SearchResult:
+def exhaustive(sigma: SymMatrix, config: SearchConfig) -> SearchResult:
     """Exact minimizer by enumeration, lexicographic tie-break.
 
     Raises :class:`TooManySubsets` when ``C(p, k)`` exceeds
-    ``EXHAUSTIVE_CAP`` (2e6).
+    ``EXHAUSTIVE_CAP`` (2e6).  The shape of ``sigma`` is checked by
+    ``evaluate``, its symmetry once here.
     """
     sigma = symmat.as_symmetric(sigma)
-    p = sigma.shape[0]
-    if criterion.p != p:
-        raise DimMismatch(
-            f"criterion dimension {criterion.p} does not match sigma ({p})"
-        )
-    if not 1 <= k <= p:
-        raise KTooLarge(f"k={k} out of range for p={p}")
+    crit, k = config.criterion, config.k
+    p = crit.p
     total = math.comb(p, k)
     if total > EXHAUSTIVE_CAP:
         raise TooManySubsets(f"C({p},{k}) = {total} exceeds cap {EXHAUSTIVE_CAP}")
     best_sub: Optional[IndexSet] = None
     best_val = math.inf
     for comb in itertools.combinations(range(p), k):
-        val = criteria.evaluate(criterion, sigma, comb)
+        val = criteria.evaluate(crit, sigma, comb)
         if val < best_val:
             best_val = val
             best_sub = comb

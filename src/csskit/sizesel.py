@@ -35,11 +35,11 @@ IsoLrt for the isotropic model) -- minimizing that criterion is exactly
 minimizing the statistic over subsets.
 """
 
+import functools
 import json
 import math
 import time
 import warnings
-from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import List, Optional, Sequence
@@ -179,14 +179,6 @@ def _check_law_args(n: int, p: int, k: int, seed: int):
         raise DegreesOfFreedom(f"null law needs n > p (got n={n}, p={p})")
 
 
-def _check_mc_args(n: int, p: int, k: int, alpha: float, mc_samples: int, seed: int):
-    if not 0 < alpha < 1:
-        raise DimMismatch(f"alpha must be in (0, 1), got {alpha}")
-    if mc_samples < 1000:
-        raise DimMismatch(f"mc_samples must be >= 1000, got {mc_samples}")
-    _check_law_args(n, p, k, seed)
-
-
 def _chunks(mc_samples: int, seed: int, family: int, dfs: Sequence[int]):
     """Draws of the chi-square columns ``dfs`` of one family, one array of
     shape (len(dfs), chunk) per chunk of samples.  The array is reused: each
@@ -270,53 +262,43 @@ def _top(values: np.ndarray, size: int) -> np.ndarray:
     return np.partition(values, values.size - size)[-size:]
 
 
-_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+def _critical_values(rows, n, p, k_lo, alpha, mc_samples, seed) -> np.ndarray:
+    """Critical values of the sizes k_lo <= k < k_lo + _BLOCK (capped at p)
+    from the null draws ``rows`` (:func:`_subset_factor_rows` or
+    :func:`_pcss_rows`)."""
+    # np.quantile's default (linear) rule: interpolate between order
+    # statistics floor(h) and floor(h) + 1, h = (mc_samples - 1)(1 - alpha)
+    h = (mc_samples - 1) * (1.0 - alpha)
+    lo = math.floor(h)
+    gamma = h - lo
+    k_hi = min(k_lo + _BLOCK, p)
+    tail = _upper_tail(rows(n, p, k_lo, k_hi, mc_samples, seed), mc_samples - lo)
+    a = tail[:, 0]
+    b = tail[:, min(1, tail.shape[1] - 1)]
+    diff = b - a
+    return b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
 
 
-class _Calibration:
-    """Critical values of one model's null law, one block table per
-    ``(n, p, mc_samples, seed, alpha)`` and block of _BLOCK sizes.  A call
-    whose table exists is a hit; a call that fills it is a miss."""
-
-    def __init__(self, rows):
-        self.rows = rows
-        self.cache_clear()
-
-    def cache_clear(self):
-        self.tables = {}
-        self.hits = self.misses = 0
-
-    def cache_info(self) -> _CacheInfo:
-        return _CacheInfo(self.hits, self.misses, None, len(self.tables))
-
-    def quantile(self, n: int, p: int, k: int, alpha: float, mc_samples: int, seed: int) -> float:
-        _check_mc_args(n, p, k, alpha, mc_samples, seed)
-        k_lo = k - k % _BLOCK
-        key = (int(n), int(p), int(mc_samples), int(seed), float(alpha), k_lo)
-        table = self.tables.get(key)
-        if table is None:
-            self.misses += 1
-            table = self.tables[key] = self._fill(n, p, k_lo, alpha, mc_samples, seed)
-        else:
-            self.hits += 1
-        return float(table[k - k_lo])
-
-    def _fill(self, n, p, k_lo, alpha, mc_samples, seed) -> np.ndarray:
-        # np.quantile's default (linear) rule: interpolate between order
-        # statistics floor(h) and floor(h) + 1, h = (mc_samples - 1)(1 - alpha)
-        h = (mc_samples - 1) * (1.0 - alpha)
-        lo = math.floor(h)
-        gamma = h - lo
-        k_hi = min(k_lo + _BLOCK, p)
-        tail = _upper_tail(self.rows(n, p, k_lo, k_hi, mc_samples, seed), mc_samples - lo)
-        a = tail[:, 0]
-        b = tail[:, min(1, tail.shape[1] - 1)]
-        diff = b - a
-        return b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
+# One block table per (n, p, block, alpha, mc_samples, seed) and model.
+@functools.lru_cache(maxsize=None)
+def _subset_factor_table(n, p, k_lo, alpha, mc_samples, seed) -> np.ndarray:
+    return _critical_values(_subset_factor_rows, n, p, k_lo, alpha, mc_samples, seed)
 
 
-_SUBSET_FACTOR = _Calibration(_subset_factor_rows)
-_PCSS = _Calibration(_pcss_rows)
+@functools.lru_cache(maxsize=None)
+def _pcss_table(n, p, k_lo, alpha, mc_samples, seed) -> np.ndarray:
+    return _critical_values(_pcss_rows, n, p, k_lo, alpha, mc_samples, seed)
+
+
+def _lookup(table, n: int, p: int, k: int, alpha: float, mc_samples: int, seed: int) -> float:
+    """Size k's critical value from its block of ``table``."""
+    if not 0 < alpha < 1:
+        raise DimMismatch(f"alpha must be in (0, 1), got {alpha}")
+    if mc_samples < 1000:
+        raise DimMismatch(f"mc_samples must be >= 1000, got {mc_samples}")
+    _check_law_args(n, p, k, seed)
+    k_lo = k - k % _BLOCK
+    return float(table(int(n), int(p), k_lo, float(alpha), int(mc_samples), int(seed))[k - k_lo])
 
 
 def null_draws_subset_factor(n: int, p: int, k: int, mc_samples: int, seed: int) -> np.ndarray:
@@ -350,8 +332,8 @@ def mc_quantile_subset_factor(
     """(1 - alpha)-quantile, as ``np.quantile`` takes it, of
     :func:`null_draws_subset_factor`.  Sizes are calibrated and cached in
     blocks; ``cache_clear()`` drops every table and ``cache_info()`` counts
-    hits and misses as ``functools.lru_cache`` does."""
-    return _SUBSET_FACTOR.quantile(n, p, k, alpha, mc_samples, seed)
+    hits and misses, one lookup per call, as ``functools.lru_cache`` does."""
+    return _lookup(_subset_factor_table, n, p, k, alpha, mc_samples, seed)
 
 
 def mc_quantile_pcss(
@@ -359,13 +341,13 @@ def mc_quantile_pcss(
 ) -> float:
     """(1 - alpha)-quantile of :func:`null_draws_pcss`, calibrated and cached
     as :func:`mc_quantile_subset_factor`."""
-    return _PCSS.quantile(n, p, k, alpha, mc_samples, seed)
+    return _lookup(_pcss_table, n, p, k, alpha, mc_samples, seed)
 
 
-mc_quantile_subset_factor.cache_clear = _SUBSET_FACTOR.cache_clear
-mc_quantile_subset_factor.cache_info = _SUBSET_FACTOR.cache_info
-mc_quantile_pcss.cache_clear = _PCSS.cache_clear
-mc_quantile_pcss.cache_info = _PCSS.cache_info
+mc_quantile_subset_factor.cache_clear = _subset_factor_table.cache_clear
+mc_quantile_subset_factor.cache_info = _subset_factor_table.cache_info
+mc_quantile_pcss.cache_clear = _pcss_table.cache_clear
+mc_quantile_pcss.cache_info = _pcss_table.cache_info
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Everything in the toolkit that touches spectra goes through this module, so
 that pseudo-inversion, PSD projection, log-determinants, and rank decisions
-all share one eigendecomposition backend (:func:`numpy.linalg.eigh`) and one
-rank rule, free of the units of every variable:
+all share one eigendecomposition backend (:func:`numpy.linalg.eigh`) and
+one cutoff, ``RANK_TOL``, applied free of the units of every variable by
+two tests:
 
 * a variable adds rank to a subset when its residual variance exceeds
   ``RANK_TOL`` times its own variance (:func:`adds_rank`), the one pivot and
@@ -15,8 +16,14 @@ rank rule, free of the units of every variable:
 * an eigenvalue below ``-RANK_TOL * lambda_max`` raises
   :class:`~csskit.errors.NotPSD`; a singular log-determinant is ``-inf``.
 
+The two tests can disagree near the cutoff.  For unit variances with
+``1 - rho**2 = 3e-10`` the second variable's pivot ``3e-10`` adds rank,
+but the block's eigenvalue ``1 - rho = 1.5e-10`` is under the cutoff
+``2e-10``, so :func:`log_det` of the block is ``-inf``.
+
 The rank-one subset updates (:func:`residual_add`, :func:`pinv_add`,
-:func:`pinv_remove`) are the workhorses of the search algorithms.  The
+:func:`pinv_remove`) are the workhorses of the search algorithms; they
+trust the state they are given (:func:`csskit.criteria.init_state`).  The
 residual update is formed as ``outer(g, g)``, which keeps an exactly
 symmetric residual exactly symmetric.  A block pseudo-inverse is updated
 only by an exact identity, else freshly pseudo-inverted: :func:`pinv_add`
@@ -257,12 +264,9 @@ def residual_add(res: SymMatrix, i: int, var: float) -> SymMatrix:
     beta / sqrt(beta[i])``, provided variable ``i``, of own variance ``var``
     (its ``sigma_ii``), adds rank: ``adds_rank(beta[i], var)``.  Otherwise it
     is already (numerically) in the span of the selection and the residual
-    is returned unchanged.
+    is returned unchanged.  Unchecked: ``res`` and ``i`` come from
+    :func:`csskit.criteria.advance`.
     """
-    res = np.asarray(res, dtype=float)
-    p = _check_square(res)
-    if not 0 <= i < p:
-        raise DimMismatch(f"index {i} out of range for dimension {p}")
     pivot = float(res[i, i])
     if not adds_rank(pivot, var):
         return res
@@ -286,23 +290,12 @@ def pinv_add(
     bordered identity ``[[P + d d^T/s, -d/s], [-d^T/s, 1/s]]`` is exact
     (``sigma`` is PSD, so ``b`` lies in the range of ``sigma[U, U]``) and
     costs O(k^2).  Otherwise the grown block is freshly pseudo-inverted.
+    Unchecked: the arguments come from :func:`csskit.criteria.advance`.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    p = _check_square(sigma)
-    u = check_subset(p, current)
-    k = len(u)
-    block_pinv = np.asarray(block_pinv, dtype=float)
-    if block_pinv.shape != (k, k):
-        raise DimMismatch(
-            f"block_pinv shape {block_pinv.shape} does not match subset size {k}"
-        )
-    if not 0 <= i < p or i in u:
-        raise DimMismatch(f"cannot append index {i} to subset {u}")
-    idx = list(u)
+    k = len(current)
+    idx = list(current)
     b = sigma[idx, i]
     c = float(sigma[i, i])
-    if c < 0:
-        raise NotPSD(f"diagonal entry {i} is negative ({c:g})")
     d = block_pinv @ b
     s = c - float(b @ d)
     if not adds_rank(s, c):
@@ -325,13 +318,10 @@ def pinv_remove(block_pinv: SymMatrix, position: int) -> SymMatrix:
     downdate ``P - q q^T / r``, exact when the block is nonsingular.  A
     singular block has no such identity; its caller pseudo-inverts the
     remaining block afresh (see :func:`csskit.criteria.retract`).  Cost
-    O(k^2).
+    O(k^2).  Unchecked: the arguments come from
+    :func:`csskit.criteria.retract`.
     """
-    block_pinv = np.asarray(block_pinv, dtype=float)
-    k = _check_square(block_pinv)
-    if not 0 <= position < k:
-        raise DimMismatch(f"position {position} out of range for subset size {k}")
-    keep = [j for j in range(k) if j != position]
+    keep = np.arange(block_pinv.shape[0]) != position
     q = block_pinv[keep, position]
     r = float(block_pinv[position, position])
-    return _sym(block_pinv[np.ix_(keep, keep)] - np.outer(q, q / r))
+    return _sym(block_pinv[keep][:, keep] - np.outer(q, q / r))

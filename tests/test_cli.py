@@ -89,9 +89,10 @@ def test_select_exhaustive_matches_library(tmp_path, capsys):
     assert main(["select", "--cov", cov, "--k", "2", "--method", "exhaustive"]) == 0
     line = capsys.readouterr().out.splitlines()[1]
     from csskit.criteria import Criterion, CriterionKind
-    from csskit.search import exhaustive
+    from csskit.search import SearchConfig, exhaustive
 
-    want = exhaustive(sigma, 2, Criterion(CriterionKind.CSS_TRACE, p=5, k=2))
+    crit = Criterion(CriterionKind.CSS_TRACE, p=5, k=2)
+    want = exhaustive(sigma, SearchConfig(k=2, criterion=crit))
     assert line.split(",")[3] == ";".join(str(i) for i in want.subset)
     assert float(line.split(",")[1]) == pytest.approx(want.objective, rel=1e-12)
 
@@ -210,9 +211,12 @@ def test_exit_code_three_on_a_non_numeric_cell(tmp_path, capsys):
 
 def test_exit_code_two_on_bad_flags(diag_cov):
     for argv in (
+        # exactly one of --cov / --data and one of --k / --k-range
         ["select", "--cov", diag_cov],  # no k
-        ["select", "--cov", diag_cov, "--k", "1", "--method", "bogus"],
         ["select", "--cov", diag_cov, "--k", "1", "--k-range", "1..2"],
+        ["select", "--k", "1"],  # no input
+        ["select", "--cov", diag_cov, "--data", diag_cov, "--k", "1"],
+        ["select", "--cov", diag_cov, "--k", "1", "--method", "bogus"],
         ["simulate", "--trials", "2", "--seed", "1"],  # no scenario
         ["select", "--cov", diag_cov, "--k-range", "3..1"],
         ["covest", "--data", diag_cov, "--seed", "1"],  # covest draws nothing

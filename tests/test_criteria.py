@@ -16,7 +16,7 @@ from csskit.criteria import (
     score_all,
     state_from_subset,
 )
-from csskit.errors import DimMismatch
+from csskit.errors import DimMismatch, NotPSD
 
 ALL_KINDS = list(CriterionKind)
 
@@ -57,6 +57,23 @@ def test_criterion_validation():
         Criterion(CriterionKind.CSS_TRACE, p=3, k=4)
     with pytest.raises(DimMismatch):
         Criterion(CriterionKind.ISO_LRT, p=3, k=3)
+
+
+def test_state_checks_sigma_and_each_move():
+    crit = Criterion(CriterionKind.CSS_TRACE, p=5, k=2)
+    with pytest.raises(NotPSD):
+        init_state(crit, np.diag([1.0, -1e-3, 2.0, 1.0, 1.0]))
+    with pytest.raises(DimMismatch):
+        init_state(crit, np.eye(4))
+    sigma = rand_psd(np.random.default_rng(103), 5)
+    state = state_from_subset(crit, sigma, [3])
+    for i in (-1, 5, 3):  # out of range below and above, already selected
+        with pytest.raises(DimMismatch):
+            advance(crit, state, sigma, i)
+    with pytest.raises(DimMismatch):
+        retract(crit, state, sigma, 1)  # position k
+    with pytest.raises(DimMismatch):
+        state_from_subset(crit, sigma, [1, 1])
 
 
 def test_css_trace_equals_least_squares():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from csskit import search, simlab
+from csskit import criteria, search, simlab
 from csskit.criteria import Criterion, CriterionKind, evaluate
 from csskit.errors import DimMismatch, TooManySubsets
 from csskit.search import SearchConfig, exhaustive, greedy, swap
@@ -85,7 +85,8 @@ def test_swap_keeps_the_state_of_a_kept_incumbent(monkeypatch):
 
 def test_search_rejects_asymmetric_sigma():
     # The pick would depend on which triangle is read: CssTrace greedy k=1
-    # picked variable 1 on this matrix and 0 on its transpose.
+    # picked variable 1 on this matrix and 0 on its transpose.  The state
+    # is where sigma is checked, so building one raises too.
     sigma = np.array([[1.0, 0.9, 0.0], [0.1, 1.0, 0.0], [0.0, 0.0, 1.0]])
     cfg = SearchConfig(k=1, criterion=css(3, 1), restarts=2, seed=1)
     for m in (sigma, sigma.T, 1e-9 * sigma):
@@ -96,12 +97,16 @@ def test_search_rejects_asymmetric_sigma():
         with pytest.raises(DimMismatch):
             swap(m, cfg, init=[0])
         with pytest.raises(DimMismatch):
-            exhaustive(m, 1, css(3, 1))
+            exhaustive(m, cfg)
+        with pytest.raises(DimMismatch):
+            criteria.init_state(css(3, 1), m)
+        with pytest.raises(DimMismatch):
+            criteria.state_from_subset(css(3, 1), m, [0])
     # roundoff-level asymmetry is symmetrized; exact symmetry is used as is
     near = rand_psd(np.random.default_rng(101), 5)
-    assert search._check_problem(near, SearchConfig(k=2, criterion=css(5, 2))) is near
+    assert criteria.init_state(css(5, 2), near).sigma is near
     near[0, 1] += 1e-14
-    fixed = search._check_problem(near, SearchConfig(k=2, criterion=css(5, 2)))
+    fixed = criteria.init_state(css(5, 2), near).sigma
     assert np.array_equal(fixed, fixed.T)
 
 
@@ -123,7 +128,7 @@ def test_search_chain_orderings():
         sigma = rand_psd(rng, p)
         crit = css(p, 2)
         cfg = SearchConfig(k=2, criterion=crit, restarts=3, seed=11)
-        ex = exhaustive(sigma, 2, crit)
+        ex = exhaustive(sigma, cfg)
         sw = swap(sigma, cfg)
         gr = greedy(sigma, cfg)
         polished = swap(sigma, SearchConfig(k=2, criterion=crit), init=gr.subset)
@@ -184,17 +189,17 @@ def test_swap_margin_follows_units():
 
 def test_exhaustive_diagonal_and_cap():
     crit = css(4, 2)
-    res = exhaustive(np.diag([4.0, 1.0, 3.0, 2.0]), 2, crit)
+    res = exhaustive(np.diag([4.0, 1.0, 3.0, 2.0]), SearchConfig(k=2, criterion=crit))
     assert tuple(sorted(res.subset)) == (0, 2)
     assert res.objective == pytest.approx(3.0)
     with pytest.raises(TooManySubsets):
-        exhaustive(np.eye(40), 20, css(40, 20))  # C(40, 20) > EXHAUSTIVE_CAP
+        exhaustive(np.eye(40), SearchConfig(k=20, criterion=css(40, 20)))  # C(40, 20) > cap
 
 
 def test_exhaustive_lexicographic_tie_break():
     # Identity: every subset gives the same objective; the first in
     # lexicographic order must be returned.
-    res = exhaustive(np.eye(5), 2, css(5, 2))
+    res = exhaustive(np.eye(5), SearchConfig(k=2, criterion=css(5, 2)))
     assert res.subset == (0, 1)
 
 
@@ -224,7 +229,7 @@ def test_population_preset_optimum():
     # the exhaustive CSS optimum, with residual trace 16 * 0.15 = 2.4.
     spec = simlab.missing_a1_spec(mar_prob=0.0)
     pop = simlab.population_cov(spec)
-    res = exhaustive(pop, 4, css(20, 4))
+    res = exhaustive(pop, SearchConfig(k=4, criterion=css(20, 4)))
     assert tuple(sorted(res.subset)) == (0, 1, 2, 3)
     assert res.objective == pytest.approx(2.4, abs=1e-9)
     # greedy and swap find it too
