@@ -35,16 +35,28 @@ residual variance exceeds ``RANK_TOL`` times its own
 :func:`csskit.symmat.ginv` and :func:`csskit.symmat.log_det`.  No decision
 depends on the units of a variable.
 
+:func:`evaluate` computes from scratch.  It reads ``diag R`` in O(pk^2)
+from the regression coefficients on ``S``; only DetResidual and
+FrobResidual form a block of ``R``, the complement's.
+
 Greedy and swap searches never rank candidates by re-evaluating from
 scratch; they use :func:`score_all`, whose values are *order-equivalent* to
 the objective (argmin over candidates matches argmin of ``evaluate`` on the
 grown subset) but cheaper by at least one power of ``p``.  State is carried
-by :class:`SubsetState`, the same for all six criteria, updated in O(p^2)
-per move by :func:`advance` / :func:`retract`.  CanonCorr keeps nothing of
-its own in the state: each :func:`score_all` call pseudo-inverts the
-complement block once and scores every candidate from it.  Inputs are
-checked once, where they enter: ``sigma`` in :func:`init_state`, an index in
-:func:`advance`, a position in :func:`retract`; the kernels trust the state.
+by :class:`SubsetState`, the same for all six criteria: ``R`` never as a
+dense matrix but by its factor ``R = sigma - L L^T``
+(:class:`csskit.symmat.Factor`), with ``diag R`` and, for CssTrace and
+IsoLrt, ``diag R^2``.  :func:`advance` appends a column to ``L`` in O(pr),
+plus one ``sigma``-matvec under CssTrace and IsoLrt, and :func:`retract`
+reflects one out in O(pr); both also carry the selected block's
+pseudo-inverse in O(k^2).  Scores then cost O(p) for CssTrace and
+DetResidual, O(p) plus the near-perfect fits' residual columns for IsoLrt,
+one ``(p-k)``-block of ``R`` for DiagDet, and the dense ``R`` for
+FrobResidual.  CanonCorr reads only ``sigma`` and the block pseudo-inverse:
+each :func:`score_all` call pseudo-inverts the complement block once and
+scores every candidate from it.  Inputs are checked once, where they enter:
+``sigma`` in :func:`init_state`, an index in :func:`advance`, a position in
+:func:`retract`; the kernels trust the state.
 """
 
 import math
@@ -97,23 +109,44 @@ class Criterion:
         return int(self.kind in (CriterionKind.CSS_TRACE, CriterionKind.DET_RESIDUAL))
 
 
+# The criteria whose scores read diag R^2 (symmat.Factor's squares).
+_SQUARES = (CriterionKind.CSS_TRACE, CriterionKind.ISO_LRT)
+
+
 @dataclass
 class SubsetState:
-    """Incremental caches for one ordered subset of one matrix.
+    """One ordered subset of one matrix, with what scoring and moves need.
 
-    Fields mirror what the search algorithms need: the full residual
-    covariance, the pseudo-inverse of the selected block (in subset order),
-    and its log-determinant (``-inf`` once the block goes numerically
-    singular).  ``sigma`` is a read-only reference to the source matrix,
-    kept so that scoring can reach raw entries without re-plumbing every
-    call site.
+    The residual covariance ``R = sigma - L L^T`` is carried by its factor
+    (:class:`csskit.symmat.Factor`: ``L``, ``diag R``, and for CssTrace and
+    IsoLrt also ``diag R^2`` and ``sigma L``), never as a dense matrix.
+    ``L`` spans the members in ``ranked``, each of which added rank to the
+    ones before it when it joined; the other members sit on a side list,
+    because they leave the residual unchanged, and a retract
+    that drops a ranked member re-tests them.  Next to the factor are the
+    pseudo-inverse of the selected block (in subset order), read by
+    CanonCorr and by :func:`retract`, and its log-determinant (``-inf`` once
+    the block goes numerically singular).  ``sigma`` is a read-only
+    reference to the source matrix.
+
+    With ``r = len(ranked)``, :func:`advance` costs O(pr + k^2) plus one
+    ``sigma``-matvec under CssTrace and IsoLrt, and :func:`retract` O(pr +
+    k^2) plus an advance for each side member it gives back its rank.
+    States are values, never updated in place: swap keeps the state from
+    before a retract when it keeps the incumbent.
     """
 
     subset: IndexSet
-    residual: np.ndarray
+    factor: symmat.Factor
+    ranked: IndexSet
     block_pinv: np.ndarray
     log_det_block: float
     sigma: np.ndarray
+
+    @property
+    def residual(self) -> np.ndarray:
+        """The dense residual covariance ``sigma - L L^T``, O(p^2 r)."""
+        return self.factor.residual(self.sigma)
 
     def complement(self) -> np.ndarray:
         return symmat.complement(self.sigma.shape[0], self.subset)
@@ -127,9 +160,11 @@ class SubsetState:
 def evaluate(criterion: Criterion, sigma: SymMatrix, subset: Sequence[int]) -> float:
     """Objective value of ``subset`` under ``criterion``, from scratch.
 
-    The subset may be any size (greedy evaluates its prefixes); order is
-    irrelevant to the value.  This is the reference implementation the
-    incremental paths are tested against.
+    The subset may be any size (greedy evaluates its prefixes).  All but
+    CanonCorr (:func:`cc_sum`, in the given order) read it in ascending
+    order, so their value does not depend on its order, not even by
+    roundoff: restarts of swap that reach one set tie exactly.  This is the
+    reference implementation the incremental paths are tested against.
     """
     sigma = np.asarray(sigma, dtype=float)
     p = criterion.p
@@ -144,15 +179,22 @@ def evaluate(criterion: Criterion, sigma: SymMatrix, subset: Sequence[int]) -> f
             return 0.0
         return -cc_sum(sigma, u, comp)
 
-    res = symmat.residual_covariance(sigma, u)
-
+    # diag R = diag sigma - rowsum(coef * sigma[:, U]), coef the regression
+    # coefficients on U, in O(p k^2); only a block criterion forms R[-S, -S]
+    idx = sorted(u)
+    cols = sigma[:, idx]
+    block_u = sigma[np.ix_(idx, idx)]
+    coef = cols @ symmat.ginv(block_u)
+    var = sigma.diagonal()
+    diag = np.maximum(var - np.einsum("ij,ij->i", coef, cols), 0.0)
     if kind == CriterionKind.CSS_TRACE:
-        return float(np.trace(res))
+        return float(np.sum(diag))
+    block = None
+    if kind in (CriterionKind.FROB_RESIDUAL, CriterionKind.DET_RESIDUAL):
+        block = sigma[np.ix_(comp, comp)] - coef[comp] @ cols[comp].T
     if kind == CriterionKind.FROB_RESIDUAL:
-        block = res[np.ix_(comp, comp)]
         return float(np.sum(block * block))
-    ld_block = symmat.log_det(sigma[np.ix_(list(u), list(u))])
-    return _readout(criterion, sigma, res, comp, ld_block)
+    return _readout(criterion, diag[comp], var[comp], symmat.log_det(block_u), block)
 
 
 def cc_sum(sigma: SymMatrix, a: Sequence[int], b: Sequence[int]) -> float:
@@ -172,14 +214,15 @@ def cc_sum(sigma: SymMatrix, a: Sequence[int], b: Sequence[int]) -> float:
     return float(np.sum(left * (cross @ symmat.ginv(sigma[np.ix_(bb, bb)]))))
 
 
-def _readout(criterion: Criterion, sigma, res, comp, ld_block: float) -> float:
-    """DetResidual, DiagDet and IsoLrt from the residual ``res``, the
-    complement ``comp`` and ``ld_block = log det(sigma_S)``.  A variable of
-    ``comp`` that does not add rank to ``S`` is fit perfectly: one sends
-    DetResidual and DiagDet to ``-inf``, IsoLrt needs all of them."""
+def _readout(criterion: Criterion, diag, var, ld_block: float, block=None) -> float:
+    """DetResidual, DiagDet and IsoLrt from the residual variances ``diag``
+    of the complement (own variances ``var``), ``ld_block = log det(sigma_S)``
+    and, for DetResidual only, the complement's residual ``block``.  A
+    variable of the complement that does not add rank to ``S`` is fit
+    perfectly: one sends DetResidual and DiagDet to ``-inf``, IsoLrt needs
+    all of them."""
     kind = criterion.kind
-    diag = res.diagonal()[comp]
-    fits = ~symmat.adds_rank(diag, sigma.diagonal()[comp])
+    fits = ~symmat.adds_rank(diag, var)
     if kind == CriterionKind.ISO_LRT:
         if np.all(fits):
             return float("-inf")
@@ -188,7 +231,7 @@ def _readout(criterion: Criterion, sigma, res, comp, ld_block: float) -> float:
     if np.any(fits):
         return float("-inf")
     if kind == CriterionKind.DET_RESIDUAL:
-        return symmat.log_det(res[np.ix_(comp, comp)])
+        return symmat.log_det(block)
     if kind == CriterionKind.DIAG_DET:
         return ld_block + float(np.sum(np.log(diag)))
     raise DimMismatch(f"unknown criterion kind {kind}")
@@ -213,7 +256,8 @@ def init_state(criterion: Criterion, sigma: SymMatrix) -> SubsetState:
         raise NotPSD(f"sigma has a negative diagonal entry ({low:g})")
     return SubsetState(
         subset=(),
-        residual=sigma.copy(),
+        factor=symmat.Factor.empty(sigma, criterion.kind in _SQUARES),
+        ranked=(),
         block_pinv=np.zeros((0, 0)),
         log_det_block=0.0,
         sigma=sigma,
@@ -235,26 +279,30 @@ def advance(
 ) -> SubsetState:
     """Grow the state by variable ``i`` (appended to the subset order).
 
-    Rank-one update of the residual, :func:`csskit.symmat.pinv_add` for the
-    selected-block pseudo-inverse, and pivot update of its log-determinant
-    (``log det(sigma_{U+i}) = log det(sigma_U) + log(residual_ii)``).
-    Cost O(p^2).  Returns a new state; the input is not modified.  ``i``
-    must lie in ``[0, p)`` and not be selected yet, else :class:`DimMismatch`.
-    The move reads ``state.sigma``, not its ``sigma`` argument.
+    :func:`csskit.symmat.residual_add` appends ``i``'s column to the
+    residual factor, or puts ``i`` on the side list when it adds no rank;
+    :func:`csskit.symmat.pinv_add` grows the selected-block pseudo-inverse,
+    and the pivot updates its log-determinant (``log det(sigma_{U+i}) =
+    log det(sigma_U) + log(R_ii)``).  Cost O(pr + k^2), plus one
+    ``sigma``-matvec under CssTrace and IsoLrt.  Returns a new state; the
+    input is not modified.  ``i`` must lie in ``[0, p)`` and not be
+    selected yet, else :class:`DimMismatch`.  The move reads
+    ``state.sigma``, not its ``sigma`` argument.
     """
     i = int(i)
     if not 0 <= i < criterion.p or i in state.subset:
         raise DimMismatch(f"cannot append index {i} to subset {state.subset}")
     sigma = state.sigma
-    pivot = float(state.residual[i, i])
-    var = float(sigma[i, i])
-    new_res = symmat.residual_add(state.residual, i, var)
+    pivot = float(state.factor.diag[i])
+    adds = symmat.adds_rank(pivot, sigma[i, i])
+    factor = symmat.residual_add(sigma, state.factor, i)
+    ranked = state.ranked + (i,) if adds else state.ranked
     new_pinv = symmat.pinv_add(state.block_pinv, sigma, state.subset, i)
-    if symmat.adds_rank(pivot, var) and math.isfinite(state.log_det_block):
+    if adds and math.isfinite(state.log_det_block):
         new_ld = state.log_det_block + math.log(pivot)
     else:
         new_ld = float("-inf")
-    return SubsetState(state.subset + (i,), new_res, new_pinv, new_ld, sigma)
+    return SubsetState(state.subset + (i,), factor, ranked, new_pinv, new_ld, sigma)
 
 
 def retract(
@@ -262,19 +310,22 @@ def retract(
 ) -> SubsetState:
     """Drop the subset entry at ``position``, undoing its contribution.
 
+    A side-list member leaves the residual as it is.  A ranked member ``v``
+    leaves ``R + h h^T``, with ``h = beta / sqrt(beta_v)`` and ``beta`` its
+    residual profile on the other ranked members ``A'``.  Since ``h`` is 0
+    on ``A'``, ``h = L c`` for the ``c`` with ``L[A'] c = 0``, which
+    :func:`csskit.symmat.residual_remove` reflects out of the factor.  While
+    the block is nonsingular (``log_det_block`` finite, no side list), ``c
+    = L[S]^T pinv(sigma_S)[:, position]``, as ``L[S] L[S]^T = sigma_S``;
+    otherwise ``L[A] c = e_v`` is solved.  Either way ``|c|^2 = 1 /
+    beta_v``, the pivot.  Each side-list member is then re-tested and
+    appended to the factor if it adds rank to what is left.
+
     The selected-block pseudo-inverse is downdated by
-    :func:`csskit.symmat.pinv_remove` while the block is nonsingular
-    (``log_det_block`` finite): every member then adds rank to the rest, so
-    the downdate is exact.  A singular block is freshly pseudo-inverted
-    without the removed variable.  The residual is rebuilt by re-adding the
-    removed variable's residual profile ``beta = sigma[:, v] - sigma[:, U]
-    @ pinv(sigma_U) @ sigma[U, v]`` as a rank-one term ``beta beta^T /
-    beta_v``.  Because ``beta`` is recomputed from ``sigma`` and the new
-    pseudo-inverse, the result is one rank-one update away from the
-    from-scratch residual regardless of the state's history.  A redundant
-    variable (one that does not add rank: ``adds_rank(beta_v, sigma_vv)``
-    is false) leaves the residual unchanged.
-    Cost O(p^2 + p k).  ``position`` must lie in ``[0, k)``, else
+    :func:`csskit.symmat.pinv_remove` while the block is nonsingular, which
+    is exact, and freshly pseudo-inverted without the removed variable
+    otherwise.  Cost O(pr + k^2), plus a ``sigma``-matvec per side member
+    given back its rank.  ``position`` must lie in ``[0, k)``, else
     :class:`DimMismatch`.  The move reads ``state.sigma``, not its ``sigma``.
     """
     k = len(state.subset)
@@ -284,27 +335,34 @@ def retract(
     var = state.subset[position]
     new_subset = state.subset[:position] + state.subset[position + 1 :]
     idx = list(new_subset)
-    if math.isfinite(state.log_det_block):
+    finite = math.isfinite(state.log_det_block)
+    if finite:
         new_pinv = symmat.pinv_remove(state.block_pinv, position)
     else:
         new_pinv = symmat.pseudo_inverse(sigma[np.ix_(idx, idx)])
 
-    if idx:
-        t = new_pinv @ sigma[idx, var]
-        beta = sigma[:, var] - sigma[:, idx] @ t
-    else:
-        beta = sigma[:, var].copy()
-    pivot = float(beta[var])
-    new_res = state.residual  # unchanged span if var was redundant
-    adds = symmat.adds_rank(pivot, sigma[var, var])
-    if adds:
-        g = beta / math.sqrt(pivot)
-        new_res = symmat._clamp_diag(new_res + np.outer(g, g))
-    if adds and math.isfinite(state.log_det_block):
+    factor, ranked, pivot = state.factor, state.ranked, 0.0
+    if var in ranked:
+        q = ranked.index(var)
+        if finite and len(ranked) == k:
+            c = np.dot(factor.lt.take(state.subset, 1), state.block_pinv[position])
+        else:
+            e = np.zeros(len(ranked))
+            e[q] = 1.0
+            c = np.linalg.solve(factor.lt.take(ranked, 1).T, e)
+        pivot = 1.0 / float(np.dot(c, c))
+        factor = symmat.residual_remove(factor, c)
+        ranked = ranked[:q] + ranked[q + 1 :]
+        if len(ranked) < len(new_subset):  # re-test the side list
+            for j in new_subset:
+                if j not in ranked and symmat.adds_rank(factor.diag[j], sigma[j, j]):
+                    factor = symmat.residual_add(sigma, factor, j)
+                    ranked += (j,)
+    if symmat.adds_rank(pivot, sigma[var, var]) and finite:
         new_ld = state.log_det_block - math.log(pivot)
     else:
         new_ld = symmat.log_det(sigma[np.ix_(idx, idx)])
-    return SubsetState(new_subset, new_res, new_pinv, new_ld, sigma)
+    return SubsetState(new_subset, factor, ranked, new_pinv, new_ld, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -327,21 +385,21 @@ def score_all(criterion: Criterion, state: SubsetState) -> Tuple[np.ndarray, np.
     if cands.size == 0:
         return cands, np.zeros(0)
 
-    res = state.residual
+    fac = state.factor
     kind = criterion.kind
-    diag = res.diagonal()[cands].astype(float, copy=True)
-    ok = symmat.adds_rank(diag, sigma.diagonal()[cands])
+    diag = fac.diag[cands]
+    var = sigma.diagonal()[cands]
+    ok = symmat.adds_rank(diag, var)
     safe = np.where(ok, diag, 1.0)
 
     if kind == CriterionKind.CSS_TRACE:
-        cols = res[:, cands]
-        colsq = np.einsum("ij,ij->j", cols, cols)
-        return cands, np.where(ok, -colsq / safe, 0.0)
+        return cands, np.where(ok, -fac.diag_sq[cands] / safe, 0.0)
 
     if kind == CriterionKind.DET_RESIDUAL:
         return cands, -diag
 
     if kind == CriterionKind.FROB_RESIDUAL:
+        res = fac.residual(sigma)
         cols = res[:, cands]
         colsq = np.einsum("ij,ij->j", cols, cols)
         cubic = np.einsum("ij,ij->j", cols, res @ cols)
@@ -350,18 +408,19 @@ def score_all(criterion: Criterion, state: SubsetState) -> Tuple[np.ndarray, np.
 
     if kind == CriterionKind.ISO_LRT:
         m = criterion.p - criterion.k
-        tr = max(float(np.trace(res)), 0.0)
-        cols = res[:, cands]
-        colsq = np.einsum("ij,ij->j", cols, cols)
-        rest = np.maximum(tr - np.where(ok, colsq / safe, 0.0), 0.0)
+        tr = max(float(np.sum(fac.diag)), 0.0)
+        rest = np.maximum(tr - np.where(ok, fac.diag_sq[cands] / safe, 0.0), 0.0)
         # -inf when, once the candidate joins, every variable is fit
         # perfectly by the rank rule of evaluate.  Their residual variances
-        # then sum to at most RANK_TOL * trace(sigma), so only candidates
-        # below that are checked (the subset's own rows are 0; a candidate
-        # that adds no rank is -inf by its own term below).
+        # then sum to at most RANK_TOL * trace(sigma), so only the residual
+        # columns of candidates below that are formed (the subset's own rows
+        # are 0; a candidate that adds no rank is -inf by its own term below).
         near = np.flatnonzero(~symmat.adds_rank(rest, np.trace(sigma)))
         if near.size:
-            left = res.diagonal()[:, None] - cols[:, near] ** 2 / safe[near]
+            at = cands[near]
+            lt = fac.lt
+            cols = sigma[:, at] - np.dot(lt[:, : criterion.p].T, lt.take(at, 1))
+            left = fac.diag[:, None] - cols**2 / safe[near]
             fit = ~symmat.adds_rank(left, sigma.diagonal()[:, None]).any(axis=0)
             rest[near[fit]] = 0.0
         with np.errstate(divide="ignore"):
@@ -369,10 +428,10 @@ def score_all(criterion: Criterion, state: SubsetState) -> Tuple[np.ndarray, np.
         return cands, scores
 
     if kind == CriterionKind.DIAG_DET:
-        rows = res[np.ix_(cands, cands)]
-        terms = res.diagonal()[cands] - np.where(ok[:, None], rows * rows / safe[:, None], 0.0)
+        rows = fac.block(sigma, cands)
+        terms = diag - np.where(ok[:, None], rows * rows / safe[:, None], 0.0)
         # zero the perfect fits, by the rank rule of evaluate
-        terms *= symmat.adds_rank(terms, sigma.diagonal()[cands])
+        terms *= symmat.adds_rank(terms, var)
         with np.errstate(divide="ignore"):
             logs = np.log(terms)
             head = np.log(np.where(ok, diag, 0.0))
@@ -460,13 +519,18 @@ def objective_from_state(criterion: Criterion, state: SubsetState) -> float:
     CanonCorr falls back to ``evaluate``.
     """
     kind = criterion.kind
-    res = state.residual
+    fac = state.factor
     if kind == CriterionKind.CSS_TRACE:
-        return float(np.trace(res))
+        return float(np.sum(fac.diag))
     if kind == CriterionKind.CANON_CORR:
         return evaluate(criterion, state.sigma, state.subset)
+    sigma = state.sigma
     comp = state.complement()
+    block = None
+    if kind in (CriterionKind.FROB_RESIDUAL, CriterionKind.DET_RESIDUAL):
+        block = fac.block(sigma, comp)
     if kind == CriterionKind.FROB_RESIDUAL:
-        block = res[np.ix_(comp, comp)]
         return float(np.sum(block * block))
-    return _readout(criterion, state.sigma, res, comp, state.log_det_block)
+    return _readout(
+        criterion, fac.diag[comp], sigma.diagonal()[comp], state.log_det_block, block
+    )

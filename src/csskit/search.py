@@ -23,9 +23,9 @@ effort and is reported, not an error.
 
 Restarts run on a thread pool only where that pays: ``p >= POOL_MIN_P``,
 more than one restart, and more than one worker allowed by
-:func:`resolve_threads`.  Below ``POOL_MIN_P`` a move costs too little for
-the workers to outrun the interpreter lock, and the serial loop is faster.
-Either path gives the same result for the same seed.
+:func:`resolve_threads`.  Below ``POOL_MIN_P`` a move costs too little
+outside the interpreter lock for the workers to gain, and the serial loop
+is faster.  Either path gives the same result for the same seed.
 """
 
 import itertools
@@ -50,11 +50,14 @@ SWAP_MARGIN = 1e-12
 EXHAUSTIVE_CAP = 2_000_000
 
 # Smallest dimension at which swap runs its restarts on a thread pool, the
-# measured crossover.  On a 2-core box with OpenBLAS, 10 DiagDet restarts at
-# k=20 took 1.18-1.31 times the serial time on the pool at p=50-150 and 0.88
-# at p=200; 4 CssTrace restarts at k=30 took 0.86-0.98 at p=200 and 0.58 at
-# p=774.
-POOL_MIN_P = 200
+# measured crossover.  On a 2-core box with 2-thread OpenBLAS, pool time over
+# serial time (median of 2-5 pairs) for 10 DiagDet restarts at k=20 was
+# 1.25-1.58 at p=50-400, 1.05 at p=774, 0.90 at p=1000 and 0.71 at p=1500,
+# where each score forms a (p-k)-block of the residual.  A factored
+# CssTrace move is O(pr) of interpreter-bound work plus one sigma-matvec,
+# so 4 CssTrace restarts at k=30 never gained: 1.01-1.75 at p=50-1500 and
+# 1.12 at p=3000.  2 CanonCorr restarts at k=5 took 1.5 at p=200-400.
+POOL_MIN_P = 1000
 
 
 @dataclass(frozen=True)

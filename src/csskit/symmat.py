@@ -21,20 +21,24 @@ The two tests can disagree near the cutoff.  For unit variances with
 but the block's eigenvalue ``1 - rho = 1.5e-10`` is under the cutoff
 ``2e-10``, so :func:`log_det` of the block is ``-inf``.
 
-The rank-one subset updates (:func:`residual_add`, :func:`pinv_add`,
-:func:`pinv_remove`) are the workhorses of the search algorithms; they
-trust the state they are given (:func:`csskit.criteria.init_state`).  The
-residual update is formed as ``outer(g, g)``, which keeps an exactly
-symmetric residual exactly symmetric.  A block pseudo-inverse is updated
-only by an exact identity, else freshly pseudo-inverted: :func:`pinv_add`
-borders it when the new variable adds rank, and :func:`pinv_remove` is the
-Schur downdate of a nonsingular block; both re-symmetrize.  Tiny negative
-diagonal entries are clamped to zero; selected rows and columns of a
-residual decay to roughly machine scale but are never zeroed exactly.
+The subset updates are the workhorses of the search algorithms; they
+trust the state they are given (:func:`csskit.criteria.init_state`).  A
+residual covariance is carried by its :class:`Factor`, ``R = sigma - L
+L^T`` with ``diag R`` (and optionally ``diag R^2``), never as a dense
+matrix: :func:`residual_add` appends a column to ``L`` when a variable joins
+and adds rank, and :func:`residual_remove` reflects one out by a
+Householder reflection when one leaves, each in O(pr) plus at most one
+``sigma``-matvec.  :meth:`Factor.residual` forms the dense ``R`` on demand,
+exactly symmetric, with tiny negative diagonal entries (roundoff) clamped
+to zero; selected rows and columns decay to roughly machine scale but are
+never zeroed exactly.  A block pseudo-inverse is updated only by an exact
+identity, else freshly pseudo-inverted: :func:`pinv_add` borders it when
+the new variable adds rank, and :func:`pinv_remove` is the Schur downdate
+of a nonsingular block; both re-symmetrize.
 """
 
 import math
-from typing import NamedTuple, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -95,7 +99,7 @@ def complement(p: int, subset: Sequence[int]) -> np.ndarray:
     """The indices of ``[0, p)`` not in ``subset``, ascending."""
     mask = np.ones(p, dtype=bool)
     mask[list(subset)] = False
-    return np.flatnonzero(mask)
+    return mask.nonzero()[0]
 
 
 def as_symmetric(m: np.ndarray) -> SymMatrix:
@@ -229,7 +233,7 @@ def log_det(m: SymMatrix) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Residual covariances and their rank-one updates
+# Residual covariances and their factored updates
 # ---------------------------------------------------------------------------
 
 
@@ -256,22 +260,102 @@ def residual_covariance(sigma: SymMatrix, subset: Sequence[int]) -> SymMatrix:
     return _clamp_diag(_sym(res))
 
 
-def residual_add(res: SymMatrix, i: int, var: float) -> SymMatrix:
-    """Rank-one update of a residual covariance when variable ``i`` joins
-    the selected set.
+class Factor(NamedTuple):
+    """The residual covariance of a subset, ``R = sigma - L L^T``, by factor.
 
-    With ``beta = res[:, i]`` the update is ``res - outer(g, g)``, ``g =
-    beta / sqrt(beta[i])``, provided variable ``i``, of own variance ``var``
-    (its ``sigma_ii``), adds rank: ``adds_rank(beta[i], var)``.  Otherwise it
-    is already (numerically) in the span of the selection and the residual
-    is returned unchanged.  Unchecked: ``res`` and ``i`` come from
-    :func:`csskit.criteria.advance`.
+    ``L`` (``p x r``) has one column per selected variable that added rank
+    to the ones before it, so that ``L L^T = sigma[:, U] ginv(sigma_U)
+    sigma[U, :]``; ``diag = diag R``.  Row j of ``lt`` is column j of ``L``,
+    so a column is added or dropped as one contiguous row.  With squares,
+    the factor also carries ``diag_sq = diag R^2`` (the squared column norms
+    of ``R``), and row j of ``lt`` goes on with column j of ``sigma L``,
+    which keeps ``diag_sq`` up to date; without, ``diag_sq`` is None.
+    Values, never updated in place.
     """
-    pivot = float(res[i, i])
-    if not adds_rank(pivot, var):
-        return res
-    g = res[:, i] / math.sqrt(pivot)
-    return _clamp_diag(res - np.outer(g, g))
+
+    lt: np.ndarray
+    diag: np.ndarray
+    diag_sq: Optional[np.ndarray]
+
+    @classmethod
+    def empty(cls, sigma: SymMatrix, squares: bool) -> "Factor":
+        """The factor of the empty subset: ``R = sigma``."""
+        p = sigma.shape[0]
+        diag = sigma.diagonal().copy()
+        if not squares:
+            return cls(np.zeros((0, p)), diag, None)
+        return cls(np.zeros((0, 2 * p)), diag, np.einsum("ij,ij->i", sigma, sigma))
+
+    def residual(self, sigma: SymMatrix) -> SymMatrix:
+        """``sigma - L L^T`` as a dense ``p x p`` matrix, O(p^2 r)."""
+        l = self.lt[:, : self.diag.shape[0]]
+        return _clamp_diag(_sym(sigma - np.dot(l.T, l)))
+
+    def block(self, sigma: SymMatrix, idx: np.ndarray) -> SymMatrix:
+        """``R[idx, idx] = sigma[idx, idx] - L[idx] L[idx]^T``."""
+        li = self.lt.take(idx, 1)
+        return sigma.take(idx, 0).take(idx, 1) - np.dot(li.T, li)
+
+
+def residual_add(sigma: SymMatrix, factor: Factor, i: int) -> Factor:
+    """Append variable ``i`` to a residual factor.
+
+    With pivot ``R_ii = factor.diag[i]`` the new column of ``L`` is ``g =
+    (sigma[:, i] - L L[i]^T) / sqrt(R_ii)`` and the residual becomes ``R - g
+    g^T``, in O(pr).  With squares, the matvec ``sigma g`` gives the new
+    column of ``sigma L`` and ``diag (R - g g^T)^2 = diag R^2 - g * (2 Rg -
+    |g|^2 g)``, in O(p^2).  A variable that does not add rank,
+    ``adds_rank(R_ii, sigma_ii)`` false, is already (numerically) in the
+    span of the selection, and the factor is returned unchanged.
+    Unchecked: the arguments come from :func:`csskit.criteria.advance` and
+    :func:`csskit.criteria.retract`.
+    """
+    pivot = float(factor.diag[i])
+    if not adds_rank(pivot, sigma[i, i]):
+        return factor
+    lt = factor.lt
+    r = lt.shape[0]
+    p = sigma.shape[0]
+    l = lt[:, :p]
+    g = (sigma[i] - np.dot(lt[:, i], l)) / math.sqrt(pivot)  # row i of sigma is its column i
+    new = np.empty((r + 1, lt.shape[1]))
+    new[:r] = lt
+    new[r, :p] = g
+    diag = np.maximum(factor.diag - g * g, 0.0)
+    if factor.diag_sq is None:
+        return Factor(new, diag, None)
+    sg = new[r, p:] = np.dot(sigma, g)
+    rg2 = 2.0 * (sg - np.dot(np.dot(l, g), l))
+    return Factor(new, diag, factor.diag_sq - g * (rg2 - float(np.dot(g, g)) * g))
+
+
+def residual_remove(factor: Factor, c: np.ndarray) -> Factor:
+    """Drop the direction ``h = L u``, ``u = c / |c|``, from a residual factor.
+
+    One Householder reflection ``H`` with ``H u = -+e_r`` turns ``L`` into
+    ``L H``, whose last column is ``-+h``; the other ``r - 1`` columns are
+    the new factor, and the residual becomes ``R + h h^T``.  With squares,
+    ``sigma L`` is reflected alike, which gives ``sigma h`` without a
+    matvec, and ``diag (R + h h^T)^2 = diag R^2 + h * (2 Rh + |h|^2 h)``.
+    Cost O(pr).  Unchecked: the arguments come from
+    :func:`csskit.criteria.retract`.
+    """
+    lt = factor.lt
+    p = factor.diag.shape[0]
+    v = c / math.sqrt(float(np.dot(c, c)))
+    hs = np.dot(v, lt)
+    h = hs[:p]
+    diag = factor.diag + h * h
+    diag_sq = factor.diag_sq
+    if diag_sq is not None:
+        l = lt[:, :p]
+        rh2 = 2.0 * (hs[p:] - np.dot(np.dot(l, h), l))
+        diag_sq = diag_sq + h * (rh2 + float(np.dot(h, h)) * h)
+    last = float(v[-1])
+    v[-1] += 1.0 if last >= 0.0 else -1.0  # u + sign(u_r) e_r, so |v|^2 = 2 + 2 |u_r|
+    new = np.multiply.outer(v[:-1] / (1.0 + abs(last)), np.dot(v, lt))
+    np.subtract(lt[:-1], new, out=new)
+    return Factor(new, diag, diag_sq)
 
 
 def pinv_add(
@@ -302,9 +386,8 @@ def pinv_add(
         v = idx + [i]
         return pseudo_inverse(sigma[np.ix_(v, v)])
     out = np.empty((k + 1, k + 1))
-    out[:k, :k] = block_pinv + np.outer(d, d / s)
-    out[:k, k] = -d / s
-    out[k, :k] = -d / s
+    out[:k, :k] = block_pinv + d[:, None] * (d / s)
+    out[:k, k] = out[k, :k] = -d / s
     out[k, k] = 1.0 / s
     return _sym(out)
 
@@ -324,4 +407,4 @@ def pinv_remove(block_pinv: SymMatrix, position: int) -> SymMatrix:
     keep = np.arange(block_pinv.shape[0]) != position
     q = block_pinv[keep, position]
     r = float(block_pinv[position, position])
-    return _sym(block_pinv[keep][:, keep] - np.outer(q, q / r))
+    return _sym(block_pinv[keep][:, keep] - q[:, None] * (q / r))

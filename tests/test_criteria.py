@@ -1,5 +1,7 @@
 """Selection criteria: reference evaluation, incremental scoring, state moves."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -391,8 +393,8 @@ def test_canon_corr_scores_without_pinv_add(monkeypatch):
 
 
 def test_advance_retract_keep_residual_exactly_symmetric():
-    # The rank-one updates are formed as outer(g, g), so an exactly
-    # symmetric sigma gives an exactly symmetric residual after any moves.
+    # The residual is formed from its factor as sigma - L L^T, exactly
+    # symmetrized, so it is exactly symmetric after any moves.
     rng = np.random.default_rng(71)
     for trial in range(20):
         p = int(rng.integers(4, 30))
@@ -408,6 +410,85 @@ def test_advance_retract_keep_residual_exactly_symmetric():
                 outside = [j for j in range(p) if j not in state.subset]
                 state = advance(crit, state, sigma, int(rng.choice(outside)))
             assert np.array_equal(state.residual, state.residual.T)
+
+
+def test_retract_gives_a_side_member_back_its_rank():
+    # j = a + b adds no rank to (a, b), so it joins the side list; once a
+    # leaves, j adds rank to (b,) and the state must equal a fresh one.
+    rng = np.random.default_rng(157)
+    g = rng.standard_normal((6, 6))
+    g[2] = g[0] + g[1]  # a = 0, b = 1, j = 2
+    sigma = g @ g.T / 6
+    for kind in ALL_KINDS:
+        crit = Criterion(kind, p=6, k=3)
+        state = state_from_subset(crit, sigma, (0, 1, 2))
+        assert state.ranked == (0, 1) and state.log_det_block == -np.inf
+        state = retract(crit, state, sigma, 0)
+        fresh = state_from_subset(crit, sigma, (1, 2))
+        assert state.subset == (1, 2) and sorted(state.ranked) == [1, 2]
+        assert rel_err(state.residual, fresh.residual) < 1e-10
+        assert rel_err(state.residual, symmat.residual_covariance(sigma, (1, 2))) < 1e-10
+        assert state.log_det_block == pytest.approx(fresh.log_det_block, abs=1e-10)
+        cands, scores = score_all(crit, state)
+        want_cands, want = score_all(crit, fresh)
+        assert np.array_equal(cands, want_cands)
+        assert_allclose(scores, want, rtol=1e-8, atol=1e-10, err_msg=kind.value)
+
+
+def test_factor_moves_match_fresh_residual():
+    # Random add/retract sequences, on rank-deficient sigma half the time
+    # (side lists, singular blocks) and with one variable in units 1e3
+    # times larger: the factor's residual and the diagonals it carries stay
+    # within 1e-8 of the fresh ones, relative to sigma's scale (roundoff is
+    # absolute: once the subset spans sigma the residual itself is ~0).
+    rng = np.random.default_rng(163)
+    for t in range(40):
+        p = int(rng.integers(5, 41))
+        sigma = rand_psd(rng, p, rank=int(rng.integers(2, p)) if t % 2 else p)
+        big = int(rng.integers(p))
+        sigma[big] *= 1e3
+        sigma[:, big] *= 1e3
+        crit = Criterion(CriterionKind.CSS_TRACE, p=p, k=p)
+        state = init_state(crit, sigma)
+        scale = float(np.linalg.norm(sigma))
+        for _ in range(3 * p):
+            k = len(state.subset)
+            if k and (k == p or rng.random() < 0.45):
+                state = retract(crit, state, sigma, int(rng.integers(k)))
+            else:
+                outside = [j for j in range(p) if j not in state.subset]
+                state = advance(crit, state, sigma, int(rng.choice(outside)))
+            want = symmat.residual_covariance(sigma, state.subset)
+            gap = np.linalg.norm(state.residual - want)
+            assert gap < 1e-8 * scale, (t, state.subset)
+            assert np.max(np.abs(state.factor.diag - want.diagonal())) < 1e-8 * scale
+            sq = np.einsum("ij,ij->i", want, want)
+            assert np.max(np.abs(state.factor.diag_sq - sq)) < 1e-8 * scale**2
+
+
+def test_moves_allocate_no_dense_residual():
+    # A CssTrace advance to k=20 and a retract from it, at p=600, each
+    # allocate under a quarter of one p x p array (2.9 MB): the residual
+    # lives in its factor.
+    p, k = 600, 20
+    rng = np.random.default_rng(167)
+    sigma = rand_psd(rng, p, rank=40) + 0.1 * np.eye(p)
+    crit = Criterion(CriterionKind.CSS_TRACE, p=p, k=k)
+    state = state_from_subset(crit, sigma, range(0, 2 * k - 2, 2))
+    grown = advance(crit, state, sigma, 1)
+    bound = p * p * 8 / 4
+    for move in (
+        lambda: advance(crit, state, sigma, 1),
+        lambda: retract(crit, grown, sigma, 7),
+    ):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            move()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak, bound)
 
 
 def test_objective_from_state_matches_evaluate():

@@ -196,17 +196,20 @@ def test_residual_add_matches_from_scratch():
             sigma = rand_psd(rng, p, max(2, int(p * rank_frac)))
             u = rng.permutation(p)[:3].tolist()
             for order in itertools.permutations(u):
-                res = sigma.copy()
+                fac = symmat.Factor.empty(sigma, squares=True)
                 for i in order:
-                    res = symmat.residual_add(res, i, sigma[i, i])
+                    fac = symmat.residual_add(sigma, fac, i)
+                res = fac.residual(sigma)
                 want = symmat.residual_covariance(sigma, order)
                 assert np.linalg.norm(res - want) < 1e-8
 
 
 def test_residual_add_zero_pivot_is_noop():
     sigma = np.array([[1.0, 1.0], [1.0, 1.0]])
-    res = symmat.residual_covariance(sigma, (0,))  # variable 1 now redundant
-    assert_allclose(symmat.residual_add(res, 1, sigma[1, 1]), res)
+    fac = symmat.Factor.empty(sigma, squares=True)
+    fac = symmat.residual_add(sigma, fac, 0)  # variable 1 now redundant
+    res = symmat.residual_covariance(sigma, (0,))
+    assert_allclose(symmat.residual_add(sigma, fac, 1).residual(sigma), res)
 
 
 def rel_err(got, want):
