@@ -48,10 +48,9 @@ dense matrix but by its factor ``R = sigma - L L^T``
 (:class:`csskit.symmat.Factor`), with ``diag R`` and, for CssTrace and
 IsoLrt, ``diag R^2``.  :func:`advance` appends a column to ``L`` in O(pr),
 plus one ``sigma``-matvec under CssTrace and IsoLrt, and :func:`retract`
-reflects one out in O(pr); both also carry the selected block's
-pseudo-inverse in O(k^2).  Scores then cost O(p) for CssTrace and
-DetResidual, O(p) plus the near-perfect fits' residual columns for IsoLrt,
-one ``(p-k)``-block of ``R`` for DiagDet, and the dense ``R`` for
+reflects one out in O(pr + r^3); both also carry the selected block's
+pseudo-inverse in O(k^2).  Scores then cost O(p) for DetResidual, O(p)
+plus the near-perfect fits' residual columns for CssTrace and IsoLrt, one ``(p-k)``-block of ``R`` for DiagDet, and the dense ``R`` for
 FrobResidual.  CanonCorr reads only ``sigma`` and the block pseudo-inverse:
 each :func:`score_all` call pseudo-inverts the complement block once and
 scores every candidate from it.  Inputs are checked once, where they enter:
@@ -131,7 +130,7 @@ class SubsetState:
 
     With ``r = len(ranked)``, :func:`advance` costs O(pr + k^2) plus one
     ``sigma``-matvec under CssTrace and IsoLrt, and :func:`retract` O(pr +
-    k^2) plus an advance for each side member it gives back its rank.
+    r^3 + k^2) plus an advance for each side member it gives back its rank.
     States are values, never updated in place: swap keeps the state from
     before a retract when it keeps the incumbent.
     """
@@ -313,19 +312,25 @@ def retract(
     A side-list member leaves the residual as it is.  A ranked member ``v``
     leaves ``R + h h^T``, with ``h = beta / sqrt(beta_v)`` and ``beta`` its
     residual profile on the other ranked members ``A'``.  Since ``h`` is 0
-    on ``A'``, ``h = L c`` for the ``c`` with ``L[A'] c = 0``, which
-    :func:`csskit.symmat.residual_remove` reflects out of the factor.  While
-    the block is nonsingular (``log_det_block`` finite, no side list), ``c
-    = L[S]^T pinv(sigma_S)[:, position]``, as ``L[S] L[S]^T = sigma_S``;
-    otherwise ``L[A] c = e_v`` is solved.  Either way ``|c|^2 = 1 /
-    beta_v``, the pivot.  Each side-list member is then re-tested and
-    appended to the factor if it adds rank to what is left.
+    on ``A'``, ``h = L c`` for the ``c`` that solves ``L[A] c = e_v``
+    (``L[A]`` is square and nonsingular, as every ranked member added rank),
+    with ``|c|^2 = 1 / beta_v``, the pivot;
+    :func:`csskit.symmat.residual_remove` reflects it out of the factor.
+    While the block is nonsingular (``log_det_block`` finite, no side list),
+    the same ``c`` is ``L[S]^T pinv(sigma_S)[:, position]``, as ``L[S]
+    L[S]^T = sigma_S``, read from the pseudo-inverse CanonCorr needs anyway.
+    At p=50, k=10-20 (2-core box, one BLAS thread) that takes a retract
+    from 43-45 us with the solve to 27-34 us, and the ``choosek-a2``
+    benchmark from 4.71 to 4.16 s: the solve's call overhead, not its
+    O(r^3), outweighs the O(pr) reflection.  Each side-list member is
+    then re-tested and appended to the factor if it adds rank to what is
+    left.
 
     The selected-block pseudo-inverse is downdated by
     :func:`csskit.symmat.pinv_remove` while the block is nonsingular, which
     is exact, and freshly pseudo-inverted without the removed variable
-    otherwise.  Cost O(pr + k^2), plus a ``sigma``-matvec per side member
-    given back its rank.  ``position`` must lie in ``[0, k)``, else
+    otherwise.  Cost O(pr + r^3 + k^2), plus a ``sigma``-matvec per side
+    member given back its rank.  ``position`` must lie in ``[0, k)``, else
     :class:`DimMismatch`.  The move reads ``state.sigma``, not its ``sigma``.
     """
     k = len(state.subset)
@@ -392,8 +397,19 @@ def score_all(criterion: Criterion, state: SubsetState) -> Tuple[np.ndarray, np.
     ok = symmat.adds_rank(diag, var)
     safe = np.where(ok, diag, 1.0)
 
+    if kind in _SQUARES:
+        # diag R^2 is carried by differences from diag sigma^2, so its error
+        # is absolute, about eps |sigma|^2 per move.  A candidate near a
+        # perfect fit (R_ii at most sqrt(RANK_TOL) sigma_ii) reads it from its
+        # residual column, whose error is relative to that column.
+        sq = fac.diag_sq[cands]
+        near = np.flatnonzero(ok & (diag <= math.sqrt(RANK_TOL) * var))
+        if near.size:
+            cols = fac.columns(sigma, cands[near])
+            sq[near] = np.einsum("ij,ij->j", cols, cols)
+
     if kind == CriterionKind.CSS_TRACE:
-        return cands, np.where(ok, -fac.diag_sq[cands] / safe, 0.0)
+        return cands, np.where(ok, -sq / safe, 0.0)
 
     if kind == CriterionKind.DET_RESIDUAL:
         return cands, -diag
@@ -409,7 +425,7 @@ def score_all(criterion: Criterion, state: SubsetState) -> Tuple[np.ndarray, np.
     if kind == CriterionKind.ISO_LRT:
         m = criterion.p - criterion.k
         tr = max(float(np.sum(fac.diag)), 0.0)
-        rest = np.maximum(tr - np.where(ok, fac.diag_sq[cands] / safe, 0.0), 0.0)
+        rest = np.maximum(tr - np.where(ok, sq / safe, 0.0), 0.0)
         # -inf when, once the candidate joins, every variable is fit
         # perfectly by the rank rule of evaluate.  Their residual variances
         # then sum to at most RANK_TOL * trace(sigma), so only the residual
@@ -417,9 +433,7 @@ def score_all(criterion: Criterion, state: SubsetState) -> Tuple[np.ndarray, np.
         # are 0; a candidate that adds no rank is -inf by its own term below).
         near = np.flatnonzero(~symmat.adds_rank(rest, np.trace(sigma)))
         if near.size:
-            at = cands[near]
-            lt = fac.lt
-            cols = sigma[:, at] - np.dot(lt[:, : criterion.p].T, lt.take(at, 1))
+            cols = fac.columns(sigma, cands[near])
             left = fac.diag[:, None] - cols**2 / safe[near]
             fit = ~symmat.adds_rank(left, sigma.diagonal()[:, None]).any(axis=0)
             rest[near[fit]] = 0.0

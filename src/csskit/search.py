@@ -57,6 +57,8 @@ EXHAUSTIVE_CAP = 2_000_000
 # CssTrace move is O(pr) of interpreter-bound work plus one sigma-matvec,
 # so 4 CssTrace restarts at k=30 never gained: 1.01-1.75 at p=50-1500 and
 # 1.12 at p=3000.  2 CanonCorr restarts at k=5 took 1.5 at p=200-400.
+# No benchmark workload reaches p=1000, so the DiagDet gain above rests on
+# these medians alone, not on a benchmark workload.
 POOL_MIN_P = 1000
 
 

@@ -99,7 +99,7 @@ def complement(p: int, subset: Sequence[int]) -> np.ndarray:
     """The indices of ``[0, p)`` not in ``subset``, ascending."""
     mask = np.ones(p, dtype=bool)
     mask[list(subset)] = False
-    return mask.nonzero()[0]
+    return np.flatnonzero(mask)
 
 
 def as_symmetric(m: np.ndarray) -> SymMatrix:
@@ -290,6 +290,11 @@ class Factor(NamedTuple):
         """``sigma - L L^T`` as a dense ``p x p`` matrix, O(p^2 r)."""
         l = self.lt[:, : self.diag.shape[0]]
         return _clamp_diag(_sym(sigma - np.dot(l.T, l)))
+
+    def columns(self, sigma: SymMatrix, idx: np.ndarray) -> np.ndarray:
+        """``R[:, idx] = sigma[:, idx] - L L[idx]^T``, O(pr) per column."""
+        l = self.lt[:, : self.diag.shape[0]]
+        return sigma[:, idx] - np.dot(l.T, self.lt.take(idx, 1))
 
     def block(self, sigma: SymMatrix, idx: np.ndarray) -> SymMatrix:
         """``R[idx, idx] = sigma[idx, idx] - L[idx] L[idx]^T``."""

@@ -466,6 +466,33 @@ def test_factor_moves_match_fresh_residual():
             assert np.max(np.abs(state.factor.diag_sq - sq)) < 1e-8 * scale**2
 
 
+def test_css_trace_scores_a_near_fit_from_its_residual_column():
+    # Variable 5 is (0 + 1) up to noise of relative variance 5e-9, and
+    # variable 11 is in units 1e3 times larger.  After 60 moves that leave 5
+    # out, the carried diag R^2 of 5 is off by 1.5% once 0 and 1 join, so
+    # its CssTrace score must come from its residual column instead.
+    rng = np.random.default_rng(0)
+    p, n = 12, 200
+    x = rng.standard_normal((n, p))
+    x[:, 5] = x[:, 0] + x[:, 1] + 1e-4 * rng.standard_normal(n)
+    x[:, 11] *= 1e3
+    sigma = x.T @ x / n
+    crit = Criterion(CriterionKind.CSS_TRACE, p=p, k=4)
+    state = init_state(crit, sigma)
+    others = [j for j in range(p) if j not in (0, 1, 5)]
+    for _ in range(60):
+        outside = [j for j in others if j not in state.subset]
+        state = advance(crit, state, sigma, int(rng.choice(outside)))
+        if len(state.subset) > 3:
+            state = retract(crit, state, sigma, int(rng.integers(len(state.subset))))
+    state = advance(crit, advance(crit, state, sigma, 0), sigma, 1)
+    res = symmat.residual_covariance(sigma, state.subset)
+    assert 1e-10 < res[5, 5] / sigma[5, 5] < 1e-5
+    cands, scores = score_all(crit, state)
+    want = -np.sum(res * res, axis=0)[cands] / res.diagonal()[cands]
+    assert_allclose(scores, want, rtol=1e-5)
+
+
 def test_moves_allocate_no_dense_residual():
     # A CssTrace advance to k=20 and a retract from it, at p=600, each
     # allocate under a quarter of one p x p array (2.9 MB): the residual
