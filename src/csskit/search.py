@@ -19,19 +19,11 @@ scale of ``sigma``), which makes sweeps terminate (the objective is
 nonincreasing and cycles are impossible).  A kept incumbent keeps the
 state from before its retraction instead of being added back.
 Convergence is a full sweep with no accepted swap; ``max_sweeps`` caps the
-effort and is reported, not an error.
-
-Restarts run on a thread pool only where that pays: ``p >= POOL_MIN_P``,
-more than one restart, and more than one worker allowed by
-:func:`resolve_threads`.  Below ``POOL_MIN_P`` a move costs too little
-outside the interpreter lock for the workers to gain, and the serial loop
-is faster.  Either path gives the same result for the same seed.
+effort and is reported, not an error.  Restarts run one after another.
 """
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -48,19 +40,6 @@ SWAP_MARGIN = 1e-12
 
 # Largest number of subsets exhaustive enumeration will visit.
 EXHAUSTIVE_CAP = 2_000_000
-
-# Smallest dimension at which swap runs its restarts on a thread pool, the
-# measured crossover.  On a 2-core box with 2-thread OpenBLAS, pool time over
-# serial time (median of 2-5 pairs) for 10 DiagDet restarts at k=20 was
-# 1.25-1.58 at p=50-400, 1.05 at p=774, 0.90 at p=1000 and 0.71 at p=1500,
-# where each score forms a (p-k)-block of the residual.  A factored
-# CssTrace move is O(pr) of interpreter-bound work plus one sigma-matvec,
-# so 4 CssTrace restarts at k=30 never gained: 1.01-1.75 at p=50-1500 and
-# 1.12 at p=3000.  2 CanonCorr restarts at k=5 took 1.5 at p=200-400.
-# No benchmark workload reaches p=1000, so the DiagDet gain above rests on
-# these medians alone, not on a benchmark workload.
-POOL_MIN_P = 1000
-
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -79,8 +58,6 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise DimMismatch(f"k must be >= 1, got {self.k}")
         if self.k != self.criterion.k:
             raise DimMismatch(f"k={self.k} does not match the criterion's k={self.criterion.k}")
         if self.restarts < 1:
@@ -109,17 +86,8 @@ class SearchResult:
 
 
 def resolve_threads() -> int:
-    """Worker cap: CSSKIT_THREADS, else the cpu count."""
-    env = os.environ.get("CSSKIT_THREADS")
-    if env:
-        try:
-            val = int(env)
-        except ValueError as exc:
-            raise DimMismatch(f"CSSKIT_THREADS is not an integer: {env!r}") from exc
-        if val < 1:
-            raise DimMismatch(f"CSSKIT_THREADS must be >= 1, got {val}")
-        return val
-    return os.cpu_count() or 1
+    """Swap's worker count: 1 (restarts run serially)."""
+    return 1
 
 
 def greedy(sigma: SymMatrix, config: SearchConfig) -> SearchResult:
@@ -197,13 +165,11 @@ def swap(
     When ``init`` is given, a single run starts there; otherwise restart
     ``r = 0..restarts-1`` draws a uniform size-k subset using seed
     ``config.seed + r`` and the best final objective wins (ties to the
-    lowest restart index).  Restarts run on a thread pool when ``p >=
-    POOL_MIN_P`` and :func:`resolve_threads` allows more than one worker;
-    the reduction is deterministic regardless of completion order.
+    lowest restart index).
 
     ``decisions``, if provided, collects one tuple per position decision
-    ``(kept_subset, incumbent, picked, candidates, scores)`` for the
-    single-run form; intended for diagnostics and tests.
+    ``(kept_subset, incumbent, picked, candidates, scores)``, restart 0's
+    first; intended for diagnostics and tests.
     """
     p = config.criterion.p
     if init is not None:
@@ -216,13 +182,7 @@ def swap(
         start = tuple(sorted(rng.choice(p, size=config.k, replace=False).tolist()))
         return _swap_once(sigma, config, start, decisions)
 
-    n_workers = min(resolve_threads(), config.restarts)
-    if p >= POOL_MIN_P and n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            outcomes = list(pool.map(run, range(config.restarts)))
-    else:
-        outcomes = [run(r) for r in range(config.restarts)]
-
+    outcomes = [run(r) for r in range(config.restarts)]
     return min(outcomes, key=lambda res: res.objective)  # first minimum
 
 

@@ -266,8 +266,11 @@ def run_missing_study(
     pairwise-complete PSD estimator, runs the swapping search (CssTrace,
     ``restarts`` restarts) at the true size, and scores the selection
     against the population.  A uniform random subset is scored alongside as
-    a baseline.  Returns (per-trial rows, summary).
+    a baseline.  Returns (per-trial rows, summary).  Raises
+    :class:`DimMismatch` when ``trials < 1``.
     """
+    if trials < 1:
+        raise DimMismatch(f"trials must be >= 1, got {trials}")
     spec = missing_a1_spec(mar_prob=mar_prob)
     pop = population_cov(spec)
     k = len(spec.subset)
@@ -328,7 +331,10 @@ def run_sizesel_study(
     Each trial draws ``n`` complete rows, forms the sample covariance, and
     runs :func:`csskit.sizesel.choose_k` under the subset-factor model.
     Critical values are cached across trials (same n, p, alpha, seed).
+    Raises :class:`DimMismatch` when ``trials < 1``.
     """
+    if trials < 1:
+        raise DimMismatch(f"trials must be >= 1, got {trials}")
     spec = sizesel_a2_spec(signal=signal, factors=factors)
     pop = population_cov(spec)
     rows: List[dict] = []

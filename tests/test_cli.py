@@ -185,7 +185,7 @@ def test_simulate_missing_rows_header(tmp_path):
     assert [len(line.split(",")) for line in lines] == [11, 11, 11]
 
 
-def test_exit_code_three_on_bad_inputs(tmp_path):
+def test_exit_code_three_on_bad_inputs(tmp_path, capsys):
     missing = str(tmp_path / "nope.csv")
     assert main(["select", "--cov", missing, "--k", "1"]) == 3
     lopsided = tmp_path / "bad.csv"
@@ -193,6 +193,17 @@ def test_exit_code_three_on_bad_inputs(tmp_path):
     assert main(["select", "--cov", str(lopsided), "--k", "1"]) == 3
     small = write_cov(tmp_path / "small.csv", np.eye(2))
     assert main(["select", "--cov", small, "--k", "5"]) == 3
+    data = tmp_path / "d.csv"
+    np.savetxt(data, np.random.default_rng(0).standard_normal((20, 3)), delimiter=",")
+    for argv in (
+        ["choose-k", "--data", str(data), "--seed", "1", "--k-max", "-1"],
+        ["simulate", "--scenario", "missing-a1", "--trials", "0", "--seed", "1"],
+        ["simulate", "--scenario", "sizesel-a2", "--trials", "0", "--seed", "1"],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert "DimMismatch" in captured.err and captured.out == ""
 
 
 def test_exit_code_three_on_a_non_numeric_cell(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from csskit import criteria, search, simlab
+from csskit import criteria, simlab
 from csskit.criteria import Criterion, CriterionKind, evaluate
 from csskit.errors import DimMismatch, TooManySubsets
 from csskit.search import SearchConfig, exhaustive, greedy, swap
@@ -137,29 +137,47 @@ def test_search_chain_orderings():
         assert polished.objective <= gr.objective + 1e-9
 
 
-def test_swap_deterministic_and_thread_stable(monkeypatch):
-    # Force each side of the pool rule; every path gives the same result.
-    pools = []
+def _single_runs(sigma, cfg):
+    # Restart r of swap, run alone from its seeded start.
+    one = SearchConfig(k=cfg.k, criterion=cfg.criterion, max_sweeps=cfg.max_sweeps)
+    runs, decisions = [], []
+    for r in range(cfg.restarts):
+        rng = np.random.default_rng(cfg.seed + r)
+        start = tuple(sorted(rng.choice(cfg.criterion.p, size=cfg.k, replace=False).tolist()))
+        runs.append(swap(sigma, one, init=start, decisions=decisions))
+    return runs, decisions
 
-    class Pool(search.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
 
-    monkeypatch.setattr(search, "ThreadPoolExecutor", Pool)
+def _outcome(res):
+    return res.subset, res.objective, res.trajectory, res.sweeps_used
+
+
+def test_swap_returns_first_minimum_of_its_restarts():
     rng = np.random.default_rng(103)
-    sigma = rand_psd(rng, 10)
-    cfg = SearchConfig(k=4, criterion=css(10, 4), restarts=4, seed=17)
-    outcomes = []
-    for min_p, workers in ((10, "4"), (10, "1"), (11, "4"), (10, "4")):
-        monkeypatch.setattr(search, "POOL_MIN_P", min_p)
-        monkeypatch.setenv("CSSKIT_THREADS", workers)
-        res = swap(sigma, cfg)
-        outcomes.append((res.subset, res.objective, res.trajectory, res.sweeps_used))
-    assert pools == [4, 4]  # p >= POOL_MIN_P and 4 workers allowed
-    assert all(out == outcomes[0] for out in outcomes)
-    swap(sigma, SearchConfig(k=4, criterion=css(10, 4), seed=17))
-    assert pools == [4, 4]  # a single restart runs no pool
+    diag_det = Criterion(CriterionKind.DIAG_DET, p=12, k=5)
+    # Under CSS at k=1 variables 0 and 1 tie exactly: a start at 1 keeps 1,
+    # every other start moves to 0.  Restart 0 of seed 14 starts at 1.
+    tie = np.diag([5.0, 5.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+    cases = [
+        (rand_psd(rng, 10), SearchConfig(k=4, criterion=css(10, 4), restarts=4, seed=17)),
+        (rand_psd(rng, 12), SearchConfig(k=5, criterion=diag_det, restarts=3, seed=2)),
+        (tie, SearchConfig(k=1, criterion=css(8, 1), restarts=4, seed=14)),
+    ]
+    for sigma, cfg in cases:
+        runs, expected = _single_runs(sigma, cfg)
+        best = min(run.objective for run in runs)
+        first = next(run for run in runs if run.objective == best)
+        decisions = []
+        res = swap(sigma, cfg, decisions=decisions)
+        assert _outcome(res) == _outcome(first)
+        # restart 0's decisions first, then each restart in turn
+        assert len(decisions) == len(expected)
+        for got, want in zip(decisions, expected):
+            assert got[:3] == want[:3]
+            assert np.array_equal(got[3], want[3]) and np.array_equal(got[4], want[4])
+    assert [run.subset for run in runs] == [(1,), (0,), (0,), (0,)]
+    assert len({run.objective for run in runs}) == 1  # an exact tie
+    assert res.subset == (1,)  # the lowest restart wins
 
 
 def test_scale_equivariant_selection():

@@ -1,5 +1,7 @@
 """Synthetic scenarios: presets, sampling laws, and the desk studies."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -173,3 +175,13 @@ def test_sizesel_study_smoke():
     assert summary["k_star"] == 20
     for row in rows:
         assert 0 <= row["overlap"] <= min(row["chosen_k"], 20)
+
+
+def test_studies_need_a_trial():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy mean-of-empty warning
+        for trials in (0, -1):
+            with pytest.raises(DimMismatch, match="trials"):
+                run_missing_study(trials=trials)
+            with pytest.raises(DimMismatch, match="trials"):
+                run_sizesel_study(trials=trials)

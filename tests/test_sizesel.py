@@ -228,6 +228,8 @@ def test_choose_k_errors():
     pop = simlab.population_cov(pcss_toy_spec(noise=0.0))
     with pytest.raises(NoFeasibleK):
         choose_k(pop, n=50, model=Model.PCSS, mc_samples=2000, seed=0, k_max=1)
+    with pytest.raises(DimMismatch, match="k_max"):
+        choose_k(pop, n=50, mc_samples=2000, k_max=-1)  # not NoFeasibleK
 
 
 def test_report_with_infinite_statistic_is_strict_json():
