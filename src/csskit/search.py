@@ -18,14 +18,18 @@ by more than ``SWAP_MARGIN * (trace(sigma) / p) ** criterion.score_degree``
 scale of ``sigma``), which makes sweeps terminate (the objective is
 nonincreasing and cycles are impossible).  A kept incumbent keeps the
 state from before its retraction instead of being added back.
-Convergence is a full sweep with no accepted swap; ``max_sweeps`` caps the
-effort and is reported, not an error.  Restarts run one after another.
+Convergence is k consecutive kept positions, which may span two sweeps:
+the positions after the last accepted swap would re-score an unchanged
+state and keep again, so a full sweep with no swap is not waited for.
+``max_sweeps`` caps the effort and is reported, not an error.  Restarts
+run one after another from one empty state, and every final subset is
+evaluated from scratch once all of them are done.
 """
 
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,15 +78,24 @@ class SearchResult:
     positional order for swap).  ``objective`` is always recomputed from
     scratch on the final subset.  ``trajectory`` records the objective
     after each accepted move (greedy: each addition; swap: the initial
-    subset and then each accepted swap).  Greedy's prefix ``subset[:j]`` is
-    its pick of size j.  ``sweeps_used`` (swap only) counts the sweeps
-    actually run.
+    subset and then each accepted swap), read from the search state.
+    Greedy's prefix ``subset[:j]`` is its pick of size j.  ``sweeps_used``
+    (swap only) counts the sweeps started: the run stops at the position
+    that completes k consecutive kept positions, which need not end a sweep.
     """
 
     subset: IndexSet
     objective: float
     trajectory: List[float] = field(default_factory=list)
     sweeps_used: Optional[int] = None
+
+    @property
+    def drift(self) -> float:
+        """``|trajectory[-1] - objective|``: how far the incremental
+        objective of the final subset is from the from-scratch one.  0.0
+        when both are ``-inf``, ``inf`` when only one is."""
+        last = self.trajectory[-1]
+        return 0.0 if last == self.objective else abs(last - self.objective)
 
 
 def resolve_threads() -> int:
@@ -105,27 +118,32 @@ def greedy(sigma: SymMatrix, config: SearchConfig) -> SearchResult:
         a = int(np.argmin(scores))
         state = criteria.advance(crit, state, sigma, int(cands[a]))
         trajectory.append(criteria.objective_from_state(crit, state))
-    objective = criteria.evaluate(crit, sigma, state.subset)
-    return SearchResult(state.subset, objective, trajectory)
+    subset = state.subset
+    del state  # CanonCorr's p x p inverse is not kept alive through evaluate
+    return SearchResult(subset, criteria.evaluate(crit, sigma, subset), trajectory)
 
 
 def _swap_once(
-    sigma: SymMatrix,
     config: SearchConfig,
+    empty: criteria.SubsetState,
     init: Sequence[int],
     decisions: Optional[list] = None,
-) -> SearchResult:
-    """One swapping run from an explicit starting subset."""
+) -> Tuple[IndexSet, List[float], int]:
+    """One swapping run from an explicit starting subset, advanced from the
+    empty state ``empty``; returns the final subset, the trajectory and the
+    sweeps started."""
     crit = config.criterion
-    state = criteria.state_from_subset(crit, sigma, init)
-    sigma = state.sigma
+    sigma = empty.sigma
+    state = empty
+    for i in init:
+        state = criteria.advance(crit, state, sigma, i)
     current = list(state.subset)
     k = config.k
     unit = max(float(np.trace(sigma)), 0.0) / sigma.shape[0]
     margin = SWAP_MARGIN * unit**crit.score_degree
     trajectory = [criteria.objective_from_state(crit, state)]
-    sweeps = 0
-    for _ in range(config.max_sweeps):
+    sweeps = kept = 0
+    while sweeps < config.max_sweeps and kept < k:
         sweeps += 1
         changed = False
         for j in range(k):
@@ -141,17 +159,19 @@ def _swap_once(
                 decisions.append(
                     (tuple(current[:j] + current[j + 1 :]), var, pick, cands.copy(), scores.copy())
                 )
-            if pick != var:
-                state = criteria.advance(crit, state_u, sigma, pick)
-                current[j] = pick
-                changed = True
-                trajectory.append(criteria.objective_from_state(crit, state))
-        if not changed:
-            break
-        if trajectory[-1] == float("-inf"):
+            if pick == var:
+                kept += 1
+                if kept == k:
+                    break  # converged: every position kept in a row
+                continue
+            state = criteria.advance(crit, state_u, sigma, pick)
+            current[j] = pick
+            changed = True
+            kept = 0
+            trajectory.append(criteria.objective_from_state(crit, state))
+        if changed and trajectory[-1] == float("-inf"):
             break  # perfect fit: nothing left to improve
-    objective = criteria.evaluate(crit, sigma, tuple(current))
-    return SearchResult(tuple(current), objective, trajectory, sweeps)
+    return tuple(current), trajectory, sweeps
 
 
 def swap(
@@ -169,20 +189,29 @@ def swap(
 
     ``decisions``, if provided, collects one tuple per position decision
     ``(kept_subset, incumbent, picked, candidates, scores)``, restart 0's
-    first; intended for diagnostics and tests.
+    first; intended for diagnostics and tests.  A run stops at the position
+    that completes k kept positions in a row, so its last sweep may record
+    fewer than k decisions.
     """
-    p = config.criterion.p
+    crit = config.criterion
+    p = crit.p
     if init is not None:
         if len(init) != config.k:
             raise DimMismatch(f"init has size {len(init)}, expected k={config.k}")
-        return _swap_once(sigma, config, init, decisions)
-
-    def run(r: int) -> SearchResult:
-        rng = np.random.default_rng(config.seed + r)
-        start = tuple(sorted(rng.choice(p, size=config.k, replace=False).tolist()))
-        return _swap_once(sigma, config, start, decisions)
-
-    outcomes = [run(r) for r in range(config.restarts)]
+        starts = [init]
+    else:
+        starts = []
+        for r in range(config.restarts):
+            rng = np.random.default_rng(config.seed + r)
+            starts.append(tuple(sorted(rng.choice(p, size=config.k, replace=False).tolist())))
+    empty = criteria.init_state(crit, sigma)
+    sigma = empty.sigma
+    runs = [_swap_once(config, empty, start, decisions) for start in starts]
+    del empty  # CanonCorr's p x p inverse is not kept alive through evaluate
+    outcomes = [
+        SearchResult(subset, criteria.evaluate(crit, sigma, subset), trajectory, sweeps)
+        for subset, trajectory, sweeps in runs
+    ]
     return min(outcomes, key=lambda res: res.objective)  # first minimum
 
 

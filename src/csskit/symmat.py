@@ -221,15 +221,41 @@ def log_det(m: SymMatrix) -> float:
     _check_square(m)
     if m.size == 0:
         return 0.0
+    spectrum = _unit_spectrum(m)
+    if spectrum is None:
+        return float("-inf")
+    return float(np.sum(np.log(spectrum[1])) + np.sum(np.log(m.diagonal())))
+
+
+def inverse(m: SymMatrix, cond_max: float) -> Optional[SymMatrix]:
+    """Inverse of a nonempty symmetric PSD matrix as ``D (D m D)^-1 D``,
+    from one eigendecomposition of its unit-diagonal form ``D m D``, or
+    None when the condition number of ``D m D`` exceeds ``cond_max`` or
+    ``m`` is singular by the rule of :func:`log_det`.  Raises
+    :class:`~csskit.errors.NotPSD` when ``m`` is indefinite."""
+    spectrum = _unit_spectrum(np.asarray(m, dtype=float))
+    if spectrum is None:
+        return None
+    d, w, v = spectrum
+    if float(w[0]) > cond_max * float(w[-1]):
+        return None
+    return _sym(d[:, None] * np.dot(v / w, v.T) * d[None, :])
+
+
+def _unit_spectrum(m: SymMatrix) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``(d, values, vectors)`` of the unit-diagonal form ``D m D``, ``D =
+    diag(d)``, ``d = diag(m)^(-1/2)``, or None when ``m`` is singular: a
+    zero diagonal entry, or an eigenvalue of ``D m D`` at or below
+    ``RANK_TOL * lambda_max``."""
     dg = m.diagonal()
     if float(np.min(dg)) <= 0.0:
         _psd_spectrum(m)  # raises NotPSD when m is indefinite
-        return float("-inf")
+        return None
     d = 1.0 / np.sqrt(dg)
-    w, _, cut = _psd_spectrum(d[:, None] * m * d[None, :])
+    w, v, cut = _psd_spectrum(d[:, None] * m * d[None, :])
     if float(w[-1]) <= cut:
-        return float("-inf")
-    return float(np.sum(np.log(w)) + np.sum(np.log(dg)))
+        return None
+    return d, w, v
 
 
 # ---------------------------------------------------------------------------

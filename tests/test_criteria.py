@@ -527,3 +527,141 @@ def test_objective_from_state_matches_evaluate():
         assert criteria.objective_from_state(crit, state) == pytest.approx(
             evaluate(crit, sigma, (4, 1)), abs=1e-8
         )
+
+
+def test_canon_corr_scores_are_exact_on_nonsingular_sigma():
+    # With sigma^-1 in the state, CanonCorr scores are -cc of the grown
+    # subset itself, not values up to one constant, in any units.
+    rng = np.random.default_rng(157)
+    for t in range(60):
+        p = int(rng.integers(4, 12))
+        d = 10.0 ** rng.uniform(-3.0, 3.0, p)
+        sigma = d[:, None] * rand_psd(rng, p, rank=2 * p) * d[None, :]
+        size = int(rng.integers(0, p))
+        subset = tuple(rng.permutation(p)[:size].tolist())
+        crit = Criterion(CriterionKind.CANON_CORR, p=p, k=size + 1)
+        state = state_from_subset(crit, sigma, subset)
+        assert state.omega is not None
+        cands, scores = score_all(crit, state)
+        for i, score in zip(cands, scores):
+            want = evaluate(crit, sigma, subset + (int(i),))
+            assert abs(score - want) <= 1e-9 * max(1.0, abs(want)), (t, subset, i)
+
+
+def test_canon_corr_objective_from_state_after_moves():
+    rng = np.random.default_rng(163)
+    for t in range(40):
+        p = int(rng.integers(4, 12))
+        d = 10.0 ** rng.uniform(-3.0, 3.0, p)
+        sigma = d[:, None] * rand_psd(rng, p, rank=2 * p) * d[None, :]
+        crit = Criterion(CriterionKind.CANON_CORR, p=p, k=p)
+        assert init_state(crit, sigma).omega is not None
+        state = init_state(crit, sigma)
+        for _ in range(12):
+            k = len(state.subset)
+            if k == p or (k and rng.random() < 0.4):
+                state = retract(crit, state, sigma, int(rng.integers(k)))
+            else:
+                outside = [j for j in range(p) if j not in state.subset]
+                state = advance(crit, state, sigma, int(rng.choice(outside)))
+            got = criteria.objective_from_state(crit, state)
+            want = evaluate(crit, sigma, state.subset)
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (t, state.subset)
+
+
+def test_canon_corr_state_has_no_inverse_of_singular_sigma():
+    rng = np.random.default_rng(167)
+    crit = Criterion(CriterionKind.CANON_CORR, p=6, k=2)
+    full = rand_psd(rng, 6)
+    twin = full.copy()
+    twin[:, 1] = twin[:, 0]
+    twin[1, :] = twin[0, :]
+    dead = full.copy()
+    dead[3, :] = dead[:, 3] = 0.0
+    assert init_state(crit, full).omega is not None
+    for sigma in (rand_psd(rng, 6, rank=4), twin, dead):
+        state = state_from_subset(crit, sigma, (2,))
+        assert state.omega is None and state.omega_block_inv is None
+    # the other criteria never invert sigma
+    assert init_state(Criterion(CriterionKind.CSS_TRACE, p=6, k=2), full).omega is None
+    with pytest.raises(NotPSD):
+        init_state(crit, full - 2.0 * np.eye(6) * np.linalg.eigvalsh(full)[0])
+
+
+def _unit_diagonal_with_condition(rng, p, cond, single):
+    # one tiny eigenvalue (one near-linear dependency), or a spread spectrum
+    q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    values = np.logspace(0.0, -np.log10(cond), p)
+    if single:
+        values[:-1] = 1.0
+    m = (q * values) @ q.T
+    d = 1.0 / np.sqrt(m.diagonal())
+    m = d[:, None] * m * d[None, :]
+    return (m + m.T) / 2.0
+
+
+def test_canon_corr_picks_on_ill_conditioned_sigma():
+    # One near-linear dependency puts the candidates' -cc values about
+    # 1 / cond apart, and scores through sigma^-1 lose about eps * cond^2:
+    # such picks missed the argmin in 80 of 300 instances at cond 1e6-1e7.
+    # Up to CC_COND_MAX the state scores through sigma^-1 and attains the
+    # argmin; at 1e8 it has no sigma^-1 and scores from the complement.
+    rng = np.random.default_rng(173)
+    for cond, inverted in ((2e3, True), (1e8, False)):
+        for t in range(100):
+            p = int(rng.integers(5, 12))
+            base = _unit_diagonal_with_condition(rng, p, cond, single=t % 2 == 0)
+            w = np.linalg.eigvalsh(base)
+            assert (w[-1] / w[0] <= criteria.CC_COND_MAX) == inverted
+            d = 10.0 ** rng.uniform(-3.0, 3.0, p)
+            sigma = d[:, None] * base * d[None, :]
+            size = int(rng.integers(0, min(5, p - 1)))
+            subset = tuple(rng.permutation(p)[:size].tolist())
+            crit = Criterion(CriterionKind.CANON_CORR, p=p, k=size + 1)
+            state = state_from_subset(crit, sigma, subset)
+            assert (state.omega is not None) == inverted, (cond, t)
+            _assert_argmin_attained(crit, sigma, state, (cond, t, subset))
+
+
+def test_canon_corr_factors_sigma_once_per_search(monkeypatch):
+    # Greedy and swap eigendecompose sigma once per search, whatever k and
+    # the number of restarts; the only other eigendecompositions are those
+    # of the final from-scratch evaluate (one per block).
+    from csskit.search import SearchConfig, greedy, swap
+
+    counts = {"eigh": 0, "in_evaluate": 0, "evaluate": 0, "init_state": 0}
+    inside = []
+    eigh_desc, evaluate_, init_state_ = symmat.eigh_desc, criteria.evaluate, criteria.init_state
+
+    def counting_eigh(m):
+        counts["in_evaluate" if inside else "eigh"] += 1
+        return eigh_desc(m)
+
+    def counting_evaluate(*args):
+        counts["evaluate"] += 1
+        inside.append(1)
+        try:
+            return evaluate_(*args)
+        finally:
+            inside.pop()
+
+    def counting_init_state(*args):
+        counts["init_state"] += 1
+        return init_state_(*args)
+
+    monkeypatch.setattr(symmat, "eigh_desc", counting_eigh)
+    monkeypatch.setattr(criteria, "evaluate", counting_evaluate)
+    monkeypatch.setattr(criteria, "init_state", counting_init_state)
+    sigma = rand_psd(np.random.default_rng(179), 60) + 0.1 * np.eye(60)
+    runs = [
+        (greedy, SearchConfig(k=2, criterion=Criterion(CriterionKind.CANON_CORR, p=60, k=2)), 1),
+        (greedy, SearchConfig(k=8, criterion=Criterion(CriterionKind.CANON_CORR, p=60, k=8)), 1),
+        (swap, SearchConfig(k=4, criterion=Criterion(CriterionKind.CANON_CORR, p=60, k=4),
+                            restarts=3, seed=5), 3),
+    ]
+    for search, cfg, evaluates in runs:
+        counts.update(dict.fromkeys(counts, 0))
+        search(sigma, cfg)
+        assert counts == {
+            "eigh": 1, "in_evaluate": 2 * evaluates, "evaluate": evaluates, "init_state": 1,
+        }, (search.__name__, cfg.k)

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from csskit import criteria, simlab
 from csskit.criteria import Criterion, CriterionKind, evaluate
 from csskit.errors import DimMismatch, TooManySubsets
-from csskit.search import SearchConfig, exhaustive, greedy, swap
+from csskit.search import SearchConfig, SearchResult, exhaustive, greedy, swap
 
 
 def rand_psd(rng, p, rank=None):
@@ -263,3 +263,70 @@ def test_max_sweeps_cap_reported():
     cfg = SearchConfig(k=5, criterion=css(12, 5), max_sweeps=1, seed=2)
     res = swap(sigma, cfg)
     assert res.sweeps_used == 1
+
+
+def test_swap_stops_after_k_kept_positions_in_a_row():
+    # A converged start keeps every position in its first sweep, and a run
+    # stops at the position that completes k kept positions in a row, not
+    # at the end of a sweep with no swap.
+    rng = np.random.default_rng(113)
+    ended_mid_sweep = 0
+    for t in range(30):
+        p = int(rng.integers(6, 14))
+        sigma = rand_psd(rng, p)
+        k = int(rng.integers(2, 5))
+        kind = list(CriterionKind)[t % 6]
+        cfg = SearchConfig(k=k, criterion=Criterion(kind, p=p, k=k), seed=t)
+        res = swap(sigma, cfg)
+        decisions = []
+        again = swap(sigma, cfg, init=res.subset, decisions=decisions)
+        assert again.subset == res.subset and again.sweeps_used == 1
+        assert len(decisions) == k
+        assert all(incumbent == picked for _, incumbent, picked, _, _ in decisions)
+
+        start = tuple(rng.permutation(p)[:k].tolist())
+        decisions = []
+        res = swap(sigma, cfg, init=start, decisions=decisions)
+        kept = [incumbent == picked for _, incumbent, picked, _, _ in decisions]
+        if res.trajectory[-1] == -np.inf:
+            continue
+        assert all(kept[-k:]) and len(kept) <= k * res.sweeps_used
+        runs = "".join("1" if x else "0" for x in kept[:-1])
+        assert "1" * k not in runs, (t, kept)
+        ended_mid_sweep += len(kept) % k != 0
+    assert ended_mid_sweep > 0
+
+
+def test_drift_of_greedy_and_swap():
+    # trajectory[-1] is read from the search state, objective from scratch;
+    # they agree to update roundoff on every criterion and kind of sigma.
+    rng = np.random.default_rng(127)
+    for t in range(60):
+        p = int(rng.integers(5, 12))
+        mode = t % 3
+        sigma = rand_psd(rng, p, p if mode != 1 else p - 2)
+        if mode == 2:
+            d = 10.0 ** rng.uniform(-3.0, 3.0, p)
+            sigma = d[:, None] * sigma * d[None, :]
+        k = int(rng.integers(1, p - 1))
+        for kind in CriterionKind:
+            if kind == CriterionKind.DET_RESIDUAL and mode == 1:
+                continue  # -inf at every subset of a singular sigma
+            cfg = SearchConfig(k=k, criterion=Criterion(kind, p=p, k=k), restarts=2, seed=t)
+            for res in (greedy(sigma, cfg), swap(sigma, cfg)):
+                assert res.drift <= 1e-8 * max(1.0, abs(res.objective)), (t, kind, res)
+
+
+def test_drift_shows_the_two_rank_tests_disagreeing():
+    # Near the cutoff the pivot test and the block's eigenvalue test
+    # disagree: greedy's state has a finite log-determinant (-21.93), but
+    # evaluate's block is singular (-inf).
+    rho = np.sqrt(1.0 - 3e-10)
+    sigma = np.array([[1.0, rho, 0.0], [rho, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    cfg = SearchConfig(k=2, criterion=Criterion(CriterionKind.DIAG_DET, p=3, k=2))
+    res = greedy(sigma, cfg)
+    assert res.subset == (0, 1)
+    assert_allclose(res.trajectory, [np.log(3e-10)] * 2, rtol=1e-5)
+    assert res.objective == -np.inf and res.drift == np.inf
+    both = SearchResult((0,), -np.inf, [-np.inf])
+    assert both.drift == 0.0
