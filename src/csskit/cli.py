@@ -82,12 +82,20 @@ def _write_manifest(manifest: RunManifest, out: Optional[str]):
             fh.write("\n")
 
 
-def _load_sigma(args) -> np.ndarray:
+def _read(manifest: RunManifest, read, path: str, header: bool):
+    """``read(path, header=header)``, its wall time recorded as ``read_s``."""
+    t0 = time.perf_counter()
+    out = read(path, header=header)
+    manifest.timings["read_s"] = time.perf_counter() - t0
+    return out
+
+
+def _load_sigma(args, manifest: RunManifest) -> np.ndarray:
     """Covariance from --cov, or estimated from --data."""
     if args.cov:
-        sigma = covest.read_cov_csv(args.cov, header=args.header)
+        sigma = _read(manifest, covest.read_cov_csv, args.cov, args.header)
     else:
-        sigma = covest.pairwise_cov_psd(covest.read_data_csv(args.data, header=args.header))
+        sigma = covest.pairwise_cov_psd(_read(manifest, covest.read_data_csv, args.data, args.header))
     if args.standardize:
         sigma = covest.to_correlation(sigma)
     return sigma
@@ -116,7 +124,7 @@ def cmd_select(args, parser: argparse.ArgumentParser) -> int:
         parser.error("--method swap requires --seed")
     manifest = _manifest(args, "select", [args.cov or args.data])
     t0 = time.perf_counter()
-    sigma = _load_sigma(args)
+    sigma = _load_sigma(args, manifest)
     manifest.timings["load_s"] = time.perf_counter() - t0
     p = sigma.shape[0]
     kind = CRITERION_TOKENS[args.criterion]
@@ -128,6 +136,7 @@ def cmd_select(args, parser: argparse.ArgumentParser) -> int:
         pca_cum = np.cumsum(np.maximum(vals, 0.0)) / max(trace, 1e-300)
 
     rows = []
+    t_search = time.perf_counter()
     if args.method == "greedy":
         k_top = max(ks)
         crit = Criterion(kind, p=p, k=k_top)
@@ -151,6 +160,7 @@ def cmd_select(args, parser: argparse.ArgumentParser) -> int:
             else:
                 result = search.exhaustive(sigma, SearchConfig(k=k, criterion=crit))
             rows.append((k, result.subset, result.objective))
+    manifest.timings["search_s"] = time.perf_counter() - t_search
 
     header = ["k", "objective", "avg_r2", "subset"]
     if pca_cum is not None:
@@ -186,7 +196,7 @@ def cmd_select(args, parser: argparse.ArgumentParser) -> int:
 def cmd_covest(args, parser: argparse.ArgumentParser) -> int:
     manifest = _manifest(args, "covest", [args.data])
     t0 = time.perf_counter()
-    data = covest.read_data_csv(args.data, header=args.header)
+    data = _read(manifest, covest.read_data_csv, args.data, args.header)
     pairwise = args.missing == "pairwise-psd"
     if pairwise:
         parts = covest.pairwise_parts(data)
@@ -220,7 +230,7 @@ def cmd_covest(args, parser: argparse.ArgumentParser) -> int:
 def cmd_choose_k(args, parser: argparse.ArgumentParser) -> int:
     manifest = _manifest(args, "choose-k", [args.data])
     t0 = time.perf_counter()
-    data = covest.read_data_csv(args.data, header=args.header)
+    data = _read(manifest, covest.read_data_csv, args.data, args.header)
     sigma = covest.pairwise_cov_psd(data)
     manifest.timings["load_s"] = time.perf_counter() - t0
     report = sizesel.choose_k(

@@ -24,13 +24,21 @@ CSV grammar (:func:`read_data_csv`, and :func:`read_cov_csv` on top of it):
 * an infinite value (``inf``, or ``1e400`` after overflow) raises
   :class:`~csskit.errors.NonFinite`.
 
-Lines are rewritten only where they hold a missing field other than
-``nan`` (which numpy reads itself), then parsed by :func:`numpy.loadtxt`.
+The file is parsed first as it stands, by one :func:`numpy.loadtxt` call
+on the open file with no quote character: numpy skips blank lines itself,
+reads ``nan`` as NaN and refuses every other missing field and every
+quoted one, so a file that spells missing cells ``nan`` (or has none) and
+quotes nothing is read without a Python loop over its lines.  Only when
+numpy refuses the file, or finds no rows, is it read again from the start
+with every missing field rewritten as ``nan`` line by line; that pass
+reads quoted fields, one line at a time, and gives the typed errors with
+their line and column numbers.
 """
 
 import csv
 import itertools
 import re
+import warnings
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
@@ -84,6 +92,10 @@ def sample_cov(x) -> SymMatrix:
     return (cov + cov.T) / 2.0
 
 
+# Largest n whose overlap counts float32 sums exactly (its 24-bit significand).
+_EXACT_F32 = 2**24
+
+
 def pairwise_cov(x) -> Tuple[SymMatrix, np.ndarray]:
     """Pairwise-complete covariance (before PSD projection) and overlap counts.
 
@@ -92,6 +104,12 @@ def pairwise_cov(x) -> Tuple[SymMatrix, np.ndarray]:
     divided by that overlap count.  Requires at least 2 observations per
     column and at least 1 per pair, else :class:`InsufficientOverlap`.
     The result is symmetric but in general indefinite.
+
+    The counts are one product ``M^T M`` of the 0/1 observed mask, held in
+    float32 while ``n <= 2**24`` (every partial sum is then an integer that
+    float32 holds exactly) and in float64 above; the mask is freed before
+    the data are centred in place, so only one ``n x p`` float64 array
+    lives beside the input.
     """
     data = _as_data(x)
     vals = data.values
@@ -99,15 +117,19 @@ def pairwise_cov(x) -> Tuple[SymMatrix, np.ndarray]:
     col_counts = mask.sum(axis=0)
     for t in np.flatnonzero(col_counts < 2).tolist():
         raise InsufficientOverlap(t, t, int(col_counts[t]))
-    counts = mask.astype(np.float64).T @ mask.astype(np.float64)
+    m = mask.astype(np.float32 if data.n <= _EXACT_F32 else np.float64)
+    counts = np.dot(m.T, m)
+    del m
     bad = np.argwhere(counts < 1)
     if bad.size:
         s, t = (int(v) for v in bad[0])
         raise InsufficientOverlap(s, t, 0)
     means = np.nansum(vals, axis=0) / col_counts
-    xc = np.where(mask, vals - means, 0.0)
-    num = xc.T @ xc
-    psi = num / counts
+    xc = vals - means
+    xc[~mask] = 0.0
+    psi = np.dot(xc.T, xc)
+    del xc
+    psi /= counts
     return (psi + psi.T) / 2.0, counts.astype(np.int64)
 
 
@@ -164,6 +186,8 @@ def to_correlation(sigma: SymMatrix) -> SymMatrix:
 # numpy reports a cell it cannot parse as "... string 'x' to float64 at row
 # R, column C" (R 0-based over the lines it was given, C 1-based).
 _BAD_CELL = re.compile(r"could not convert string (.*) to \w+ at row (\d+), column (\d+)")
+
+_LOADTXT = dict(delimiter=",", ndmin=2, dtype=float, comments=None)
 
 
 def _is_missing(field: str) -> bool:
@@ -227,10 +251,9 @@ def _file_line(row: int, skipped: List[int]) -> int:
     return line
 
 
-def read_data_csv(path: str, header: bool = False) -> DataMatrix:
-    """Read a comma-separated data matrix; see the module docstring for the
-    grammar.  A cell that is neither missing nor a number, or a row of
-    another width, raises :class:`DimMismatch` naming the line."""
+def _read_rewritten(path: str, header: bool) -> np.ndarray:
+    """The file parsed after :func:`_data_lines` rewrote its missing fields,
+    or the typed error that names the offending line."""
     skipped: List[int] = []
     with open(path) as fh:
         lines = _data_lines(path, fh, header, skipped)
@@ -238,10 +261,7 @@ def read_data_csv(path: str, header: bool = False) -> DataMatrix:
         if first is None:
             raise DimMismatch(f"{path}: no data rows")
         try:
-            values = np.loadtxt(
-                itertools.chain((first,), lines),
-                delimiter=",", ndmin=2, dtype=float, quotechar='"', comments=None,
-            )
+            return np.loadtxt(itertools.chain((first,), lines), quotechar='"', **_LOADTXT)
         except ValueError as exc:
             bad = _BAD_CELL.match(str(exc))
             if bad is None:
@@ -251,6 +271,26 @@ def read_data_csv(path: str, header: bool = False) -> DataMatrix:
                 f"{path}: line {line}, column {bad.group(3)}: "
                 f"{bad.group(1)} is not a number"
             ) from None
+
+
+def read_data_csv(path: str, header: bool = False) -> DataMatrix:
+    """Read a comma-separated data matrix; see the module docstring for the
+    grammar.  A cell that is neither missing nor a number, or a row of
+    another width, raises :class:`DimMismatch` naming the line."""
+    values = None
+    with open(path) as fh:
+        if header:  # drop the first non-blank line
+            for line in iter(fh.readline, ""):
+                if line != "\n":
+                    break
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                values = np.loadtxt(fh, **_LOADTXT)
+        except ValueError:
+            pass  # a missing, quoted or bad field: the second pass tells which
+    if values is None or not values.shape[0]:
+        values = _read_rewritten(path, header)
     return DataMatrix(values)
 
 

@@ -248,7 +248,12 @@ def _readout(criterion: Criterion, diag, var, ld_block: float, block=None) -> fl
     and, for DetResidual only, the complement's residual ``block``.  A
     variable of the complement that does not add rank to ``S`` is fit
     perfectly: one sends DetResidual and DiagDet to ``-inf``, IsoLrt needs
-    all of them."""
+    all of them.  DetResidual is also ``-inf`` when the block reads as
+    indefinite but some direction of it is fit perfectly on the variables'
+    own variances (the least eigenvalue of ``D block D``,
+    ``D = diag(var)^(-1/2)``, is within ``RANK_TOL`` of zero), as on a
+    rank-deficient ``sigma``; a block more negative than that still raises
+    :class:`NotPSD`."""
     kind = criterion.kind
     fits = ~symmat.adds_rank(diag, var)
     if kind == CriterionKind.ISO_LRT:
@@ -259,7 +264,19 @@ def _readout(criterion: Criterion, diag, var, ld_block: float, block=None) -> fl
     if np.any(fits):
         return float("-inf")
     if kind == CriterionKind.DET_RESIDUAL:
-        return symmat.log_det(block)
+        try:
+            return symmat.log_det(block)
+        except NotPSD:
+            # The block's error is absolute, so on its own tiny diagonal the
+            # roundoff of a perfect fit (of a combination of the complement)
+            # reads as indefinite.  On the variables' own variances, as the
+            # rank rule reads them, that direction is a perfect fit; an
+            # eigenvalue below -RANK_TOL there is a truly indefinite sigma.
+            d = 1.0 / np.sqrt(var)
+            lam = symmat.eigh_desc(d[:, None] * block * d[None, :]).values[-1]
+            if abs(lam) <= RANK_TOL:
+                return float("-inf")
+            raise
     if kind == CriterionKind.DIAG_DET:
         return ld_block + float(np.sum(np.log(diag)))
     raise DimMismatch(f"unknown criterion kind {kind}")

@@ -36,7 +36,8 @@ def test_select_greedy_on_cov(diag_cov, tmp_path, capsys):
     assert manifest["argv"] == argv  # what main() was given, not sys.argv
     assert diag_cov in manifest["input_digests"]
     timings = manifest["timings"]
-    assert 0.0 <= timings["load_s"] <= timings["total_s"]
+    assert 0.0 <= timings["read_s"] <= timings["load_s"] <= timings["total_s"]
+    assert 0.0 <= timings["search_s"] <= timings["total_s"] - timings["load_s"]
 
 
 def test_select_k_range_and_pca(diag_cov, capsys):
@@ -116,7 +117,7 @@ def test_covest_pairwise_round_trip(tmp_path):
     want = covest.pairwise_cov_psd(vals)
     assert_allclose(got, want, atol=0, rtol=0)  # 17-digit round-trip is exact
     timings = json.loads((tmp_path / "cov.csv.manifest.json").read_text())["timings"]
-    assert 0.0 <= timings["load_s"] <= timings["total_s"]
+    assert 0.0 <= timings["read_s"] <= timings["load_s"] <= timings["total_s"]
     diag = json.loads((tmp_path / "cov.csv.diag.json").read_text())
     assert diag["missing"] == "pairwise-psd"
     assert 0.05 < diag["missing_fraction"] < 0.15
@@ -146,7 +147,7 @@ def test_choose_k_end_to_end(tmp_path, capsys):
     assert report["chosen_subset"] == [0, 1]
     assert report["records"][-1]["reject"] is False
     timings = json.loads((tmp_path / "report.json.manifest.json").read_text())["timings"]
-    assert 0.0 <= timings["load_s"] <= timings["total_s"]
+    assert 0.0 <= timings["read_s"] <= timings["load_s"] <= timings["total_s"]
     assert timings["search_s"] >= 0.0 and timings["calibrate_s"] >= 0.0
     assert timings["search_s"] + timings["calibrate_s"] <= timings["total_s"] - timings["load_s"]
 

@@ -63,6 +63,40 @@ def test_pairwise_overlap_errors():
         covest.pairwise_cov(x)
 
 
+def _pairwise_cov_float64_mask(vals):
+    """The estimate as first written: float64 masks and ``np.where``."""
+    mask = ~np.isnan(vals)
+    counts = mask.astype(np.float64).T @ mask.astype(np.float64)
+    means = np.nansum(vals, axis=0) / mask.sum(axis=0)
+    xc = np.where(mask, vals - means, 0.0)
+    psi = (xc.T @ xc) / counts
+    return (psi + psi.T) / 2.0
+
+
+@pytest.mark.parametrize("exact_f32", [covest._EXACT_F32, 0], ids=["float32", "float64"])
+def test_pairwise_counts_and_estimate_match_the_float64_formula(monkeypatch, exact_f32):
+    # exact_f32 = 0 sends every n to the float64 counts kept for n > 2**24.
+    monkeypatch.setattr(covest, "_EXACT_F32", exact_f32)
+    rng = np.random.default_rng(181)
+    checked = 0
+    for t in range(40):
+        n, p = int(rng.integers(4, 300)), int(rng.integers(1, 40))
+        x = rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-3, 3, p)
+        x[rng.random((n, p)) < rng.uniform(0.0, 0.4)] = np.nan
+        x[rng.random(n) < 0.1] = np.nan  # rows with every cell missing
+        mask = ~np.isnan(x)
+        want_counts = mask.T.astype(np.int64) @ mask.astype(np.int64)
+        if want_counts.min() < 1 or np.diagonal(want_counts).min() < 2:
+            with pytest.raises(InsufficientOverlap):
+                covest.pairwise_cov(x)
+            continue
+        psi, counts = covest.pairwise_cov(x)
+        assert counts.dtype == np.int64 and np.array_equal(counts, want_counts)
+        assert np.array_equal(psi, _pairwise_cov_float64_mask(x))  # bit-for-bit
+        checked += 1
+    assert checked >= 25
+
+
 def test_pairwise_psd_floor():
     rng = np.random.default_rng(127)
     x = rng.standard_normal((60, 6)) @ rng.standard_normal((6, 6))
@@ -256,6 +290,65 @@ def test_read_data_csv_has_no_comment_character(tmp_path):
     path.write_text("1,2 # a note\n")
     with pytest.raises(DimMismatch, match="line 1, column 2"):
         covest.read_data_csv(str(path))
+
+
+def test_read_data_csv_reads_a_quoted_field_within_its_line(tmp_path):
+    # The quote does not carry the field over the line break: line 2 is
+    # `4,"5`, two fields.
+    path = tmp_path / "d.csv"
+    path.write_text('1,2,3\n4,"5\n",6\n')
+    with pytest.raises(DimMismatch, match=r"d\.csv: line 2 has 2 fields, expected 3"):
+        covest.read_data_csv(str(path))
+    path.write_text('1,"2",3\n4,5,"6"\n')
+    assert np.array_equal(covest.read_data_csv(str(path)).values, [[1, 2, 3], [4, 5, 6]])
+
+
+def _set_last_cell(lines, text):
+    cells = lines[-1].split(",")
+    cells[1] = text
+    return lines[:-1] + [",".join(cells)]
+
+
+# (lines of a 3000-row file -> lines, header, the error's message or None).
+# numpy reads the file in chunks, so a refusal in the last row comes after
+# it has parsed thousands of rows; the second pass must still agree with
+# the per-cell parser and count the file's lines from 1.
+_BIG_CASES = {
+    "na-last-row": (lambda lines: _set_last_cell(lines, "NA"), False, None),
+    "empty-last-cell": (lambda lines: _set_last_cell(lines, ""), False, None),
+    "ragged-last-row": (
+        lambda lines: lines[:-1] + [lines[-1] + ",1"], False,
+        r"line 3000 has 5 fields, expected 4",
+    ),
+    "abc-last-row": (
+        lambda lines: _set_last_cell(lines, "abc"), False,
+        r"line 3000, column 2: 'abc' is not a number",
+    ),
+    "header-after-blank-lines": (lambda lines: ["", "", "a,b,c,d"] + lines, True, None),
+    "header-blank-lines-and-abc": (
+        lambda lines: ["", "", "a,b,c,d"] + _set_last_cell(lines, "abc"), True,
+        r"line 3003, column 2: 'abc' is not a number",
+    ),
+}
+
+
+@pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
+@pytest.mark.parametrize("case", sorted(_BIG_CASES))
+def test_read_data_csv_second_pass_on_a_large_file(tmp_path, case, crlf):
+    edit, header, message = _BIG_CASES[case]
+    path = tmp_path / "big.csv"
+    np.savetxt(path, np.random.default_rng(179).standard_normal((3000, 4)), delimiter=",")
+    lines = edit(path.read_text().splitlines())
+    path.write_bytes(("\r\n" if crlf else "\n").join(lines).encode() + b"\n")
+    want = _outcome(_oracle_read, str(path), header)
+    got = _outcome(covest.read_data_csv, str(path), header)
+    if message is None:
+        assert isinstance(want, np.ndarray) and want.shape[0] == 3000
+        assert np.array_equal(got, want, equal_nan=True)
+    else:
+        assert want is DimMismatch and got is DimMismatch
+        with pytest.raises(DimMismatch, match=message):
+            covest.read_data_csv(str(path), header)
 
 
 def test_diagnostics_keys():

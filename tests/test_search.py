@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from csskit import criteria, simlab
 from csskit.criteria import Criterion, CriterionKind, evaluate
-from csskit.errors import DimMismatch, TooManySubsets
+from csskit.errors import DimMismatch, NotPSD, TooManySubsets
 from csskit.search import SearchConfig, SearchResult, exhaustive, greedy, swap
 
 
@@ -330,3 +330,29 @@ def test_drift_shows_the_two_rank_tests_disagreeing():
     assert res.objective == -np.inf and res.drift == np.inf
     both = SearchResult((0,), -np.inf, [-np.inf])
     assert both.drift == 0.0
+
+
+def test_swap_det_residual_on_rank_deficient_sigma():
+    # Rank 8 of 10: every 8-subset is -inf under DetResidual.  A starting
+    # subset's 2 x 2 complement block has residual variances just above the
+    # rank rule's cutoff, and its roundoff read as an indefinite block.
+    rng = np.random.default_rng(2024)
+    for _ in range(294):
+        g = rng.standard_normal((10, 8))
+    sigma = g @ g.T / 10
+    crit = Criterion(CriterionKind.DET_RESIDUAL, p=10, k=8)
+    cfg = SearchConfig(k=8, criterion=crit, restarts=2, seed=293)
+    assert greedy(sigma, cfg).objective == -np.inf
+    res = swap(sigma, cfg)
+    assert res.objective == -np.inf and res.drift == 0.0
+
+
+def test_det_residual_still_rejects_an_indefinite_sigma():
+    # The complement block of (0,) is [[1, 2], [2, 1]], eigenvalue -1 on
+    # its unit variances: not roundoff of a perfect fit.
+    sigma = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0, 1.0]])
+    crit = Criterion(CriterionKind.DET_RESIDUAL, p=3, k=1)
+    with pytest.raises(NotPSD):
+        evaluate(crit, sigma, (0,))
+    with pytest.raises(NotPSD):
+        exhaustive(sigma, SearchConfig(k=1, criterion=crit))
