@@ -13,7 +13,9 @@ CSV grammar (:func:`read_data_csv`, and :func:`read_cov_csv` on top of it):
 * lines with no characters at all are skipped; with ``header=True`` the
   first remaining line is skipped unread;
 * a field may be enclosed in double quotes when the quote is its first
-  character; ``""`` inside quotes is one quote character;
+  character; ``""`` inside quotes is one quote character; a quote still
+  open at the end of its line raises :class:`~csskit.errors.DimMismatch`
+  naming the line (a quoted field holds no line break);
 * a field that is empty, all whitespace, or ``NA`` or ``nan`` in any case,
   bare or quoted and with any surrounding whitespace, is missing (NaN);
 * any other field is a number as numpy reads it: optional surrounding
@@ -217,12 +219,33 @@ def _normalise(line: str) -> str:
     return ",".join(["nan" if _is_missing(f) else f for f in line.split(",")])
 
 
+def _leaves_quote_open(line: str) -> bool:
+    """Whether ``line`` ends inside a quoted field: a quote opens a field
+    as its first character, and inside it ``""`` is one quote character
+    and a lone quote closes it."""
+    inside, start, i = False, True, 0
+    while i < len(line):
+        ch = line[i]
+        if inside:
+            if ch == '"':
+                if line.startswith('"', i + 1):
+                    i += 1
+                else:
+                    inside = False
+        else:
+            inside = start and ch == '"'
+            start = ch == ","
+        i += 1
+    return inside
+
+
 def _data_lines(path: str, fh, header: bool, skipped: List[int]) -> Iterator[str]:
     """The data lines of ``fh`` with every missing field rewritten as ``nan``.
 
     Blank lines and the header (the first non-blank line, when ``header``)
     are dropped and their line numbers appended to ``skipped``.  A line with
-    another field count than the first raises :class:`DimMismatch`.
+    another field count than the first, or one that leaves a quote open,
+    raises :class:`DimMismatch`.
     """
     width = None
     for lineno, line in enumerate(fh, 1):
@@ -239,6 +262,9 @@ def _data_lines(path: str, fh, header: bool, skipped: List[int]) -> Iterator[str
             raise DimMismatch(
                 f"{path}: line {lineno} has {commas + 1} fields, expected {width + 1}"
             )
+        if '"' in line and _leaves_quote_open(line):
+            # numpy would carry the field on into the next line
+            raise DimMismatch(f"{path}: line {lineno} leaves a quote open")
         yield line
 
 

@@ -62,11 +62,23 @@ every candidate exactly in O(k^2 (p - k)) and :func:`objective_from_state`
 reads the objective in O(k^2).  On a singular or worse-conditioned
 ``sigma`` each :func:`score_all` call pseudo-inverts the complement block
 once and scores every candidate from it, up to one constant, and the
-objective is :func:`evaluate`'s.  Inputs are checked once, where they enter:
-``sigma`` in :func:`init_state`, an index in :func:`advance`, a position in
-:func:`retract`; the kernels trust the state.
+objective is :func:`evaluate`'s.
+
+Under DiagDet and IsoLrt, :class:`StateStack` holds many states of one
+size on the fast path (no side list, a nonsingular block), and
+:func:`retract_stack`, :func:`score_stack`, :func:`advance_stack` and
+:func:`objective_stack` move, score and read all of them with one numpy
+call per step, which is where a small-p search spends its time with
+several restarts; each row comes out bit for bit as the per-state function
+gives it (the scorer is one for both: :func:`score_all` of such a state is
+a stack of one).
+
+Inputs are checked once, where they enter: ``sigma`` in :func:`init_state`,
+an index in :func:`advance`, a position in :func:`retract`; the kernels
+trust the state.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -255,13 +267,9 @@ def _readout(criterion: Criterion, diag, var, ld_block: float, block=None) -> fl
     rank-deficient ``sigma``; a block more negative than that still raises
     :class:`NotPSD`."""
     kind = criterion.kind
-    fits = ~symmat.adds_rank(diag, var)
-    if kind == CriterionKind.ISO_LRT:
-        if np.all(fits):
-            return float("-inf")
-        m = criterion.p - criterion.k
-        return ld_block + m * math.log(float(np.sum(diag)) / m)
-    if np.any(fits):
+    if kind in STACKED:
+        return float(_readout_rows(criterion, diag[None], var[None], np.array([ld_block]))[0])
+    if np.any(~symmat.adds_rank(diag, var)):
         return float("-inf")
     if kind == CriterionKind.DET_RESIDUAL:
         try:
@@ -277,9 +285,22 @@ def _readout(criterion: Criterion, diag, var, ld_block: float, block=None) -> fl
             if abs(lam) <= RANK_TOL:
                 return float("-inf")
             raise
-    if kind == CriterionKind.DIAG_DET:
-        return ld_block + float(np.sum(np.log(diag)))
     raise DimMismatch(f"unknown criterion kind {kind}")
+
+
+def _readout_rows(criterion: Criterion, diag, var, ld_block) -> np.ndarray:
+    """DiagDet or IsoLrt of ``B`` subsets at once, as :func:`_readout`:
+    row ``b`` of ``diag`` and ``var`` is a complement's, ``ld_block[b]``
+    its subset's ``log det(sigma_S)``."""
+    fits = ~symmat.adds_rank(diag, var)
+    if criterion.kind == CriterionKind.ISO_LRT:
+        m = criterion.p - criterion.k
+        rows = zip(ld_block.tolist(), diag.sum(axis=1).tolist(), fits.all(axis=1).tolist())
+        return np.array([float("-inf") if all_fit else ld + m * math.log(total / m) for ld, total, all_fit in rows])
+    with np.errstate(divide="ignore"):
+        out = ld_block + np.log(diag).sum(axis=1)
+    out[fits.any(axis=1)] = float("-inf")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -380,13 +401,13 @@ def retract(
     :func:`csskit.symmat.residual_remove` reflects it out of the factor.
     While the block is nonsingular (``log_det_block`` finite, no side list),
     the same ``c`` is ``L[S]^T pinv(sigma_S)[:, position]``, as ``L[S]
-    L[S]^T = sigma_S``, read from the pseudo-inverse CanonCorr needs anyway.
-    At p=50, k=10-20 (2-core box, one BLAS thread) that takes a retract
-    from 43-45 us with the solve to 27-34 us, and the ``choosek-a2``
-    benchmark from 4.71 to 4.16 s: the solve's call overhead, not its
-    O(r^3), outweighs the O(pr) reflection.  Each side-list member is
-    then re-tested and appended to the factor if it adds rank to what is
-    left.
+    L[S]^T = sigma_S``, read from the pseudo-inverse CanonCorr needs anyway;
+    at p=50, k=10-20 (2-core box, one BLAS thread) that took a retract from
+    43-45 us with the solve to 27-34 us, the solve's call overhead, not its
+    O(r^3), outweighing the O(pr) reflection.  :func:`retract_stack` does
+    this fast path for many DiagDet or IsoLrt states at once.  Each
+    side-list member is then re-tested and appended to the factor if it
+    adds rank to what is left.
 
     The selected-block pseudo-inverse is downdated by
     :func:`csskit.symmat.pinv_remove` while the block is nonsingular, which
@@ -438,6 +459,233 @@ def retract(
 
 
 # ---------------------------------------------------------------------------
+# Stacked moves: many states of one size at once (DiagDet and IsoLrt)
+# ---------------------------------------------------------------------------
+
+# The criteria with stacked kernels (StateStack and the *_stack functions).
+STACKED = (CriterionKind.DIAG_DET, CriterionKind.ISO_LRT)
+
+
+@dataclass
+class StateStack:
+    """``B`` states of one size ``k`` over one ``sigma``, on the fast path:
+    every member added rank (no side list, so ``L`` has ``k`` rows) and the
+    selected block is nonsingular (finite log-determinant).  Row ``b`` of
+    each array is one state's :class:`SubsetState` field: ``subset`` (``B x
+    k``, state order), ``lt`` (``B x k x P``), ``diag`` and ``diag_sq``
+    (``B x p``), ``block_pinv`` (``B x k x k``) and ``log_det_block``.
+
+    The kernels apply the per-state identities of :func:`advance`,
+    :func:`retract` and :func:`score_all` row by row, with one numpy call
+    per step for the whole stack; every product is a per-row BLAS call or
+    an elementwise operation, so a row's values do not depend on the
+    other rows or on ``B``.  A move that would leave the fast path (a
+    variable that adds no rank, a pivot or Schur complement under the rank
+    rule) is flagged, and the caller redoes it with the per-state
+    function on :meth:`state`.
+    """
+
+    subset: np.ndarray
+    lt: np.ndarray
+    diag: np.ndarray
+    diag_sq: Optional[np.ndarray]
+    block_pinv: np.ndarray
+    log_det_block: np.ndarray
+    sigma: np.ndarray
+
+    @classmethod
+    def of_empty(cls, empty: SubsetState, b: int) -> "StateStack":
+        """``b`` copies of an empty state."""
+        fac = empty.factor
+        return cls(
+            np.zeros((b, 0), dtype=np.intp),
+            np.zeros((b,) + fac.lt.shape),
+            np.repeat(fac.diag[None], b, axis=0),
+            None if fac.diag_sq is None else np.repeat(fac.diag_sq[None], b, axis=0),
+            np.zeros((b, 0, 0)),
+            np.zeros(b),
+            empty.sigma,
+        )
+
+    def state(self, b: int) -> SubsetState:
+        """Row ``b`` as a :class:`SubsetState` (a copy)."""
+        sub = tuple(self.subset[b].tolist())
+        sq = None if self.diag_sq is None else self.diag_sq[b].copy()
+        return SubsetState(
+            sub,
+            symmat.Factor(self.lt[b].copy(), self.diag[b].copy(), sq),
+            sub,
+            self.block_pinv[b].copy(),
+            float(self.log_det_block[b]),
+            self.sigma,
+        )
+
+    def take(self, rows) -> "StateStack":
+        """The stack of the given rows (a boolean mask or indices)."""
+        return StateStack(
+            self.subset[rows],
+            self.lt[rows],
+            self.diag[rows],
+            None if self.diag_sq is None else self.diag_sq[rows],
+            self.block_pinv[rows],
+            self.log_det_block[rows],
+            self.sigma,
+        )
+
+    def put(self, rows, other: "StateStack"):
+        """Overwrite the given rows with ``other``'s, in place."""
+        self.subset[rows] = other.subset
+        self.lt[rows] = other.lt
+        self.diag[rows] = other.diag
+        if self.diag_sq is not None:
+            self.diag_sq[rows] = other.diag_sq
+        self.block_pinv[rows] = other.block_pinv
+        self.log_det_block[rows] = other.log_det_block
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[i] . b[i]`` for each row, one BLAS dot per row."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _vecmat(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``v[i] @ m[i]`` for each row, one BLAS matrix-vector product per row."""
+    return np.matmul(v[:, None, :], m)[:, 0, :]
+
+
+def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``m[i] @ v[i]`` for each row (``m`` may be one shared matrix)."""
+    return np.matmul(m, v[:, :, None])[:, :, 0]
+
+
+def _logs(x: np.ndarray, ok: np.ndarray) -> np.ndarray:
+    """``math.log`` of the entries of ``x`` where ``ok`` (0 elsewhere), as
+    the per-state moves take it."""
+    return np.fromiter(map(math.log, np.where(ok, x, 1.0).tolist()), float, x.shape[0])
+
+
+@functools.lru_cache(maxsize=256)
+def _starts(rows: int, n: int) -> np.ndarray:
+    """Where each of ``rows`` rows of length ``n`` starts in their flat
+    array, as a read-only column."""
+    out = np.arange(0, rows * n, n)[:, None]
+    out.flags.writeable = False
+    return out
+
+
+def _gather(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """``a[b, ..., idx[b]]`` for each row ``b``: entries ``idx[b]`` of the
+    last axis of row ``b`` (``idx`` is ``B x m``), by one flat take."""
+    off = _starts(a.size // a.shape[-1], a.shape[-1]).reshape(a.shape[0], -1, 1)
+    return a.take(off + idx[:, None, :])
+
+
+def _complements(p: int, subset: np.ndarray) -> np.ndarray:
+    """Each row's complement in ``[0, p)``, ascending, ``B x (p - k)``."""
+    n, k = subset.shape
+    mask = np.ones((n, p), dtype=bool)
+    mask[np.arange(n)[:, None], subset] = False
+    return np.nonzero(mask)[1].reshape(n, p - k)
+
+
+def advance_stack(stack: StateStack, picks: np.ndarray) -> Tuple[StateStack, np.ndarray]:
+    """:func:`advance` of every row by its variable ``picks[b]``: the new
+    column of ``L`` (:func:`csskit.symmat.residual_add`), the bordered
+    block inverse (:func:`csskit.symmat.pinv_add`) and the log-determinant.
+    Returns the grown stack and a mask of the rows that stay on the fast
+    path: the pivot ``R_ii`` and the Schur complement of ``sigma_{S+i}``
+    both add rank.  The other rows hold no state; redo them with
+    :func:`advance`.  The picks are trusted (the walk takes them from the
+    complement)."""
+    sigma = stack.sigma
+    p = sigma.shape[0]
+    b_ = np.arange(picks.shape[0])
+    lt = stack.lt
+    r = lt.shape[1]
+    l = lt[:, :, :p]
+    var = sigma.diagonal()[picks]
+    pivot = stack.diag[b_, picks]
+    bcol = sigma[picks[:, None], stack.subset]
+    d = _matvec(stack.block_pinv, bcol)
+    s = var - _rowdot(bcol, d)
+    ok = symmat.adds_rank(pivot, var) & symmat.adds_rank(s, var)
+    if not ok.all():  # keep the rows to redo finite
+        pivot, s = np.where(ok, pivot, 1.0), np.where(ok, s, 1.0)
+
+    # a column of L, as the per-state move reads it: with a non-unit
+    # stride, which OpenBLAS's matrix-vector kernels round differently
+    col = np.empty((lt.shape[0], r, 2))
+    col[:, :, 0] = lt[b_, :, picks]
+    col = col[:, :, 0]
+    g = (sigma[picks] - _vecmat(col, l)) / np.sqrt(pivot)[:, None]
+    new_lt = np.empty((lt.shape[0], r + 1, lt.shape[2]))
+    new_lt[:, :r] = lt
+    new_lt[:, r, :p] = g
+    diag = np.maximum(stack.diag - g * g, 0.0)
+    diag_sq = None
+    if stack.diag_sq is not None:
+        sg = new_lt[:, r, p:] = _matvec(sigma, g)
+        rg2 = 2.0 * (sg - _vecmat(_matvec(l, g), l))
+        diag_sq = stack.diag_sq - g * (rg2 - _rowdot(g, g)[:, None] * g)
+
+    ds = d / s[:, None]
+    out = np.empty((lt.shape[0], r + 1, r + 1))
+    out[:, :r, :r] = stack.block_pinv + d[:, :, None] * ds[:, None, :]
+    out[:, :r, r] = out[:, r, :r] = -ds
+    out[:, r, r] = 1.0 / s
+    out = (out + out.transpose(0, 2, 1)) / 2.0
+    ld = stack.log_det_block + _logs(pivot, ok)
+    subset = np.concatenate([stack.subset, picks[:, None]], axis=1)
+    return StateStack(subset, new_lt, diag, diag_sq, out, ld, sigma), ok
+
+
+def retract_stack(stack: StateStack, positions: np.ndarray) -> Tuple[StateStack, np.ndarray]:
+    """:func:`retract` of every row at its position ``positions[b]``: the
+    Schur downdate of the block inverse (:func:`csskit.symmat.pinv_remove`)
+    and the Householder reflection of the factor
+    (:func:`csskit.symmat.residual_remove`), with ``c`` read from the block
+    inverse.  Returns the shrunk stack and a mask of the rows that stay on
+    the fast path, whose retracted variable's pivot adds rank; redo the
+    other rows with :func:`retract`."""
+    sigma = stack.sigma
+    p = sigma.shape[0]
+    n, k = stack.subset.shape
+    b_ = np.arange(n)
+    g = stack.block_pinv
+    keep = np.arange(k - 1) + (np.arange(k - 1) >= positions[:, None])
+    row = g[b_, positions]
+    q = row[b_[:, None], keep]
+    flat = (keep + (b_ * k)[:, None])[:, :, None] * k + keep[:, None, :]
+    new_pinv = g.ravel().take(flat)
+    new_pinv -= q[:, :, None] * (q / row[b_, positions][:, None])[:, None, :]
+    new_pinv = (new_pinv + new_pinv.transpose(0, 2, 1)) / 2.0
+
+    lt = stack.lt
+    c = _matvec(_gather(lt, stack.subset), row)
+    cc = _rowdot(c, c)
+    pivot = 1.0 / cc
+    v = c / np.sqrt(cc)[:, None]
+    hs = _vecmat(v, lt)
+    h = hs[:, :p]
+    diag = stack.diag + h * h
+    diag_sq = stack.diag_sq
+    if diag_sq is not None:
+        l = lt[:, :, :p]
+        rh2 = 2.0 * (hs[:, p:] - _vecmat(_matvec(l, h), l))
+        diag_sq = diag_sq + h * (rh2 + _rowdot(h, h)[:, None] * h)
+    last = v[:, -1].copy()
+    v[:, -1] += np.where(last >= 0.0, 1.0, -1.0)
+    new_lt = (v[:, :-1] / (1.0 + np.abs(last))[:, None])[:, :, None] * _vecmat(v, lt)[:, None, :]
+    np.subtract(lt[:, :-1], new_lt, out=new_lt)
+
+    gone = stack.subset[b_, positions]
+    ok = symmat.adds_rank(pivot, sigma.diagonal()[gone])
+    ld = stack.log_det_block - _logs(pivot, ok)
+    subset = stack.subset[b_[:, None], keep]
+    return StateStack(subset, new_lt, diag, diag_sq, new_pinv, ld, sigma), ok
+
+
+# ---------------------------------------------------------------------------
 # Candidate scoring
 # ---------------------------------------------------------------------------
 
@@ -460,23 +708,17 @@ def score_all(criterion: Criterion, state: SubsetState) -> Tuple[np.ndarray, np.
 
     fac = state.factor
     kind = criterion.kind
+    if kind in STACKED:  # a stack of one
+        sq = None if fac.diag_sq is None else fac.diag_sq[None]
+        return cands, _score_rows(criterion, sigma, fac.lt[None], fac.diag[None], sq, cands[None])[0]
+
     diag = fac.diag[cands]
     var = sigma.diagonal()[cands]
     ok = symmat.adds_rank(diag, var)
     safe = np.where(ok, diag, 1.0)
 
-    if kind in _SQUARES:
-        # diag R^2 is carried by differences from diag sigma^2, so its error
-        # is absolute, about eps |sigma|^2 per move.  A candidate near a
-        # perfect fit (R_ii at most sqrt(RANK_TOL) sigma_ii) reads it from its
-        # residual column, whose error is relative to that column.
-        sq = fac.diag_sq[cands]
-        near = np.flatnonzero(ok & (diag <= math.sqrt(RANK_TOL) * var))
-        if near.size:
-            cols = fac.columns(sigma, cands[near])
-            sq[near] = np.einsum("ij,ij->j", cols, cols)
-
     if kind == CriterionKind.CSS_TRACE:
+        sq = _squares(sigma, fac.lt, fac.diag, fac.diag_sq, cands, diag, var, ok)
         return cands, np.where(ok, -sq / safe, 0.0)
 
     if kind == CriterionKind.DET_RESIDUAL:
@@ -490,42 +732,102 @@ def score_all(criterion: Criterion, state: SubsetState) -> Tuple[np.ndarray, np.
         scores = (colsq / safe) ** 2 - 2.0 * cubic / safe
         return cands, np.where(ok, scores, 0.0)
 
-    if kind == CriterionKind.ISO_LRT:
-        m = criterion.p - criterion.k
-        tr = max(float(np.sum(fac.diag)), 0.0)
-        rest = np.maximum(tr - np.where(ok, sq / safe, 0.0), 0.0)
-        # -inf when, once the candidate joins, every variable is fit
-        # perfectly by the rank rule of evaluate.  Their residual variances
-        # then sum to at most RANK_TOL * trace(sigma), so only the residual
-        # columns of candidates below that are formed (the subset's own rows
-        # are 0; a candidate that adds no rank is -inf by its own term below).
-        near = np.flatnonzero(~symmat.adds_rank(rest, np.trace(sigma)))
-        if near.size:
-            cols = fac.columns(sigma, cands[near])
-            left = fac.diag[:, None] - cols**2 / safe[near]
-            fit = ~symmat.adds_rank(left, sigma.diagonal()[:, None]).any(axis=0)
-            rest[near[fit]] = 0.0
-        with np.errstate(divide="ignore"):
-            scores = np.log(np.where(ok, diag, 0.0)) + m * np.log(rest)
-        return cands, scores
-
-    if kind == CriterionKind.DIAG_DET:
-        rows = fac.block(sigma, cands)
-        terms = diag - np.where(ok[:, None], rows * rows / safe[:, None], 0.0)
-        # zero the perfect fits, by the rank rule of evaluate
-        terms *= symmat.adds_rank(terms, var)
-        with np.errstate(divide="ignore"):
-            logs = np.log(terms)
-            head = np.log(np.where(ok, diag, 0.0))
-        np.fill_diagonal(logs, 0.0)  # exclude j == i from the sum
-        return cands, head + logs.sum(axis=1)
-
     if kind == CriterionKind.CANON_CORR:
         if state.omega is not None:
             return cands, _score_canon_corr(state, cands)
         return cands, _score_canon_corr_ginv(state, cands)
 
     raise DimMismatch(f"unknown criterion kind {kind}")
+
+
+def _squares(sigma, lt, diag_all, diag_sq, cands, diag, var, ok) -> np.ndarray:
+    """``diag R^2`` of the candidates ``cands`` of one state, whose residual
+    variances are ``diag`` (own variances ``var``, ``ok`` where they add
+    rank).  ``diag R^2`` is carried by differences from ``diag sigma^2``, so
+    its error is absolute, about ``eps |sigma|^2`` per move.  A candidate
+    near a perfect fit (``R_ii`` at most ``sqrt(RANK_TOL) sigma_ii``) reads
+    it from its residual column, whose error is relative to that column."""
+    sq = diag_sq[cands]
+    near = np.flatnonzero(ok & (diag <= math.sqrt(RANK_TOL) * var))
+    if near.size:
+        cols = symmat.Factor(lt, diag_all, diag_sq).columns(sigma, cands[near])
+        sq[near] = np.einsum("ij,ij->j", cols, cols)
+    return sq
+
+
+def score_stack(criterion: Criterion, stack: StateStack) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`score_all` of every row of a stack: ``(candidates, scores)``,
+    each ``B x (p - k)``, row ``b`` as :func:`score_all` gives it for
+    :meth:`StateStack.state` ``(b)``."""
+    cands = _complements(stack.sigma.shape[0], stack.subset)
+    scores = _score_rows(criterion, stack.sigma, stack.lt, stack.diag, stack.diag_sq, cands)
+    return cands, scores
+
+
+def objective_stack(criterion: Criterion, stack: StateStack) -> np.ndarray:
+    """:func:`objective_from_state` of every row of a stack."""
+    sigma = stack.sigma
+    comp = _complements(sigma.shape[0], stack.subset)
+    diag = stack.diag[np.arange(comp.shape[0])[:, None], comp]
+    return _readout_rows(criterion, diag, sigma.diagonal()[comp], stack.log_det_block)
+
+
+def _score_rows(criterion, sigma, lt, diag_all, diag_sq, cands) -> np.ndarray:
+    """DiagDet or IsoLrt scores of ``B`` states given by their factors
+    (``lt``, ``diag_all``, ``diag_sq``; one leading row per state) for
+    their candidates ``cands`` (``B x m``), one numpy call per step for all
+    rows; the scorer of :func:`score_all` and :func:`score_stack`."""
+    n, m = cands.shape
+    p = sigma.shape[0]
+    flat = cands + _starts(n, p)  # into the rows of a B x p array
+    diag = diag_all.take(flat)
+    var = sigma.diagonal()[cands]
+    ok = symmat.adds_rank(diag, var)
+    safe = np.where(ok, diag, 1.0)
+    with np.errstate(divide="ignore"):
+        head = np.log(np.where(ok, diag, 0.0))
+
+        if criterion.kind == CriterionKind.ISO_LRT:
+            sq = diag_sq.take(flat)
+            near = ok & (diag <= math.sqrt(RANK_TOL) * var)
+            if near.any():
+                for b in np.flatnonzero(near.any(axis=1)):
+                    sq[b] = _squares(sigma, lt[b], diag_all[b], diag_sq[b], cands[b], diag[b], var[b], ok[b])
+            k = criterion.p - criterion.k
+            tr = np.maximum(diag_all.sum(axis=1), 0.0)
+            rest = np.maximum(tr[:, None] - np.where(ok, sq / safe, 0.0), 0.0)
+            # -inf when, once the candidate joins, every variable is fit
+            # perfectly by the rank rule of evaluate.  Their residual
+            # variances then sum to at most RANK_TOL * trace(sigma), so only
+            # the residual columns of candidates below that are formed (the
+            # subset's own rows are 0; a candidate that adds no rank is -inf
+            # by its own term below).
+            near = ~symmat.adds_rank(rest, np.trace(sigma))
+            if near.any():
+                for b in np.flatnonzero(near.any(axis=1)):
+                    at = np.flatnonzero(near[b])
+                    cols = symmat.Factor(lt[b], diag_all[b], None).columns(sigma, cands[b, at])
+                    left = diag_all[b][:, None] - cols**2 / safe[b, at]
+                    fit = ~symmat.adds_rank(left, sigma.diagonal()[:, None]).any(axis=0)
+                    rest[b, at[fit]] = 0.0
+            return head + k * np.log(rest)
+
+        # DiagDet: the candidates' block of R, one (p - k)-square per state,
+        # row i of which gives candidate i's terms R_jj - R_ij^2 / R_ii; all
+        # in place, in the per-state order of operations
+        li = _gather(lt, cands)
+        terms = sigma.take(cands[:, :, None] * p + cands[:, None, :])
+        terms -= np.matmul(li.transpose(0, 2, 1), li)
+        terms *= terms
+        terms /= safe[:, :, None]
+        if not ok.all():
+            terms[~ok] = 0.0
+        np.subtract(diag[:, None, :], terms, out=terms)
+        # zero the perfect fits, by the rank rule of evaluate
+        terms *= symmat.adds_rank(terms, var[:, None, :])
+        np.log(terms, out=terms)
+    terms.reshape(n, m * m)[:, :: m + 1] = 0.0  # exclude j == i from the sum
+    return head + terms.sum(axis=2)
 
 
 def _score_canon_corr(state: SubsetState, comp: np.ndarray) -> np.ndarray:

@@ -190,8 +190,15 @@ def _outcome(read, path, header):
 # Every field the random files are made of, besides signed numbers.
 _TOKENS = (
     "", " ", "NA", "na", " NA ", "NaN", "nan", "\t1.25\t", "\t-3e2 ", '"5"',
-    '"NA"', '""', '" "', '" na "', "inf", "1e400", "abc",
+    '"NA"', '""', '" "', '" na "', "inf", "1e400", "abc", '7"',
 )
+
+# Fields that leave a quote open, drawn after the first non-blank line only.
+# The oracle then reads one field on into the following lines, and that
+# field holds an "x" or a quote, so it is no number, as the reader
+# rejects the line; on the first line, read as a header, the oracle's
+# header would swallow the lines after it.
+_OPEN_TOKENS = ('"x', '"7""')
 
 
 def _random_number(rng) -> str:
@@ -214,6 +221,8 @@ def _random_csv(rng) -> str:
             _random_number(rng) if rng.random() < 0.7 else _TOKENS[rng.integers(len(_TOKENS))]
             for _ in range(max(n, 1))
         ]
+        if any(lines) and rng.random() < 0.05:
+            cells[rng.integers(len(cells))] = _OPEN_TOKENS[rng.integers(len(_OPEN_TOKENS))]
         lines.append(",".join(cells))
     return "\n".join(lines) + ("\n" if rng.random() < 0.8 else "")
 
@@ -301,6 +310,23 @@ def test_read_data_csv_reads_a_quoted_field_within_its_line(tmp_path):
         covest.read_data_csv(str(path))
     path.write_text('1,"2",3\n4,5,"6"\n')
     assert np.array_equal(covest.read_data_csv(str(path)).values, [[1, 2, 3], [4, 5, 6]])
+
+
+def test_read_data_csv_rejects_a_quote_left_open(tmp_path):
+    # The quote opened on line 1 is not closed there; the line-by-line pass
+    # used to join lines 1 and 2 into the row [1, 23, 4].
+    path = tmp_path / "d.csv"
+    path.write_text('1,"2\n3",4\n')
+    with pytest.raises(DimMismatch, match=r"d\.csv: line 1 leaves a quote open"):
+        covest.read_data_csv(str(path))
+    with pytest.raises(DimMismatch):
+        _oracle_read(str(path))
+    path.write_text('1,2\n\n"3"",4\n5",6\n')  # "" is a quote inside the field
+    with pytest.raises(DimMismatch, match="line 3 leaves a quote open"):
+        covest.read_data_csv(str(path))
+    path.write_text('1,"2"\n7",8\n')  # a quote within a field opens none
+    with pytest.raises(DimMismatch, match="line 2, column 1: .* is not a number"):
+        covest.read_data_csv(str(path))
 
 
 def _set_last_cell(lines, text):

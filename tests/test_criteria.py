@@ -665,3 +665,50 @@ def test_canon_corr_factors_sigma_once_per_search(monkeypatch):
         assert counts == {
             "eigh": 1, "in_evaluate": 2 * evaluates, "evaluate": evaluates, "init_state": 1,
         }, (search.__name__, cfg.k)
+
+
+def _same_states(stack, states):
+    for b, want in enumerate(states):
+        got = stack.state(b)
+        assert got.subset == want.subset and got.ranked == want.ranked
+        for name in ("lt", "diag", "diag_sq"):
+            a, w = getattr(got.factor, name), getattr(want.factor, name)
+            assert (a is None and w is None) or np.array_equal(a, w), name
+        assert np.array_equal(got.block_pinv, want.block_pinv)
+        assert got.log_det_block == want.log_det_block
+
+
+def test_stacked_moves_match_the_per_state_ones():
+    # swap moves a group of restarts through the stacked kernels and a lone
+    # restart through the per-state functions, so each row of a stack must
+    # be what the per-state move gives, bit for bit.
+    rng = np.random.default_rng(131)
+    for t in range(30):
+        p = int(rng.integers(6, 16))
+        k = int(rng.integers(2, p - 1))
+        sigma = rand_psd(rng, p)
+        if t % 2:
+            d = 10.0 ** rng.uniform(-3.0, 3.0, p)
+            sigma = d[:, None] * sigma * d[None, :]
+        for kind in criteria.STACKED:
+            crit = Criterion(kind, p=p, k=k)
+            empty = init_state(crit, sigma)
+            starts = np.array([rng.permutation(p)[:k] for _ in range(3)])
+            stack = criteria.StateStack.of_empty(empty, 3)
+            states = [empty] * 3
+            for i in range(k):
+                stack, ok = criteria.advance_stack(stack, starts[:, i])
+                assert ok.all()
+                states = [advance(crit, st, sigma, v) for st, v in zip(states, starts[:, i])]
+            _same_states(stack, states)
+            objective = criteria.objective_stack(crit, stack)
+            assert objective.tolist() == [criteria.objective_from_state(crit, st) for st in states]
+            positions = rng.integers(0, k, 3)
+            shrunk, ok = criteria.retract_stack(stack, positions)
+            assert ok.all()
+            states = [retract(crit, st, sigma, q) for st, q in zip(states, positions)]
+            _same_states(shrunk, states)
+            cands, scores = criteria.score_stack(crit, shrunk)
+            for b, st in enumerate(states):
+                want_cands, want_scores = score_all(crit, st)
+                assert np.array_equal(cands[b], want_cands) and np.array_equal(scores[b], want_scores)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from csskit import criteria, simlab
+from csskit import criteria, search, simlab
 from csskit.criteria import Criterion, CriterionKind, evaluate
 from csskit.errors import DimMismatch, NotPSD, TooManySubsets
 from csskit.search import SearchConfig, SearchResult, exhaustive, greedy, swap
@@ -152,29 +152,53 @@ def _outcome(res):
     return res.subset, res.objective, res.trajectory, res.sweeps_used
 
 
-def test_swap_returns_first_minimum_of_its_restarts():
+def test_swap_returns_first_minimum_of_its_restarts(monkeypatch):
+    # The restarts walk in lockstep; each must reach, bit for bit, what it
+    # reaches run alone from its start.
     rng = np.random.default_rng(103)
     diag_det = Criterion(CriterionKind.DIAG_DET, p=12, k=5)
+    iso = Criterion(CriterionKind.ISO_LRT, p=11, k=4)
+    # Variable 11 duplicates variable 0 (rank 11 of 12): a start holding
+    # neither is finite, and swapping either in fits the other perfectly,
+    # so that restart leaves the stack for the per-state moves mid-walk.
+    dup = rand_psd(rng, 12)
+    dup[11], dup[:, 11] = dup[0], dup[:, 0]
     # Under CSS at k=1 variables 0 and 1 tie exactly: a start at 1 keeps 1,
     # every other start moves to 0.  Restart 0 of seed 14 starts at 1.
     tie = np.diag([5.0, 5.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
     cases = [
-        (rand_psd(rng, 10), SearchConfig(k=4, criterion=css(10, 4), restarts=4, seed=17)),
-        (rand_psd(rng, 12), SearchConfig(k=5, criterion=diag_det, restarts=3, seed=2)),
-        (tie, SearchConfig(k=1, criterion=css(8, 1), restarts=4, seed=14)),
+        (rand_psd(rng, 10), SearchConfig(k=4, criterion=css(10, 4), restarts=4, seed=17), None),
+        (rand_psd(rng, 12), SearchConfig(k=5, criterion=diag_det, restarts=3, seed=2), None),
+        (rand_psd(rng, 11), SearchConfig(k=4, criterion=iso, restarts=6, seed=5), None),
+        (dup, SearchConfig(k=5, criterion=diag_det, restarts=6, seed=8), None),
+        (rand_psd(rng, 12), SearchConfig(k=5, criterion=diag_det, restarts=5, max_sweeps=1, seed=4), None),
+        # a budget of two restarts' temporaries splits 7 restarts into 4 groups
+        (rand_psd(rng, 11), SearchConfig(k=4, criterion=iso, restarts=7, seed=9), 2 * (8**2 + 8 * 11)),
+        (tie, SearchConfig(k=1, criterion=css(8, 1), restarts=4, seed=14), None),
     ]
-    for sigma, cfg in cases:
+    for sigma, cfg, budget in cases:
         runs, expected = _single_runs(sigma, cfg)
         best = min(run.objective for run in runs)
         first = next(run for run in runs if run.objective == best)
         decisions = []
-        res = swap(sigma, cfg, decisions=decisions)
+        with monkeypatch.context() as m:
+            if budget is not None:
+                m.setattr(search, "STACK_BUDGET", budget)
+                assert search._group_size(cfg.criterion) == 2
+            res = swap(sigma, cfg, decisions=decisions)
         assert _outcome(res) == _outcome(first)
+        assert [(s.sweeps, s.accepted, s.objective) for s in res.restarts] == [
+            (run.sweeps_used, len(run.trajectory) - 1, run.objective) for run in runs
+        ]
         # restart 0's decisions first, then each restart in turn
         assert len(decisions) == len(expected)
         for got, want in zip(decisions, expected):
             assert got[:3] == want[:3]
             assert np.array_equal(got[3], want[3]) and np.array_equal(got[4], want[4])
+        if sigma is dup:  # some restart starts finite and ends at -inf
+            assert any(run.trajectory[0] > -np.inf and run.trajectory[-1] == -np.inf for run in runs)
+        if cfg.max_sweeps == 1:  # some restart accepts a swap, so the cap stops it
+            assert any(run.restarts[0].accepted > 0 for run in runs)
     assert [run.subset for run in runs] == [(1,), (0,), (0,), (0,)]
     assert len({run.objective for run in runs}) == 1  # an exact tie
     assert res.subset == (1,)  # the lowest restart wins

@@ -1,6 +1,9 @@
 """Size selection: test statistics, Monte Carlo null laws, choose_k driver."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -370,3 +373,40 @@ def test_choose_k_reports_phase_times():
     report = choose_k(covest.sample_cov(x), n=300, model=Model.PCSS, mc_samples=2000, seed=3)
     assert report.search_s >= 0.0 and report.calibrate_s > 0.0
     assert "search_s" not in report.to_json() and "calibrate_s" not in report.to_json()
+
+
+# choose_k on one sizesel-a2 sample under both models, then the swap behind
+# every record: report JSON, positional subsets, objectives, trajectories.
+_THREADS_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from csskit import covest, search, simlab, sizesel
+from csskit.criteria import Criterion, CriterionKind
+sigma = covest.sample_cov(simlab.sample(simlab.sizesel_a2_spec(), 200, seed=[1, 0, 0]))
+for model, kind in ((sizesel.Model.SUBSET_FACTOR, CriterionKind.DIAG_DET),
+                    (sizesel.Model.PCSS, CriterionKind.ISO_LRT)):
+    report = sizesel.choose_k(sigma, n=200, model=model, restarts=3, mc_samples=2000, seed=1)
+    print(report.to_json())
+    for k in range(1, report.chosen_k + 1):
+        cfg = search.SearchConfig(k=k, criterion=Criterion(kind, p=50, k=k), restarts=3, seed=1 + 1000003 * k)
+        res = search.swap(sigma, cfg)
+        print(k, res.subset, repr(res.objective), [repr(x) for x in res.trajectory], res.restarts)
+"""
+
+
+def test_choose_k_is_the_same_under_one_and_two_blas_threads():
+    # The thread count is read when numpy loads, so each run is a process
+    # of its own.  At p = 50 every BLAS call of the walk (the restarts'
+    # stacked products included, one call per restart) stays under
+    # OpenBLAS's threading thresholds.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", _THREADS_SCRIPT, src],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        outs.append(proc.stdout)
+    assert outs[0].count("size-selection-report") == 2
+    assert outs[0] == outs[1]
