@@ -23,20 +23,25 @@ the positions after the last accepted swap would re-score an unchanged
 state and keep again, so a full sweep with no swap is not waited for.
 ``max_sweeps`` caps the effort and is reported, not an error.
 
-The restarts walk in lockstep from one empty state: at each step every
-live restart decides its position j of the current sweep.  Under DiagDet
-and IsoLrt the restarts whose state is on the fast path (no side list, a
-nonsingular block, a finite objective) share a
-:class:`csskit.criteria.StateStack`, and one stacked retract, score and
-advance per step serve them all, in groups that keep the stacked
-temporaries within ``STACK_BUDGET`` elements.  A restart that leaves the
-fast path, a restart left alone in its group (a single run among them),
-and every restart under the other criteria go on through the per-state
-functions in the same walk: for one state those cost less than a stack of
-one.  The stacked kernels compute row for row, bit for bit, what the
-per-state ones do, so each restart makes the decisions, and ends where,
-it would run alone.  Every final subset is evaluated from scratch once all
-restarts are done, once per distinct set.
+Swap walks its restarts in groups.  Under DiagDet and IsoLrt a group
+holds as many restarts as keep the stacked temporaries within
+``STACK_BUDGET`` elements, and they walk in lockstep: at step ``j`` of a
+sweep every live restart of the group decides its position ``j``.  One
+step retracts them all (the rows of a :class:`csskit.criteria.StateStack`
+by one stacked retract, every other restart by the per-state one), scores
+every candidate of every restart into one table of ``p - k + 1`` columns,
+decides every row by one rule, advances the restarts that swap (by the
+helper that also builds the starting states) and reads their objectives.
+A restart is on the stack while its state is on the fast path (no side
+list, a nonsingular block, a finite objective) and it is not alone there;
+otherwise it moves through the per-state functions, which for one state
+cost less than a stack of one.  CssTrace, DetResidual, FrobResidual and
+CanonCorr have no stacked kernels, so under them each restart is a group
+of one and walks after the one before it.  The stacked kernels compute row
+for row, bit for bit, what the per-state ones do, so each restart makes
+the decisions, and ends where, it would run alone.  Every final subset is
+evaluated from scratch once all restarts are done, once per distinct set
+(per ordered subset under CanonCorr, whose value depends on the order).
 """
 
 import itertools
@@ -123,8 +128,9 @@ class SearchResult:
 @dataclass(frozen=True)
 class RestartStats:
     """One restart of :func:`swap`: the sweeps it started, the swaps it
-    accepted, and the from-scratch objective of its final subset.  The
-    restarts walk in lockstep, so there is no wall time per restart."""
+    accepted, and the from-scratch objective of its final subset.  No wall
+    time is kept per restart: under DiagDet and IsoLrt the restarts of a
+    group walk in lockstep."""
 
     sweeps: int
     accepted: int
@@ -132,7 +138,7 @@ class RestartStats:
 
 
 def resolve_threads() -> int:
-    """Swap's worker count: 1 (restarts run in lockstep in one thread)."""
+    """Swap's worker count: 1 (every restart runs in one thread)."""
     return 1
 
 
@@ -181,22 +187,24 @@ class _Run:
         self.kept += 1
         self.done = self.kept == k  # converged: every position kept in a row
 
-    def accept(self, j: int, pick: int, objective: float):
+    def accept(self, j: int, pick: int):
         self.current[j] = pick
         self.changed = True
         self.kept = 0
         self.accepted += 1
-        self.trajectory.append(float(objective))
 
 
 class _Walk:
-    """Positional swapping of a group of restarts in lockstep: at each step
-    every live restart decides its position ``j`` of the current sweep.
-    Under DiagDet and IsoLrt the restarts on the fast path share one
-    :class:`csskit.criteria.StateStack` and one call of each stacked kernel
-    per step; a restart that leaves it (a side list, a singular block, a
-    ``-inf`` objective, or being the last one on it), and every restart
-    under the other criteria, moves through the per-state functions.  A
+    """Positional swapping of a group of restarts in lockstep.  At step
+    ``j`` of a sweep, :meth:`_step` retracts position ``j`` of every live
+    restart, scores its candidates into one row of a table, decides every
+    row by one rule, and advances the restarts that swap.  Under DiagDet and
+    IsoLrt a group of two or more starts on one
+    :class:`csskit.criteria.StateStack`, served by one call of each stacked
+    kernel per step.  A restart leaves the stack when a stacked advance or
+    retract refuses it (a pivot under the rank rule), when its objective
+    reads ``-inf``, or when it is the last one on it; it then moves through
+    the per-state functions, as every restart of a group of one does.  A
     restart's decisions do not depend on the others in its group."""
 
     def __init__(self, config: SearchConfig, empty: criteria.SubsetState, margin: float, record: bool):
@@ -211,19 +219,14 @@ class _Walk:
     def run(self, runs: List[_Run]):
         """Walk ``runs`` from their starts until each has converged, reached
         a perfect fit or used ``max_sweeps``."""
-        crit, sigma = self.crit, self.sigma
-        stack, members = None, []
-        if crit.kind in criteria.STACKED and len(runs) > 1:
-            stack, members = self._alone(*self._build(runs))
-        else:
-            for run in runs:
-                state = self.empty
-                for i in run.current:
-                    state = criteria.advance(crit, state, sigma, i)
-                run.state = state
+        stacked = self.crit.kind in criteria.STACKED and len(runs) > 1
         for run in runs:
-            if not run.trajectory:  # the stack reads its members' own
-                run.trajectory.append(criteria.objective_from_state(crit, run.state))
+            run.state = None if stacked else self.empty
+        start = criteria.StateStack.of_empty(self.empty, len(runs)) if stacked else None
+        self.runs = runs
+        self.stack, rows = self._move(start, runs, np.array([run.current for run in runs]).T)
+        self.members = [runs[b] for b in rows]
+        self._settle()
         for sweep in range(1, self.max_sweeps + 1):
             live = [run for run in runs if not run.done]
             if not live:
@@ -232,135 +235,103 @@ class _Walk:
                 run.sweeps = sweep
                 run.changed = False
             for j in range(self.k):
-                off = [run for run in live if run.state is not None and not run.done]
-                if not off and not members:
-                    break
-                if members:
-                    stack, members, left = self._stack_step(stack, members, j)
-                    stack, members = self._alone(stack, members)
-                    off += left
-                for run in off:
-                    self._state_step(run, j)
+                self._step(j)
             for run in live:
                 if run.changed and run.trajectory[-1] == float("-inf"):
                     run.done = True  # perfect fit: nothing left to improve
         for run in runs:
             run.state = None  # the next group's states are not kept alive alongside
+        self.stack = None
 
-    def _build(self, runs: List[_Run]):
-        """The stack of the group's starting states, advanced in lockstep
-        from the empty state; a start that leaves the fast path finishes
-        with the per-state advance."""
+    def _step(self, j: int):
+        """Position ``j`` of every live restart: the stack's rows first,
+        then each restart that moves alone."""
         crit, sigma = self.crit, self.sigma
-        stack = criteria.StateStack.of_empty(self.empty, len(runs))
-        members = list(runs)
-        for i in range(self.k):
-            picks = np.array([run.current[i] for run in members])
-            grown, ok = criteria.advance_stack(stack, picks)
+        if self.members:
+            var = np.array([run.current[j] for run in self.members])
+            shrunk, ok = criteria.retract_stack(self.stack, np.argmax(self.stack.subset == var[:, None], axis=1))
             for b in np.flatnonzero(~ok):
-                state = stack.state(b)
-                for v in members[b].current[i:]:
-                    state = criteria.advance(crit, state, sigma, v)
-                members[b].state = state
-            stack, members = self._keep(grown, members, ok)
-            if not members:
-                return stack, members
-        objective = criteria.objective_stack(crit, stack)
-        for b, run in enumerate(members):
-            run.trajectory.append(float(objective[b]))
-        finite = objective > float("-inf")
-        for b in np.flatnonzero(~finite):
-            members[b].state = stack.state(b)
-        return self._keep(stack, members, finite)
-
-    @staticmethod
-    def _alone(stack, members):
-        """A restart left alone on the stack goes on through the per-state
-        functions, which cost less than a stack of one and compute the
-        same bits."""
-        if len(members) == 1:
-            members[0].state = stack.state(0)
-            return None, []
-        return stack, members
-
-    @staticmethod
-    def _keep(stack, members, rows):
-        if rows.all():
-            return stack, members
-        return stack.take(rows), [run for run, ok in zip(members, rows.tolist()) if ok]
-
-    def _stack_step(self, stack, members, j):
-        """Position ``j`` of every restart on the stack; returns the stack
-        of those that stay on it and the restarts that left it before
-        deciding ``j``."""
-        crit, sigma, k = self.crit, self.sigma, self.k
-        var = np.array([run.current[j] for run in members])
-        shrunk, ok = criteria.retract_stack(stack, np.argmax(stack.subset == var[:, None], axis=1))
-        left = []
-        if not ok.all():
-            for b in np.flatnonzero(~ok):
-                members[b].state = stack.state(b)
-                left.append(members[b])
-            stack, members = self._keep(stack, members, ok)
-            shrunk, var = shrunk.take(ok), var[ok]
-            if not members:
-                return stack, members, left
-        cands, scores = criteria.score_stack(crit, shrunk)
-        rows = np.arange(len(members))
-        a = np.argmin(scores, axis=1)
-        best = cands[rows, a]
-        incumbent = np.sum(cands < var[:, None], axis=1)
-        accept = (best != var) & (scores[rows, a] < scores[rows, incumbent] - self.margin)
-        if self.record:
-            for b, run in enumerate(members):
-                pick = int(best[b]) if accept[b] else int(var[b])
-                run.decisions.append(
-                    (tuple(run.current[:j] + run.current[j + 1 :]), int(var[b]), pick, cands[b].copy(), scores[b].copy())
-                )
-        stay = np.ones(len(members), dtype=bool)
-        for b in np.flatnonzero(~accept):
-            members[b].keep(k)
-            stay[b] = not members[b].done
-        idx = np.flatnonzero(accept)
-        if idx.size:
-            grown, good = criteria.advance_stack(shrunk.take(idx), best[idx])
-            fast = grown if good.all() else grown.take(good)
-            objective = np.full(idx.size, float("-inf"))
-            objective[good] = criteria.objective_stack(crit, fast)
-            for t, b in enumerate(idx.tolist()):
-                run = members[b]
-                if not good[t]:
-                    run.state = criteria.advance(crit, shrunk.state(b), sigma, int(best[b]))
-                    objective[t] = criteria.objective_from_state(crit, run.state)
-                elif objective[t] == float("-inf"):
-                    run.state = grown.state(t)
-                stay[b] = run.state is None
-                run.accept(j, int(best[b]), objective[t])
-            stack.put(idx[good], fast)
-        stack, members = self._keep(stack, members, stay)
-        return stack, members, left
-
-    def _state_step(self, run: _Run, j: int):
-        """Position ``j`` of one restart, through the per-state functions."""
-        crit, sigma = self.crit, self.sigma
-        state = run.state
-        var = run.current[j]
-        state_u = criteria.retract(crit, state, sigma, state.subset.index(var))
-        cands, scores = criteria.score_all(crit, state_u)
-        a = int(np.argmin(scores))
-        incumbent = int(np.searchsorted(cands, var))
-        pick = var
-        if int(cands[a]) != var and scores[a] < scores[incumbent] - self.margin:
-            pick = int(cands[a])
-        if self.record:
-            run.decisions.append(
-                (tuple(run.current[:j] + run.current[j + 1 :]), var, pick, cands.copy(), scores.copy())
-            )
-        if pick == var:
-            run.keep(self.k)
+                self.members[b].state = self.stack.state(b)
+            self._keep(ok.tolist())
+            shrunk = shrunk if ok.all() else shrunk.take(ok)
+        n = len(self.members)
+        tables = [criteria.score_stack(crit, shrunk)] if n else []
+        lone = [run for run in self.runs if run.state is not None and not run.done]
+        retracted = [criteria.retract(crit, run.state, sigma, run.state.subset.index(run.current[j])) for run in lone]
+        tables += [(c[None], s[None]) for c, s in (criteria.score_all(crit, state) for state in retracted)]
+        if not tables:
             return
-        run.state = criteria.advance(crit, state_u, sigma, pick)
-        run.accept(j, pick, criteria.objective_from_state(crit, run.state))
+        cands, scores = tables[0] if len(tables) == 1 else map(np.concatenate, zip(*tables))
+        movers = self.members + lone
+        var = np.array([run.current[j] for run in movers])
+        a = scores.argmin(axis=1)
+        rows = np.arange(len(movers))
+        best = cands[rows, a]
+        # each row's incumbent is one of its candidates, once, so the mask
+        # picks one incumbent score per row, in row order
+        accept = (best != var) & (scores[rows, a] < scores[cands == var[:, None]] - self.margin)
+        pick = np.where(accept, best, var).tolist()
+        moved = []
+        for b, run in enumerate(movers):
+            if self.record:
+                kept = tuple(run.current[:j] + run.current[j + 1 :])
+                run.decisions.append((kept, int(var[b]), pick[b], cands[b].copy(), scores[b].copy()))
+            if pick[b] == run.current[j]:
+                run.keep(self.k)
+            else:
+                run.accept(j, pick[b])
+                moved.append(b)
+        if moved:
+            on = [b for b in moved if b < n]
+            for b in moved[len(on) :]:
+                movers[b].state = retracted[b - n]
+            grown, rows = self._move(shrunk.take(on) if on else None, [movers[b] for b in moved], best[moved][None])
+            if rows.size:
+                self.stack.put(np.array(on)[rows], grown)
+        self._settle()
+
+    def _move(self, stack, runs: List[_Run], picks: np.ndarray):
+        """Advance ``runs`` by each row of ``picks`` in turn, then append
+        each one's objective to its trajectory.  The first runs, one per row
+        of ``stack`` (if any), move in lockstep; a row the stack refuses,
+        and every other run, advances its own state.  A row that reads
+        ``-inf`` leaves the stack too.  Returns the grown stack and which of
+        ``stack``'s rows it holds."""
+        crit, sigma = self.crit, self.sigma
+        rows = np.arange(0 if stack is None else len(stack.subset))
+        for step in picks:
+            if rows.size:
+                grown, ok = criteria.advance_stack(stack, step[rows])
+                for b in np.flatnonzero(~ok):
+                    runs[rows[b]].state = stack.state(b)
+                stack, rows = (grown, rows) if ok.all() else (grown.take(ok), rows[ok])
+            for run, v in zip(runs, step.tolist()):
+                if run.state is not None:
+                    run.state = criteria.advance(crit, run.state, sigma, v)
+        for run in runs:
+            if run.state is not None:
+                run.trajectory.append(criteria.objective_from_state(crit, run.state))
+        if rows.size:
+            for t, value in enumerate(criteria.objective_stack(crit, stack).tolist()):
+                runs[rows[t]].trajectory.append(value)
+                if value == float("-inf"):
+                    runs[rows[t]].state = stack.state(t)
+        return stack, rows
+
+    def _keep(self, rows: List[bool]):
+        """Keep the stack's rows where ``rows`` holds."""
+        if not all(rows):
+            self.stack = self.stack.take(np.array(rows))
+            self.members = [run for run, ok in zip(self.members, rows) if ok]
+
+    def _settle(self):
+        """Drop the stack's rows whose restart left it or is done.  A
+        restart left alone on it goes on through the per-state functions,
+        which cost less than a stack of one and compute the same bits."""
+        self._keep([run.state is None and not run.done for run in self.members])
+        if len(self.members) == 1:
+            self.members[0].state = self.stack.state(0)
+            self.stack, self.members = None, []
 
 
 def swap(
@@ -374,9 +345,10 @@ def swap(
     When ``init`` is given, a single run starts there; otherwise restart
     ``r = 0..restarts-1`` draws a uniform size-k subset using seed
     ``config.seed + r`` and the best final objective wins (ties to the
-    lowest restart index).  The restarts walk in lockstep, in groups of at
-    most :func:`_group_size`; each makes the decisions, and reaches the
-    outcome, it makes when run alone from its start.
+    lowest restart index).  Under DiagDet and IsoLrt the restarts walk in
+    lockstep, in groups of at most :func:`_group_size`; under the other
+    criteria each walks after the one before it.  Each makes the decisions,
+    and reaches the outcome, it makes when run alone from its start.
 
     ``decisions``, if provided, collects one tuple per position decision
     ``(kept_subset, incumbent, picked, candidates, scores)``, restart 0's

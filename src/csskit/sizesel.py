@@ -380,9 +380,10 @@ def choose_k(
     ``perfect_fit``.
 
     Raises :class:`DegreesOfFreedom` unless ``n > p``,
-    :class:`DimMismatch` on a negative ``seed`` or ``k_max``, and
-    :class:`NoFeasibleK` only when a user-imposed ``k_max`` cuts the walk
-    short of ``p - 1`` (at k = p - 1 the statistic is identically 0).
+    :class:`DimMismatch` on a negative ``seed`` or ``k_max`` or on
+    ``restarts < 1``, and :class:`NoFeasibleK` only when a user-imposed
+    ``k_max`` cuts the walk short of ``p - 1`` (at k = p - 1 the statistic
+    is identically 0).
     """
     model = Model(model)
     sigma_hat = np.asarray(sigma_hat, dtype=float)
@@ -393,6 +394,8 @@ def choose_k(
         raise DegreesOfFreedom(f"size selection needs n > p (got n={n}, p={p})")
     if seed < 0:
         raise DimMismatch(f"seed must be non-negative, got {seed}")
+    if restarts < 1:
+        raise DimMismatch(f"restarts must be >= 1, got {restarts}")
     if k_max is not None and k_max < 0:
         raise DimMismatch(f"k_max must be non-negative, got {k_max}")
     if model == Model.SUBSET_FACTOR:

@@ -3,8 +3,8 @@
 Everything in the toolkit that touches spectra goes through this module, so
 that pseudo-inversion, PSD projection, log-determinants, and rank decisions
 all share one eigendecomposition backend (:func:`numpy.linalg.eigh`) and
-one cutoff, ``RANK_TOL``, applied free of the units of every variable by
-two tests:
+one cutoff, ``RANK_TOL``, applied free of the units of every variable.
+Two tests decide rank:
 
 * a variable adds rank to a subset when its residual variance exceeds
   ``RANK_TOL`` times its own variance (:func:`adds_rank`), the one pivot and
@@ -12,9 +12,11 @@ two tests:
 * a block is singular when its unit-diagonal form ``D m D``, with
   ``D = diag(m)^(-1/2)``, has an eigenvalue at or below ``RANK_TOL *
   lambda_max`` (:func:`log_det`; :func:`ginv`, the generalised inverse
-  behind every Schur complement and canonical correlation);
-* an eigenvalue below ``-RANK_TOL * lambda_max`` raises
-  :class:`~csskit.errors.NotPSD`; a singular log-determinant is ``-inf``.
+  behind every Schur complement and canonical correlation).
+
+Beside them stands one convention, which is not a rank test: an
+eigenvalue below ``-RANK_TOL * lambda_max`` raises
+:class:`~csskit.errors.NotPSD`, and a singular log-determinant is ``-inf``.
 
 The two tests can disagree near the cutoff.  For unit variances with
 ``1 - rho**2 = 3e-10`` the second variable's pivot ``3e-10`` adds rank,

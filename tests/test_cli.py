@@ -1,6 +1,9 @@
 """Command-line interface: subcommands, exit codes, manifests, file round-trips."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -80,6 +83,39 @@ def test_select_rerun_is_byte_identical(tmp_path):
         m.pop("timings")
         m.pop("started_at")
     assert first_manifest == second_manifest
+
+
+# select on one covariance file: greedy with k=30, then a 2-restart swap.
+_SELECT_THREADS_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from csskit.cli import main
+argv = ["select", "--cov", sys.argv[2], "--k", "30", "--criterion", "css"]
+main(argv)
+main(argv + ["--method", "swap", "--restarts", "2", "--seed", "1"])
+"""
+
+
+def test_select_at_p774_is_the_same_under_one_and_two_blas_threads(tmp_path):
+    # The thread count is read when numpy loads, so each run is a process
+    # of its own.  The covariance is fixed (a file); at this size a
+    # covariance estimated from data would itself differ with the thread
+    # count.
+    rng = np.random.default_rng(774)
+    g = rng.standard_normal((774, 40))
+    sigma = g @ g.T / 40 + np.diag(rng.uniform(0.2, 0.5, 774))
+    path = write_cov(tmp_path / "cov774.csv", (sigma + sigma.T) / 2)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", _SELECT_THREADS_SCRIPT, src, path],
+            env=env, capture_output=True, timeout=300, check=True,
+        )
+        outs.append(proc.stdout)
+    assert outs[0].count(b"k,objective,avg_r2,subset") == 2
+    assert outs[0] == outs[1]
 
 
 def test_select_exhaustive_matches_library(tmp_path, capsys):
@@ -198,6 +234,7 @@ def test_exit_code_three_on_bad_inputs(tmp_path, capsys):
     np.savetxt(data, np.random.default_rng(0).standard_normal((20, 3)), delimiter=",")
     for argv in (
         ["choose-k", "--data", str(data), "--seed", "1", "--k-max", "-1"],
+        ["choose-k", "--data", str(data), "--seed", "1", "--restarts", "0"],
         ["simulate", "--scenario", "missing-a1", "--trials", "0", "--seed", "1"],
         ["simulate", "--scenario", "sizesel-a2", "--trials", "0", "--seed", "1"],
     ):

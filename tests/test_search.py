@@ -166,6 +166,23 @@ def test_swap_returns_first_minimum_of_its_restarts(monkeypatch):
     # Under CSS at k=1 variables 0 and 1 tie exactly: a start at 1 keeps 1,
     # every other start moves to 0.  Restart 0 of seed 14 starts at 1.
     tie = np.diag([5.0, 5.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+    # CanonCorr's restarts end on one set in different orders, whose
+    # from-scratch objectives differ in the last bits.
+    more = np.random.default_rng(131)
+    cc = rand_psd(more, 9)
+    # DetResidual on a sigma of rank 7 of 8 (variable 7 duplicates 0): only a
+    # start holding both is finite, and it swaps one out to reach -inf.
+    det = rand_psd(more, 8)
+    det[7], det[:, 7] = det[0], det[:, 0]
+    # Variable 0 is 10 x variable 1 plus variable 2 plus noise of variance
+    # about 1e-9, and variable 9 duplicates 3.  Built in ascending order, a
+    # start holding 0, 1 and 2 stays on the stack, but retracting 0 from it
+    # is refused; a start holding 3 and 9 is refused while it is built, and
+    # so is an accepted swap of 3 in next to 9.
+    g = more.standard_normal((10, 10))
+    g[0] = g[2] + 10.0 * g[1] + np.sqrt(1e-9) * g[0]
+    near = g @ g.T / 10
+    near[9], near[:, 9] = near[3], near[:, 3]
     cases = [
         (rand_psd(rng, 10), SearchConfig(k=4, criterion=css(10, 4), restarts=4, seed=17), None),
         (rand_psd(rng, 12), SearchConfig(k=5, criterion=diag_det, restarts=3, seed=2), None),
@@ -174,6 +191,9 @@ def test_swap_returns_first_minimum_of_its_restarts(monkeypatch):
         (rand_psd(rng, 12), SearchConfig(k=5, criterion=diag_det, restarts=5, max_sweeps=1, seed=4), None),
         # a budget of two restarts' temporaries splits 7 restarts into 4 groups
         (rand_psd(rng, 11), SearchConfig(k=4, criterion=iso, restarts=7, seed=9), 2 * (8**2 + 8 * 11)),
+        (cc, SearchConfig(k=3, criterion=Criterion(CriterionKind.CANON_CORR, p=9, k=3), restarts=5, seed=0), None),
+        (det, SearchConfig(k=3, criterion=Criterion(CriterionKind.DET_RESIDUAL, p=8, k=3), restarts=6, seed=9), None),
+        (near, SearchConfig(k=4, criterion=Criterion(CriterionKind.ISO_LRT, p=10, k=4), restarts=8, seed=1), None),
         (tie, SearchConfig(k=1, criterion=css(8, 1), restarts=4, seed=14), None),
     ]
     for sigma, cfg, budget in cases:
@@ -195,7 +215,9 @@ def test_swap_returns_first_minimum_of_its_restarts(monkeypatch):
         for got, want in zip(decisions, expected):
             assert got[:3] == want[:3]
             assert np.array_equal(got[3], want[3]) and np.array_equal(got[4], want[4])
-        if sigma is dup:  # some restart starts finite and ends at -inf
+        if sigma is cc:  # one set reached in two orders, one order twice
+            assert len({tuple(sorted(run.subset)) for run in runs}) < len({run.subset for run in runs}) < len(runs)
+        if sigma is dup or sigma is det:  # some restart starts finite and ends at -inf
             assert any(run.trajectory[0] > -np.inf and run.trajectory[-1] == -np.inf for run in runs)
         if cfg.max_sweeps == 1:  # some restart accepts a swap, so the cap stops it
             assert any(run.restarts[0].accepted > 0 for run in runs)

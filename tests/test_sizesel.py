@@ -233,6 +233,12 @@ def test_choose_k_errors():
         choose_k(pop, n=50, model=Model.PCSS, mc_samples=2000, seed=0, k_max=1)
     with pytest.raises(DimMismatch, match="k_max"):
         choose_k(pop, n=50, mc_samples=2000, k_max=-1)  # not NoFeasibleK
+    # rejected on entry, not only once a size k >= 1 is searched: at k=0
+    # nothing is searched, and this sample stops there
+    x = np.random.default_rng(0).standard_normal((300, 6))
+    for restarts in (0, -5):
+        with pytest.raises(DimMismatch, match="restarts"):
+            choose_k(covest.sample_cov(x), n=300, restarts=restarts, mc_samples=2000, seed=1)
 
 
 def test_report_with_infinite_statistic_is_strict_json():
