@@ -8,7 +8,8 @@ the algebra exact.  Missing entries are NaN inside :class:`DataMatrix`.
 CSV grammar (:func:`read_data_csv`, and :func:`read_cov_csv` on top of it):
 
 * one row per line, fields separated by ``,`` (a quoted field holds no
-  comma); every row has as many fields as the first, else
+  comma: the field count counts every comma, and a field that holds one
+  is not a number); every row has as many fields as the first, else
   :class:`~csskit.errors.DimMismatch` names the line;
 * lines with no characters at all are skipped; with ``header=True`` the
   first remaining line is skipped unread;
@@ -24,25 +25,26 @@ CSV grammar (:func:`read_data_csv`, and :func:`read_cov_csv` on top of it):
   :class:`~csskit.errors.DimMismatch` naming the line and column;
 * there is no comment character: ``#`` is an ordinary, non-numeric byte;
 * an infinite value (``inf``, or ``1e400`` after overflow) raises
-  :class:`~csskit.errors.NonFinite`.
+  :class:`~csskit.errors.NonFinite`;
+* the file is read as UTF-8 whatever the locale; a byte that is not UTF-8
+  makes its field no number, and in the skipped header it is ignored.
 
-The file is parsed first as it stands, by one :func:`numpy.loadtxt` call
-on the open file with no quote character: numpy skips blank lines itself,
-reads ``nan`` as NaN and refuses every other missing field and every
-quoted one, so a file that spells missing cells ``nan`` (or has none) and
-quotes nothing is read without a Python loop over its lines.  Only when
-numpy refuses the file, or finds no rows, is it read again from the start
-with every missing field rewritten as ``nan`` line by line; that pass
-reads quoted fields, one line at a time, and gives the typed errors with
-their line and column numbers.
+The file is read once, in blocks of lines.  numpy parses each block with
+one :func:`numpy.loadtxt` call and no quote character: it skips blank
+lines, reads ``nan`` as NaN, checks that the block's rows are equally wide
+and refuses every other missing field and every quoted one.  So blocks
+that spell missing cells ``nan`` (or have none) and quote nothing are read
+with no Python loop over their lines.  A block that numpy refuses, or whose
+width differs from the first block's, is read again field by field: that
+reader gives the missing fields, the quoted ones and the typed errors with
+their line and column.
 """
 
 import csv
 import itertools
-import re
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -185,139 +187,81 @@ def to_correlation(sigma: SymMatrix) -> SymMatrix:
 # CSV I/O
 # ---------------------------------------------------------------------------
 
-# numpy reports a cell it cannot parse as "... string 'x' to float64 at row
-# R, column C" (R 0-based over the lines it was given, C 1-based).
-_BAD_CELL = re.compile(r"could not convert string (.*) to \w+ at row (\d+), column (\d+)")
-
 _LOADTXT = dict(delimiter=",", ndmin=2, dtype=float, comments=None)
 
-
-def _is_missing(field: str) -> bool:
-    """An empty, blank or ``NA`` field (any case), bare or double-quoted."""
-    token = field.rstrip()
-    if len(token) >= 2 and token[0] == '"' == token[-1]:
-        token = token[1:-1]
-    token = token.strip()
-    return not token or token.lower() == "na"
+# Lines per numpy call: enough that the call's own cost is lost in the
+# parsing, few enough that a refused block is cheap to read again.
+_BLOCK_LINES = 256
 
 
-def _may_hold_missing(line: str) -> bool:
-    """Cheap screen: False only if no field of ``line`` can be missing."""
-    if line[0] == "," or line[-1] == "," or ",," in line or '"' in line:
-        return True
-    if " " in line or not line.isprintable():  # any whitespace at all
-        return True
-    low = line.lower()
-    return low.count("na") != low.count("nan")  # an "na" outside "nan"
-
-
-def _normalise(line: str) -> str:
-    """``line`` with every missing field rewritten as ``nan``; a line the
-    screen passes is returned as it is."""
-    if not _may_hold_missing(line):
-        return line
-    return ",".join(["nan" if _is_missing(f) else f for f in line.split(",")])
-
-
-def _leaves_quote_open(line: str) -> bool:
-    """Whether ``line`` ends inside a quoted field: a quote opens a field
-    as its first character, and inside it ``""`` is one quote character
-    and a lone quote closes it."""
-    inside, start, i = False, True, 0
-    while i < len(line):
-        ch = line[i]
-        if inside:
-            if ch == '"':
-                if line.startswith('"', i + 1):
-                    i += 1
-                else:
-                    inside = False
-        else:
-            inside = start and ch == '"'
-            start = ch == ","
-        i += 1
-    return inside
-
-
-def _data_lines(path: str, fh, header: bool, skipped: List[int]) -> Iterator[str]:
-    """The data lines of ``fh`` with every missing field rewritten as ``nan``.
-
-    Blank lines and the header (the first non-blank line, when ``header``)
-    are dropped and their line numbers appended to ``skipped``.  A line with
-    another field count than the first, or one that leaves a quote open,
-    raises :class:`DimMismatch`.
-    """
-    width = None
-    for lineno, line in enumerate(fh, 1):
-        line = line.rstrip("\n")
-        if not line or header:
-            header = header and not line
-            skipped.append(lineno)
-            continue
-        line = _normalise(line)
-        commas = line.count(",")
-        if width is None:
-            width = commas
-        elif commas != width:
-            raise DimMismatch(
-                f"{path}: line {lineno} has {commas + 1} fields, expected {width + 1}"
-            )
-        if '"' in line and _leaves_quote_open(line):
-            # numpy would carry the field on into the next line
-            raise DimMismatch(f"{path}: line {lineno} leaves a quote open")
-        yield line
-
-
-def _file_line(row: int, skipped: List[int]) -> int:
-    """1-based line number of data row ``row`` (0-based)."""
-    line = row + 1
-    for s in skipped:
-        if s <= line:
-            line += 1
-    return line
-
-
-def _read_rewritten(path: str, header: bool) -> np.ndarray:
-    """The file parsed after :func:`_data_lines` rewrote its missing fields,
-    or the typed error that names the offending line."""
-    skipped: List[int] = []
-    with open(path) as fh:
-        lines = _data_lines(path, fh, header, skipped)
-        first = next(lines, None)
-        if first is None:
-            raise DimMismatch(f"{path}: no data rows")
+def _cell(path: str, lineno: int, column: int, field: str) -> float:
+    """One field as NaN (empty or ``NA``) or as the number numpy reads."""
+    token = field.strip()
+    if not token or token.lower() == "na":
+        return np.nan
+    if token.isascii() and "_" not in token:  # what float() reads beyond numpy
         try:
-            return np.loadtxt(itertools.chain((first,), lines), quotechar='"', **_LOADTXT)
-        except ValueError as exc:
-            bad = _BAD_CELL.match(str(exc))
-            if bad is None:
-                raise DimMismatch(f"{path}: {exc}") from None
-            line = _file_line(int(bad.group(2)), skipped)
-            raise DimMismatch(
-                f"{path}: line {line}, column {bad.group(3)}: "
-                f"{bad.group(1)} is not a number"
-            ) from None
+            return float(token)
+        except ValueError:
+            pass
+    raise DimMismatch(f"{path}: line {lineno}, column {column}: {field!r} is not a number")
+
+
+def _read_fields(path: str, lines: List[str], first: int, width) -> List[List[float]]:
+    """The rows of a block that numpy refused, read field by field.
+
+    ``lines`` are numbered from ``first``; ``width`` is the field count of
+    the file's first row, or None when no row came before.  The first line
+    that is ragged, leaves a quote open or holds a bad field raises
+    :class:`DimMismatch`.
+    """
+    rows = []
+    for lineno, line in enumerate(lines, first):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        fields = line.split(",")
+        width = width or len(fields)
+        if len(fields) != width:
+            raise DimMismatch(f"{path}: line {lineno} has {len(fields)} fields, expected {width}")
+        if '"' in line:
+            # a quote still open at the line's end takes in its line break
+            try:
+                fields = next(csv.reader((line + "\n",)))
+            except csv.Error as exc:  # Python 3.10's csv refuses a NUL byte
+                raise DimMismatch(f"{path}: line {lineno}: {exc}") from None
+            if fields[-1].endswith("\n"):
+                raise DimMismatch(f"{path}: line {lineno} leaves a quote open")
+        rows.append([_cell(path, lineno, col, f) for col, f in enumerate(fields, 1)])
+    return rows
 
 
 def read_data_csv(path: str, header: bool = False) -> DataMatrix:
     """Read a comma-separated data matrix; see the module docstring for the
     grammar.  A cell that is neither missing nor a number, or a row of
     another width, raises :class:`DimMismatch` naming the line."""
-    values = None
-    with open(path) as fh:
-        if header:  # drop the first non-blank line
-            for line in iter(fh.readline, ""):
-                if line != "\n":
-                    break
-        try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                values = np.loadtxt(fh, **_LOADTXT)
-        except ValueError:
-            pass  # a missing, quoted or bad field: the second pass tells which
-    if values is None or not values.shape[0]:
-        values = _read_rewritten(path, header)
-    return DataMatrix(values)
+    blocks, width, lineno = [], None, 1
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        for lines in iter(lambda: list(itertools.islice(fh, _BLOCK_LINES)), []):
+            first, lineno = lineno, lineno + len(lines)
+            if header:  # drop the first non-blank line unread
+                skip = next((i + 1 for i, line in enumerate(lines) if line != "\n"), None)
+                if skip is None:
+                    continue
+                header, first, lines = False, first + skip, lines[skip:]
+            try:
+                values = np.loadtxt(lines, **_LOADTXT)
+            except ValueError:
+                values = None
+            if values is None or len(values) and width not in (None, values.shape[1]):
+                values = np.array(_read_fields(path, lines, first, width))
+            if len(values):
+                width = values.shape[1]
+                blocks.append(values)
+    if not blocks:
+        raise DimMismatch(f"{path}: no data rows")
+    return DataMatrix(np.concatenate(blocks))
 
 
 def read_cov_csv(path: str, header: bool = False) -> SymMatrix:

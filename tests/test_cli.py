@@ -242,6 +242,14 @@ def test_exit_code_three_on_bad_inputs(tmp_path, capsys):
         assert main(argv) == 3
         captured = capsys.readouterr()
         assert "DimMismatch" in captured.err and captured.out == ""
+    # a byte that is not UTF-8 is no number; in a skipped header it is ignored
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(b"a\xe9,b\n1,2\n3,4\xe9\n")
+    capsys.readouterr()
+    assert main(["covest", "--data", str(latin1), "--header"]) == 3
+    assert "line 3, column 2" in capsys.readouterr().err
+    latin1.write_bytes(b"a\xe9,b\n1,2\n3,4\n")
+    assert main(["covest", "--data", str(latin1), "--header"]) == 0
 
 
 def test_exit_code_three_on_a_non_numeric_cell(tmp_path, capsys):

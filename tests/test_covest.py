@@ -329,16 +329,42 @@ def test_read_data_csv_rejects_a_quote_left_open(tmp_path):
         covest.read_data_csv(str(path))
 
 
-def _set_last_cell(lines, text):
-    cells = lines[-1].split(",")
+def test_read_data_csv_reads_text_after_a_closing_quote_into_the_field(tmp_path):
+    # Every comma separates fields, so a quoted field that holds one is no
+    # number; text after a closing quote stays in the field.
+    path = tmp_path / "d.csv"
+    path.write_text('"5" ,"NA" \n')
+    assert np.array_equal(covest.read_data_csv(str(path)).values, [[5, NAN]], equal_nan=True)
+    path.write_text('1,2,3\n1,"x,7"\n')
+    with pytest.raises(DimMismatch, match=r"line 2, column 2: 'x,7' is not a number"):
+        covest.read_data_csv(str(path))
+    path.write_text('1,2\n"5"x,6\n')
+    with pytest.raises(DimMismatch, match=r"line 2, column 1: '5x' is not a number"):
+        covest.read_data_csv(str(path))
+
+
+def _set_cell(lines, row, text):
+    cells = lines[row].split(",")
     cells[1] = text
-    return lines[:-1] + [",".join(cells)]
+    lines = list(lines)
+    lines[row] = ",".join(cells)
+    return lines
+
+
+def _set_last_cell(lines, text):
+    return _set_cell(lines, -1, text)
+
+
+# 300 blank lines, so the header is the first line of the second block,
+# and one blank line after it: data row r is line 303 + r.
+_HEADED = [""] * 300 + ["a,b,c,d", ""]
 
 
 # (lines of a 3000-row file -> lines, header, the error's message or None).
-# numpy reads the file in chunks, so a refusal in the last row comes after
-# it has parsed thousands of rows; the second pass must still agree with
-# the per-cell parser and count the file's lines from 1.
+# numpy reads the file in blocks of lines, so a refusal in the last row or
+# in a middle block comes after it has parsed thousands of rows; the block
+# read field by field must still agree with the per-cell parser and count
+# the file's lines from 1.
 _BIG_CASES = {
     "na-last-row": (lambda lines: _set_last_cell(lines, "NA"), False, None),
     "empty-last-cell": (lambda lines: _set_last_cell(lines, ""), False, None),
@@ -354,6 +380,23 @@ _BIG_CASES = {
     "header-blank-lines-and-abc": (
         lambda lines: ["", "", "a,b,c,d"] + _set_last_cell(lines, "abc"), True,
         r"line 3003, column 2: 'abc' is not a number",
+    ),
+    "header-in-second-block-na-in-middle-block": (
+        lambda lines: _HEADED + _set_cell(lines, 1000, "NA"), True, None,
+    ),
+    "header-in-second-block-abc-in-middle-block": (
+        lambda lines: _HEADED + _set_cell(lines, 1000, "abc"), True,
+        r"line 1303, column 2: 'abc' is not a number",
+    ),
+    "header-in-second-block-ragged-middle-block": (
+        lambda lines: _HEADED + lines[:1000] + [lines[1000] + ",1"] + lines[1001:], True,
+        r"line 1303 has 5 fields, expected 4",
+    ),
+    # whole blocks that numpy reads, but three fields wide
+    "narrow-middle-blocks": (
+        lambda lines: lines[:600] + [line.rsplit(",", 1)[0] for line in lines[600:1200]]
+        + lines[1200:], False,
+        r"line 601 has 3 fields, expected 4",
     ),
 }
 
@@ -375,6 +418,57 @@ def test_read_data_csv_second_pass_on_a_large_file(tmp_path, case, crlf):
         assert want is DimMismatch and got is DimMismatch
         with pytest.raises(DimMismatch, match=message):
             covest.read_data_csv(str(path), header)
+
+
+def test_read_data_csv_reads_only_the_refused_block_field_by_field(tmp_path, monkeypatch):
+    path = tmp_path / "big.csv"
+    np.savetxt(path, np.random.default_rng(181).standard_normal((3000, 4)), delimiter=",")
+    path.write_text("\n".join(_set_last_cell(path.read_text().splitlines(), "NA")) + "\n")
+    read_fields, seen = covest._read_fields, []
+
+    def spy(path, lines, first, width):
+        seen.append(len(lines))
+        return read_fields(path, lines, first, width)
+
+    monkeypatch.setattr(covest, "_read_fields", spy)
+    got = covest.read_data_csv(str(path)).values
+    assert np.array_equal(got, _oracle_read(str(path)).values, equal_nan=True)
+    assert len(seen) == 1 and seen[0] <= covest._BLOCK_LINES
+
+
+def test_read_data_csv_does_not_read_numpy_error_messages(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise ValueError("refused")
+
+    path = tmp_path / "d.csv"
+    path.write_text("\nx,y\n1,NA\n\n3,4\n")
+    want = _oracle_read(str(path), True).values
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    got = covest.read_data_csv(str(path), True).values
+    assert np.array_equal(got, want, equal_nan=True)
+    path.write_text("1,2\n\n3,abc\n")
+    with pytest.raises(DimMismatch, match=r"line 3, column 2: 'abc' is not a number"):
+        covest.read_data_csv(str(path))
+
+
+def test_a_refused_block_reads_what_numpy_reads_to_the_same_bits():
+    lines = [
+        " +.5e-3 ,\xa01,Infinity,+nan\n",
+        "-nan,1e-320,-0.0,\x0c2E3\n",
+        "1e400,-INF,nAn,7.\n",
+    ]
+    want = np.loadtxt(lines, **covest._LOADTXT)
+    got = np.array(covest._read_fields("d.csv", lines + ["NA,1,2,3\n"], 1, None))
+    assert got[:3].tobytes() == want.tobytes()
+
+
+def test_read_data_csv_reads_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"a\xe9,b\n1,2\n")  # a Latin-1 header, skipped unread
+    assert covest.read_data_csv(str(path), header=True).values.tolist() == [[1, 2]]
+    path.write_bytes(b"1,2\n3,4\xff\n")
+    with pytest.raises(DimMismatch, match=r"line 2, column 2: '4\\udcff' is not a number"):
+        covest.read_data_csv(str(path))
 
 
 def test_diagnostics_keys():
