@@ -137,7 +137,8 @@ def cmd_select(args, parser: argparse.ArgumentParser) -> int:
 
     rows = []
     t_search = time.perf_counter()
-    if args.method == "greedy":
+    if args.method == "greedy" and kind != CriterionKind.ISO_LRT:
+        # greedy's prefixes are its smaller picks, but not under IsoLrt (p - k)
         k_top = max(ks)
         crit = Criterion(kind, p=p, k=k_top)
         result = search.greedy(sigma, SearchConfig(k=k_top, criterion=crit))
@@ -148,7 +149,9 @@ def cmd_select(args, parser: argparse.ArgumentParser) -> int:
     else:
         for k in ks:
             crit = Criterion(kind, p=p, k=k)
-            if args.method == "swap":
+            if args.method == "greedy":
+                result = search.greedy(sigma, SearchConfig(k=k, criterion=crit))
+            elif args.method == "swap":
                 cfg = SearchConfig(
                     k=k,
                     criterion=crit,

@@ -46,26 +46,27 @@ grown subset) but cheaper by at least one power of ``p``.  State is carried
 by :class:`SubsetState`, the same for all six criteria: ``R`` never as a
 dense matrix but by its factor ``R = sigma - L L^T``
 (:class:`csskit.symmat.Factor`), with ``diag R`` and, for CssTrace and
-IsoLrt, ``diag R^2``.  :func:`advance` appends a column to ``L`` in O(pr),
+IsoLrt, ``diag R^2``; the selected block ``sigma_S = L[S] L[S]^T`` is read
+from it, never carried.  :func:`advance` appends a column to ``L`` in O(pr),
 plus one ``sigma``-matvec under CssTrace and IsoLrt, and :func:`retract`
-reflects one out in O(pr + r^3); both also carry the selected block's
-pseudo-inverse in O(k^2).  Scores then cost O(p) for DetResidual, O(p)
-plus the near-perfect fits' residual columns for CssTrace and IsoLrt, one ``(p-k)``-block of ``R`` for DiagDet, and the dense ``R`` for
+reflects one out in O(pr + r^3).  Scores then cost O(p) for DetResidual,
+O(p) plus the near-perfect fits' residual columns for CssTrace and IsoLrt,
+one ``(p-k)``-block of ``R`` for DiagDet, and the dense ``R`` for
 FrobResidual.  CanonCorr reads no residual.  When the condition number of
 the unit-diagonal ``sigma`` is at most ``CC_COND_MAX`` (1e4),
 :func:`init_state` inverts it once per search
-(:func:`csskit.symmat.inverse`, one eigendecomposition),
-and the state carries ``H = (Omega_SS)^-1`` of ``Omega = sigma^-1`` next to
-the block inverse ``G``, both updated by the same O(k^2) identities.  The
-partitioned inverse gives ``-cc(S) = tr(G H) - k``: :func:`score_all` scores
-every candidate exactly in O(k^2 (p - k)) and :func:`objective_from_state`
-reads the objective in O(k^2).  On a singular or worse-conditioned
-``sigma`` each :func:`score_all` call pseudo-inverts the complement block
-once and scores every candidate from it, up to one constant, and the
+(:func:`csskit.symmat.inverse`, one eigendecomposition), and the state
+carries ``H = (Omega_SS)^-1`` of ``Omega = sigma^-1``, updated in O(k^2).
+With ``G = sigma_S^-1`` from the factor in O(k^3), the partitioned inverse
+gives ``-cc(S) = tr(G H) - k``: :func:`score_all` scores every candidate
+exactly in O(k^2 (p - k)) and :func:`objective_from_state` reads the
+objective in O(k^3).  On a singular or worse-conditioned ``sigma`` each
+:func:`score_all` call generalised-inverts the selected and the complement
+block and scores every candidate from them, up to one constant, and the
 objective is :func:`evaluate`'s.
 
 Under DiagDet and IsoLrt, :class:`StateStack` holds many states of one
-size on the fast path (no side list, a nonsingular block), and
+size on the fast path (no side list, a finite log-determinant), and
 :func:`retract_stack`, :func:`score_stack`, :func:`advance_stack` and
 :func:`objective_stack` move, score and read all of them with one numpy
 call per step, which is where a small-p search spends its time with
@@ -155,20 +156,19 @@ class SubsetState:
     ``L`` spans the members in ``ranked``, each of which added rank to the
     ones before it when it joined; the other members sit on a side list,
     because they leave the residual unchanged, and a retract
-    that drops a ranked member re-tests them.  Next to the factor are the
-    pseudo-inverse of the selected block (in subset order), read by
-    CanonCorr and by :func:`retract`, and its log-determinant (``-inf`` once
-    the block goes numerically singular).  ``sigma`` is a read-only
-    reference to the source matrix.  For CanonCorr on a ``sigma`` whose
-    unit-diagonal form has condition number at most ``CC_COND_MAX``,
-    ``omega`` is a read-only reference to ``sigma^-1``, shared by
-    every state of one search, and ``omega_block_inv`` the inverse of its
-    selected block ``omega[S, S]`` (in subset order); otherwise both are
-    None.
+    that drops a ranked member re-tests them.  The selected block is not
+    carried: it is ``L[S] L[S]^T``.  Next to the factor is the block's
+    log-determinant (``-inf`` once the block goes numerically singular).
+    ``sigma`` is a read-only reference to the source matrix.  For CanonCorr
+    on a ``sigma`` whose unit-diagonal form has condition number at most
+    ``CC_COND_MAX``, ``omega`` is a read-only reference to ``sigma^-1``,
+    shared by every state of one search, and ``omega_block_inv`` the
+    inverse of its selected block ``omega[S, S]`` (in subset order);
+    otherwise both are None.
 
-    With ``r = len(ranked)``, :func:`advance` costs O(pr + k^2) plus one
+    With ``r = len(ranked)``, :func:`advance` costs O(pr) plus one
     ``sigma``-matvec under CssTrace and IsoLrt, and :func:`retract` O(pr +
-    r^3 + k^2) plus an advance for each side member it gives back its rank;
+    r^3) plus an advance for each side member it gives back its rank;
     CanonCorr's ``omega_block_inv`` adds O(k^2) to each.
     States are values, never updated in place: swap keeps the state from
     before a retract when it keeps the incumbent.
@@ -177,7 +177,6 @@ class SubsetState:
     subset: IndexSet
     factor: symmat.Factor
     ranked: IndexSet
-    block_pinv: np.ndarray
     log_det_block: float
     sigma: np.ndarray
     omega: Optional[np.ndarray] = None
@@ -334,7 +333,6 @@ def init_state(criterion: Criterion, sigma: SymMatrix) -> SubsetState:
         subset=(),
         factor=symmat.Factor.empty(sigma, criterion.kind in _SQUARES),
         ranked=(),
-        block_pinv=np.zeros((0, 0)),
         log_det_block=0.0,
         sigma=sigma,
         omega=omega,
@@ -358,15 +356,15 @@ def advance(
     """Grow the state by variable ``i`` (appended to the subset order).
 
     :func:`csskit.symmat.residual_add` appends ``i``'s column to the
-    residual factor, or puts ``i`` on the side list when it adds no rank;
-    :func:`csskit.symmat.pinv_add` grows the selected-block pseudo-inverse,
-    and the pivot updates its log-determinant (``log det(sigma_{U+i}) =
-    log det(sigma_U) + log(R_ii)``); ``pinv_add`` on ``omega`` grows
-    CanonCorr's ``omega_block_inv`` alike.  Cost O(pr + k^2), plus one
-    ``sigma``-matvec under CssTrace and IsoLrt.  Returns a new state; the
-    input is not modified.  ``i`` must lie in ``[0, p)`` and not be
-    selected yet, else :class:`DimMismatch`.  The move reads
-    ``state.sigma``, not its ``sigma`` argument.
+    residual factor, or puts ``i`` on the side list when its pivot ``R_ii``
+    adds no rank, the move's one rank test; the pivot updates the block's
+    log-determinant (``log det(sigma_{U+i}) = log det(sigma_U) +
+    log(R_ii)``), and :func:`csskit.symmat.pinv_add` on ``omega`` grows
+    CanonCorr's ``omega_block_inv``.  Cost O(pr), plus one ``sigma``-matvec
+    under CssTrace and IsoLrt.  Returns a new state; the input is not
+    modified.  ``i`` must lie in ``[0, p)`` and not be selected yet, else
+    :class:`DimMismatch`.  The move reads ``state.sigma``, not its
+    ``sigma`` argument.
     """
     i = int(i)
     if not 0 <= i < criterion.p or i in state.subset:
@@ -376,7 +374,6 @@ def advance(
     adds = symmat.adds_rank(pivot, sigma[i, i])
     factor = symmat.residual_add(sigma, state.factor, i)
     ranked = state.ranked + (i,) if adds else state.ranked
-    new_pinv = symmat.pinv_add(state.block_pinv, sigma, state.subset, i)
     if adds and math.isfinite(state.log_det_block):
         new_ld = state.log_det_block + math.log(pivot)
     else:
@@ -384,7 +381,7 @@ def advance(
     omega, h = state.omega, state.omega_block_inv
     if omega is not None:
         h = symmat.pinv_add(h, omega, state.subset, i)
-    return SubsetState(state.subset + (i,), factor, ranked, new_pinv, new_ld, sigma, omega, h)
+    return SubsetState(state.subset + (i,), factor, ranked, new_ld, sigma, omega, h)
 
 
 def retract(
@@ -399,24 +396,16 @@ def retract(
     (``L[A]`` is square and nonsingular, as every ranked member added rank),
     with ``|c|^2 = 1 / beta_v``, the pivot;
     :func:`csskit.symmat.residual_remove` reflects it out of the factor.
-    While the block is nonsingular (``log_det_block`` finite, no side list),
-    the same ``c`` is ``L[S]^T pinv(sigma_S)[:, position]``, as ``L[S]
-    L[S]^T = sigma_S``, read from the pseudo-inverse CanonCorr needs anyway;
-    at p=50, k=10-20 (2-core box, one BLAS thread) that took a retract from
-    43-45 us with the solve to 27-34 us, the solve's call overhead, not its
-    O(r^3), outweighing the O(pr) reflection.  :func:`retract_stack` does
-    this fast path for many DiagDet or IsoLrt states at once.  Each
-    side-list member is then re-tested and appended to the factor if it
-    adds rank to what is left.
+    :func:`retract_stack` does the same for many DiagDet or IsoLrt states
+    at once.  Each side-list member is then re-tested and appended to the
+    factor if it adds rank to what is left.
 
-    The selected-block pseudo-inverse is downdated by
-    :func:`csskit.symmat.pinv_remove` while the block is nonsingular, which
-    is exact, and freshly pseudo-inverted without the removed variable
-    otherwise; CanonCorr's ``omega_block_inv``, the inverse of a block of a
-    nonsingular matrix, is always downdated.  Cost O(pr + r^3 + k^2), plus a
-    ``sigma``-matvec per side member given back its rank.  ``position`` must
-    lie in ``[0, k)``, else :class:`DimMismatch`.  The move reads
-    ``state.sigma``, not its ``sigma``.
+    CanonCorr's ``omega_block_inv``, the inverse of a block of a
+    nonsingular matrix, is downdated by :func:`csskit.symmat.pinv_remove`.
+    Cost O(pr + r^3), plus a ``sigma``-matvec per side member given back
+    its rank.  ``position`` must lie in ``[0, k)``, else
+    :class:`DimMismatch`.  The move reads ``state.sigma``, not its
+    ``sigma``.
     """
     k = len(state.subset)
     if not 0 <= position < k:
@@ -424,22 +413,12 @@ def retract(
     sigma = state.sigma
     var = state.subset[position]
     new_subset = state.subset[:position] + state.subset[position + 1 :]
-    idx = list(new_subset)
-    finite = math.isfinite(state.log_det_block)
-    if finite:
-        new_pinv = symmat.pinv_remove(state.block_pinv, position)
-    else:
-        new_pinv = symmat.pseudo_inverse(sigma[np.ix_(idx, idx)])
-
     factor, ranked, pivot = state.factor, state.ranked, 0.0
     if var in ranked:
         q = ranked.index(var)
-        if finite and len(ranked) == k:
-            c = np.dot(factor.lt.take(state.subset, 1), state.block_pinv[position])
-        else:
-            e = np.zeros(len(ranked))
-            e[q] = 1.0
-            c = np.linalg.solve(factor.lt.take(ranked, 1).T, e)
+        e = np.zeros(len(ranked))
+        e[q] = 1.0
+        c = np.linalg.solve(factor.lt.take(ranked, 1).T, e)
         pivot = 1.0 / float(np.dot(c, c))
         factor = symmat.residual_remove(factor, c)
         ranked = ranked[:q] + ranked[q + 1 :]
@@ -448,14 +427,15 @@ def retract(
                 if j not in ranked and symmat.adds_rank(factor.diag[j], sigma[j, j]):
                     factor = symmat.residual_add(sigma, factor, j)
                     ranked += (j,)
-    if symmat.adds_rank(pivot, sigma[var, var]) and finite:
+    if symmat.adds_rank(pivot, sigma[var, var]) and math.isfinite(state.log_det_block):
         new_ld = state.log_det_block - math.log(pivot)
     else:
+        idx = list(new_subset)
         new_ld = symmat.log_det(sigma[np.ix_(idx, idx)])
     h = state.omega_block_inv
     if h is not None:
         h = symmat.pinv_remove(h, position)
-    return SubsetState(new_subset, factor, ranked, new_pinv, new_ld, sigma, state.omega, h)
+    return SubsetState(new_subset, factor, ranked, new_ld, sigma, state.omega, h)
 
 
 # ---------------------------------------------------------------------------
@@ -470,26 +450,24 @@ STACKED = (CriterionKind.DIAG_DET, CriterionKind.ISO_LRT)
 class StateStack:
     """``B`` states of one size ``k`` over one ``sigma``, on the fast path:
     every member added rank (no side list, so ``L`` has ``k`` rows) and the
-    selected block is nonsingular (finite log-determinant).  Row ``b`` of
-    each array is one state's :class:`SubsetState` field: ``subset`` (``B x
-    k``, state order), ``lt`` (``B x k x P``), ``diag`` and ``diag_sq``
-    (``B x p``), ``block_pinv`` (``B x k x k``) and ``log_det_block``.
+    selected block's log-determinant is finite.  Row ``b`` of each array is
+    one state's :class:`SubsetState` field: ``subset`` (``B x k``, state
+    order), ``lt`` (``B x k x P``), ``diag`` and ``diag_sq`` (``B x p``) and
+    ``log_det_block``.
 
     The kernels apply the per-state identities of :func:`advance`,
     :func:`retract` and :func:`score_all` row by row, with one numpy call
     per step for the whole stack; every product is a per-row BLAS call or
     an elementwise operation, so a row's values do not depend on the
-    other rows or on ``B``.  A move that would leave the fast path (a
-    variable that adds no rank, a pivot or Schur complement under the rank
-    rule) is flagged, and the caller redoes it with the per-state
-    function on :meth:`state`.
+    other rows or on ``B``.  A move that would leave the fast path (a pivot
+    under the rank rule) is flagged, and the caller redoes it with the
+    per-state function on :meth:`state`.
     """
 
     subset: np.ndarray
     lt: np.ndarray
     diag: np.ndarray
     diag_sq: Optional[np.ndarray]
-    block_pinv: np.ndarray
     log_det_block: np.ndarray
     sigma: np.ndarray
 
@@ -502,7 +480,6 @@ class StateStack:
             np.zeros((b,) + fac.lt.shape),
             np.repeat(fac.diag[None], b, axis=0),
             None if fac.diag_sq is None else np.repeat(fac.diag_sq[None], b, axis=0),
-            np.zeros((b, 0, 0)),
             np.zeros(b),
             empty.sigma,
         )
@@ -515,7 +492,6 @@ class StateStack:
             sub,
             symmat.Factor(self.lt[b].copy(), self.diag[b].copy(), sq),
             sub,
-            self.block_pinv[b].copy(),
             float(self.log_det_block[b]),
             self.sigma,
         )
@@ -527,7 +503,6 @@ class StateStack:
             self.lt[rows],
             self.diag[rows],
             None if self.diag_sq is None else self.diag_sq[rows],
-            self.block_pinv[rows],
             self.log_det_block[rows],
             self.sigma,
         )
@@ -539,7 +514,6 @@ class StateStack:
         self.diag[rows] = other.diag
         if self.diag_sq is not None:
             self.diag_sq[rows] = other.diag_sq
-        self.block_pinv[rows] = other.block_pinv
         self.log_det_block[rows] = other.log_det_block
 
 
@@ -590,13 +564,11 @@ def _complements(p: int, subset: np.ndarray) -> np.ndarray:
 
 def advance_stack(stack: StateStack, picks: np.ndarray) -> Tuple[StateStack, np.ndarray]:
     """:func:`advance` of every row by its variable ``picks[b]``: the new
-    column of ``L`` (:func:`csskit.symmat.residual_add`), the bordered
-    block inverse (:func:`csskit.symmat.pinv_add`) and the log-determinant.
-    Returns the grown stack and a mask of the rows that stay on the fast
-    path: the pivot ``R_ii`` and the Schur complement of ``sigma_{S+i}``
-    both add rank.  The other rows hold no state; redo them with
-    :func:`advance`.  The picks are trusted (the walk takes them from the
-    complement)."""
+    column of ``L`` (:func:`csskit.symmat.residual_add`) and the
+    log-determinant.  Returns the grown stack and a mask of the rows that
+    stay on the fast path, whose pivot ``R_ii`` adds rank.  The other rows
+    hold no state; redo them with :func:`advance`.  The picks are trusted
+    (the walk takes them from the complement)."""
     sigma = stack.sigma
     p = sigma.shape[0]
     b_ = np.arange(picks.shape[0])
@@ -605,12 +577,9 @@ def advance_stack(stack: StateStack, picks: np.ndarray) -> Tuple[StateStack, np.
     l = lt[:, :, :p]
     var = sigma.diagonal()[picks]
     pivot = stack.diag[b_, picks]
-    bcol = sigma[picks[:, None], stack.subset]
-    d = _matvec(stack.block_pinv, bcol)
-    s = var - _rowdot(bcol, d)
-    ok = symmat.adds_rank(pivot, var) & symmat.adds_rank(s, var)
+    ok = symmat.adds_rank(pivot, var)
     if not ok.all():  # keep the rows to redo finite
-        pivot, s = np.where(ok, pivot, 1.0), np.where(ok, s, 1.0)
+        pivot = np.where(ok, pivot, 1.0)
 
     # a column of L, as the per-state move reads it: with a non-unit
     # stride, which OpenBLAS's matrix-vector kernels round differently
@@ -628,40 +597,28 @@ def advance_stack(stack: StateStack, picks: np.ndarray) -> Tuple[StateStack, np.
         rg2 = 2.0 * (sg - _vecmat(_matvec(l, g), l))
         diag_sq = stack.diag_sq - g * (rg2 - _rowdot(g, g)[:, None] * g)
 
-    ds = d / s[:, None]
-    out = np.empty((lt.shape[0], r + 1, r + 1))
-    out[:, :r, :r] = stack.block_pinv + d[:, :, None] * ds[:, None, :]
-    out[:, :r, r] = out[:, r, :r] = -ds
-    out[:, r, r] = 1.0 / s
-    out = (out + out.transpose(0, 2, 1)) / 2.0
     ld = stack.log_det_block + _logs(pivot, ok)
     subset = np.concatenate([stack.subset, picks[:, None]], axis=1)
-    return StateStack(subset, new_lt, diag, diag_sq, out, ld, sigma), ok
+    return StateStack(subset, new_lt, diag, diag_sq, ld, sigma), ok
 
 
 def retract_stack(stack: StateStack, positions: np.ndarray) -> Tuple[StateStack, np.ndarray]:
     """:func:`retract` of every row at its position ``positions[b]``: the
-    Schur downdate of the block inverse (:func:`csskit.symmat.pinv_remove`)
-    and the Householder reflection of the factor
-    (:func:`csskit.symmat.residual_remove`), with ``c`` read from the block
-    inverse.  Returns the shrunk stack and a mask of the rows that stay on
-    the fast path, whose retracted variable's pivot adds rank; redo the
-    other rows with :func:`retract`."""
+    Householder reflection of the factor
+    (:func:`csskit.symmat.residual_remove`), with ``c`` from one batched
+    solve over the ``B x k x k`` blocks ``L[S]``, the LAPACK call of the
+    per-state solve for each row, so rows stay bit for bit what
+    :func:`retract` gives.  Returns the shrunk stack and a mask of
+    the rows that stay on the fast path, whose retracted variable's pivot
+    adds rank; redo the other rows with :func:`retract`."""
     sigma = stack.sigma
     p = sigma.shape[0]
     n, k = stack.subset.shape
     b_ = np.arange(n)
-    g = stack.block_pinv
-    keep = np.arange(k - 1) + (np.arange(k - 1) >= positions[:, None])
-    row = g[b_, positions]
-    q = row[b_[:, None], keep]
-    flat = (keep + (b_ * k)[:, None])[:, :, None] * k + keep[:, None, :]
-    new_pinv = g.ravel().take(flat)
-    new_pinv -= q[:, :, None] * (q / row[b_, positions][:, None])[:, None, :]
-    new_pinv = (new_pinv + new_pinv.transpose(0, 2, 1)) / 2.0
-
     lt = stack.lt
-    c = _matvec(_gather(lt, stack.subset), row)
+    e = np.zeros((n, k, 1))
+    e[b_, positions] = 1.0
+    c = np.linalg.solve(_gather(lt, stack.subset).transpose(0, 2, 1), e)[:, :, 0]
     cc = _rowdot(c, c)
     pivot = 1.0 / cc
     v = c / np.sqrt(cc)[:, None]
@@ -681,8 +638,9 @@ def retract_stack(stack: StateStack, positions: np.ndarray) -> Tuple[StateStack,
     gone = stack.subset[b_, positions]
     ok = symmat.adds_rank(pivot, sigma.diagonal()[gone])
     ld = stack.log_det_block - _logs(pivot, ok)
+    keep = np.arange(k - 1) + (np.arange(k - 1) >= positions[:, None])
     subset = stack.subset[b_[:, None], keep]
-    return StateStack(subset, new_lt, diag, diag_sq, new_pinv, ld, sigma), ok
+    return StateStack(subset, new_lt, diag, diag_sq, ld, sigma), ok
 
 
 # ---------------------------------------------------------------------------
@@ -830,10 +788,19 @@ def _score_rows(criterion, sigma, lt, diag_all, diag_sq, cands) -> np.ndarray:
     return head + terms.sum(axis=2)
 
 
+def _block_inverse(state: SubsetState) -> np.ndarray:
+    """``G = sigma_S^-1`` (subset order) of a state with ``omega``, from its
+    factor in O(k^3): every member added rank, so ``M = L[S]^T`` is ``k x
+    k`` and nonsingular, ``sigma_S = M^T M`` and ``G = M^-1 M^-T``."""
+    m_inv = np.linalg.inv(state.factor.lt.take(state.subset, 1))
+    return np.dot(m_inv, m_inv.T)
+
+
 def _score_canon_corr(state: SubsetState, comp: np.ndarray) -> np.ndarray:
     """CanonCorr's exact scores ``-cc(S + (i,))`` when the state has ``omega``,
-    from the state's block inverses ``G = sigma_S^-1`` and ``H =
-    (Omega_SS)^-1``, ``Omega = sigma^-1``, in O(k^2 (p - k)).
+    from the block inverses ``G = sigma_S^-1`` (:func:`_block_inverse`) and
+    the state's ``H = (Omega_SS)^-1``, ``Omega = sigma^-1``, in O(k^3 + k^2
+    (p - k)).
 
     By the partitioned inverse ``(Omega_SS)^-1 = sigma_S - sigma_{S,C}
     sigma_C^-1 sigma_{C,S}``, so ``-cc(S) = tr(G H) - k``.  Bordering both
@@ -855,7 +822,7 @@ def _score_canon_corr(state: SubsetState, comp: np.ndarray) -> np.ndarray:
     if comp.size == 1:
         return np.zeros(1)  # S + (i,) is every variable: no correlation left
     sigma, omega = state.sigma, state.omega
-    g, h = state.block_pinv, state.omega_block_inv
+    g, h = _block_inverse(state), state.omega_block_inv
     sub = list(state.subset)
     cross = sigma.take(sub, 0).take(comp, 1)
     cross_omega = omega.take(sub, 0).take(comp, 1)
@@ -872,13 +839,13 @@ def _score_canon_corr(state: SubsetState, comp: np.ndarray) -> np.ndarray:
 def _score_canon_corr_ginv(state: SubsetState, comp: np.ndarray) -> np.ndarray:
     """CanonCorr's scores when the state has no ``omega`` (``sigma`` singular
     or its unit-diagonal condition number above ``CC_COND_MAX``), all
-    candidates at once, from one pseudo-inverse of the complement block.
-    With ``C = comp`` the ascending complement of the subset ``S`` (size k), the generalised
-    inverse ``Cp = ginv(sigma_C)`` (:func:`csskit.symmat.ginv`),
-    ``A = sigma_{S,C} Cp``, leverages ``l = diag(sigma_C Cp)`` and the
-    swapped residual ``K = sigma_S - A sigma_{C,S}`` (the residual of ``S``
-    on ``C``), the score of candidate i at position j of C, with
-    ``V = S + (i,)``, is
+    candidates at once, from generalised inverses of the complement block
+    and the selected one.  With ``C = comp`` the ascending complement of
+    the subset ``S`` (size k), ``Cp = ginv(sigma_C)``
+    (:func:`csskit.symmat.ginv`), ``A = sigma_{S,C} Cp``, leverages ``l =
+    diag(sigma_C Cp)`` and the swapped residual ``K = sigma_S - A
+    sigma_{C,S}`` (the residual of ``S`` on ``C``), the score of candidate
+    i at position j of C, with ``V = S + (i,)``, is
 
         f(i) = <G_V[:k, :k], K>
              + x^T G_V x / Cp_jj    [if Cp_jj > 0 and l_j ~ 1]
@@ -892,11 +859,10 @@ def _score_canon_corr_ginv(state: SubsetState, comp: np.ndarray) -> np.ndarray:
     value is the same with any generalised inverse of ``sigma_C`` or
     ``sigma_V``.
 
-    ``G_V`` is built from ``G = pinv(sigma_S)``, the state's block, in
-    closed form: with ``b = sigma_{S,i}``, ``d = G b`` and Schur complement
-    ``s = sigma_ii - b^T d``, it is the bordered inverse of
-    :func:`csskit.symmat.pinv_add` when i adds rank (``w = 1/s``), and the
-    zero-padded ``G`` when it does not (``w = 0``), so
+    ``G_V`` is built from ``G = ginv(sigma_S)`` in closed form: with ``b =
+    sigma_{S,i}``, ``d = G b`` and Schur complement ``s = sigma_ii - b^T
+    d``, it is ``G`` bordered by ``d / s`` and ``1 / s`` when i adds rank
+    (``w = 1/s``), and the zero-padded ``G`` when it does not (``w = 0``), so
 
         <G_V[:k, :k], K> = <G, K> + w d^T K d
         x^T G_V x = A_j^T G A_j + w (d^T A_j - l_j)^2
@@ -905,8 +871,7 @@ def _score_canon_corr_ginv(state: SubsetState, comp: np.ndarray) -> np.ndarray:
 
     Every rank decision is made relative to each variable's own variance:
     the leverages are those of the unit-diagonal block, and whether i adds
-    rank to S is :func:`csskit.symmat.adds_rank`, as in
-    :func:`csskit.symmat.pinv_add`.  So, like the canonical
+    rank to S is :func:`csskit.symmat.adds_rank`.  So, like the canonical
     correlations themselves, the scores do not depend on the units of any
     one variable.
     """
@@ -919,7 +884,7 @@ def _score_canon_corr_ginv(state: SubsetState, comp: np.ndarray) -> np.ndarray:
     swapped = sigma[np.ix_(s, s)] - a @ cross.T
     swapped = (swapped + swapped.T) / 2.0
     lev = np.einsum("ij,ji->i", sigma_c, cp)
-    g = state.block_pinv
+    g = symmat.ginv(sigma[np.ix_(s, s)])
     c = sigma.diagonal()[comp]
     d = g @ cross
     schur = c - np.einsum("ij,ij->j", cross, d)
@@ -943,7 +908,7 @@ def objective_from_state(criterion: Criterion, state: SubsetState) -> float:
     """Objective of the state's subset, read from the caches when cheap.
 
     Agrees with :func:`evaluate` to update-roundoff (tested at 1e-8).
-    CanonCorr reads ``tr(G H) - k`` in O(k^2) (see :func:`_score_canon_corr`)
+    CanonCorr reads ``tr(G H) - k`` in O(k^3) (see :func:`_score_canon_corr`)
     from a state with ``omega`` and falls back to ``evaluate`` without.
     """
     kind = criterion.kind
@@ -956,7 +921,7 @@ def objective_from_state(criterion: Criterion, state: SubsetState) -> float:
             return evaluate(criterion, state.sigma, state.subset)
         if k == criterion.p:
             return 0.0  # no complement, as in evaluate
-        return float(np.sum(state.block_pinv * state.omega_block_inv)) - k
+        return float(np.sum(_block_inverse(state) * state.omega_block_inv)) - k
     sigma = state.sigma
     comp = state.complement()
     block = None

@@ -102,11 +102,12 @@ class SearchResult:
     scratch on the final subset.  ``trajectory`` records the objective
     after each accepted move (greedy: each addition; swap: the initial
     subset and then each accepted swap), read from the search state.
-    Greedy's prefix ``subset[:j]`` is its pick of size j.  ``sweeps_used``
-    (swap only) counts the sweeps started: the run stops at the position
-    that completes k consecutive kept positions, which need not end a sweep.
-    ``subset``, ``trajectory``, ``sweeps_used`` and ``drift`` are the
-    returned run's.  ``restarts`` (swap only) has one
+    Greedy's prefix ``subset[:j]`` is its pick of size j, except under
+    IsoLrt, whose scores read the exponent ``p - k`` of ``criterion.k``.
+    ``sweeps_used`` (swap only) counts the sweeps started: the run stops at
+    the position that completes k consecutive kept positions, which need
+    not end a sweep.  ``subset``, ``trajectory``, ``sweeps_used`` and
+    ``drift`` are the returned run's.  ``restarts`` (swap only) has one
     :class:`RestartStats` per restart, in restart order.
     """
 
@@ -146,7 +147,7 @@ def greedy(sigma: SymMatrix, config: SearchConfig) -> SearchResult:
     """Greedy forward selection: k successive argmin-score additions.
 
     Deterministic.  The subset is in insertion order, so its prefixes are
-    the nested picks of every smaller size.
+    the nested picks of every smaller size (but not under IsoLrt).
     """
     crit = config.criterion
     state = criteria.init_state(crit, sigma)

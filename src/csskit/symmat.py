@@ -33,10 +33,11 @@ Householder reflection when one leaves, each in O(pr) plus at most one
 ``sigma``-matvec.  :meth:`Factor.residual` forms the dense ``R`` on demand,
 exactly symmetric, with tiny negative diagonal entries (roundoff) clamped
 to zero; selected rows and columns decay to roughly machine scale but are
-never zeroed exactly.  A block pseudo-inverse is updated only by an exact
-identity, else freshly pseudo-inverted: :func:`pinv_add` borders it when
-the new variable adds rank, and :func:`pinv_remove` is the Schur downdate
-of a nonsingular block; both re-symmetrize.
+never zeroed exactly.  CanonCorr's block inverse ``(Omega_SS)^-1``,
+``Omega = sigma^-1``, is updated only by an exact identity, else freshly
+pseudo-inverted: :func:`pinv_add` borders it when the new variable adds
+rank, and :func:`pinv_remove` is the Schur downdate of a nonsingular
+block; both re-symmetrize.
 """
 
 import math
@@ -431,10 +432,9 @@ def pinv_remove(block_pinv: SymMatrix, position: int) -> SymMatrix:
 
     Partitioning ``block_pinv`` with the removed variable last as
     ``[[P, q], [q^T, r]]``, the inverse of the remaining block is the Schur
-    downdate ``P - q q^T / r``, exact when the block is nonsingular.  A
-    singular block has no such identity; its caller pseudo-inverts the
-    remaining block afresh (see :func:`csskit.criteria.retract`).  Cost
-    O(k^2).  Unchecked: the arguments come from
+    downdate ``P - q q^T / r``, exact when the block is nonsingular, as
+    every block of CanonCorr's nonsingular ``Omega`` is.  Cost O(k^2).
+    Unchecked: the arguments come from
     :func:`csskit.criteria.retract`.
     """
     keep = np.arange(block_pinv.shape[0]) != position

@@ -58,6 +58,21 @@ def test_select_k_range_and_pca(diag_cov, capsys):
     assert pca[2] == pytest.approx(1.0)
 
 
+def test_select_greedy_k_range_rows_are_the_k_runs(tmp_path, capsys):
+    # Each row of a greedy --k-range run is what --k gives for its k, under
+    # every criterion; IsoLrt's picks depend on k, so it cannot use prefixes.
+    rng = np.random.default_rng(7)
+    g = rng.standard_normal((40, 12))
+    cov = write_cov(tmp_path / "c.csv", g.T @ g / 40)
+    for token in ("css", "det", "frob", "cc", "diag-det", "iso-lrt"):
+        argv = ["select", "--cov", cov, "--criterion", token]
+        assert main(argv + ["--k-range", "1..11"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        for k, row in enumerate(rows, start=1):
+            assert main(argv + ["--k", str(k)]) == 0
+            assert row == capsys.readouterr().out.splitlines()[1], (token, k)
+
+
 def test_select_swap_requires_seed(diag_cov):
     with pytest.raises(SystemExit) as exc:
         main(["select", "--cov", diag_cov, "--k", "2", "--method", "swap"])

@@ -352,8 +352,6 @@ def test_advance_retract_roundtrip():
     assert state.subset == (1, 3)
     want_res = symmat.residual_covariance(sigma, (1, 3))
     assert rel_err(state.residual, want_res) < 1e-8
-    want_pinv = symmat.pseudo_inverse(sigma[np.ix_([1, 3], [1, 3])])
-    assert rel_err(state.block_pinv, want_pinv) < 1e-8
     state = advance(crit, state, sigma, 0)
     assert state.subset == (1, 3, 0)
     assert state.log_det_block == pytest.approx(
@@ -362,14 +360,46 @@ def test_advance_retract_roundtrip():
 
 
 def test_retract_dependent_column():
-    # After removing one of two identical variables the Schur downdate is
-    # wrong (the block was singular); retract must recover pinv([[1]]).
-    sigma = np.array([[1.0, 1.0], [1.0, 1.0]])
-    crit = Criterion(CriterionKind.CSS_TRACE, p=2, k=2)
-    state = retract(crit, state_from_subset(crit, sigma, (0, 1)), sigma, 1)
-    assert state.subset == (0,)
-    assert_allclose(state.block_pinv, np.array([[1.0]]), atol=1e-10)
-    assert_allclose(state.residual, symmat.residual_covariance(sigma, (0,)), atol=1e-10)
+    # Of two identical variables the second joins on the side list.  Once
+    # either leaves, the state must score and advance like a fresh one.
+    sigma = np.array([[1.0, 1.0, 0.5], [1.0, 1.0, 0.5], [0.5, 0.5, 2.0]])
+    for kind in CriterionKind:
+        crit = Criterion(kind, p=3, k=2)
+        state = state_from_subset(crit, sigma, (0, 1))
+        for position, kept in ((1, (0,)), (0, (1,))):
+            got = retract(crit, state, sigma, position)
+            want = state_from_subset(crit, sigma, kept)
+            assert got.subset == want.subset and got.ranked == want.ranked
+            assert got.log_det_block == pytest.approx(want.log_det_block, abs=1e-10)
+            assert_allclose(got.residual, want.residual, atol=1e-10)
+            (got_cands, got_scores), (want_cands, want_scores) = score_all(crit, got), score_all(crit, want)
+            assert np.array_equal(got_cands, want_cands)
+            assert_allclose(got_scores, want_scores, atol=1e-10)
+            got, want = advance(crit, got, sigma, 2), advance(crit, want, sigma, 2)
+            assert got.ranked == want.ranked
+            want_obj = criteria.objective_from_state(crit, want)
+            assert criteria.objective_from_state(crit, got) == pytest.approx(want_obj, abs=1e-10)
+
+
+def test_no_move_pseudo_inverts(monkeypatch):
+    # The state's one factorization serves every move: advancing a variable
+    # that adds no rank, and retracting from a state with a side list,
+    # pseudo-invert nothing.
+    g = np.random.default_rng(83).standard_normal((6, 5))
+    g[4] = g[1]  # variable 4 duplicates variable 1
+    sigma = g @ g.T
+    calls = []
+    pseudo_inverse = symmat.pseudo_inverse
+    monkeypatch.setattr(symmat, "pseudo_inverse", lambda m: calls.append(m) or pseudo_inverse(m))
+    for kind in CriterionKind:
+        crit = Criterion(kind, p=6, k=3)
+        state = init_state(crit, sigma)
+        for i in (1, 4, 2):
+            state = advance(crit, state, sigma, i)
+        assert state.ranked == (1, 2)  # 4 is on the side list
+        for position in range(3):
+            retract(crit, state, sigma, position)
+    assert calls == []
 
 
 def test_canon_corr_scores_without_pinv_add(monkeypatch):
@@ -674,7 +704,6 @@ def _same_states(stack, states):
         for name in ("lt", "diag", "diag_sq"):
             a, w = getattr(got.factor, name), getattr(want.factor, name)
             assert (a is None and w is None) or np.array_equal(a, w), name
-        assert np.array_equal(got.block_pinv, want.block_pinv)
         assert got.log_det_block == want.log_det_block
 
 
