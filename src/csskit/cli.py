@@ -286,6 +286,7 @@ def cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
             seed=args.seed,
             restarts=args.restarts,
             mc_samples=args.mc_samples,
+            timings=manifest.timings,
         )
     manifest.timings["total_s"] = time.perf_counter() - t0
     if args.out:
@@ -357,10 +358,13 @@ def build_parser() -> argparse.ArgumentParser:
     pk = sub.add_parser("choose-k", help="select the subset size by testing")
     pk.add_argument("--data", required=True)
     pk.add_argument("--header", action="store_true")
-    pk.add_argument("--alpha", type=float, default=0.05)
+    pk.add_argument("--alpha", type=float, default=0.05,
+                    help="level of each size's test, in (0, 0.5]")
     pk.add_argument("--model", choices=[m.value for m in Model],
                     default=Model.SUBSET_FACTOR.value)
-    pk.add_argument("--mc-samples", type=int, default=100_000)
+    pk.add_argument("--mc-samples", type=int, default=100_000,
+                    help="recorded in the report, not used: critical values are "
+                         "exact (must be >= 1000)")
     pk.add_argument("--restarts", type=int, default=1)
     pk.add_argument("--k-max", type=int, default=None)
     pk.add_argument("--out", default=None, help="output report JSON")
@@ -371,13 +375,16 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--scenario", choices=["missing-a1", "sizesel-a2"], required=True)
     pm.add_argument("--trials", type=int, default=100)
     pm.add_argument("--n", type=int, default=200)
-    pm.add_argument("--alpha", type=float, default=0.05)
+    pm.add_argument("--alpha", type=float, default=0.05,
+                    help="sizesel-a2: level of each size's test, in (0, 0.5]")
     pm.add_argument("--signal", type=float, default=0.254,
                     help="noise-variance scale for sizesel-a2 (smaller = stronger signal)")
     pm.add_argument("--factors", choices=["gaussian", "mixed"], default="gaussian")
     pm.add_argument("--mar-prob", type=float, default=0.05)
     pm.add_argument("--restarts", type=int, default=10)
-    pm.add_argument("--mc-samples", type=int, default=100_000)
+    pm.add_argument("--mc-samples", type=int, default=100_000,
+                    help="sizesel-a2: recorded in the summary, not used: critical "
+                         "values are exact (must be >= 1000)")
     pm.add_argument("--out", default=None, help="output rows CSV")
     _add_seed(pm, seed_required=True)
     pm.set_defaults(func=cmd_simulate)

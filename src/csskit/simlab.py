@@ -325,12 +325,16 @@ def run_sizesel_study(
     seed: int = 0,
     restarts: int = 10,
     mc_samples: int = 100_000,
+    timings: Optional[Dict[str, float]] = None,
 ) -> Tuple[List[dict], dict]:
     """Size selection on the ``sizesel-a2`` scenario.
 
     Each trial draws ``n`` complete rows, forms the sample covariance, and
     runs :func:`csskit.sizesel.choose_k` under the subset-factor model.
-    Critical values are cached across trials (same n, p, alpha, seed).
+    Critical values are exact, so they depend on (n, p, alpha) only;
+    ``mc_samples`` is checked and recorded, not used.  When ``timings`` is
+    given, the walks' ``search_s`` and ``calibrate_s``, summed over trials,
+    are added to it.
     Raises :class:`DimMismatch` when ``trials < 1``.
     """
     if trials < 1:
@@ -350,6 +354,9 @@ def run_sizesel_study(
             mc_samples=mc_samples,
             seed=seed,
         )
+        if timings is not None:
+            for key in ("search_s", "calibrate_s"):
+                timings[key] = timings.get(key, 0.0) + getattr(report, key)
         sel = report.chosen_subset
         overlap = len(set(spec.subset).intersection(sel))
         rows.append(

@@ -20,13 +20,16 @@ is taken to be 0 -- the subset explains everything it could.  When only
 ``det R`` vanishes the statistic is ``+inf`` (honest rejection: the
 residual is singular but not diagonal).
 
-Null critical values are Monte Carlo quantiles of the exact finite-sample
-laws, which are built from independent chi-square columns and therefore
-cheap to draw in bulk; see :func:`mc_quantile_subset_factor` and
-:func:`mc_quantile_pcss`.  Each column is drawn once per block of sizes and
-shared by every k of the block, so the draws are independent within each k
-and common random numbers across k -- each test of the walk uses only its
-own k's law.  The null law requires ``n > p``.
+Null critical values are exact: both null laws are laws of logarithms of
+products of independent Beta (Dirichlet) variables, so their
+characteristic functions are products of gamma-function ratios, and one
+Gil-Pelaez inversion gives each quantile (:func:`null_quantile_subset_factor`,
+:func:`null_quantile_pcss`).  They depend on (n, p, k, alpha) only: not on
+a seed, not on a sample count.  The Monte Carlo draws of the same laws
+(:func:`null_draws_subset_factor`, :func:`null_draws_pcss`) and their
+quantiles (:func:`mc_quantile_subset_factor`, :func:`mc_quantile_pcss`)
+stay as the oracle the exact values are tested against.  The null law
+requires ``n > p``.
 
 :func:`choose_k` walks k = 0, 1, 2, ... and returns the smallest k whose
 test fails to reject, searching each size with the swapping algorithm
@@ -60,7 +63,9 @@ class Model(str, Enum):
 
 @dataclass
 class SizeTestRecord:
-    """One row of the size-selection walk."""
+    """One row of the size-selection walk.  ``search_s`` and ``calibrate_s``
+    are the wall seconds this size spent in subset search and in its
+    critical value; like the report's, they stay out of the JSON."""
 
     k: int
     subset: IndexSet
@@ -68,6 +73,8 @@ class SizeTestRecord:
     critical_value: float
     reject: bool
     perfect_fit: bool = False
+    search_s: float = field(default=0.0, compare=False)
+    calibrate_s: float = field(default=0.0, compare=False)
 
 
 @dataclass
@@ -151,165 +158,209 @@ def stat_Ttilde(sigma_hat: SymMatrix, n: int, subset: Sequence[int]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo critical values
+# Exact critical values
 # ---------------------------------------------------------------------------
 #
-# Both null laws are built from chi-square columns of mc_samples draws.  A
-# column is a stream of its own, keyed by its family and degrees of freedom
-# (generator ``default_rng([seed, family, df])``), so every size k of one
-# ``(n, p, mc_samples, seed)`` assembles its law from the same columns:
-# independent within each k, common random numbers across k.  Sizes are
-# calibrated in blocks on a fixed grid of _BLOCK; one pass over the samples
-# in chunks of _CHUNK draws the columns a block needs once and keeps, per k,
-# only the upper tail that the quantile interpolates in.  A chi-square
-# stream drawn in chunks yields the same values as one call, so no value
-# depends on the blocking, the chunking or the order of the calls.
+# Both null laws are laws of X = shift - n log P, P a product of powers of
+# Beta or Dirichlet variables, so the cumulant generating function of X is a
+# sum of log-gamma ratios,
+#
+#     K(z) = log E exp(z X) = shift z + sum_i w_i [lgamma(a_i - g_i z) - lgamma(a_i)],
+#
+# finite for real z < min a_i / g_i; K(it) is the log characteristic
+# function.  With m = p - k:
+#
+# * subset factor: X = -n sum_{j=2..m} log B_j, B_j ~ Beta(c - (j-1)/2,
+#   (j-1)/2), c = (n - k - 1)/2: terms a = c - (j-1)/2 (g = n, w = 1) and
+#   a = c (g = n, w = 1 - m);
+# * PCSS: X = -n m log m - n sum_{j=1..m} log D_j, D ~ Dirichlet(a_1, ...,
+#   a_m, m(m-1)/4), a_j = (n - k - j)/2: terms a_j (g = n, w = 1) and
+#   A = sum_j a_j + m(m-1)/4 (g = n m, w = -1).  (Stick-breaking writes the
+#   same law as a sum of independent log B_j + (m - j) log(1 - B_j).)
+#
+# The CDF comes from the Gil-Pelaez formula by the midpoint rule at nodes
+# t = (j + 1/2) h (Davies 1973): F(x) is exact up to the mass of X outside
+# (x - 2 pi/h, x + 2 pi/h).  X >= 0, so a window 2 pi/h beyond the Chernoff
+# bound P(X > y) <= exp(K(s) - s y) leaves an error below exp(-_TAIL) at
+# every x in the window.  With few terms the density is singular at 0 and
+# the characteristic function decays only like t^(-m(m-1)/4), so every law
+# is smoothed by Gaussians of variances v, 2v, ..., _RICHARDSON v and
+# extrapolated to variance 0 (Richardson): the characteristic function is
+# multiplied by 1 - (1 - exp(-v t^2 / 2))^_RICHARDSON, and the sum stops
+# where that product falls below _TOL.  sqrt(v) is _DAMP times the law's
+# standard deviation or, when the quantile lies within 2.5 standard
+# deviations of the singular point 0, _DAMP times a third of the quantile.
+# Newton steps on the CDF, kept inside a shrinking bracket, find the
+# quantile.  Nothing here calls BLAS or keeps a cache: every value costs
+# the same in every process, and no thread count changes it.
 
-_NUMERATOR, _DENOMINATOR, _PCSS_EXTRA = 0, 1, 2  # column families
-_BLOCK = 16
-_CHUNK = 1024
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156, -3617 / 122400)
+_HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
+_RICHARDSON = 6
+_DAMP = 0.1
+_TAIL = 30.0
+_TOL = 1e-15
 
 
-def _check_law_args(n: int, p: int, k: int, seed: int):
-    if seed < 0:
-        raise DimMismatch(f"seed must be non-negative, got {seed}")
+def _log_gamma(z) -> np.ndarray:
+    """Principal branch of log Gamma(z) for Re z > 0: the recurrence
+    lgamma(z) = lgamma(z + 8) - sum_{i<8} log(z + i) moves |z| < 8 out to
+    where the Stirling series, to its eighth term, is exact in double
+    precision."""
+    z = np.asarray(z, dtype=complex)
+    w = z.copy()
+    shift = np.zeros_like(z)
+    near = np.abs(z) < 8
+    if near.any():
+        zn = z[near]
+        shift[near] = sum(np.log(zn + i) for i in range(8))
+        w[near] = zn + 8
+    r2 = 1 / (w * w)
+    series = np.full_like(w, _STIRLING[-1])
+    for c in _STIRLING[-2::-1]:
+        series = series * r2 + c
+    return (w - 0.5) * np.log(w) - w + _HALF_LOG_2PI + series / w - shift
+
+
+def _exact_quantile(a, g, w, shift: float, prob: float) -> float:
+    """The ``prob``-quantile of the law whose cumulant generating function
+    is ``shift z + sum w (lgamma(a - g z) - lgamma(a))`` (see above)."""
+    base = _log_gamma(a).real
+
+    def cgf(z):
+        z = np.asarray(z, dtype=complex)
+        return shift * z + ((_log_gamma(a - np.multiply.outer(z, g)) - base) * w).sum(axis=-1)
+
+    s_max = float(np.min(a / g))
+    s = s_max / (1 + np.exp(-np.linspace(-10.0, 14.0, 49)))
+    y_hi = float(np.min((cgf(s).real + _TAIL) / s))
+    d = s_max / 10
+    up, down = cgf([d, -d]).real
+    scale = math.sqrt(up + down) / d  # the standard deviation
+    x = min((up - down) / (2 * d) + 2 * scale, y_hi)
+    # smooth on a scale finer than both the spread and the distance to 0,
+    # where the density of a law with few terms is singular
+    while True:
+        x = _invert(cgf, y_hi, (_DAMP * scale) ** 2, prob, x)
+        if scale <= 0.4 * x:
+            return x
+        scale = x / 3
+
+
+def _invert(cgf, y_hi: float, v: float, prob: float, x: float) -> float:
+    """Newton from ``x`` on the CDF smoothed at variances v, ..., _RICHARDSON v
+    and extrapolated to 0, on the window [0, y_hi]."""
+
+    def damped_cf(t):
+        return np.exp(cgf(1j * t)) * (1 - (-np.expm1(-0.5 * v * t * t)) ** _RICHARDSON)
+
+    h = 2 * math.pi / (y_hi + 10 * math.sqrt(_RICHARDSON * v))
+    coarse = math.sqrt(2 * math.log(_RICHARDSON / _TOL) / v) * np.geomspace(1e-6, 1.0, 61)
+    live = np.nonzero(np.abs(damped_cf(coarse)) >= _TOL)[0]
+    t_cut = coarse[min(live[-1] + 1, coarse.size - 1)]
+    j = np.arange(math.ceil(t_cut / h)) + 0.5
+    t = j * h
+    cf = damped_cf(t)
+    cdf_w = cf / (math.pi * j)
+    pdf_w = cf * (h / math.pi)
+    lo, hi = 0.0, y_hi
+    for _ in range(100):
+        e = np.exp(-1j * x * t)
+        miss = 0.5 - float(np.sum(e * cdf_w).imag) - prob
+        density = float(np.sum(e * pdf_w).real)
+        if miss > 0:
+            hi = x
+        else:
+            lo = x
+        step = miss / density if density > 0 else math.inf
+        if abs(step) <= 1e-13 * x:
+            return x - step
+        x = x - step if lo < x - step < hi else 0.5 * (lo + hi)
+    return x
+
+
+def _check_size(n: int, p: int, k: int):
     if not 0 <= k <= p - 1:
         raise DimMismatch(f"k={k} out of range for p={p}")
     if n <= p:
         raise DegreesOfFreedom(f"null law needs n > p (got n={n}, p={p})")
 
 
-def _chunks(mc_samples: int, seed: int, family: int, dfs: Sequence[int]):
-    """Draws of the chi-square columns ``dfs`` of one family, one array of
-    shape (len(dfs), chunk) per chunk of samples.  The array is reused: each
-    chunk overwrites the one before."""
-    gens = [np.random.default_rng([seed, family, df]) for df in dfs]
-    buf = np.empty((len(dfs), min(_CHUNK, mc_samples)))
-    for start in range(0, mc_samples, _CHUNK):
-        out = buf[:, : min(_CHUNK, mc_samples - start)]
-        for row, gen, df in zip(out, gens, dfs):
-            gen.standard_gamma(df / 2, out=row)  # chi2_df = 2 Gamma(df/2)
-        out *= 2
-        yield out
+def _check_level(alpha: float):
+    # above 1/2 the quantile of a law with few terms nears the singular
+    # point 0, where the smoothing would have to shrink without bound
+    if not 0 < alpha <= 0.5:
+        raise DimMismatch(f"alpha must be in (0, 0.5], got {alpha}")
 
 
-def _subset_factor_rows(n: int, p: int, k_lo: int, k_hi: int, mc_samples: int, seed: int):
-    """Null draws of ``stat_T`` for sizes k_lo <= k < k_hi, one array of
-    shape (k_hi - k_lo, chunk) per chunk of samples.
-
-    At size k (m = p - k) numerator column d pairs with denominator column
-    n - k - 1 - d, d = 1 ... m - 1: row i of ``num`` holds df i + 1, row i
-    of ``den`` df n - p + i, so size k reads ``num[:m-1] / den[m-2::-1]``."""
-    top = p - k_lo - 1
-    nums = _chunks(mc_samples, seed, _NUMERATOR, range(1, top + 1))
-    dens = _chunks(mc_samples, seed, _DENOMINATOR, range(n - p, n - p + top))
-    ratio = np.empty((top, min(_CHUNK, mc_samples)))
-    for num, den in zip(nums, dens):
-        out = np.zeros((k_hi - k_lo, num.shape[1]))
-        for row, k in zip(out, range(k_lo, k_hi)):
-            terms = p - k - 1
-            if terms > 0:
-                r = np.divide(num[:terms], den[terms - 1 :: -1], out=ratio[:terms, : num.shape[1]])
-                np.log1p(r, out=r)
-                np.sum(r, axis=0, out=row)
-        out *= n
-        yield out
+def null_quantile_subset_factor(n: int, p: int, k: int, alpha: float) -> float:
+    """Exact (1 - alpha)-quantile of the null law of ``stat_T`` at a correct
+    size-k subset, ``-n sum_{j=2}^{p-k} log B_j`` with independent
+    ``B_j ~ Beta((n-k-j)/2, (j-1)/2)``.  0 when k = p - 1.  Levels above
+    1/2 raise :class:`DimMismatch`."""
+    _check_level(alpha)
+    _check_size(n, p, k)
+    m = p - k
+    if m == 1:
+        return 0.0
+    c = (n - k - 1) / 2
+    a = np.append(c - np.arange(1, m) / 2, c)
+    w = np.append(np.ones(m - 1), 1.0 - m)
+    return _exact_quantile(a, np.full(m, float(n)), w, 0.0, 1.0 - alpha)
 
 
-def _pcss_rows(n: int, p: int, k_lo: int, k_hi: int, mc_samples: int, seed: int):
-    """Null draws of ``stat_Ttilde`` for sizes k_lo <= k < k_hi, chunked as
-    :func:`_subset_factor_rows`.
-
-    Size k (m = p - k) reads the denominator columns n - p ... n - k - 1
-    (rows 0 ... m - 1 of ``den``) through cumulative sums of the draws and
-    their logs, and one column of df m(m - 1)/2 of its own."""
-    live = [p - k for k in range(k_lo, k_hi) if p - k > 1]
-    dens = _chunks(mc_samples, seed, _DENOMINATOR, range(n - p, n - k_lo))
-    extras = _chunks(mc_samples, seed, _PCSS_EXTRA, [m * (m - 1) // 2 for m in live])
-    for den, extra in zip(dens, extras):
-        sums = np.cumsum(den, axis=0)
-        log_sums = np.cumsum(np.log(den), axis=0)
-        out = np.zeros((k_hi - k_lo, den.shape[1]))
-        # the sizes with m > 1 lead the block
-        for row, m, e in zip(out, live, extra):
-            row[:] = m * np.log((e + sums[m - 1]) / m) - log_sums[m - 1]
-        out *= n
-        yield out
+def null_quantile_pcss(n: int, p: int, k: int, alpha: float) -> float:
+    """Exact (1 - alpha)-quantile of the null law of ``stat_Ttilde`` at a
+    correct size-k subset, ``-n (m log m + sum_j log D_j)`` with m = p - k
+    and ``D ~ Dirichlet((n-k-1)/2, ..., (n-k-m)/2, m(m-1)/4)``.  0 when
+    k = p - 1.  Levels above 1/2 raise :class:`DimMismatch`."""
+    _check_level(alpha)
+    _check_size(n, p, k)
+    m = p - k
+    if m == 1:
+        return 0.0
+    a = (n - k - np.arange(1, m + 1)) / 2
+    a = np.append(a, a.sum() + m * (m - 1) / 4)
+    g = np.append(np.full(m, float(n)), float(n * m))
+    w = np.append(np.ones(m), -1.0)
+    return _exact_quantile(a, g, w, -n * m * math.log(m), 1.0 - alpha)
 
 
-def _upper_tail(chunks, size: int) -> np.ndarray:
-    """The ``size`` largest values of every row of the chunks laid side by
-    side, sorted ascending.
+# ---------------------------------------------------------------------------
+# Monte Carlo null draws, the oracle for the exact laws
+# ---------------------------------------------------------------------------
+#
+# Both null laws are built from chi-square columns of mc_samples draws.  A
+# column is a stream of its own, keyed by its family and degrees of freedom
+# (generator ``default_rng([seed, family, df])``), so every size k of one
+# ``(n, p, mc_samples, seed)`` reads the same columns: independent within
+# each k, common random numbers across k.
 
-    Each row keeps its candidates and, once it has seen ``size`` values, a
-    floor: the smallest of its ``size`` largest so far.  A value at or below
-    the floor cannot change the tail, so only the values above it are kept."""
-    kept = floors = None
-    for chunk in chunks:
-        if kept is None:
-            kept = [[] for _ in chunk]
-            floors = np.full(len(chunk), -np.inf)
-        for i, row in enumerate(chunk):
-            kept[i].append(row[row > floors[i]])
-            if sum(part.size for part in kept[i]) >= size + _CHUNK:
-                top = _top(np.concatenate(kept[i]), size)
-                kept[i] = [top]
-                floors[i] = top.min()
-    return np.array([np.sort(_top(np.concatenate(parts), size)) for parts in kept])
+_NUMERATOR, _DENOMINATOR, _PCSS_EXTRA = 0, 1, 2  # column families
 
 
-def _top(values: np.ndarray, size: int) -> np.ndarray:
-    return np.partition(values, values.size - size)[-size:]
+def _column(mc_samples: int, seed: int, family: int, df: int) -> np.ndarray:
+    """The chi-square column ``df`` of one family (chi2_df = 2 Gamma(df/2))."""
+    return 2 * np.random.default_rng([seed, family, df]).standard_gamma(df / 2, mc_samples)
 
 
-def _critical_values(rows, n, p, k_lo, alpha, mc_samples, seed) -> np.ndarray:
-    """Critical values of the sizes k_lo <= k < k_lo + _BLOCK (capped at p)
-    from the null draws ``rows`` (:func:`_subset_factor_rows` or
-    :func:`_pcss_rows`)."""
-    # np.quantile's default (linear) rule: interpolate between order
-    # statistics floor(h) and floor(h) + 1, h = (mc_samples - 1)(1 - alpha)
-    h = (mc_samples - 1) * (1.0 - alpha)
-    lo = math.floor(h)
-    gamma = h - lo
-    k_hi = min(k_lo + _BLOCK, p)
-    tail = _upper_tail(rows(n, p, k_lo, k_hi, mc_samples, seed), mc_samples - lo)
-    a = tail[:, 0]
-    b = tail[:, min(1, tail.shape[1] - 1)]
-    diff = b - a
-    return b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
-
-
-# One block table per (n, p, block, alpha, mc_samples, seed) and model.
-@functools.lru_cache(maxsize=None)
-def _subset_factor_table(n, p, k_lo, alpha, mc_samples, seed) -> np.ndarray:
-    return _critical_values(_subset_factor_rows, n, p, k_lo, alpha, mc_samples, seed)
-
-
-@functools.lru_cache(maxsize=None)
-def _pcss_table(n, p, k_lo, alpha, mc_samples, seed) -> np.ndarray:
-    return _critical_values(_pcss_rows, n, p, k_lo, alpha, mc_samples, seed)
-
-
-def _lookup(table, n: int, p: int, k: int, alpha: float, mc_samples: int, seed: int) -> float:
-    """Size k's critical value from its block of ``table``."""
-    if not 0 < alpha < 1:
-        raise DimMismatch(f"alpha must be in (0, 1), got {alpha}")
-    if mc_samples < 1000:
-        raise DimMismatch(f"mc_samples must be >= 1000, got {mc_samples}")
-    _check_law_args(n, p, k, seed)
-    k_lo = k - k % _BLOCK
-    return float(table(int(n), int(p), k_lo, float(alpha), int(mc_samples), int(seed))[k - k_lo])
+def _check_draw_args(n: int, p: int, k: int, seed: int):
+    if seed < 0:
+        raise DimMismatch(f"seed must be non-negative, got {seed}")
+    _check_size(n, p, k)
 
 
 def null_draws_subset_factor(n: int, p: int, k: int, mc_samples: int, seed: int) -> np.ndarray:
     """Draws from the null law of ``stat_T`` at a correct size-k subset:
     ``n * sum_{j=2}^{p-k} log(1 + chi2_{j-1} / chi2_{n-k-j})``, the
     chi-square columns independent within each k and shared across k
-    (common random numbers): these are row k of the draws
-    :func:`mc_quantile_subset_factor` calibrates on.  Degenerate at 0 when
-    k = p - 1."""
-    _check_law_args(n, p, k, seed)
-    return np.concatenate(list(_subset_factor_rows(n, p, k, k + 1, mc_samples, seed)), axis=1)[0]
+    (common random numbers).  Degenerate at 0 when k = p - 1."""
+    _check_draw_args(n, p, k, seed)
+    total = np.zeros(mc_samples)
+    for d in range(1, p - k):
+        num = _column(mc_samples, seed, _NUMERATOR, d)
+        total += np.log1p(num / _column(mc_samples, seed, _DENOMINATOR, n - k - 1 - d))
+    return n * total
 
 
 def null_draws_pcss(n: int, p: int, k: int, mc_samples: int, seed: int) -> np.ndarray:
@@ -319,35 +370,47 @@ def null_draws_pcss(n: int, p: int, k: int, mc_samples: int, seed: int) -> np.nd
                  / prod_{j=1}^m chi2_{n-k-j} ),   m = p - k,
 
     the chi-square columns independent within each k and the
-    ``chi2_{n-k-j}`` shared across k (common random numbers): these are row
-    k of the draws :func:`mc_quantile_pcss` calibrates on.  Degenerate at 0
-    when k = p - 1."""
-    _check_law_args(n, p, k, seed)
-    return np.concatenate(list(_pcss_rows(n, p, k, k + 1, mc_samples, seed)), axis=1)[0]
+    ``chi2_{n-k-j}`` shared across k (common random numbers).  Degenerate
+    at 0 when k = p - 1."""
+    _check_draw_args(n, p, k, seed)
+    m = p - k
+    if m == 1:
+        return np.zeros(mc_samples)
+    total = log_total = 0.0
+    for df in range(n - p, n - k):
+        col = _column(mc_samples, seed, _DENOMINATOR, df)
+        total = total + col
+        log_total = log_total + np.log(col)
+    extra = _column(mc_samples, seed, _PCSS_EXTRA, m * (m - 1) // 2)
+    return n * (m * np.log((extra + total) / m) - log_total)
 
 
+def _check_mc_args(alpha: float, mc_samples: int):
+    if not 0 < alpha < 1:
+        raise DimMismatch(f"alpha must be in (0, 1), got {alpha}")
+    if mc_samples < 1000:
+        raise DimMismatch(f"mc_samples must be >= 1000, got {mc_samples}")
+
+
+@functools.lru_cache(maxsize=None)
 def mc_quantile_subset_factor(
     n: int, p: int, k: int, alpha: float, mc_samples: int, seed: int
 ) -> float:
     """(1 - alpha)-quantile, as ``np.quantile`` takes it, of
-    :func:`null_draws_subset_factor`.  Sizes are calibrated and cached in
-    blocks; ``cache_clear()`` drops every table and ``cache_info()`` counts
-    hits and misses, one lookup per call, as ``functools.lru_cache`` does."""
-    return _lookup(_subset_factor_table, n, p, k, alpha, mc_samples, seed)
+    :func:`null_draws_subset_factor`: the Monte Carlo counterpart of
+    :func:`null_quantile_subset_factor`, cached per size."""
+    _check_mc_args(alpha, mc_samples)
+    return float(np.quantile(null_draws_subset_factor(n, p, k, mc_samples, seed), 1.0 - alpha))
 
 
+@functools.lru_cache(maxsize=None)
 def mc_quantile_pcss(
     n: int, p: int, k: int, alpha: float, mc_samples: int, seed: int
 ) -> float:
-    """(1 - alpha)-quantile of :func:`null_draws_pcss`, calibrated and cached
-    as :func:`mc_quantile_subset_factor`."""
-    return _lookup(_pcss_table, n, p, k, alpha, mc_samples, seed)
-
-
-mc_quantile_subset_factor.cache_clear = _subset_factor_table.cache_clear
-mc_quantile_subset_factor.cache_info = _subset_factor_table.cache_info
-mc_quantile_pcss.cache_clear = _pcss_table.cache_clear
-mc_quantile_pcss.cache_info = _pcss_table.cache_info
+    """(1 - alpha)-quantile of :func:`null_draws_pcss`, cached per size: the
+    Monte Carlo counterpart of :func:`null_quantile_pcss`."""
+    _check_mc_args(alpha, mc_samples)
+    return float(np.quantile(null_draws_pcss(n, p, k, mc_samples, seed), 1.0 - alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +432,12 @@ def choose_k(
 
     For each k = 0, 1, ... the subset is found by the swapping search
     minimizing the model-matched criterion (DiagDet / IsoLrt), the
-    statistic is compared to the cached Monte Carlo critical value at
-    level ``alpha``, and the walk stops at the first non-rejection.  Search
-    seeds are derived per size (``seed + 1000003 * k`` plus the restart
-    offset) so runs are reproducible end to end.
+    statistic is compared to the exact critical value at level ``alpha``
+    (:func:`null_quantile_subset_factor` / :func:`null_quantile_pcss`), and
+    the walk stops at the first non-rejection.  Search seeds are derived per
+    size (``seed + 1000003 * k`` plus the restart offset) so runs are
+    reproducible end to end.  ``mc_samples`` no longer enters the result:
+    it is checked and recorded in the report, whose schema keeps the field.
 
     A ``-inf`` search objective means some subset fits the residual
     structure perfectly; the statistic is then 0 by the
@@ -380,8 +445,9 @@ def choose_k(
     ``perfect_fit``.
 
     Raises :class:`DegreesOfFreedom` unless ``n > p``,
-    :class:`DimMismatch` on a negative ``seed`` or ``k_max`` or on
-    ``restarts < 1``, and :class:`NoFeasibleK` only when a user-imposed
+    :class:`DimMismatch` on a negative ``seed`` or ``k_max``, on
+    ``restarts < 1``, on ``mc_samples < 1000`` or on ``alpha`` outside
+    (0, 1/2], and :class:`NoFeasibleK` only when a user-imposed
     ``k_max`` cuts the walk short of ``p - 1`` (at k = p - 1 the statistic
     is identically 0).
     """
@@ -398,14 +464,15 @@ def choose_k(
         raise DimMismatch(f"restarts must be >= 1, got {restarts}")
     if k_max is not None and k_max < 0:
         raise DimMismatch(f"k_max must be non-negative, got {k_max}")
+    _check_level(alpha)
+    _check_mc_args(alpha, mc_samples)
     if model == Model.SUBSET_FACTOR:
-        stat_fn, quant_fn, kind = stat_T, mc_quantile_subset_factor, CriterionKind.DIAG_DET
+        stat_fn, quant_fn, kind = stat_T, null_quantile_subset_factor, CriterionKind.DIAG_DET
     else:
-        stat_fn, quant_fn, kind = stat_Ttilde, mc_quantile_pcss, CriterionKind.ISO_LRT
+        stat_fn, quant_fn, kind = stat_Ttilde, null_quantile_pcss, CriterionKind.ISO_LRT
 
     k_hi = p - 1 if k_max is None else min(int(k_max), p - 1)
     records: List[SizeTestRecord] = []
-    search_s = calibrate_s = 0.0
     for k in range(0, k_hi + 1):
         perfect = False
         t0 = time.perf_counter()
@@ -417,7 +484,7 @@ def choose_k(
             result = search.swap(sigma_hat, cfg)
             subset = tuple(sorted(result.subset))
             perfect = result.objective == float("-inf")
-        search_s += time.perf_counter() - t0
+        searched = time.perf_counter() - t0
         if perfect:
             statistic = 0.0
             warnings.warn(
@@ -429,10 +496,12 @@ def choose_k(
         else:
             statistic = stat_fn(sigma_hat, n, subset)
         t0 = time.perf_counter()
-        critical = quant_fn(n, p, k, alpha, mc_samples, seed)
-        calibrate_s += time.perf_counter() - t0
+        critical = quant_fn(n, p, k, alpha)
+        calibrated = time.perf_counter() - t0
         rej = bool(statistic > critical)
-        records.append(SizeTestRecord(k, subset, statistic, critical, rej, perfect))
+        records.append(
+            SizeTestRecord(k, subset, statistic, critical, rej, perfect, searched, calibrated)
+        )
         if not rej:
             return SizeSelectionReport(
                 records=records,
@@ -442,8 +511,8 @@ def choose_k(
                 model=model,
                 mc_samples=mc_samples,
                 seed=seed,
-                search_s=search_s,
-                calibrate_s=calibrate_s,
+                search_s=sum(r.search_s for r in records),
+                calibrate_s=sum(r.calibrate_s for r in records),
             )
     raise NoFeasibleK(
         f"all sizes k <= {k_hi} rejected at level {alpha}; "

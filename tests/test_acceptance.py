@@ -306,6 +306,10 @@ def test_criterion_8_property_suites():
         qs = [fn(60, 10, k, 0.05, 20_000, 3) for k in range(10)]
         assert all(qs[i + 1] < qs[i] for i in range(8))
         assert qs[9] == 0.0
+    for fn in (sizesel.null_quantile_subset_factor, sizesel.null_quantile_pcss):
+        qs = [fn(60, 10, k, 0.05) for k in range(10)]
+        assert all(qs[i + 1] < qs[i] for i in range(9))
+        assert qs[9] == 0.0
 
     elapsed = time.perf_counter() - t0
     print(f"PASS criterion 8: property sweeps green ({elapsed:.1f}s)")

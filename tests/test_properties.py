@@ -143,3 +143,7 @@ def test_mc_quantile_monotone_in_k(p, n_extra, seed):
     ]
     assert all(qs[i + 1] <= qs[i] + 1e-9 for i in range(p - 1))
     assert qs[-1] == 0.0
+    for fn in (sizesel.null_quantile_subset_factor, sizesel.null_quantile_pcss):
+        exact = [fn(n, p, k, 0.05) for k in range(p)]
+        assert all(exact[i + 1] < exact[i] for i in range(p - 1))
+        assert exact[-1] == 0.0

@@ -1,4 +1,5 @@
-"""Size selection: test statistics, Monte Carlo null laws, choose_k driver."""
+"""Size selection: test statistics, exact and Monte Carlo null laws, choose_k
+driver."""
 
 import json
 import os
@@ -8,6 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
 from csskit import covest, simlab, sizesel
@@ -24,6 +26,8 @@ from csskit.sizesel import (
     mc_quantile_subset_factor,
     null_draws_pcss,
     null_draws_subset_factor,
+    null_quantile_pcss,
+    null_quantile_subset_factor,
     stat_T,
     stat_Ttilde,
 )
@@ -146,6 +150,10 @@ def test_mc_quantile_monotone_in_k():
         qs = [fn(40, 8, k, 0.05, 20_000, 1) for k in range(8)]
         assert all(qs[i + 1] < qs[i] for i in range(6))
         assert qs[7] == 0.0
+    for fn in (null_quantile_subset_factor, null_quantile_pcss):
+        qs = [fn(40, 8, k, 0.05) for k in range(8)]
+        assert all(qs[i + 1] < qs[i] for i in range(7))
+        assert qs[7] == 0.0
 
 
 def test_mc_quantile_argument_checks():
@@ -163,6 +171,65 @@ def test_mc_quantile_argument_checks():
                 draws(50, 8, k, 2000, 0)
         with pytest.raises(DegreesOfFreedom):
             draws(8, 8, 1, 2000, 0)
+    for exact in (null_quantile_subset_factor, null_quantile_pcss):
+        with pytest.raises(DegreesOfFreedom):
+            exact(8, 8, 1, 0.05)
+        for alpha in (0.0, 0.6, 1.0, 1.5):  # exact levels go up to 1/2
+            with pytest.raises(DimMismatch, match="alpha"):
+                exact(50, 8, 1, alpha)
+        for k in (-1, 8):
+            with pytest.raises(DimMismatch):
+                exact(50, 8, k, 0.05)
+
+
+# ---------------------------------------------------------------------------
+# Exact null laws
+# ---------------------------------------------------------------------------
+
+
+def test_log_gamma_matches_scipy():
+    re = np.geomspace(0.5, 2000.0, 57)
+    im = np.concatenate([[0.0], np.geomspace(1e-3, 1e5, 49)])
+    z = re[:, None] + 1j * np.concatenate([-im[::-1], im])[None, :]
+    want = scipy.special.loggamma(z)
+    got = sizesel._log_gamma(z)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("n, p", [(200, 50), (30, 6), (10, 8), (1000, 200)])
+def test_subset_factor_quantile_two_terms_closed_form(n, p):
+    # at m = 2 the law is that of -n log B, B ~ Beta(c - 1/2, 1/2)
+    k = p - 2
+    c = (n - k - 1) / 2
+    for alpha in (0.5, 0.2, 0.1, 0.05, 0.01, 0.001):
+        want = -n * np.log(scipy.stats.beta.ppf(alpha, c - 0.5, 0.5))
+        assert null_quantile_subset_factor(n, p, k, alpha) == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "exact, draws",
+    [(null_quantile_subset_factor, null_draws_subset_factor), (null_quantile_pcss, null_draws_pcss)],
+)
+# at p = 50, 10^6 draws of every k take about two minutes on a 2-core box
+# and 10^5 draws about 15 s
+@pytest.mark.parametrize("n, p, mc", [(200, 50, 10**5), (30, 6, 10**6), (10, 8, 10**6)])
+def test_exact_quantile_matches_monte_carlo(exact, draws, n, p, mc):
+    # the share of the null draws at or below the exact (1 - alpha)-quantile
+    # is 1 - alpha within 4 standard errors
+    alpha = 0.05
+    tol = 4 * np.sqrt(alpha * (1 - alpha) / mc)
+    for k in range(p - 1):
+        share = np.mean(draws(n, p, k, mc, 7) <= exact(n, p, k, alpha))
+        assert abs(share - (1 - alpha)) <= tol, (k, share)
+
+
+def test_exact_quantiles_raise_no_warning_at_large_p():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (null_quantile_subset_factor, null_quantile_pcss):
+            qs = [fn(1000, 200, k, 0.05) for k in range(200)]
+            assert all(b < a for a, b in zip(qs, qs[1:]))
+            assert qs[-1] == 0.0
 
 
 def test_search_minimizes_statistic():
@@ -233,6 +300,10 @@ def test_choose_k_errors():
         choose_k(pop, n=50, model=Model.PCSS, mc_samples=2000, seed=0, k_max=1)
     with pytest.raises(DimMismatch, match="k_max"):
         choose_k(pop, n=50, mc_samples=2000, k_max=-1)  # not NoFeasibleK
+    with pytest.raises(DimMismatch, match="alpha"):
+        choose_k(pop, n=50, alpha=0.6, mc_samples=2000)
+    with pytest.raises(DimMismatch, match="mc_samples"):
+        choose_k(pop, n=50, mc_samples=999)
     # rejected on entry, not only once a size k >= 1 is searched: at k=0
     # nothing is searched, and this sample stops there
     x = np.random.default_rng(0).standard_normal((300, 6))
@@ -323,32 +394,50 @@ def test_critical_value_does_not_depend_on_call_order(quantile, draws):
 @pytest.mark.parametrize("quantile, draws", MODELS)
 def test_cache_clear_draws_again(quantile, draws, monkeypatch):
     calls = []
-    real = sizesel._chunks
 
     def counting(*args):
-        calls.append(args[2:])  # (family, dfs)
-        return real(*args)
+        calls.append(args[2])  # k
+        return draws(*args)
 
-    monkeypatch.setattr(sizesel, "_chunks", counting)
+    monkeypatch.setattr(sizesel, draws.__name__, counting)
     quantile.cache_clear()
     first = [quantile(30, 20, k, 0.05, 2000, 1) for k in range(20)]
-    drawn = len(calls)
-    assert drawn == 4  # two families, two blocks of sizes
+    assert calls == list(range(20))  # one draw per size
     info = quantile.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (18, 2, 2)
+    assert (info.hits, info.misses, info.currsize) == (0, 20, 20)
     assert [quantile(30, 20, k, 0.05, 2000, 1) for k in range(20)] == first
-    assert len(calls) == drawn
+    assert len(calls) == 20
+    assert quantile.cache_info().hits == 20
     quantile.cache_clear()
     assert quantile.cache_info() == (0, 0, None, 0)
     assert quantile(30, 20, 3, 0.05, 2000, 1) == first[3]
-    assert len(calls) == drawn + 2
+    assert calls[20:] == [3]
 
 
-def test_draws_do_not_depend_on_chunking(monkeypatch):
-    want = [draws(25, 9, 2, 5000, 4) for _, draws in MODELS]
-    monkeypatch.setattr(sizesel, "_CHUNK", 777)
-    for (_, draws), w in zip(MODELS, want):
-        assert np.array_equal(draws(25, 9, 2, 5000, 4), w)
+def test_draws_do_not_depend_on_chunking():
+    # every chi-square column is the stream default_rng([seed, family, df]);
+    # drawn in chunks of 777 it gives the values of one call
+    n, p, k, mc, seed = 25, 9, 2, 5000, 4
+
+    def column(family, df):
+        gen = np.random.default_rng([seed, family, df])
+        return 2 * np.concatenate(
+            [gen.standard_gamma(df / 2, min(777, mc - s)) for s in range(0, mc, 777)]
+        )
+
+    m = p - k
+    total = np.zeros(mc)
+    for d in range(1, m):
+        total += np.log1p(column(sizesel._NUMERATOR, d) / column(sizesel._DENOMINATOR, n - k - 1 - d))
+    assert np.array_equal(null_draws_subset_factor(n, p, k, mc, seed), n * total)
+    den = [column(sizesel._DENOMINATOR, df) for df in range(n - p, n - k)]
+    total = log_total = 0.0
+    for col in den:
+        total = total + col
+        log_total = log_total + np.log(col)
+    extra = column(sizesel._PCSS_EXTRA, m * (m - 1) // 2)
+    want = n * (m * np.log((extra + total) / m) - log_total)
+    assert np.array_equal(null_draws_pcss(n, p, k, mc, seed), want)
 
 
 @pytest.mark.parametrize(
@@ -379,6 +468,15 @@ def test_choose_k_reports_phase_times():
     report = choose_k(covest.sample_cov(x), n=300, model=Model.PCSS, mc_samples=2000, seed=3)
     assert report.search_s >= 0.0 and report.calibrate_s > 0.0
     assert "search_s" not in report.to_json() and "calibrate_s" not in report.to_json()
+    # per size: the report's times are the sums of the records'
+    assert report.records[0].search_s >= 0.0
+    assert all(r.search_s > 0.0 for r in report.records[1:])
+    assert all(r.calibrate_s > 0.0 for r in report.records)
+    assert report.search_s == sum(r.search_s for r in report.records)
+    assert report.calibrate_s == sum(r.calibrate_s for r in report.records)
+    # the times do not enter comparisons
+    again = choose_k(covest.sample_cov(x), n=300, model=Model.PCSS, mc_samples=2000, seed=3)
+    assert again.records == report.records and again == report
 
 
 # choose_k on one sizesel-a2 sample under both models, then the swap behind
