@@ -170,9 +170,7 @@ def to_correlation(sigma: SymMatrix) -> SymMatrix:
     Raises :class:`ZeroVariance` on a nonpositive diagonal entry.
     """
     sigma = np.asarray(sigma, dtype=float)
-    p = sigma.shape[0]
-    if sigma.ndim != 2 or sigma.shape != (p, p):
-        raise DimMismatch(f"expected a square matrix, got shape {sigma.shape}")
+    symmat.check_square(sigma)
     d = sigma.diagonal()
     for i in np.flatnonzero(d <= 0.0).tolist():
         raise ZeroVariance(int(i))

@@ -66,13 +66,16 @@ block and scores every candidate from them, up to one constant, and the
 objective is :func:`evaluate`'s.
 
 Under DiagDet and IsoLrt, :class:`StateStack` holds many states of one
-size on the fast path (no side list, a finite log-determinant), and
-:func:`retract_stack`, :func:`score_stack`, :func:`advance_stack` and
-:func:`objective_stack` move, score and read all of them with one numpy
-call per step, which is where a small-p search spends its time with
-several restarts; each row comes out bit for bit as the per-state function
-gives it (the scorer is one for both: :func:`score_all` of such a state is
-a stack of one).
+size on the fast path (no side list, a finite log-determinant) as one
+stack of factors, and :func:`retract_stack`, :func:`score_stack`,
+:func:`advance_stack` and :func:`objective_stack` move, score and read all
+of them with one numpy call per step, which is where a small-p search
+spends its time with several restarts.  The stacked moves call the kernels
+of the per-state ones, :func:`csskit.symmat.residual_add` and
+:func:`csskit.symmat.residual_remove`, on the whole stack and keep only
+the pivots, log-determinants and subsets; the scorer is one for both
+(:func:`score_all` of such a state is a stack of one).  So each row comes
+out bit for bit as the per-state function gives it.
 
 Inputs are checked once, where they enter: ``sigma`` in :func:`init_state`,
 an index in :func:`advance`, a position in :func:`retract`; the kernels
@@ -242,7 +245,7 @@ def cc_sum(sigma: SymMatrix, a: Sequence[int], b: Sequence[int]) -> float:
     ``trace(G_a sigma_ab G_b sigma_ba)`` with the generalised inverses
     ``G = ginv(.)`` of :func:`csskit.symmat.ginv`."""
     sigma = np.asarray(sigma, dtype=float)
-    p = sigma.shape[0]
+    p = symmat.check_square(sigma)
     aa = list(symmat.check_subset(p, a))
     bb = list(symmat.check_subset(p, b))
     if not aa or not bb:
@@ -366,13 +369,13 @@ def advance(
     :class:`DimMismatch`.  The move reads ``state.sigma``, not its
     ``sigma`` argument.
     """
-    i = int(i)
+    i = symmat.as_index(i)
     if not 0 <= i < criterion.p or i in state.subset:
         raise DimMismatch(f"cannot append index {i} to subset {state.subset}")
     sigma = state.sigma
     pivot = float(state.factor.diag[i])
-    adds = symmat.adds_rank(pivot, sigma[i, i])
     factor = symmat.residual_add(sigma, state.factor, i)
+    adds = factor is not state.factor  # the kernel's rank test
     ranked = state.ranked + (i,) if adds else state.ranked
     if adds and math.isfinite(state.log_det_block):
         new_ld = state.log_det_block + math.log(pivot)
@@ -408,6 +411,7 @@ def retract(
     ``sigma``.
     """
     k = len(state.subset)
+    position = symmat.as_index(position)
     if not 0 <= position < k:
         raise DimMismatch(f"position {position} out of range for subset size {k}")
     sigma = state.sigma
@@ -419,8 +423,9 @@ def retract(
         e = np.zeros(len(ranked))
         e[q] = 1.0
         c = np.linalg.solve(factor.lt.take(ranked, 1).T, e)
-        pivot = 1.0 / float(np.dot(c, c))
-        factor = symmat.residual_remove(factor, c)
+        cc = float(np.dot(c, c))
+        pivot = 1.0 / cc
+        factor = symmat.residual_remove(factor, c / math.sqrt(cc))
         ranked = ranked[:q] + ranked[q + 1 :]
         if len(ranked) < len(new_subset):  # re-test the side list
             for j in new_subset:
@@ -450,86 +455,51 @@ STACKED = (CriterionKind.DIAG_DET, CriterionKind.ISO_LRT)
 class StateStack:
     """``B`` states of one size ``k`` over one ``sigma``, on the fast path:
     every member added rank (no side list, so ``L`` has ``k`` rows) and the
-    selected block's log-determinant is finite.  Row ``b`` of each array is
+    selected block's log-determinant is finite.  Row ``b`` of each field is
     one state's :class:`SubsetState` field: ``subset`` (``B x k``, state
-    order), ``lt`` (``B x k x P``), ``diag`` and ``diag_sq`` (``B x p``) and
+    order), ``factor`` (a stack of :class:`csskit.symmat.Factor` rows:
+    ``lt`` ``B x k x P``, ``diag`` and ``diag_sq`` ``B x p``) and
     ``log_det_block``.
 
-    The kernels apply the per-state identities of :func:`advance`,
-    :func:`retract` and :func:`score_all` row by row, with one numpy call
-    per step for the whole stack; every product is a per-row BLAS call or
-    an elementwise operation, so a row's values do not depend on the
-    other rows or on ``B``.  A move that would leave the fast path (a pivot
-    under the rank rule) is flagged, and the caller redoes it with the
-    per-state function on :meth:`state`.
+    The moves run the kernels of :func:`advance` and :func:`retract`,
+    :func:`csskit.symmat.residual_add` and
+    :func:`csskit.symmat.residual_remove`, on the whole stack, and the
+    scorer is :func:`score_all`'s; every product is a per-row BLAS call or
+    an elementwise operation, so a row's values do not depend on the other
+    rows or on ``B``.  A move that would leave the fast path (a pivot under
+    the rank rule) is flagged, and the caller redoes it with the per-state
+    function on :meth:`state`.
     """
 
     subset: np.ndarray
-    lt: np.ndarray
-    diag: np.ndarray
-    diag_sq: Optional[np.ndarray]
+    factor: symmat.Factor
     log_det_block: np.ndarray
     sigma: np.ndarray
 
     @classmethod
     def of_empty(cls, empty: SubsetState, b: int) -> "StateStack":
         """``b`` copies of an empty state."""
-        fac = empty.factor
-        return cls(
-            np.zeros((b, 0), dtype=np.intp),
-            np.zeros((b,) + fac.lt.shape),
-            np.repeat(fac.diag[None], b, axis=0),
-            None if fac.diag_sq is None else np.repeat(fac.diag_sq[None], b, axis=0),
-            np.zeros(b),
-            empty.sigma,
-        )
+        factor = empty.factor.map(lambda a: np.repeat(a[None], b, axis=0))
+        return cls(np.zeros((b, 0), dtype=np.intp), factor, np.zeros(b), empty.sigma)
 
     def state(self, b: int) -> SubsetState:
         """Row ``b`` as a :class:`SubsetState` (a copy)."""
         sub = tuple(self.subset[b].tolist())
-        sq = None if self.diag_sq is None else self.diag_sq[b].copy()
-        return SubsetState(
-            sub,
-            symmat.Factor(self.lt[b].copy(), self.diag[b].copy(), sq),
-            sub,
-            float(self.log_det_block[b]),
-            self.sigma,
-        )
+        factor = self.factor.map(lambda a: a[b].copy())
+        return SubsetState(sub, factor, sub, float(self.log_det_block[b]), self.sigma)
 
     def take(self, rows) -> "StateStack":
         """The stack of the given rows (a boolean mask or indices)."""
-        return StateStack(
-            self.subset[rows],
-            self.lt[rows],
-            self.diag[rows],
-            None if self.diag_sq is None else self.diag_sq[rows],
-            self.log_det_block[rows],
-            self.sigma,
-        )
+        factor = self.factor.map(lambda a: a[rows])
+        return StateStack(self.subset[rows], factor, self.log_det_block[rows], self.sigma)
 
     def put(self, rows, other: "StateStack"):
         """Overwrite the given rows with ``other``'s, in place."""
         self.subset[rows] = other.subset
-        self.lt[rows] = other.lt
-        self.diag[rows] = other.diag
-        if self.diag_sq is not None:
-            self.diag_sq[rows] = other.diag_sq
+        for mine, theirs in zip(self.factor, other.factor):
+            if mine is not None:
+                mine[rows] = theirs
         self.log_det_block[rows] = other.log_det_block
-
-
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a[i] . b[i]`` for each row, one BLAS dot per row."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
-def _vecmat(v: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``v[i] @ m[i]`` for each row, one BLAS matrix-vector product per row."""
-    return np.matmul(v[:, None, :], m)[:, 0, :]
-
-
-def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``m[i] @ v[i]`` for each row (``m`` may be one shared matrix)."""
-    return np.matmul(m, v[:, :, None])[:, :, 0]
 
 
 def _logs(x: np.ndarray, ok: np.ndarray) -> np.ndarray:
@@ -563,84 +533,46 @@ def _complements(p: int, subset: np.ndarray) -> np.ndarray:
 
 
 def advance_stack(stack: StateStack, picks: np.ndarray) -> Tuple[StateStack, np.ndarray]:
-    """:func:`advance` of every row by its variable ``picks[b]``: the new
-    column of ``L`` (:func:`csskit.symmat.residual_add`) and the
-    log-determinant.  Returns the grown stack and a mask of the rows that
-    stay on the fast path, whose pivot ``R_ii`` adds rank.  The other rows
-    hold no state; redo them with :func:`advance`.  The picks are trusted
-    (the walk takes them from the complement)."""
+    """:func:`advance` of every row by its variable ``picks[b]``: the
+    pivot's rank test and log-determinant here, the new column of ``L`` by
+    :func:`csskit.symmat.residual_add` on the whole stack.  Returns the
+    grown stack and a mask of the rows that stay on the fast path, whose
+    pivot ``R_ii`` adds rank.  The other rows hold no state; redo them with
+    :func:`advance`.  The picks are trusted (the walk takes them from the
+    complement)."""
     sigma = stack.sigma
-    p = sigma.shape[0]
-    b_ = np.arange(picks.shape[0])
-    lt = stack.lt
-    r = lt.shape[1]
-    l = lt[:, :, :p]
-    var = sigma.diagonal()[picks]
-    pivot = stack.diag[b_, picks]
-    ok = symmat.adds_rank(pivot, var)
-    if not ok.all():  # keep the rows to redo finite
-        pivot = np.where(ok, pivot, 1.0)
-
-    # a column of L, as the per-state move reads it: with a non-unit
-    # stride, which OpenBLAS's matrix-vector kernels round differently
-    col = np.empty((lt.shape[0], r, 2))
-    col[:, :, 0] = lt[b_, :, picks]
-    col = col[:, :, 0]
-    g = (sigma[picks] - _vecmat(col, l)) / np.sqrt(pivot)[:, None]
-    new_lt = np.empty((lt.shape[0], r + 1, lt.shape[2]))
-    new_lt[:, :r] = lt
-    new_lt[:, r, :p] = g
-    diag = np.maximum(stack.diag - g * g, 0.0)
-    diag_sq = None
-    if stack.diag_sq is not None:
-        sg = new_lt[:, r, p:] = _matvec(sigma, g)
-        rg2 = 2.0 * (sg - _vecmat(_matvec(l, g), l))
-        diag_sq = stack.diag_sq - g * (rg2 - _rowdot(g, g)[:, None] * g)
-
+    pivot = stack.factor.diag[np.arange(picks.shape[0]), picks]
+    ok = symmat.adds_rank(pivot, sigma.diagonal()[picks])
+    factor = symmat.residual_add(sigma, stack.factor, picks)
     ld = stack.log_det_block + _logs(pivot, ok)
     subset = np.concatenate([stack.subset, picks[:, None]], axis=1)
-    return StateStack(subset, new_lt, diag, diag_sq, ld, sigma), ok
+    return StateStack(subset, factor, ld, sigma), ok
 
 
 def retract_stack(stack: StateStack, positions: np.ndarray) -> Tuple[StateStack, np.ndarray]:
-    """:func:`retract` of every row at its position ``positions[b]``: the
-    Householder reflection of the factor
-    (:func:`csskit.symmat.residual_remove`), with ``c`` from one batched
-    solve over the ``B x k x k`` blocks ``L[S]``, the LAPACK call of the
-    per-state solve for each row, so rows stay bit for bit what
-    :func:`retract` gives.  Returns the shrunk stack and a mask of
-    the rows that stay on the fast path, whose retracted variable's pivot
-    adds rank; redo the other rows with :func:`retract`."""
+    """:func:`retract` of every row at its position ``positions[b]``: ``c``
+    from one batched solve over the ``B x k x k`` blocks ``L[S]``, the
+    LAPACK call of the per-state solve for each row, the pivot's rank test
+    and log-determinant here, and the reflection by
+    :func:`csskit.symmat.residual_remove` on the whole stack, so rows stay
+    bit for bit what :func:`retract` gives.  Returns the shrunk stack and a
+    mask of the rows that stay on the fast path, whose retracted variable's
+    pivot adds rank; redo the other rows with :func:`retract`."""
     sigma = stack.sigma
-    p = sigma.shape[0]
     n, k = stack.subset.shape
     b_ = np.arange(n)
-    lt = stack.lt
     e = np.zeros((n, k, 1))
     e[b_, positions] = 1.0
-    c = np.linalg.solve(_gather(lt, stack.subset).transpose(0, 2, 1), e)[:, :, 0]
-    cc = _rowdot(c, c)
-    pivot = 1.0 / cc
-    v = c / np.sqrt(cc)[:, None]
-    hs = _vecmat(v, lt)
-    h = hs[:, :p]
-    diag = stack.diag + h * h
-    diag_sq = stack.diag_sq
-    if diag_sq is not None:
-        l = lt[:, :, :p]
-        rh2 = 2.0 * (hs[:, p:] - _vecmat(_matvec(l, h), l))
-        diag_sq = diag_sq + h * (rh2 + _rowdot(h, h)[:, None] * h)
-    last = v[:, -1].copy()
-    v[:, -1] += np.where(last >= 0.0, 1.0, -1.0)
-    new_lt = (v[:, :-1] / (1.0 + np.abs(last))[:, None])[:, :, None] * _vecmat(v, lt)[:, None, :]
-    np.subtract(lt[:, :-1], new_lt, out=new_lt)
-
+    c = np.linalg.solve(_gather(stack.factor.lt, stack.subset).transpose(0, 2, 1), e)[:, :, 0]
+    cc = symmat._rowdot(c, c)
+    pivot = 1.0 / cc[:, 0]
+    factor = symmat.residual_remove(stack.factor, c / np.sqrt(cc))
     gone = stack.subset[b_, positions]
     ok = symmat.adds_rank(pivot, sigma.diagonal()[gone])
     ld = stack.log_det_block - _logs(pivot, ok)
     keep = np.arange(k - 1) + (np.arange(k - 1) >= positions[:, None])
     subset = stack.subset[b_[:, None], keep]
-    return StateStack(subset, new_lt, diag, diag_sq, ld, sigma), ok
+    return StateStack(subset, factor, ld, sigma), ok
 
 
 # ---------------------------------------------------------------------------
@@ -667,8 +599,7 @@ def score_all(criterion: Criterion, state: SubsetState) -> Tuple[np.ndarray, np.
     fac = state.factor
     kind = criterion.kind
     if kind in STACKED:  # a stack of one
-        sq = None if fac.diag_sq is None else fac.diag_sq[None]
-        return cands, _score_rows(criterion, sigma, fac.lt[None], fac.diag[None], sq, cands[None])[0]
+        return cands, _score_rows(criterion, sigma, fac.map(lambda a: a[None]), cands[None])[0]
 
     diag = fac.diag[cands]
     var = sigma.diagonal()[cands]
@@ -676,7 +607,7 @@ def score_all(criterion: Criterion, state: SubsetState) -> Tuple[np.ndarray, np.
     safe = np.where(ok, diag, 1.0)
 
     if kind == CriterionKind.CSS_TRACE:
-        sq = _squares(sigma, fac.lt, fac.diag, fac.diag_sq, cands, diag, var, ok)
+        sq = _squares(sigma, fac, cands, diag, var, ok)
         return cands, np.where(ok, -sq / safe, 0.0)
 
     if kind == CriterionKind.DET_RESIDUAL:
@@ -698,17 +629,17 @@ def score_all(criterion: Criterion, state: SubsetState) -> Tuple[np.ndarray, np.
     raise DimMismatch(f"unknown criterion kind {kind}")
 
 
-def _squares(sigma, lt, diag_all, diag_sq, cands, diag, var, ok) -> np.ndarray:
+def _squares(sigma, fac: symmat.Factor, cands, diag, var, ok) -> np.ndarray:
     """``diag R^2`` of the candidates ``cands`` of one state, whose residual
     variances are ``diag`` (own variances ``var``, ``ok`` where they add
     rank).  ``diag R^2`` is carried by differences from ``diag sigma^2``, so
     its error is absolute, about ``eps |sigma|^2`` per move.  A candidate
     near a perfect fit (``R_ii`` at most ``sqrt(RANK_TOL) sigma_ii``) reads
     it from its residual column, whose error is relative to that column."""
-    sq = diag_sq[cands]
+    sq = fac.diag_sq[cands]
     near = np.flatnonzero(ok & (diag <= math.sqrt(RANK_TOL) * var))
     if near.size:
-        cols = symmat.Factor(lt, diag_all, diag_sq).columns(sigma, cands[near])
+        cols = fac.columns(sigma, cands[near])
         sq[near] = np.einsum("ij,ij->j", cols, cols)
     return sq
 
@@ -718,7 +649,7 @@ def score_stack(criterion: Criterion, stack: StateStack) -> Tuple[np.ndarray, np
     each ``B x (p - k)``, row ``b`` as :func:`score_all` gives it for
     :meth:`StateStack.state` ``(b)``."""
     cands = _complements(stack.sigma.shape[0], stack.subset)
-    scores = _score_rows(criterion, stack.sigma, stack.lt, stack.diag, stack.diag_sq, cands)
+    scores = _score_rows(criterion, stack.sigma, stack.factor, cands)
     return cands, scores
 
 
@@ -726,15 +657,16 @@ def objective_stack(criterion: Criterion, stack: StateStack) -> np.ndarray:
     """:func:`objective_from_state` of every row of a stack."""
     sigma = stack.sigma
     comp = _complements(sigma.shape[0], stack.subset)
-    diag = stack.diag[np.arange(comp.shape[0])[:, None], comp]
+    diag = stack.factor.diag[np.arange(comp.shape[0])[:, None], comp]
     return _readout_rows(criterion, diag, sigma.diagonal()[comp], stack.log_det_block)
 
 
-def _score_rows(criterion, sigma, lt, diag_all, diag_sq, cands) -> np.ndarray:
-    """DiagDet or IsoLrt scores of ``B`` states given by their factors
-    (``lt``, ``diag_all``, ``diag_sq``; one leading row per state) for
-    their candidates ``cands`` (``B x m``), one numpy call per step for all
-    rows; the scorer of :func:`score_all` and :func:`score_stack`."""
+def _score_rows(criterion, sigma, fac: symmat.Factor, cands) -> np.ndarray:
+    """DiagDet or IsoLrt scores of ``B`` states given by a stack of their
+    factors for their candidates ``cands`` (``B x m``), one numpy call per
+    step for all rows; the scorer of :func:`score_all` and
+    :func:`score_stack`."""
+    lt, diag_all, diag_sq = fac
     n, m = cands.shape
     p = sigma.shape[0]
     flat = cands + _starts(n, p)  # into the rows of a B x p array
@@ -750,7 +682,7 @@ def _score_rows(criterion, sigma, lt, diag_all, diag_sq, cands) -> np.ndarray:
             near = ok & (diag <= math.sqrt(RANK_TOL) * var)
             if near.any():
                 for b in np.flatnonzero(near.any(axis=1)):
-                    sq[b] = _squares(sigma, lt[b], diag_all[b], diag_sq[b], cands[b], diag[b], var[b], ok[b])
+                    sq[b] = _squares(sigma, fac.map(lambda a: a[b]), cands[b], diag[b], var[b], ok[b])
             k = criterion.p - criterion.k
             tr = np.maximum(diag_all.sum(axis=1), 0.0)
             rest = np.maximum(tr[:, None] - np.where(ok, sq / safe, 0.0), 0.0)
@@ -764,7 +696,7 @@ def _score_rows(criterion, sigma, lt, diag_all, diag_sq, cands) -> np.ndarray:
             if near.any():
                 for b in np.flatnonzero(near.any(axis=1)):
                     at = np.flatnonzero(near[b])
-                    cols = symmat.Factor(lt[b], diag_all[b], None).columns(sigma, cands[b, at])
+                    cols = fac.map(lambda a: a[b]).columns(sigma, cands[b, at])
                     left = diag_all[b][:, None] - cols**2 / safe[b, at]
                     fit = ~symmat.adds_rank(left, sigma.diagonal()[:, None]).any(axis=0)
                     rest[b, at[fit]] = 0.0

@@ -36,10 +36,11 @@ A restart is on the stack while its state is on the fast path (no side
 list, a nonsingular block, a finite objective) and it is not alone there;
 otherwise it moves through the per-state functions, which for one state
 cost less than a stack of one.  CssTrace, DetResidual, FrobResidual and
-CanonCorr have no stacked kernels, so under them each restart is a group
-of one and walks after the one before it.  The stacked kernels compute row
-for row, bit for bit, what the per-state ones do, so each restart makes
-the decisions, and ends where, it would run alone.  Every final subset is
+CanonCorr have no stacked scorer, so under them each restart is a group
+of one and walks after the one before it.  The stacked moves run the
+factor kernels of the per-state ones, and moves and scorer compute row for
+row, bit for bit, what the per-state ones do, so each restart makes the
+decisions, and ends where, it would run alone.  Every final subset is
 evaluated from scratch once all restarts are done, once per distinct set
 (per ordered subset under CanonCorr, whose value depends on the order).
 """
@@ -360,6 +361,7 @@ def swap(
     crit = config.criterion
     p = crit.p
     if init is not None:
+        init = symmat.check_subset(p, init)
         if len(init) != config.k:
             raise DimMismatch(f"init has size {len(init)}, expected k={config.k}")
         starts = [init]

@@ -125,9 +125,7 @@ class SizeSelectionReport:
 
 def _stat_core(sigma_hat, n, subset, isotropic: bool) -> float:
     sigma_hat = np.asarray(sigma_hat, dtype=float)
-    p = sigma_hat.shape[0]
-    if sigma_hat.ndim != 2 or sigma_hat.shape != (p, p):
-        raise DimMismatch(f"sigma_hat must be square, got {sigma_hat.shape}")
+    p = symmat.check_square(sigma_hat)
     u = symmat.check_subset(p, subset)
     m = p - len(u)
     if m < 1:
@@ -453,9 +451,7 @@ def choose_k(
     """
     model = Model(model)
     sigma_hat = np.asarray(sigma_hat, dtype=float)
-    p = sigma_hat.shape[0]
-    if sigma_hat.ndim != 2 or sigma_hat.shape != (p, p):
-        raise DimMismatch(f"sigma_hat must be square, got {sigma_hat.shape}")
+    p = symmat.check_square(sigma_hat)
     if n <= p:
         raise DegreesOfFreedom(f"size selection needs n > p (got n={n}, p={p})")
     if seed < 0:

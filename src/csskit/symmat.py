@@ -30,7 +30,12 @@ L^T`` with ``diag R`` (and optionally ``diag R^2``), never as a dense
 matrix: :func:`residual_add` appends a column to ``L`` when a variable joins
 and adds rank, and :func:`residual_remove` reflects one out by a
 Householder reflection when one leaves, each in O(pr) plus at most one
-``sigma``-matvec.  :meth:`Factor.residual` forms the dense ``R`` on demand,
+``sigma``-matvec.  They are the package's only code that changes a factor,
+and each is written once for one factor and for a stack of factors (a
+leading axis of ``B`` rows on every array, as swap's lockstep walk moves
+its restarts): every product is a BLAS call per row and every other step
+elementwise, so a row of a stack comes out bit for bit as the call on that
+row alone.  :meth:`Factor.residual` forms the dense ``R`` on demand,
 exactly symmetric, with tiny negative diagonal entries (roundoff) clamped
 to zero; selected rows and columns decay to roughly machine scale but are
 never zeroed exactly.  CanonCorr's block inverse ``(Omega_SS)^-1``,
@@ -41,6 +46,7 @@ block; both re-symmetrize.
 """
 
 import math
+import operator
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -76,7 +82,9 @@ def _clamp_diag(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _check_square(m: np.ndarray) -> int:
+def check_square(m: np.ndarray) -> int:
+    """The dimension of a square matrix; anything else (a 0-d or 1-d
+    array, say) raises :class:`DimMismatch`."""
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimMismatch(f"expected a square matrix, got shape {m.shape}")
     return m.shape[0]
@@ -85,17 +93,27 @@ def _check_square(m: np.ndarray) -> int:
 def check_subset(p: int, subset: Sequence[int]) -> IndexSet:
     """Validate an ordered index set against dimension ``p``.
 
-    Entries must be distinct integers in ``[0, p)``.  Order is preserved:
-    the search algorithms retract by *position*, so an index set is a
-    sequence, not a set.
+    Entries must be distinct integers in ``[0, p)``; a float, even a whole
+    one, raises rather than being truncated (:func:`as_index`).  Order is
+    preserved: the search algorithms retract by *position*, so an index
+    set is a sequence, not a set.
     """
-    out = tuple(int(i) for i in subset)
+    out = tuple(map(as_index, subset))
     for i in out:
         if not 0 <= i < p:
             raise DimMismatch(f"index {i} out of range for dimension {p}")
     if len(set(out)) != len(out):
         raise DimMismatch(f"duplicate indices in subset {out}")
     return out
+
+
+def as_index(i) -> int:
+    """``i`` as an int (numpy integers included), or :class:`DimMismatch`
+    when it is not an integer."""
+    try:
+        return operator.index(i)
+    except TypeError:
+        raise DimMismatch(f"index {i!r} is not an integer") from None
 
 
 def complement(p: int, subset: Sequence[int]) -> np.ndarray:
@@ -115,7 +133,7 @@ def as_symmetric(m: np.ndarray) -> SymMatrix:
     NaN or infinity raises :class:`NonFinite`.
     """
     m = np.asarray(m, dtype=float)
-    _check_square(m)
+    check_square(m)
     if not m.size:
         return m
     if not np.all(np.isfinite(m)):
@@ -133,7 +151,7 @@ def eigh_desc(m: SymMatrix) -> EigenDecomp:
     The single backend for every spectral computation in the package.
     """
     m = np.asarray(m, dtype=float)
-    _check_square(m)
+    check_square(m)
     if m.size == 0:
         return EigenDecomp(np.zeros(0), np.zeros((0, 0)))
     if not np.all(np.isfinite(m)):
@@ -221,7 +239,7 @@ def log_det(m: SymMatrix) -> float:
     The empty matrix has log-determinant 0.
     """
     m = np.asarray(m, dtype=float)
-    _check_square(m)
+    check_square(m)
     if m.size == 0:
         return 0.0
     spectrum = _unit_spectrum(m)
@@ -279,7 +297,7 @@ def residual_covariance(sigma: SymMatrix, subset: Sequence[int]) -> SymMatrix:
     The empty subset returns a copy of ``sigma``.
     """
     sigma = np.asarray(sigma, dtype=float)
-    p = _check_square(sigma)
+    p = check_square(sigma)
     u = check_subset(p, subset)
     if not u:
         return sigma.copy()
@@ -299,7 +317,11 @@ class Factor(NamedTuple):
     the factor also carries ``diag_sq = diag R^2`` (the squared column norms
     of ``R``), and row j of ``lt`` goes on with column j of ``sigma L``,
     which keeps ``diag_sq`` up to date; without, ``diag_sq`` is None.
-    Values, never updated in place.
+    A stack of ``B`` factors has a leading axis of length ``B`` on each
+    array (:class:`csskit.criteria.StateStack`).  The kernels return new
+    factors and update none in place; only
+    :meth:`csskit.criteria.StateStack.put` overwrites rows of the stack it
+    holds.
     """
 
     lt: np.ndarray
@@ -314,6 +336,12 @@ class Factor(NamedTuple):
         if not squares:
             return cls(np.zeros((0, p)), diag, None)
         return cls(np.zeros((0, 2 * p)), diag, np.einsum("ij,ij->i", sigma, sigma))
+
+    def map(self, fn) -> "Factor":
+        """The factor of ``fn`` applied to each array it carries (to take
+        rows of a stack of factors, say)."""
+        lt, diag, sq = self
+        return Factor(fn(lt), fn(diag), None if sq is None else fn(sq))
 
     def residual(self, sigma: SymMatrix) -> SymMatrix:
         """``sigma - L L^T`` as a dense ``p x p`` matrix, O(p^2 r)."""
@@ -331,8 +359,36 @@ class Factor(NamedTuple):
         return sigma.take(idx, 0).take(idx, 1) - np.dot(li.T, li)
 
 
-def residual_add(sigma: SymMatrix, factor: Factor, i: int) -> Factor:
-    """Append variable ``i`` to a residual factor.
+# The row helpers of the kernels.  Each makes one BLAS call per row of a
+# stack; a single row goes through np.dot, the same BLAS call (so the same
+# bits) without the overhead of np.matmul, which a per-state move would pay.
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray):
+    """``a . b`` along the last axis, kept as a last axis of length one for
+    a stack of rows."""
+    if a.ndim == 1:
+        return np.dot(a, b)
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0]
+
+
+def _vecmat(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``v @ m`` for each row."""
+    if v.ndim == 1:
+        return np.dot(v, m)
+    return np.matmul(v[..., None, :], m)[..., 0, :]
+
+
+def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``m @ v`` for each row (``m`` may be one matrix for all rows)."""
+    if v.ndim == 1:
+        return np.dot(m, v)
+    return np.matmul(m, v[..., None])[..., 0]
+
+
+def residual_add(sigma: SymMatrix, factor: Factor, i) -> Factor:
+    """Append variable ``i`` to a residual factor, or variable ``i[b]`` to
+    row ``b`` of a stack of factors.
 
     With pivot ``R_ii = factor.diag[i]`` the new column of ``L`` is ``g =
     (sigma[:, i] - L L[i]^T) / sqrt(R_ii)`` and the residual becomes ``R - g
@@ -340,31 +396,43 @@ def residual_add(sigma: SymMatrix, factor: Factor, i: int) -> Factor:
     column of ``sigma L`` and ``diag (R - g g^T)^2 = diag R^2 - g * (2 Rg -
     |g|^2 g)``, in O(p^2).  A variable that does not add rank,
     ``adds_rank(R_ii, sigma_ii)`` false, is already (numerically) in the
-    span of the selection, and the factor is returned unchanged.
-    Unchecked: the arguments come from :func:`csskit.criteria.advance` and
-    :func:`csskit.criteria.retract`.
+    span of the selection: one factor is returned unchanged, and a row of a
+    stack gets a finite column that means nothing (the caller drops it).
+    Unchecked: the arguments come from :func:`csskit.criteria.advance`,
+    :func:`csskit.criteria.retract` and :func:`csskit.criteria.advance_stack`.
     """
-    pivot = float(factor.diag[i])
-    if not adds_rank(pivot, sigma[i, i]):
-        return factor
     lt = factor.lt
-    r = lt.shape[0]
+    if lt.ndim == 2:
+        pivot, col = float(factor.diag[i]), lt[:, i]
+        if not adds_rank(pivot, sigma[i, i]):
+            return factor
+        root = math.sqrt(pivot)
+    else:
+        b = np.arange(lt.shape[0])
+        pivot = factor.diag[b, i][:, None]
+        root = np.sqrt(np.where(adds_rank(pivot, sigma[i, i][:, None]), pivot, 1.0))  # dropped rows stay finite
+        # column i of each L with a non-unit stride, as a view of one has:
+        # OpenBLAS's matrix-vector kernels round a unit-stride vector differently
+        col = np.empty(lt.shape[:-1] + (2,))[..., 0]
+        col[...] = lt[b, :, i]
+    r = lt.shape[-2]
     p = sigma.shape[0]
-    l = lt[:, :p]
-    g = (sigma[i] - np.dot(lt[:, i], l)) / math.sqrt(pivot)  # row i of sigma is its column i
-    new = np.empty((r + 1, lt.shape[1]))
-    new[:r] = lt
-    new[r, :p] = g
+    l = lt[..., :p]
+    g = (sigma[i] - _vecmat(col, l)) / root  # row i of sigma is its column i
+    new = np.empty(lt.shape[:-2] + (r + 1, lt.shape[-1]))
+    new[..., :r, :] = lt
+    new[..., r, :p] = g
     diag = np.maximum(factor.diag - g * g, 0.0)
     if factor.diag_sq is None:
         return Factor(new, diag, None)
-    sg = new[r, p:] = np.dot(sigma, g)
-    rg2 = 2.0 * (sg - np.dot(np.dot(l, g), l))
-    return Factor(new, diag, factor.diag_sq - g * (rg2 - float(np.dot(g, g)) * g))
+    sg = new[..., r, p:] = _matvec(sigma, g)
+    rg2 = 2.0 * (sg - _vecmat(_matvec(l, g), l))
+    return Factor(new, diag, factor.diag_sq - g * (rg2 - _rowdot(g, g) * g))
 
 
-def residual_remove(factor: Factor, c: np.ndarray) -> Factor:
-    """Drop the direction ``h = L u``, ``u = c / |c|``, from a residual factor.
+def residual_remove(factor: Factor, u: np.ndarray) -> Factor:
+    """Drop the direction ``h = L u``, ``u`` a unit vector, from a residual
+    factor, or ``L[b] u[b]`` from row ``b`` of a stack of factors.
 
     One Householder reflection ``H`` with ``H u = -+e_r`` turns ``L`` into
     ``L H``, whose last column is ``-+h``; the other ``r - 1`` columns are
@@ -372,23 +440,24 @@ def residual_remove(factor: Factor, c: np.ndarray) -> Factor:
     ``sigma L`` is reflected alike, which gives ``sigma h`` without a
     matvec, and ``diag (R + h h^T)^2 = diag R^2 + h * (2 Rh + |h|^2 h)``.
     Cost O(pr).  Unchecked: the arguments come from
-    :func:`csskit.criteria.retract`.
+    :func:`csskit.criteria.retract` and :func:`csskit.criteria.retract_stack`.
     """
     lt = factor.lt
-    p = factor.diag.shape[0]
-    v = c / math.sqrt(float(np.dot(c, c)))
-    hs = np.dot(v, lt)
-    h = hs[:p]
+    p = factor.diag.shape[-1]
+    hs = _vecmat(u, lt)
+    h = hs[..., :p]
     diag = factor.diag + h * h
     diag_sq = factor.diag_sq
     if diag_sq is not None:
-        l = lt[:, :p]
-        rh2 = 2.0 * (hs[p:] - np.dot(np.dot(l, h), l))
-        diag_sq = diag_sq + h * (rh2 + float(np.dot(h, h)) * h)
-    last = float(v[-1])
-    v[-1] += 1.0 if last >= 0.0 else -1.0  # u + sign(u_r) e_r, so |v|^2 = 2 + 2 |u_r|
-    new = np.multiply.outer(v[:-1] / (1.0 + abs(last)), np.dot(v, lt))
-    np.subtract(lt[:-1], new, out=new)
+        l = lt[..., :p]
+        rh2 = 2.0 * (hs[..., p:] - _vecmat(_matvec(l, h), l))
+        diag_sq = diag_sq + h * (rh2 + _rowdot(h, h) * h)
+    last = float(u[-1]) if u.ndim == 1 else u[:, -1:]  # u_r: a float for one factor
+    scale = 1.0 + abs(last)
+    v = u.copy()
+    v[..., -1:] = last + (2.0 * (last >= 0.0) - 1.0)  # u + sign(u_r) e_r, so |v|^2 = 2 + 2 |u_r|
+    new = (v[..., :-1] / scale)[..., :, None] * _vecmat(v, lt)[..., None, :]
+    np.subtract(lt[..., :-1, :], new, out=new)
     return Factor(new, diag, diag_sq)
 
 

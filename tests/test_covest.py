@@ -125,6 +125,9 @@ def test_to_correlation():
     assert corr[0, 1] == pytest.approx(2.0 / 10.0)
     with pytest.raises(ZeroVariance):
         covest.to_correlation(np.diag([1.0, 0.0]))
+    for bad in (np.float64(2.0), np.ones(3), np.ones((2, 3))):  # 0-d: IndexError once
+        with pytest.raises(DimMismatch):
+            covest.to_correlation(bad)
 
 
 def test_csv_round_trip(tmp_path):

@@ -69,11 +69,19 @@ def test_state_checks_sigma_and_each_move():
         init_state(crit, np.eye(4))
     sigma = rand_psd(np.random.default_rng(103), 5)
     state = state_from_subset(crit, sigma, [3])
-    for i in (-1, 5, 3):  # out of range below and above, already selected
+    # out of range below and above, already selected, not an integer (2.9
+    # once appended 2)
+    for i in (-1, 5, 3, 2.9):
         with pytest.raises(DimMismatch):
             advance(crit, state, sigma, i)
+    assert advance(crit, state, sigma, np.int64(2)).subset == (3, 2)
+    for position in (1, 0.5):  # position k, not an integer
+        with pytest.raises(DimMismatch):
+            retract(crit, state, sigma, position)
     with pytest.raises(DimMismatch):
-        retract(crit, state, sigma, 1)  # position k
+        evaluate(crit, sigma, [0.9, 2.5])  # once the objective of (0, 2)
+    with pytest.raises(DimMismatch):
+        cc_sum(np.float64(2.0), [0], [1])
     with pytest.raises(DimMismatch):
         state_from_subset(crit, sigma, [1, 1])
 

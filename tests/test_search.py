@@ -1,5 +1,7 @@
 """Search drivers: greedy, swapping with restarts, exhaustive enumeration."""
 
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -402,3 +404,16 @@ def test_det_residual_still_rejects_an_indefinite_sigma():
         evaluate(crit, sigma, (0,))
     with pytest.raises(NotPSD):
         exhaustive(sigma, SearchConfig(k=1, criterion=crit))
+
+
+def test_swap_init_is_checked_as_an_index_set():
+    rng = np.random.default_rng(8)
+    sigma = rand_psd(rng, 6)
+    cfg = SearchConfig(k=2, criterion=css(6, 2))
+    for bad in ([0.5, 3.99], [1, 1], [0, 6]):
+        with pytest.raises(DimMismatch):
+            swap(sigma, cfg, init=bad)
+    got = swap(sigma, cfg, init=np.array([0, 3]))
+    assert got == swap(sigma, cfg, init=[0, 3])
+    assert all(type(i) is int for i in got.subset)
+    json.dumps(list(got.subset))  # numpy integers would be refused

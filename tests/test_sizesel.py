@@ -304,12 +304,23 @@ def test_choose_k_errors():
         choose_k(pop, n=50, alpha=0.6, mc_samples=2000)
     with pytest.raises(DimMismatch, match="mc_samples"):
         choose_k(pop, n=50, mc_samples=999)
+    for bad in (np.float64(2.0), np.ones(3)):  # 0-d: IndexError once
+        with pytest.raises(DimMismatch, match="square"):
+            choose_k(bad, n=5, mc_samples=2000)
     # rejected on entry, not only once a size k >= 1 is searched: at k=0
     # nothing is searched, and this sample stops there
     x = np.random.default_rng(0).standard_normal((300, 6))
     for restarts in (0, -5):
         with pytest.raises(DimMismatch, match="restarts"):
             choose_k(covest.sample_cov(x), n=300, restarts=restarts, mc_samples=2000, seed=1)
+
+
+def test_stat_rejects_a_non_matrix_and_a_non_integer_subset():
+    for bad in (np.float64(2.0), np.ones(3)):  # 0-d: IndexError once
+        with pytest.raises(DimMismatch):
+            stat_T(bad, 5, [])
+    with pytest.raises(DimMismatch):
+        stat_T(np.eye(3), 5, [0.6])  # once tested the subset (0,)
 
 
 def test_report_with_infinite_statistic_is_strict_json():

@@ -67,6 +67,12 @@ def test_check_subset():
         symmat.check_subset(3, [0, 3])
     with pytest.raises(DimMismatch):
         symmat.check_subset(3, [1, 1])
+    # a float entry is refused, not truncated to the index below it
+    for bad in ([1.7, 2.2], [1.0], [np.float64(2.0)], [0, "1"]):
+        with pytest.raises(DimMismatch, match="not an integer"):
+            symmat.check_subset(4, bad)
+    got = symmat.check_subset(4, np.array([3, 1]))
+    assert got == (3, 1) and all(type(i) is int for i in got)
 
 
 def test_eigh_desc_order():
@@ -210,6 +216,68 @@ def test_residual_add_zero_pivot_is_noop():
     fac = symmat.residual_add(sigma, fac, 0)  # variable 1 now redundant
     res = symmat.residual_covariance(sigma, (0,))
     assert_allclose(symmat.residual_add(sigma, fac, 1).residual(sigma), res)
+
+
+def _stack(factors):
+    return symmat.Factor(*(None if a[0] is None else np.stack(a) for a in zip(*factors)))
+
+
+def _same_factor(got, want):
+    for a, w in zip(got, want):
+        assert (a is None and w is None) or np.array_equal(a, w)
+
+
+def test_residual_kernels_give_each_row_of_a_stack_its_own_bits():
+    # swap's lockstep walk moves a stack of factors with the kernels that a
+    # lone restart's moves call on one factor; a row's bits must not depend
+    # on the other rows or on how many there are
+    rng = np.random.default_rng(41)
+    for squares in (False, True):
+        for b in (1, 3):
+            for _ in range(4):
+                p = int(rng.integers(5, 40))
+                r = int(rng.integers(1, p - 1))
+                sigma = rand_psd(rng, p)
+                if rng.random() < 0.5:
+                    d = 10.0 ** rng.uniform(-3.0, 3.0, p)
+                    sigma = d[:, None] * sigma * d[None, :]
+                orders = [rng.permutation(p) for _ in range(b)]
+                singles = []
+                for order in orders:
+                    fac = symmat.Factor.empty(sigma, squares)
+                    for i in order[:r]:
+                        fac = symmat.residual_add(sigma, fac, int(i))
+                    singles.append(fac)
+                stack = _stack(singles)
+                assert stack.lt.shape == (b, r, 2 * p if squares else p)
+
+                picks = np.array([order[r] for order in orders])
+                grown = symmat.residual_add(sigma, stack, picks)
+                for t, fac in enumerate(singles):
+                    _same_factor(grown.map(lambda a: a[t]), symmat.residual_add(sigma, fac, int(picks[t])))
+
+                u = rng.standard_normal((b, r))
+                u /= np.linalg.norm(u, axis=1, keepdims=True)
+                shrunk = symmat.residual_remove(stack, u)
+                for t, fac in enumerate(singles):
+                    _same_factor(shrunk.map(lambda a: a[t]), symmat.residual_remove(fac, u[t]))
+
+
+def test_residual_add_stack_row_without_rank_leaves_the_others():
+    # a pick already in the span of a row's selection: that row gets a
+    # finite column (the caller drops it), the other rows their own bits
+    rng = np.random.default_rng(5)
+    sigma = rand_psd(rng, 8)
+    singles = []
+    for order in ([0, 1, 2], [3, 4, 5]):
+        fac = symmat.Factor.empty(sigma, squares=True)
+        for i in order:
+            fac = symmat.residual_add(sigma, fac, i)
+        singles.append(fac)
+    grown = symmat.residual_add(sigma, _stack(singles), np.array([1, 6]))
+    assert all(np.all(np.isfinite(a)) for a in grown)
+    assert symmat.residual_add(sigma, singles[0], 1) is singles[0]
+    _same_factor(grown.map(lambda a: a[1]), symmat.residual_add(sigma, singles[1], 6))
 
 
 def rel_err(got, want):
