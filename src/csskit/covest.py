@@ -27,7 +27,9 @@ CSV grammar (:func:`read_data_csv`, and :func:`read_cov_csv` on top of it):
 * an infinite value (``inf``, or ``1e400`` after overflow) raises
   :class:`~csskit.errors.NonFinite`;
 * the file is read as UTF-8 whatever the locale; a byte that is not UTF-8
-  makes its field no number, and in the skipped header it is ignored.
+  makes its field no number, and in the skipped header it is ignored;
+* a UTF-8 byte-order mark at the start of the file is dropped (one
+  anywhere else is an ordinary byte).
 
 The file is read once, in blocks of lines.  numpy parses each block with
 one :func:`numpy.loadtxt` call and no quote character: it skips blank
@@ -239,7 +241,7 @@ def read_data_csv(path: str, header: bool = False) -> DataMatrix:
     grammar.  A cell that is neither missing nor a number, or a row of
     another width, raises :class:`DimMismatch` naming the line."""
     blocks, width, lineno = [], None, 1
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh, warnings.catch_warnings():
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh, warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         for lines in iter(lambda: list(itertools.islice(fh, _BLOCK_LINES)), []):
             first, lineno = lineno, lineno + len(lines)

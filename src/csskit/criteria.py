@@ -28,12 +28,13 @@ residual covariance after projecting out the selected columns
     criterion, not the current subset size.  Returns ``-inf`` when every
     variable outside ``S`` is fit perfectly.
 
-Every rank decision is one of the two tests of :mod:`csskit.symmat`: a
-variable adds rank to ``S``, and is not fit perfectly by it, when its
-residual variance exceeds ``RANK_TOL`` times its own
-(:func:`csskit.symmat.adds_rank`), and blocks go through
-:func:`csskit.symmat.ginv` and :func:`csskit.symmat.log_det`.  No decision
-depends on the units of a variable.
+Every rank decision on the search path is the pivot test of
+:mod:`csskit.symmat`: a variable adds rank to ``S``, and is not fit
+perfectly by it, when its residual variance exceeds ``RANK_TOL`` times its
+own (:func:`csskit.symmat.adds_rank`).  :func:`evaluate` and the scorer of a
+singular ``sigma`` also read blocks through :func:`csskit.symmat.ginv` and
+:func:`csskit.symmat.log_det`.  No decision depends on the units of a
+variable.
 
 :func:`evaluate` computes from scratch.  It reads ``diag R`` in O(pk^2)
 from the regression coefficients on ``S``; only DetResidual and
@@ -46,36 +47,39 @@ grown subset) but cheaper by at least one power of ``p``.  State is carried
 by :class:`SubsetState`, the same for all six criteria: ``R`` never as a
 dense matrix but by its factor ``R = sigma - L L^T``
 (:class:`csskit.symmat.Factor`), with ``diag R`` and, for CssTrace and
-IsoLrt, ``diag R^2``; the selected block ``sigma_S = L[S] L[S]^T`` is read
-from it, never carried.  :func:`advance` appends a column to ``L`` in O(pr),
-plus one ``sigma``-matvec under CssTrace and IsoLrt, and :func:`retract`
-reflects one out in O(pr + r^3).  Scores then cost O(p) for DetResidual,
-O(p) plus the near-perfect fits' residual columns for CssTrace and IsoLrt,
-one ``(p-k)``-block of ``R`` for DiagDet, and the dense ``R`` for
-FrobResidual.  CanonCorr reads no residual.  When the condition number of
-the unit-diagonal ``sigma`` is at most ``CC_COND_MAX`` (1e4),
-:func:`init_state` inverts it once per search
-(:func:`csskit.symmat.inverse`, one eigendecomposition), and the state
-carries ``H = (Omega_SS)^-1`` of ``Omega = sigma^-1``, updated in O(k^2).
-With ``G = sigma_S^-1`` from the factor in O(k^3), the partitioned inverse
-gives ``-cc(S) = tr(G H) - k``: :func:`score_all` scores every candidate
-exactly in O(k^2 (p - k)) and :func:`objective_from_state` reads the
-objective in O(k^3).  On a singular or worse-conditioned ``sigma`` each
-:func:`score_all` call generalised-inverts the selected and the complement
-block and scores every candidate from them, up to one constant, and the
-objective is :func:`evaluate`'s.
+IsoLrt, ``diag R^2``.  The factor is all a state carries: the selected
+block ``sigma_S = L[S] L[S]^T``, its log-determinant and its inverse are
+read from ``L[S]``, and CanonCorr's ``(Omega_SS)^-1`` from ``Omega``,
+where a score or an objective needs them.
+:func:`advance` appends a column to ``L`` in O(pr), plus one
+``sigma``-matvec under CssTrace and IsoLrt, and :func:`retract` reflects
+one out in O(pr + r^3), the same moves under every criterion.  Scores then
+cost O(p) for DetResidual, O(p) plus the near-perfect fits' residual
+columns for CssTrace and IsoLrt, one ``(p-k)``-block of ``R`` for DiagDet,
+and the dense ``R`` for FrobResidual.  CanonCorr reads no residual.  When
+the condition number of the unit-diagonal ``sigma`` is at most
+``CC_COND_MAX`` (1e4), :func:`init_state` inverts it once per search
+(:func:`csskit.symmat.inverse`, one eigendecomposition).  With ``G =
+sigma_S^-1`` from the factor and ``H = (Omega_SS)^-1`` of ``Omega =
+sigma^-1``, each in O(k^3), the partitioned inverse gives ``-cc(S) = tr(G
+H) - k``: :func:`score_all` scores every candidate exactly in O(k^3 + k^2
+(p - k)) and :func:`objective_from_state` reads the objective in O(k^3).
+On a singular or worse-conditioned ``sigma`` each :func:`score_all` call
+generalised-inverts the selected and the complement block and scores every
+candidate from them, up to one constant, and the objective is
+:func:`evaluate`'s.
 
 Under DiagDet and IsoLrt, :class:`StateStack` holds many states of one
-size on the fast path (no side list, a finite log-determinant) as one
-stack of factors, and :func:`retract_stack`, :func:`score_stack`,
-:func:`advance_stack` and :func:`objective_stack` move, score and read all
-of them with one numpy call per step, which is where a small-p search
-spends its time with several restarts.  The stacked moves call the kernels
-of the per-state ones, :func:`csskit.symmat.residual_add` and
+size on the fast path (no side list) as one stack of factors, and
+:func:`retract_stack`, :func:`score_stack`, :func:`advance_stack` and
+:func:`objective_stack` move, score and read all of them with one numpy
+call per step, which is where a small-p search spends its time with
+several restarts.  The stacked moves call the kernels of the per-state
+ones, :func:`csskit.symmat.residual_add` and
 :func:`csskit.symmat.residual_remove`, on the whole stack and keep only
-the pivots, log-determinants and subsets; the scorer is one for both
-(:func:`score_all` of such a state is a stack of one).  So each row comes
-out bit for bit as the per-state function gives it.
+the pivots and subsets; the scorer and the block's log-determinant are one
+for both (:func:`score_all` of such a state is a stack of one).  So each
+row comes out bit for bit as the per-state function gives it.
 
 Inputs are checked once, where they enter: ``sigma`` in :func:`init_state`,
 an index in :func:`advance`, a position in :func:`retract`; the kernels
@@ -110,7 +114,8 @@ class Criterion:
 
     ``k`` is the intended subset size.  Only ``IsoLrt`` uses it inside the
     objective (as the fixed exponent ``p - k``); the others carry it for
-    bookkeeping.  ``IsoLrt`` requires ``k < p``.
+    bookkeeping.  ``IsoLrt`` requires ``k < p``.  ``p`` and ``k`` must be
+    integers (:func:`csskit.symmat.as_index`), else :class:`DimMismatch`.
     """
 
     kind: CriterionKind
@@ -118,6 +123,8 @@ class Criterion:
     k: int
 
     def __post_init__(self):
+        symmat.as_index(self.p, "p")
+        symmat.as_index(self.k, "k")
         if self.p < 1:
             raise DimMismatch(f"dimension must be positive, got {self.p}")
         if not 1 <= self.k <= self.p:
@@ -159,20 +166,17 @@ class SubsetState:
     ``L`` spans the members in ``ranked``, each of which added rank to the
     ones before it when it joined; the other members sit on a side list,
     because they leave the residual unchanged, and a retract
-    that drops a ranked member re-tests them.  The selected block is not
-    carried: it is ``L[S] L[S]^T``.  Next to the factor is the block's
-    log-determinant (``-inf`` once the block goes numerically singular).
-    ``sigma`` is a read-only reference to the source matrix.  For CanonCorr
-    on a ``sigma`` whose unit-diagonal form has condition number at most
-    ``CC_COND_MAX``, ``omega`` is a read-only reference to ``sigma^-1``,
-    shared by every state of one search, and ``omega_block_inv`` the
-    inverse of its selected block ``omega[S, S]`` (in subset order);
-    otherwise both are None.
+    that drops a ranked member re-tests them.  Nothing else is carried:
+    the selected block is ``L[S] L[S]^T``, singular by the pivot rule
+    exactly when the side list is not empty.  ``sigma`` is a read-only reference to the source
+    matrix.  For CanonCorr on a ``sigma`` whose unit-diagonal form has
+    condition number at most ``CC_COND_MAX``, ``omega`` is a read-only
+    reference to ``sigma^-1``, shared by every state of one search;
+    otherwise it is None.
 
     With ``r = len(ranked)``, :func:`advance` costs O(pr) plus one
     ``sigma``-matvec under CssTrace and IsoLrt, and :func:`retract` O(pr +
-    r^3) plus an advance for each side member it gives back its rank;
-    CanonCorr's ``omega_block_inv`` adds O(k^2) to each.
+    r^3) plus an advance for each side member it gives back its rank.
     States are values, never updated in place: swap keeps the state from
     before a retract when it keeps the incumbent.
     """
@@ -180,10 +184,8 @@ class SubsetState:
     subset: IndexSet
     factor: symmat.Factor
     ranked: IndexSet
-    log_det_block: float
     sigma: np.ndarray
     omega: Optional[np.ndarray] = None
-    omega_block_inv: Optional[np.ndarray] = None
 
     @property
     def residual(self) -> np.ndarray:
@@ -336,10 +338,8 @@ def init_state(criterion: Criterion, sigma: SymMatrix) -> SubsetState:
         subset=(),
         factor=symmat.Factor.empty(sigma, criterion.kind in _SQUARES),
         ranked=(),
-        log_det_block=0.0,
         sigma=sigma,
         omega=omega,
-        omega_block_inv=None if omega is None else np.zeros((0, 0)),
     )
 
 
@@ -360,31 +360,20 @@ def advance(
 
     :func:`csskit.symmat.residual_add` appends ``i``'s column to the
     residual factor, or puts ``i`` on the side list when its pivot ``R_ii``
-    adds no rank, the move's one rank test; the pivot updates the block's
-    log-determinant (``log det(sigma_{U+i}) = log det(sigma_U) +
-    log(R_ii)``), and :func:`csskit.symmat.pinv_add` on ``omega`` grows
-    CanonCorr's ``omega_block_inv``.  Cost O(pr), plus one ``sigma``-matvec
-    under CssTrace and IsoLrt.  Returns a new state; the input is not
-    modified.  ``i`` must lie in ``[0, p)`` and not be selected yet, else
-    :class:`DimMismatch`.  The move reads ``state.sigma``, not its
+    adds no rank, the move's one rank test.  Cost O(pr), plus one
+    ``sigma``-matvec under CssTrace and IsoLrt.  Returns a new state; the
+    input is not modified.  ``i`` must lie in ``[0, p)`` and not be
+    selected yet, else :class:`DimMismatch`.  The move reads ``state.sigma``, not its
     ``sigma`` argument.
     """
     i = symmat.as_index(i)
     if not 0 <= i < criterion.p or i in state.subset:
         raise DimMismatch(f"cannot append index {i} to subset {state.subset}")
     sigma = state.sigma
-    pivot = float(state.factor.diag[i])
     factor = symmat.residual_add(sigma, state.factor, i)
     adds = factor is not state.factor  # the kernel's rank test
     ranked = state.ranked + (i,) if adds else state.ranked
-    if adds and math.isfinite(state.log_det_block):
-        new_ld = state.log_det_block + math.log(pivot)
-    else:
-        new_ld = float("-inf")
-    omega, h = state.omega, state.omega_block_inv
-    if omega is not None:
-        h = symmat.pinv_add(h, omega, state.subset, i)
-    return SubsetState(state.subset + (i,), factor, ranked, new_ld, sigma, omega, h)
+    return SubsetState(state.subset + (i,), factor, ranked, sigma, state.omega)
 
 
 def retract(
@@ -401,10 +390,9 @@ def retract(
     :func:`csskit.symmat.residual_remove` reflects it out of the factor.
     :func:`retract_stack` does the same for many DiagDet or IsoLrt states
     at once.  Each side-list member is then re-tested and appended to the
-    factor if it adds rank to what is left.
+    factor if it adds rank to what is left, by the pivot test of
+    :func:`advance`.
 
-    CanonCorr's ``omega_block_inv``, the inverse of a block of a
-    nonsingular matrix, is downdated by :func:`csskit.symmat.pinv_remove`.
     Cost O(pr + r^3), plus a ``sigma``-matvec per side member given back
     its rank.  ``position`` must lie in ``[0, k)``, else
     :class:`DimMismatch`.  The move reads ``state.sigma``, not its
@@ -417,14 +405,13 @@ def retract(
     sigma = state.sigma
     var = state.subset[position]
     new_subset = state.subset[:position] + state.subset[position + 1 :]
-    factor, ranked, pivot = state.factor, state.ranked, 0.0
+    factor, ranked = state.factor, state.ranked
     if var in ranked:
         q = ranked.index(var)
         e = np.zeros(len(ranked))
         e[q] = 1.0
         c = np.linalg.solve(factor.lt.take(ranked, 1).T, e)
         cc = float(np.dot(c, c))
-        pivot = 1.0 / cc
         factor = symmat.residual_remove(factor, c / math.sqrt(cc))
         ranked = ranked[:q] + ranked[q + 1 :]
         if len(ranked) < len(new_subset):  # re-test the side list
@@ -432,15 +419,7 @@ def retract(
                 if j not in ranked and symmat.adds_rank(factor.diag[j], sigma[j, j]):
                     factor = symmat.residual_add(sigma, factor, j)
                     ranked += (j,)
-    if symmat.adds_rank(pivot, sigma[var, var]) and math.isfinite(state.log_det_block):
-        new_ld = state.log_det_block - math.log(pivot)
-    else:
-        idx = list(new_subset)
-        new_ld = symmat.log_det(sigma[np.ix_(idx, idx)])
-    h = state.omega_block_inv
-    if h is not None:
-        h = symmat.pinv_remove(h, position)
-    return SubsetState(new_subset, factor, ranked, new_ld, sigma, state.omega, h)
+    return SubsetState(new_subset, factor, ranked, sigma, state.omega)
 
 
 # ---------------------------------------------------------------------------
@@ -454,44 +433,40 @@ STACKED = (CriterionKind.DIAG_DET, CriterionKind.ISO_LRT)
 @dataclass
 class StateStack:
     """``B`` states of one size ``k`` over one ``sigma``, on the fast path:
-    every member added rank (no side list, so ``L`` has ``k`` rows) and the
-    selected block's log-determinant is finite.  Row ``b`` of each field is
-    one state's :class:`SubsetState` field: ``subset`` (``B x k``, state
-    order), ``factor`` (a stack of :class:`csskit.symmat.Factor` rows:
-    ``lt`` ``B x k x P``, ``diag`` and ``diag_sq`` ``B x p``) and
-    ``log_det_block``.
+    every member added rank, so there is no side list and ``L`` has ``k``
+    rows.  Row ``b`` of each field is one state's :class:`SubsetState`
+    field: ``subset`` (``B x k``, state order) and ``factor`` (a stack of
+    :class:`csskit.symmat.Factor` rows: ``lt`` ``B x k x P``, ``diag`` and
+    ``diag_sq`` ``B x p``).
 
     The moves run the kernels of :func:`advance` and :func:`retract`,
     :func:`csskit.symmat.residual_add` and
     :func:`csskit.symmat.residual_remove`, on the whole stack, and the
     scorer is :func:`score_all`'s; every product is a per-row BLAS call or
     an elementwise operation, so a row's values do not depend on the other
-    rows or on ``B``.  A move that would leave the fast path (a pivot under
-    the rank rule) is flagged, and the caller redoes it with the per-state
-    function on :meth:`state`.
+    rows or on ``B``.  An advance that would leave the fast path (a pivot
+    under the rank rule) is flagged, and the caller redoes it with
+    :func:`advance` on :meth:`state`; a retract never leaves it.
     """
 
     subset: np.ndarray
     factor: symmat.Factor
-    log_det_block: np.ndarray
     sigma: np.ndarray
 
     @classmethod
     def of_empty(cls, empty: SubsetState, b: int) -> "StateStack":
         """``b`` copies of an empty state."""
         factor = empty.factor.map(lambda a: np.repeat(a[None], b, axis=0))
-        return cls(np.zeros((b, 0), dtype=np.intp), factor, np.zeros(b), empty.sigma)
+        return cls(np.zeros((b, 0), dtype=np.intp), factor, empty.sigma)
 
     def state(self, b: int) -> SubsetState:
         """Row ``b`` as a :class:`SubsetState` (a copy)."""
         sub = tuple(self.subset[b].tolist())
-        factor = self.factor.map(lambda a: a[b].copy())
-        return SubsetState(sub, factor, sub, float(self.log_det_block[b]), self.sigma)
+        return SubsetState(sub, self.factor.map(lambda a: a[b].copy()), sub, self.sigma)
 
     def take(self, rows) -> "StateStack":
         """The stack of the given rows (a boolean mask or indices)."""
-        factor = self.factor.map(lambda a: a[rows])
-        return StateStack(self.subset[rows], factor, self.log_det_block[rows], self.sigma)
+        return StateStack(self.subset[rows], self.factor.map(lambda a: a[rows]), self.sigma)
 
     def put(self, rows, other: "StateStack"):
         """Overwrite the given rows with ``other``'s, in place."""
@@ -499,13 +474,6 @@ class StateStack:
         for mine, theirs in zip(self.factor, other.factor):
             if mine is not None:
                 mine[rows] = theirs
-        self.log_det_block[rows] = other.log_det_block
-
-
-def _logs(x: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    """``math.log`` of the entries of ``x`` where ``ok`` (0 elsewhere), as
-    the per-state moves take it."""
-    return np.fromiter(map(math.log, np.where(ok, x, 1.0).tolist()), float, x.shape[0])
 
 
 @functools.lru_cache(maxsize=256)
@@ -532,9 +500,20 @@ def _complements(p: int, subset: np.ndarray) -> np.ndarray:
     return np.nonzero(mask)[1].reshape(n, p - k)
 
 
+def _log_det_block(lt: np.ndarray, subset) -> np.ndarray:
+    """``log det(sigma_S)`` of a state with no side list from its factor's
+    ``lt``, or of every row of a stack: ``sigma_S = M^T M`` with the square
+    ``M = L[S]^T`` (``lt.take(subset, 1)``, gathered row by row on a
+    stack), so it is ``2 log|det M|``, from one LU of ``M`` per state.  A
+    row of a stack runs the LAPACK call of the state alone on the same
+    block, so it gets the same bits."""
+    m = lt.take(subset, 1) if lt.ndim == 2 else _gather(lt, subset)
+    return 2.0 * np.linalg.slogdet(m)[1]
+
+
 def advance_stack(stack: StateStack, picks: np.ndarray) -> Tuple[StateStack, np.ndarray]:
     """:func:`advance` of every row by its variable ``picks[b]``: the
-    pivot's rank test and log-determinant here, the new column of ``L`` by
+    pivot's rank test here, the new column of ``L`` by
     :func:`csskit.symmat.residual_add` on the whole stack.  Returns the
     grown stack and a mask of the rows that stay on the fast path, whose
     pivot ``R_ii`` adds rank.  The other rows hold no state; redo them with
@@ -544,35 +523,26 @@ def advance_stack(stack: StateStack, picks: np.ndarray) -> Tuple[StateStack, np.
     pivot = stack.factor.diag[np.arange(picks.shape[0]), picks]
     ok = symmat.adds_rank(pivot, sigma.diagonal()[picks])
     factor = symmat.residual_add(sigma, stack.factor, picks)
-    ld = stack.log_det_block + _logs(pivot, ok)
     subset = np.concatenate([stack.subset, picks[:, None]], axis=1)
-    return StateStack(subset, factor, ld, sigma), ok
+    return StateStack(subset, factor, sigma), ok
 
 
-def retract_stack(stack: StateStack, positions: np.ndarray) -> Tuple[StateStack, np.ndarray]:
+def retract_stack(stack: StateStack, positions: np.ndarray) -> StateStack:
     """:func:`retract` of every row at its position ``positions[b]``: ``c``
     from one batched solve over the ``B x k x k`` blocks ``L[S]``, the
-    LAPACK call of the per-state solve for each row, the pivot's rank test
-    and log-determinant here, and the reflection by
+    LAPACK call of the per-state solve for each row, and the reflection by
     :func:`csskit.symmat.residual_remove` on the whole stack, so rows stay
-    bit for bit what :func:`retract` gives.  Returns the shrunk stack and a
-    mask of the rows that stay on the fast path, whose retracted variable's
-    pivot adds rank; redo the other rows with :func:`retract`."""
-    sigma = stack.sigma
+    bit for bit what :func:`retract` gives.  A state with no side list
+    keeps none when a member leaves, so every row stays on the fast path."""
     n, k = stack.subset.shape
     b_ = np.arange(n)
     e = np.zeros((n, k, 1))
     e[b_, positions] = 1.0
     c = np.linalg.solve(_gather(stack.factor.lt, stack.subset).transpose(0, 2, 1), e)[:, :, 0]
-    cc = symmat._rowdot(c, c)
-    pivot = 1.0 / cc[:, 0]
-    factor = symmat.residual_remove(stack.factor, c / np.sqrt(cc))
-    gone = stack.subset[b_, positions]
-    ok = symmat.adds_rank(pivot, sigma.diagonal()[gone])
-    ld = stack.log_det_block - _logs(pivot, ok)
+    factor = symmat.residual_remove(stack.factor, c / np.sqrt(symmat._rowdot(c, c)))
     keep = np.arange(k - 1) + (np.arange(k - 1) >= positions[:, None])
     subset = stack.subset[b_[:, None], keep]
-    return StateStack(subset, factor, ld, sigma), ok
+    return StateStack(subset, factor, stack.sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +628,8 @@ def objective_stack(criterion: Criterion, stack: StateStack) -> np.ndarray:
     sigma = stack.sigma
     comp = _complements(sigma.shape[0], stack.subset)
     diag = stack.factor.diag[np.arange(comp.shape[0])[:, None], comp]
-    return _readout_rows(criterion, diag, sigma.diagonal()[comp], stack.log_det_block)
+    ld_block = _log_det_block(stack.factor.lt, stack.subset)
+    return _readout_rows(criterion, diag, sigma.diagonal()[comp], ld_block)
 
 
 def _score_rows(criterion, sigma, fac: symmat.Factor, cands) -> np.ndarray:
@@ -720,19 +691,23 @@ def _score_rows(criterion, sigma, fac: symmat.Factor, cands) -> np.ndarray:
     return head + terms.sum(axis=2)
 
 
-def _block_inverse(state: SubsetState) -> np.ndarray:
-    """``G = sigma_S^-1`` (subset order) of a state with ``omega``, from its
-    factor in O(k^3): every member added rank, so ``M = L[S]^T`` is ``k x
-    k`` and nonsingular, ``sigma_S = M^T M`` and ``G = M^-1 M^-T``."""
-    m_inv = np.linalg.inv(state.factor.lt.take(state.subset, 1))
-    return np.dot(m_inv, m_inv.T)
+def _block_inverses(state: SubsetState) -> Tuple[np.ndarray, np.ndarray]:
+    """``G = sigma_S^-1`` and ``H = (Omega_SS)^-1`` (subset order) of a
+    state with ``omega``, each in O(k^3).  ``G`` comes from the factor:
+    every member added rank, so ``M = L[S]^T`` is ``k x k`` and
+    nonsingular, ``sigma_S = M^T M`` and ``G = M^-1 M^-T``.  ``H`` inverts
+    a block of ``Omega``, which exists only for a well-conditioned
+    ``sigma``."""
+    sub = state.subset
+    m_inv = np.linalg.inv(state.factor.lt.take(sub, 1))
+    return np.dot(m_inv, m_inv.T), np.linalg.inv(state.omega.take(sub, 0).take(sub, 1))
 
 
 def _score_canon_corr(state: SubsetState, comp: np.ndarray) -> np.ndarray:
     """CanonCorr's exact scores ``-cc(S + (i,))`` when the state has ``omega``,
-    from the block inverses ``G = sigma_S^-1`` (:func:`_block_inverse`) and
-    the state's ``H = (Omega_SS)^-1``, ``Omega = sigma^-1``, in O(k^3 + k^2
-    (p - k)).
+    from the block inverses ``G = sigma_S^-1`` and ``H = (Omega_SS)^-1``,
+    ``Omega = sigma^-1`` (:func:`_block_inverses`), in O(k^3 + k^2 (p -
+    k)).
 
     By the partitioned inverse ``(Omega_SS)^-1 = sigma_S - sigma_{S,C}
     sigma_C^-1 sigma_{C,S}``, so ``-cc(S) = tr(G H) - k``.  Bordering both
@@ -754,7 +729,7 @@ def _score_canon_corr(state: SubsetState, comp: np.ndarray) -> np.ndarray:
     if comp.size == 1:
         return np.zeros(1)  # S + (i,) is every variable: no correlation left
     sigma, omega = state.sigma, state.omega
-    g, h = _block_inverse(state), state.omega_block_inv
+    g, h = _block_inverses(state)
     sub = list(state.subset)
     cross = sigma.take(sub, 0).take(comp, 1)
     cross_omega = omega.take(sub, 0).take(comp, 1)
@@ -837,9 +812,12 @@ def _score_canon_corr_ginv(state: SubsetState, comp: np.ndarray) -> np.ndarray:
 
 
 def objective_from_state(criterion: Criterion, state: SubsetState) -> float:
-    """Objective of the state's subset, read from the caches when cheap.
+    """Objective of the state's subset, read from its factor when cheap.
 
     Agrees with :func:`evaluate` to update-roundoff (tested at 1e-8).
+    DiagDet and IsoLrt read ``log det(sigma_S)``: ``-inf`` when the side
+    list is not empty (the pivot rule's singular block), else ``2
+    log|det L[S]|`` in O(k^3), as :func:`objective_stack` reads it.
     CanonCorr reads ``tr(G H) - k`` in O(k^3) (see :func:`_score_canon_corr`)
     from a state with ``omega`` and falls back to ``evaluate`` without.
     """
@@ -853,7 +831,8 @@ def objective_from_state(criterion: Criterion, state: SubsetState) -> float:
             return evaluate(criterion, state.sigma, state.subset)
         if k == criterion.p:
             return 0.0  # no complement, as in evaluate
-        return float(np.sum(_block_inverse(state) * state.omega_block_inv)) - k
+        g, h = _block_inverses(state)
+        return float(np.sum(g * h)) - k
     sigma = state.sigma
     comp = state.complement()
     block = None
@@ -861,6 +840,7 @@ def objective_from_state(criterion: Criterion, state: SubsetState) -> float:
         block = fac.block(sigma, comp)
     if kind == CriterionKind.FROB_RESIDUAL:
         return float(np.sum(block * block))
-    return _readout(
-        criterion, fac.diag[comp], sigma.diagonal()[comp], state.log_det_block, block
-    )
+    ld_block = float("-inf")  # DiagDet and IsoLrt read it; DetResidual does not
+    if kind in STACKED and len(state.ranked) == len(state.subset):
+        ld_block = float(_log_det_block(fac.lt, state.subset))
+    return _readout(criterion, fac.diag[comp], sigma.diagonal()[comp], ld_block, block)

@@ -33,11 +33,13 @@ every candidate of every restart into one table of ``p - k + 1`` columns,
 decides every row by one rule, advances the restarts that swap (by the
 helper that also builds the starting states) and reads their objectives.
 A restart is on the stack while its state is on the fast path (no side
-list, a nonsingular block, a finite objective) and it is not alone there;
-otherwise it moves through the per-state functions, which for one state
-cost less than a stack of one.  CssTrace, DetResidual, FrobResidual and
-CanonCorr have no stacked scorer, so under them each restart is a group
-of one and walks after the one before it.  The stacked moves run the
+list and a finite objective) and it is not alone there; otherwise it
+moves through the per-state functions, which for one state cost less than
+a stack of one.  Only an advance or a readout takes a restart off the
+stack: a retract keeps a state without a side list on the fast path.
+CssTrace, DetResidual, FrobResidual and CanonCorr have no stacked scorer,
+so under them each restart is a group of one and walks after the one
+before it.  The stacked moves run the
 factor kernels of the per-state ones, and moves and scorer compute row for
 row, bit for bit, what the per-state ones do, so each restart makes the
 decisions, and ends where, it would run alone.  Every final subset is
@@ -76,7 +78,9 @@ class SearchConfig:
     ``k`` must equal ``criterion.k`` (IsoLrt takes its exponent ``p - k``
     from the criterion).  ``restarts`` and ``seed`` only matter for
     :func:`swap` (restart ``r`` draws its starting subset with seed
-    ``seed + r``).
+    ``seed + r``).  Every count is an integer
+    (:func:`csskit.symmat.as_index`) and ``seed`` is non-negative, else
+    :class:`DimMismatch`.
     """
 
     k: int
@@ -86,6 +90,10 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("k", "restarts", "max_sweeps", "seed"):
+            symmat.as_index(getattr(self, name), name)
+        if self.seed < 0:
+            raise DimMismatch(f"seed must be non-negative, got {self.seed}")
         if self.k != self.criterion.k:
             raise DimMismatch(f"k={self.k} does not match the criterion's k={self.criterion.k}")
         if self.restarts < 1:
@@ -203,9 +211,9 @@ class _Walk:
     row by one rule, and advances the restarts that swap.  Under DiagDet and
     IsoLrt a group of two or more starts on one
     :class:`csskit.criteria.StateStack`, served by one call of each stacked
-    kernel per step.  A restart leaves the stack when a stacked advance or
-    retract refuses it (a pivot under the rank rule), when its objective
-    reads ``-inf``, or when it is the last one on it; it then moves through
+    kernel per step.  A restart leaves the stack when a stacked advance
+    refuses it (a pivot under the rank rule), when its objective reads
+    ``-inf``, or when it is the last one on it; it then moves through
     the per-state functions, as every restart of a group of one does.  A
     restart's decisions do not depend on the others in its group."""
 
@@ -251,11 +259,7 @@ class _Walk:
         crit, sigma = self.crit, self.sigma
         if self.members:
             var = np.array([run.current[j] for run in self.members])
-            shrunk, ok = criteria.retract_stack(self.stack, np.argmax(self.stack.subset == var[:, None], axis=1))
-            for b in np.flatnonzero(~ok):
-                self.members[b].state = self.stack.state(b)
-            self._keep(ok.tolist())
-            shrunk = shrunk if ok.all() else shrunk.take(ok)
+            shrunk = criteria.retract_stack(self.stack, np.argmax(self.stack.subset == var[:, None], axis=1))
         n = len(self.members)
         tables = [criteria.score_stack(crit, shrunk)] if n else []
         lone = [run for run in self.runs if run.state is not None and not run.done]
@@ -320,17 +324,14 @@ class _Walk:
                     runs[rows[t]].state = stack.state(t)
         return stack, rows
 
-    def _keep(self, rows: List[bool]):
-        """Keep the stack's rows where ``rows`` holds."""
-        if not all(rows):
-            self.stack = self.stack.take(np.array(rows))
-            self.members = [run for run, ok in zip(self.members, rows) if ok]
-
     def _settle(self):
         """Drop the stack's rows whose restart left it or is done.  A
         restart left alone on it goes on through the per-state functions,
         which cost less than a stack of one and compute the same bits."""
-        self._keep([run.state is None and not run.done for run in self.members])
+        rows = [run.state is None and not run.done for run in self.members]
+        if not all(rows):
+            self.stack = self.stack.take(np.array(rows))
+            self.members = [run for run, ok in zip(self.members, rows) if ok]
         if len(self.members) == 1:
             self.members[0].state = self.stack.state(0)
             self.stack, self.members = None, []

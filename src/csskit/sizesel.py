@@ -443,9 +443,10 @@ def choose_k(
     ``perfect_fit``.
 
     Raises :class:`DegreesOfFreedom` unless ``n > p``,
-    :class:`DimMismatch` on a negative ``seed`` or ``k_max``, on
-    ``restarts < 1``, on ``mc_samples < 1000`` or on ``alpha`` outside
-    (0, 1/2], and :class:`NoFeasibleK` only when a user-imposed
+    :class:`DimMismatch` on a ``restarts``, ``seed`` or ``k_max`` that is
+    not an integer (:func:`csskit.symmat.as_index`), on a negative
+    ``seed`` or ``k_max``, on ``restarts < 1``, on ``mc_samples < 1000``
+    or on ``alpha`` outside (0, 1/2], and :class:`NoFeasibleK` only when a user-imposed
     ``k_max`` cuts the walk short of ``p - 1`` (at k = p - 1 the statistic
     is identically 0).
     """
@@ -454,11 +455,12 @@ def choose_k(
     p = symmat.check_square(sigma_hat)
     if n <= p:
         raise DegreesOfFreedom(f"size selection needs n > p (got n={n}, p={p})")
+    restarts, seed = symmat.as_index(restarts, "restarts"), symmat.as_index(seed, "seed")
     if seed < 0:
         raise DimMismatch(f"seed must be non-negative, got {seed}")
     if restarts < 1:
         raise DimMismatch(f"restarts must be >= 1, got {restarts}")
-    if k_max is not None and k_max < 0:
+    if k_max is not None and symmat.as_index(k_max, "k_max") < 0:
         raise DimMismatch(f"k_max must be non-negative, got {k_max}")
     _check_level(alpha)
     _check_mc_args(alpha, mc_samples)
@@ -467,7 +469,7 @@ def choose_k(
     else:
         stat_fn, quant_fn, kind = stat_Ttilde, null_quantile_pcss, CriterionKind.ISO_LRT
 
-    k_hi = p - 1 if k_max is None else min(int(k_max), p - 1)
+    k_hi = p - 1 if k_max is None else min(k_max, p - 1)
     records: List[SizeTestRecord] = []
     for k in range(0, k_hi + 1):
         perfect = False

@@ -21,7 +21,9 @@ eigenvalue below ``-RANK_TOL * lambda_max`` raises
 The two tests can disagree near the cutoff.  For unit variances with
 ``1 - rho**2 = 3e-10`` the second variable's pivot ``3e-10`` adds rank,
 but the block's eigenvalue ``1 - rho = 1.5e-10`` is under the cutoff
-``2e-10``, so :func:`log_det` of the block is ``-inf``.
+``2e-10``, so :func:`log_det` of the block is ``-inf``.  A search state
+decides by the first test alone, in its moves and in its readouts, while
+:func:`csskit.criteria.evaluate` reads the selected block by the second.
 
 The subset updates are the workhorses of the search algorithms; they
 trust the state they are given (:func:`csskit.criteria.init_state`).  A
@@ -38,11 +40,7 @@ elementwise, so a row of a stack comes out bit for bit as the call on that
 row alone.  :meth:`Factor.residual` forms the dense ``R`` on demand,
 exactly symmetric, with tiny negative diagonal entries (roundoff) clamped
 to zero; selected rows and columns decay to roughly machine scale but are
-never zeroed exactly.  CanonCorr's block inverse ``(Omega_SS)^-1``,
-``Omega = sigma^-1``, is updated only by an exact identity, else freshly
-pseudo-inverted: :func:`pinv_add` borders it when the new variable adds
-rank, and :func:`pinv_remove` is the Schur downdate of a nonsingular
-block; both re-symmetrize.
+never zeroed exactly.
 """
 
 import math
@@ -107,13 +105,16 @@ def check_subset(p: int, subset: Sequence[int]) -> IndexSet:
     return out
 
 
-def as_index(i) -> int:
+def as_index(i, name: str = "index") -> int:
     """``i`` as an int (numpy integers included), or :class:`DimMismatch`
-    when it is not an integer."""
-    try:
-        return operator.index(i)
-    except TypeError:
-        raise DimMismatch(f"index {i!r} is not an integer") from None
+    naming it ``name`` when it is not an integer.  A bool, Python's or
+    numpy's, is not one."""
+    if not isinstance(i, (bool, np.bool_)):
+        try:
+            return operator.index(i)
+        except TypeError:
+            pass
+    raise DimMismatch(f"{name} {i!r} is not an integer")
 
 
 def complement(p: int, subset: Sequence[int]) -> np.ndarray:
@@ -477,7 +478,9 @@ def pinv_add(
     bordered identity ``[[P + d d^T/s, -d/s], [-d^T/s, 1/s]]`` is exact
     (``sigma`` is PSD, so ``b`` lies in the range of ``sigma[U, U]``) and
     costs O(k^2).  Otherwise the grown block is freshly pseudo-inverted.
-    Unchecked: the arguments come from :func:`csskit.criteria.advance`.
+    Unchecked: ``current`` must be valid indices of ``sigma`` without
+    ``i``.  No search calls it: a search state inverts its blocks where a
+    score or an objective needs them (:mod:`csskit.criteria`).
     """
     k = len(current)
     idx = list(current)
@@ -502,9 +505,9 @@ def pinv_remove(block_pinv: SymMatrix, position: int) -> SymMatrix:
     Partitioning ``block_pinv`` with the removed variable last as
     ``[[P, q], [q^T, r]]``, the inverse of the remaining block is the Schur
     downdate ``P - q q^T / r``, exact when the block is nonsingular, as
-    every block of CanonCorr's nonsingular ``Omega`` is.  Cost O(k^2).
-    Unchecked: the arguments come from
-    :func:`csskit.criteria.retract`.
+    every block of a nonsingular matrix is.  Cost O(k^2).  Unchecked:
+    ``position`` must lie in the block.  No search calls it (see
+    :func:`pinv_add`).
     """
     keep = np.arange(block_pinv.shape[0]) != position
     q = block_pinv[keep, position]

@@ -474,6 +474,22 @@ def test_read_data_csv_reads_bytes_that_are_not_utf8(tmp_path):
         covest.read_data_csv(str(path))
 
 
+def test_read_data_csv_drops_a_leading_byte_order_mark(tmp_path):
+    # spreadsheet exports often start with one; it once made the first
+    # field "\ufeff1", no number
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n")
+    assert covest.read_data_csv(str(path)).values.tolist() == [[1, 2], [3, 4]]
+    path.write_bytes(b"\xef\xbb\xbfx,y\n1,NA\n")
+    assert np.array_equal(covest.read_data_csv(str(path), header=True).values, [[1, NAN]], equal_nan=True)
+    path.write_bytes(b"1,2\n\xef\xbb\xbf3,4\n")  # only at the start of the file
+    with pytest.raises(DimMismatch, match="line 2, column 1"):
+        covest.read_data_csv(str(path))
+    cov = tmp_path / "c.csv"
+    cov.write_bytes(b"\xef\xbb\xbf2,1\n1,2\n")
+    assert covest.read_cov_csv(str(cov)).tolist() == [[2, 1], [1, 2]]
+
+
 def test_diagnostics_keys():
     x = np.array([[1.0, 2.0], [3.0, NAN], [NAN, 4.0], [5.0, 6.0]])
     diag = covest.covest_diagnostics(x, *covest.pairwise_parts(x))

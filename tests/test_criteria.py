@@ -59,6 +59,11 @@ def test_criterion_validation():
         Criterion(CriterionKind.CSS_TRACE, p=3, k=4)
     with pytest.raises(DimMismatch):
         Criterion(CriterionKind.ISO_LRT, p=3, k=3)
+    # p and k are integers: a float is refused, not truncated or compared
+    for p, k in ((8, 2.5), (8, 2.0), (8.0, 2), (8, True), (np.float64(8.0), 2), (8, "2")):
+        with pytest.raises(DimMismatch, match="not an integer"):
+            Criterion(CriterionKind.CSS_TRACE, p=p, k=k)
+    assert Criterion(CriterionKind.CSS_TRACE, p=np.int64(8), k=2).k == 2
 
 
 def test_state_checks_sigma_and_each_move():
@@ -352,19 +357,20 @@ def test_canon_corr_rank_indicator_ignores_roundoff():
 
 
 def test_advance_retract_roundtrip():
+    # DiagDet's objective reads log det(sigma_S) from the factor
     rng = np.random.default_rng(67)
     sigma = rand_psd(rng, 8)
-    crit = Criterion(CriterionKind.CSS_TRACE, p=8, k=4)
-    state = state_from_subset(crit, sigma, (1, 6, 3))
-    state = retract(crit, state, sigma, 1)  # drop variable 6
-    assert state.subset == (1, 3)
-    want_res = symmat.residual_covariance(sigma, (1, 3))
-    assert rel_err(state.residual, want_res) < 1e-8
-    state = advance(crit, state, sigma, 0)
-    assert state.subset == (1, 3, 0)
-    assert state.log_det_block == pytest.approx(
-        symmat.log_det(sigma[np.ix_([1, 3, 0], [1, 3, 0])]), abs=1e-8
-    )
+    for kind in (CriterionKind.CSS_TRACE, CriterionKind.DIAG_DET):
+        crit = Criterion(kind, p=8, k=4)
+        state = state_from_subset(crit, sigma, (1, 6, 3))
+        state = retract(crit, state, sigma, 1)  # drop variable 6
+        assert state.subset == (1, 3)
+        want_res = symmat.residual_covariance(sigma, (1, 3))
+        assert rel_err(state.residual, want_res) < 1e-8
+        state = advance(crit, state, sigma, 0)
+        assert state.subset == (1, 3, 0)
+        want = evaluate(crit, sigma, (1, 3, 0))
+        assert criteria.objective_from_state(crit, state) == pytest.approx(want, abs=1e-8)
 
 
 def test_retract_dependent_column():
@@ -378,7 +384,8 @@ def test_retract_dependent_column():
             got = retract(crit, state, sigma, position)
             want = state_from_subset(crit, sigma, kept)
             assert got.subset == want.subset and got.ranked == want.ranked
-            assert got.log_det_block == pytest.approx(want.log_det_block, abs=1e-10)
+            want_obj = criteria.objective_from_state(crit, want)
+            assert criteria.objective_from_state(crit, got) == pytest.approx(want_obj, abs=1e-10)
             assert_allclose(got.residual, want.residual, atol=1e-10)
             (got_cands, got_scores), (want_cands, want_scores) = score_all(crit, got), score_all(crit, want)
             assert np.array_equal(got_cands, want_cands)
@@ -411,23 +418,31 @@ def test_no_move_pseudo_inverts(monkeypatch):
 
 
 def test_canon_corr_scores_without_pinv_add(monkeypatch):
-    # CanonCorr scores every candidate in closed form from the state's
-    # block, and they differ from -cc of the grown subset by one constant.
+    # CanonCorr reads its block inverses from the state, so no move, score
+    # or search updates a block pseudo-inverse; the scores differ from -cc
+    # of the grown subset by one constant.
+    def refuse(*args):
+        raise AssertionError("a block pseudo-inverse was updated")
+
+    monkeypatch.setattr(symmat, "pinv_add", refuse)
+    monkeypatch.setattr(symmat, "pinv_remove", refuse)
     rng = np.random.default_rng(79)
-    calls = []
-    pinv_add = symmat.pinv_add
-    monkeypatch.setattr(symmat, "pinv_add", lambda *a: calls.append(a) or pinv_add(*a))
     for t in range(20):
         p = int(rng.integers(5, 10))
         sigma = rand_psd(rng, p, p if t % 2 else p - 2)
         subset = tuple(rng.permutation(p)[: int(rng.integers(0, 4))].tolist())
         crit = Criterion(CriterionKind.CANON_CORR, p=p, k=len(subset) + 1)
         state = state_from_subset(crit, sigma, subset)
-        before = len(calls)
         cands, scores = score_all(crit, state)
-        assert len(calls) == before, t
         vals = np.array([evaluate(crit, sigma, subset + (int(i),)) for i in cands])
         assert np.ptp(scores - vals) < 1e-8, (t, subset)
+    from csskit.search import SearchConfig, greedy, swap
+
+    sigma = rand_psd(rng, 9) + 0.1 * np.eye(9)
+    crit = Criterion(CriterionKind.CANON_CORR, p=9, k=3)
+    assert init_state(crit, sigma).omega is not None
+    greedy(sigma, SearchConfig(k=3, criterion=crit))
+    swap(sigma, SearchConfig(k=3, criterion=crit, restarts=3, seed=2))
 
 
 def test_advance_retract_keep_residual_exactly_symmetric():
@@ -460,13 +475,16 @@ def test_retract_gives_a_side_member_back_its_rank():
     for kind in ALL_KINDS:
         crit = Criterion(kind, p=6, k=3)
         state = state_from_subset(crit, sigma, (0, 1, 2))
-        assert state.ranked == (0, 1) and state.log_det_block == -np.inf
+        assert state.ranked == (0, 1)
+        if kind in criteria.STACKED:  # the side list makes sigma_S singular
+            assert criteria.objective_from_state(crit, state) == -np.inf
         state = retract(crit, state, sigma, 0)
         fresh = state_from_subset(crit, sigma, (1, 2))
         assert state.subset == (1, 2) and sorted(state.ranked) == [1, 2]
         assert rel_err(state.residual, fresh.residual) < 1e-10
         assert rel_err(state.residual, symmat.residual_covariance(sigma, (1, 2))) < 1e-10
-        assert state.log_det_block == pytest.approx(fresh.log_det_block, abs=1e-10)
+        want_obj = criteria.objective_from_state(crit, fresh)
+        assert criteria.objective_from_state(crit, state) == pytest.approx(want_obj, rel=1e-8, abs=1e-10)
         cands, scores = score_all(crit, state)
         want_cands, want = score_all(crit, fresh)
         assert np.array_equal(cands, want_cands)
@@ -619,7 +637,8 @@ def test_canon_corr_state_has_no_inverse_of_singular_sigma():
     assert init_state(crit, full).omega is not None
     for sigma in (rand_psd(rng, 6, rank=4), twin, dead):
         state = state_from_subset(crit, sigma, (2,))
-        assert state.omega is None and state.omega_block_inv is None
+        assert state.omega is None
+        assert criteria.objective_from_state(crit, state) == evaluate(crit, sigma, (2,))
     # the other criteria never invert sigma
     assert init_state(Criterion(CriterionKind.CSS_TRACE, p=6, k=2), full).omega is None
     with pytest.raises(NotPSD):
@@ -705,14 +724,15 @@ def test_canon_corr_factors_sigma_once_per_search(monkeypatch):
         }, (search.__name__, cfg.k)
 
 
-def _same_states(stack, states):
+def _same_states(crit, stack, states):
+    objective = criteria.objective_stack(crit, stack).tolist()
     for b, want in enumerate(states):
         got = stack.state(b)
         assert got.subset == want.subset and got.ranked == want.ranked
         for name in ("lt", "diag", "diag_sq"):
             a, w = getattr(got.factor, name), getattr(want.factor, name)
             assert (a is None and w is None) or np.array_equal(a, w), name
-        assert got.log_det_block == want.log_det_block
+        assert objective[b] == criteria.objective_from_state(crit, want)
 
 
 def test_stacked_moves_match_the_per_state_ones():
@@ -737,14 +757,11 @@ def test_stacked_moves_match_the_per_state_ones():
                 stack, ok = criteria.advance_stack(stack, starts[:, i])
                 assert ok.all()
                 states = [advance(crit, st, sigma, v) for st, v in zip(states, starts[:, i])]
-            _same_states(stack, states)
-            objective = criteria.objective_stack(crit, stack)
-            assert objective.tolist() == [criteria.objective_from_state(crit, st) for st in states]
+            _same_states(crit, stack, states)
             positions = rng.integers(0, k, 3)
-            shrunk, ok = criteria.retract_stack(stack, positions)
-            assert ok.all()
+            shrunk = criteria.retract_stack(stack, positions)
             states = [retract(crit, st, sigma, q) for st, q in zip(states, positions)]
-            _same_states(shrunk, states)
+            _same_states(crit, shrunk, states)
             cands, scores = criteria.score_stack(crit, shrunk)
             for b, st in enumerate(states):
                 want_cands, want_scores = score_all(crit, st)

@@ -178,9 +178,10 @@ def test_swap_returns_first_minimum_of_its_restarts(monkeypatch):
     det[7], det[:, 7] = det[0], det[:, 0]
     # Variable 0 is 10 x variable 1 plus variable 2 plus noise of variance
     # about 1e-9, and variable 9 duplicates 3.  Built in ascending order, a
-    # start holding 0, 1 and 2 stays on the stack, but retracting 0 from it
-    # is refused; a start holding 3 and 9 is refused while it is built, and
-    # so is an accepted swap of 3 in next to 9.
+    # start holding 0, 1 and 2 stays on the stack, also when 0, whose pivot
+    # on 1 and 2 is under the rank rule, leaves it; a start holding 3 and 9
+    # is refused while it is built, and so is an accepted swap of 3 in next
+    # to 9.
     g = more.standard_normal((10, 10))
     g[0] = g[2] + 10.0 * g[1] + np.sqrt(1e-9) * g[0]
     near = g @ g.T / 10
@@ -276,6 +277,14 @@ def test_config_validation():
         SearchConfig(k=2, criterion=css(3, 2), restarts=0)
     with pytest.raises(DimMismatch):
         swap(np.eye(4), SearchConfig(k=2, criterion=css(4, 2)), init=(0, 1, 2))
+    # every count is an integer and the seed is non-negative, refused with a
+    # typed error where the config is made (once a TypeError or numpy's
+    # ValueError inside the search)
+    for bad in (dict(k=2.0), dict(restarts=2.0), dict(max_sweeps=3.5), dict(seed=1.0),
+                dict(seed=-1), dict(restarts=True)):
+        with pytest.raises(DimMismatch, match="integer|seed"):
+            SearchConfig(**{"k": 2, "criterion": css(4, 2), **bad})
+    assert SearchConfig(k=np.int64(2), criterion=css(4, 2), seed=np.int64(3)).seed == 3
 
 
 def test_config_k_must_match_criterion():

@@ -313,6 +313,11 @@ def test_choose_k_errors():
     for restarts in (0, -5):
         with pytest.raises(DimMismatch, match="restarts"):
             choose_k(covest.sample_cov(x), n=300, restarts=restarts, mc_samples=2000, seed=1)
+    # counts are integers: k_max=2.5 once ran to k=2, restarts=2.0 and
+    # seed=1.0 reached SearchConfig
+    for name, bad in (("k_max", 2.5), ("restarts", 2.0), ("seed", 1.0), ("k_max", True)):
+        with pytest.raises(DimMismatch, match=f"{name} .* not an integer"):
+            choose_k(covest.sample_cov(x), n=300, mc_samples=2000, **{name: bad})
 
 
 def test_stat_rejects_a_non_matrix_and_a_non_integer_subset():

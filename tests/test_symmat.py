@@ -73,6 +73,10 @@ def test_check_subset():
             symmat.check_subset(4, bad)
     got = symmat.check_subset(4, np.array([3, 1]))
     assert got == (3, 1) and all(type(i) is int for i in got)
+    # a bool is not an index, Python's (once read as 1) or numpy's
+    for bad in ([True, 3], [False], np.array([True, False]), [np.bool_(True)]):
+        with pytest.raises(DimMismatch, match="not an integer"):
+            symmat.check_subset(4, bad)
 
 
 def test_eigh_desc_order():
