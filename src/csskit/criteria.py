@@ -38,7 +38,8 @@ variable.
 
 :func:`evaluate` computes from scratch.  It reads ``diag R`` in O(pk^2)
 from the regression coefficients on ``S``; only DetResidual and
-FrobResidual form a block of ``R``, the complement's.
+FrobResidual form a block of ``R``, the complement's, and only DiagDet and
+IsoLrt read ``log det(sigma_S)``.
 
 Greedy and swap searches never rank candidates by re-evaluating from
 scratch; they use :func:`score_all`, whose values are *order-equivalent* to
@@ -69,17 +70,20 @@ generalised-inverts the selected and the complement block and scores every
 candidate from them, up to one constant, and the objective is
 :func:`evaluate`'s.
 
-Under DiagDet and IsoLrt, :class:`StateStack` holds many states of one
-size on the fast path (no side list) as one stack of factors, and
-:func:`retract_stack`, :func:`score_stack`, :func:`advance_stack` and
-:func:`objective_stack` move, score and read all of them with one numpy
-call per step, which is where a small-p search spends its time with
+:class:`StateStack` holds many states of one size as one stack of
+factors, and :func:`retract_stack`, :func:`score_stack`,
+:func:`advance_stack` and :func:`objective_stack` move, score and read all
+of them at once, which is where a small-p search spends its time with
 several restarts.  The stacked moves call the kernels of the per-state
 ones, :func:`csskit.symmat.residual_add` and
 :func:`csskit.symmat.residual_remove`, on the whole stack and keep only
-the pivots and subsets; the scorer and the block's log-determinant are one
-for both (:func:`score_all` of such a state is a stack of one).  So each
-row comes out bit for bit as the per-state function gives it.
+the pivots and subsets.  The scorer and the readout are written once, for
+the rows of a stack, under every criterion: :func:`score_all` and
+:func:`objective_from_state` run them on a stack of one.  DetResidual,
+CssTrace, IsoLrt and DiagDet score all rows with one numpy call per step;
+FrobResidual and CanonCorr score, and DetResidual, FrobResidual and
+CanonCorr read, one row at a time.  So each row comes out bit for bit as
+the per-state function gives it.
 
 Inputs are checked once, where they enter: ``sigma`` in :func:`init_state`,
 an index in :func:`advance`, a position in :func:`retract`; the kernels
@@ -171,7 +175,8 @@ class SubsetState:
     exactly when the side list is not empty.  ``sigma`` is a read-only reference to the source
     matrix.  For CanonCorr on a ``sigma`` whose unit-diagonal form has
     condition number at most ``CC_COND_MAX``, ``omega`` is a read-only
-    reference to ``sigma^-1``, shared by every state of one search;
+    reference to ``sigma^-1``, shared by every state and stack of one
+    search;
     otherwise it is None.
 
     With ``r = len(ranked)``, :func:`advance` costs O(pr) plus one
@@ -233,12 +238,13 @@ def evaluate(criterion: Criterion, sigma: SymMatrix, subset: Sequence[int]) -> f
     diag = np.maximum(var - np.einsum("ij,ij->i", coef, cols), 0.0)
     if kind == CriterionKind.CSS_TRACE:
         return float(np.sum(diag))
-    block = None
-    if kind in (CriterionKind.FROB_RESIDUAL, CriterionKind.DET_RESIDUAL):
-        block = sigma[np.ix_(comp, comp)] - coef[comp] @ cols[comp].T
+    if kind in (CriterionKind.DIAG_DET, CriterionKind.ISO_LRT):
+        ld_block = np.array([symmat.log_det(block_u)])
+        return float(_readout_rows(criterion, diag[comp][None], var[comp][None], ld_block)[0])
+    block = sigma[np.ix_(comp, comp)] - coef[comp] @ cols[comp].T
     if kind == CriterionKind.FROB_RESIDUAL:
         return float(np.sum(block * block))
-    return _readout(criterion, diag[comp], var[comp], symmat.log_det(block_u), block)
+    return _readout(diag[comp], var[comp], block)
 
 
 def cc_sum(sigma: SymMatrix, a: Sequence[int], b: Sequence[int]) -> float:
@@ -258,44 +264,38 @@ def cc_sum(sigma: SymMatrix, a: Sequence[int], b: Sequence[int]) -> float:
     return float(np.sum(left * (cross @ symmat.ginv(sigma[np.ix_(bb, bb)]))))
 
 
-def _readout(criterion: Criterion, diag, var, ld_block: float, block=None) -> float:
-    """DetResidual, DiagDet and IsoLrt from the residual variances ``diag``
-    of the complement (own variances ``var``), ``ld_block = log det(sigma_S)``
-    and, for DetResidual only, the complement's residual ``block``.  A
-    variable of the complement that does not add rank to ``S`` is fit
-    perfectly: one sends DetResidual and DiagDet to ``-inf``, IsoLrt needs
-    all of them.  DetResidual is also ``-inf`` when the block reads as
-    indefinite but some direction of it is fit perfectly on the variables'
-    own variances (the least eigenvalue of ``D block D``,
-    ``D = diag(var)^(-1/2)``, is within ``RANK_TOL`` of zero), as on a
-    rank-deficient ``sigma``; a block more negative than that still raises
-    :class:`NotPSD`."""
-    kind = criterion.kind
-    if kind in STACKED:
-        return float(_readout_rows(criterion, diag[None], var[None], np.array([ld_block]))[0])
+def _readout(diag, var, block) -> float:
+    """DetResidual from the residual variances ``diag`` of the complement
+    (own variances ``var``) and its residual ``block``.  A variable of the
+    complement that does not add rank to ``S`` is fit perfectly and sends
+    it to ``-inf``.  So does a block that reads as indefinite while some
+    direction of it is fit perfectly on the variables' own variances (the
+    least eigenvalue of ``D block D``, ``D = diag(var)^(-1/2)``, is within
+    ``RANK_TOL`` of zero), as on a rank-deficient ``sigma``; a block more
+    negative than that still raises :class:`NotPSD`."""
     if np.any(~symmat.adds_rank(diag, var)):
         return float("-inf")
-    if kind == CriterionKind.DET_RESIDUAL:
-        try:
-            return symmat.log_det(block)
-        except NotPSD:
-            # The block's error is absolute, so on its own tiny diagonal the
-            # roundoff of a perfect fit (of a combination of the complement)
-            # reads as indefinite.  On the variables' own variances, as the
-            # rank rule reads them, that direction is a perfect fit; an
-            # eigenvalue below -RANK_TOL there is a truly indefinite sigma.
-            d = 1.0 / np.sqrt(var)
-            lam = symmat.eigh_desc(d[:, None] * block * d[None, :]).values[-1]
-            if abs(lam) <= RANK_TOL:
-                return float("-inf")
-            raise
-    raise DimMismatch(f"unknown criterion kind {kind}")
+    try:
+        return symmat.log_det(block)
+    except NotPSD:
+        # The block's error is absolute, so on its own tiny diagonal the
+        # roundoff of a perfect fit (of a combination of the complement)
+        # reads as indefinite.  On the variables' own variances, as the
+        # rank rule reads them, that direction is a perfect fit; an
+        # eigenvalue below -RANK_TOL there is a truly indefinite sigma.
+        d = 1.0 / np.sqrt(var)
+        lam = symmat.eigh_desc(d[:, None] * block * d[None, :]).values[-1]
+        if abs(lam) <= RANK_TOL:
+            return float("-inf")
+        raise
 
 
 def _readout_rows(criterion: Criterion, diag, var, ld_block) -> np.ndarray:
-    """DiagDet or IsoLrt of ``B`` subsets at once, as :func:`_readout`:
-    row ``b`` of ``diag`` and ``var`` is a complement's, ``ld_block[b]``
-    its subset's ``log det(sigma_S)``."""
+    """DiagDet or IsoLrt of ``B`` subsets at once: row ``b`` of ``diag``
+    and ``var`` is a complement's residual and own variances, ``ld_block[b]``
+    its subset's ``log det(sigma_S)``.  A variable of the complement that
+    does not add rank to ``S`` is fit perfectly: one sends DiagDet to
+    ``-inf``, IsoLrt needs all of them."""
     fits = ~symmat.adds_rank(diag, var)
     if criterion.kind == CriterionKind.ISO_LRT:
         m = criterion.p - criterion.k
@@ -388,8 +388,8 @@ def retract(
     (``L[A]`` is square and nonsingular, as every ranked member added rank),
     with ``|c|^2 = 1 / beta_v``, the pivot;
     :func:`csskit.symmat.residual_remove` reflects it out of the factor.
-    :func:`retract_stack` does the same for many DiagDet or IsoLrt states
-    at once.  Each side-list member is then re-tested and appended to the
+    :func:`retract_stack` does the same for many states without a side
+    list at once.  Each side-list member is then re-tested and appended to the
     factor if it adds rank to what is left, by the pivot test of
     :func:`advance`.
 
@@ -423,50 +423,60 @@ def retract(
 
 
 # ---------------------------------------------------------------------------
-# Stacked moves: many states of one size at once (DiagDet and IsoLrt)
+# Stacked moves: many states of one size at once
 # ---------------------------------------------------------------------------
-
-# The criteria with stacked kernels (StateStack and the *_stack functions).
-STACKED = (CriterionKind.DIAG_DET, CriterionKind.ISO_LRT)
 
 
 @dataclass
 class StateStack:
-    """``B`` states of one size ``k`` over one ``sigma``, on the fast path:
-    every member added rank, so there is no side list and ``L`` has ``k``
-    rows.  Row ``b`` of each field is one state's :class:`SubsetState`
-    field: ``subset`` (``B x k``, state order) and ``factor`` (a stack of
-    :class:`csskit.symmat.Factor` rows: ``lt`` ``B x k x P``, ``diag`` and
-    ``diag_sq`` ``B x p``).
+    """``B`` states of one size ``k`` over one ``sigma``.  Row ``b`` of each
+    field is one state's :class:`SubsetState` field: ``subset`` (``B x k``,
+    state order) and ``factor`` (a stack of :class:`csskit.symmat.Factor`
+    rows: ``lt`` ``B x r x P``, ``diag`` and ``diag_sq`` ``B x p``);
+    ``sigma`` and ``omega`` are the read-only ones every state of a search
+    shares.
 
-    The moves run the kernels of :func:`advance` and :func:`retract`,
+    The moves take stacks on the fast path: every member added rank, so
+    there is no side list and ``L`` has ``r = k`` rows.  They run the
+    kernels of :func:`advance` and :func:`retract`,
     :func:`csskit.symmat.residual_add` and
-    :func:`csskit.symmat.residual_remove`, on the whole stack, and the
-    scorer is :func:`score_all`'s; every product is a per-row BLAS call or
-    an elementwise operation, so a row's values do not depend on the other
-    rows or on ``B``.  An advance that would leave the fast path (a pivot
-    under the rank rule) is flagged, and the caller redoes it with
-    :func:`advance` on :meth:`state`; a retract never leaves it.
+    :func:`csskit.symmat.residual_remove`, on the whole stack.  An advance
+    that would leave the fast path (a pivot under the rank rule) is
+    flagged, and the caller redoes it with :func:`advance` on
+    :meth:`state`; a retract never leaves it.  The scorer and the readout
+    serve any stack, also the stack of one (:meth:`of_state`) of a state
+    with a side list, whose ``L`` has fewer rows than its subset: they are
+    what :func:`score_all` and :func:`objective_from_state` run.  Every
+    product is a per-row BLAS call or an elementwise operation, so a row's
+    values do not depend on the other rows or on ``B``.
     """
 
     subset: np.ndarray
     factor: symmat.Factor
     sigma: np.ndarray
+    omega: Optional[np.ndarray] = None
 
     @classmethod
     def of_empty(cls, empty: SubsetState, b: int) -> "StateStack":
         """``b`` copies of an empty state."""
         factor = empty.factor.map(lambda a: np.repeat(a[None], b, axis=0))
-        return cls(np.zeros((b, 0), dtype=np.intp), factor, empty.sigma)
+        return cls(np.zeros((b, 0), dtype=np.intp), factor, empty.sigma, empty.omega)
+
+    @classmethod
+    def of_state(cls, state: SubsetState) -> "StateStack":
+        """The stack of one of ``state``, on views of its arrays."""
+        lt, diag, sq = state.factor
+        factor = symmat.Factor(lt[None], diag[None], None if sq is None else sq[None])
+        return cls(np.array([state.subset], dtype=np.intp), factor, state.sigma, state.omega)
 
     def state(self, b: int) -> SubsetState:
         """Row ``b`` as a :class:`SubsetState` (a copy)."""
         sub = tuple(self.subset[b].tolist())
-        return SubsetState(sub, self.factor.map(lambda a: a[b].copy()), sub, self.sigma)
+        return SubsetState(sub, self.factor.map(lambda a: a[b].copy()), sub, self.sigma, self.omega)
 
     def take(self, rows) -> "StateStack":
         """The stack of the given rows (a boolean mask or indices)."""
-        return StateStack(self.subset[rows], self.factor.map(lambda a: a[rows]), self.sigma)
+        return StateStack(self.subset[rows], self.factor.map(lambda a: a[rows]), self.sigma, self.omega)
 
     def put(self, rows, other: "StateStack"):
         """Overwrite the given rows with ``other``'s, in place."""
@@ -500,17 +510,6 @@ def _complements(p: int, subset: np.ndarray) -> np.ndarray:
     return np.nonzero(mask)[1].reshape(n, p - k)
 
 
-def _log_det_block(lt: np.ndarray, subset) -> np.ndarray:
-    """``log det(sigma_S)`` of a state with no side list from its factor's
-    ``lt``, or of every row of a stack: ``sigma_S = M^T M`` with the square
-    ``M = L[S]^T`` (``lt.take(subset, 1)``, gathered row by row on a
-    stack), so it is ``2 log|det M|``, from one LU of ``M`` per state.  A
-    row of a stack runs the LAPACK call of the state alone on the same
-    block, so it gets the same bits."""
-    m = lt.take(subset, 1) if lt.ndim == 2 else _gather(lt, subset)
-    return 2.0 * np.linalg.slogdet(m)[1]
-
-
 def advance_stack(stack: StateStack, picks: np.ndarray) -> Tuple[StateStack, np.ndarray]:
     """:func:`advance` of every row by its variable ``picks[b]``: the
     pivot's rank test here, the new column of ``L`` by
@@ -524,7 +523,7 @@ def advance_stack(stack: StateStack, picks: np.ndarray) -> Tuple[StateStack, np.
     ok = symmat.adds_rank(pivot, sigma.diagonal()[picks])
     factor = symmat.residual_add(sigma, stack.factor, picks)
     subset = np.concatenate([stack.subset, picks[:, None]], axis=1)
-    return StateStack(subset, factor, sigma), ok
+    return StateStack(subset, factor, sigma, stack.omega), ok
 
 
 def retract_stack(stack: StateStack, positions: np.ndarray) -> StateStack:
@@ -542,7 +541,7 @@ def retract_stack(stack: StateStack, positions: np.ndarray) -> StateStack:
     factor = symmat.residual_remove(stack.factor, c / np.sqrt(symmat._rowdot(c, c)))
     keep = np.arange(k - 1) + (np.arange(k - 1) >= positions[:, None])
     subset = stack.subset[b_[:, None], keep]
-    return StateStack(subset, factor, stack.sigma)
+    return StateStack(subset, factor, stack.sigma, stack.omega)
 
 
 # ---------------------------------------------------------------------------
@@ -560,58 +559,12 @@ def score_all(criterion: Criterion, state: SubsetState) -> Tuple[np.ndarray, np.
     ``-inf`` marks a perfect fit under DiagDet/IsoLrt, decided by the same
     rank rule as ``evaluate``.  CanonCorr scores of a state with ``omega``
     are the exact values of ``evaluate``, not values up to one constant.
+    The state is scored as a stack of one (:func:`score_stack`).
     """
-    sigma = state.sigma
     cands = state.complement()
     if cands.size == 0:
         return cands, np.zeros(0)
-
-    fac = state.factor
-    kind = criterion.kind
-    if kind in STACKED:  # a stack of one
-        return cands, _score_rows(criterion, sigma, fac.map(lambda a: a[None]), cands[None])[0]
-
-    diag = fac.diag[cands]
-    var = sigma.diagonal()[cands]
-    ok = symmat.adds_rank(diag, var)
-    safe = np.where(ok, diag, 1.0)
-
-    if kind == CriterionKind.CSS_TRACE:
-        sq = _squares(sigma, fac, cands, diag, var, ok)
-        return cands, np.where(ok, -sq / safe, 0.0)
-
-    if kind == CriterionKind.DET_RESIDUAL:
-        return cands, -diag
-
-    if kind == CriterionKind.FROB_RESIDUAL:
-        res = fac.residual(sigma)
-        cols = res[:, cands]
-        colsq = np.einsum("ij,ij->j", cols, cols)
-        cubic = np.einsum("ij,ij->j", cols, res @ cols)
-        scores = (colsq / safe) ** 2 - 2.0 * cubic / safe
-        return cands, np.where(ok, scores, 0.0)
-
-    if kind == CriterionKind.CANON_CORR:
-        if state.omega is not None:
-            return cands, _score_canon_corr(state, cands)
-        return cands, _score_canon_corr_ginv(state, cands)
-
-    raise DimMismatch(f"unknown criterion kind {kind}")
-
-
-def _squares(sigma, fac: symmat.Factor, cands, diag, var, ok) -> np.ndarray:
-    """``diag R^2`` of the candidates ``cands`` of one state, whose residual
-    variances are ``diag`` (own variances ``var``, ``ok`` where they add
-    rank).  ``diag R^2`` is carried by differences from ``diag sigma^2``, so
-    its error is absolute, about ``eps |sigma|^2`` per move.  A candidate
-    near a perfect fit (``R_ii`` at most ``sqrt(RANK_TOL) sigma_ii``) reads
-    it from its residual column, whose error is relative to that column."""
-    sq = fac.diag_sq[cands]
-    near = np.flatnonzero(ok & (diag <= math.sqrt(RANK_TOL) * var))
-    if near.size:
-        cols = fac.columns(sigma, cands[near])
-        sq[near] = np.einsum("ij,ij->j", cols, cols)
-    return sq
+    return cands, _score_rows(criterion, StateStack.of_state(state), cands[None])[0]
 
 
 def score_stack(criterion: Criterion, stack: StateStack) -> Tuple[np.ndarray, np.ndarray]:
@@ -619,41 +572,65 @@ def score_stack(criterion: Criterion, stack: StateStack) -> Tuple[np.ndarray, np
     each ``B x (p - k)``, row ``b`` as :func:`score_all` gives it for
     :meth:`StateStack.state` ``(b)``."""
     cands = _complements(stack.sigma.shape[0], stack.subset)
-    scores = _score_rows(criterion, stack.sigma, stack.factor, cands)
-    return cands, scores
+    return cands, _score_rows(criterion, stack, cands)
 
 
-def objective_stack(criterion: Criterion, stack: StateStack) -> np.ndarray:
-    """:func:`objective_from_state` of every row of a stack."""
-    sigma = stack.sigma
-    comp = _complements(sigma.shape[0], stack.subset)
-    diag = stack.factor.diag[np.arange(comp.shape[0])[:, None], comp]
-    ld_block = _log_det_block(stack.factor.lt, stack.subset)
-    return _readout_rows(criterion, diag, sigma.diagonal()[comp], ld_block)
-
-
-def _score_rows(criterion, sigma, fac: symmat.Factor, cands) -> np.ndarray:
-    """DiagDet or IsoLrt scores of ``B`` states given by a stack of their
-    factors for their candidates ``cands`` (``B x m``), one numpy call per
-    step for all rows; the scorer of :func:`score_all` and
-    :func:`score_stack`."""
+def _score_rows(criterion: Criterion, stack: StateStack, cands: np.ndarray) -> np.ndarray:
+    """Scores of the ``B`` states of ``stack`` for their candidates
+    ``cands`` (``B x m``); the scorer of :func:`score_all` and
+    :func:`score_stack`.  DetResidual, CssTrace, IsoLrt and DiagDet score
+    all rows with one numpy call per step.  CssTrace and IsoLrt read the
+    carried ``diag R^2`` (a near fit's from its residual column), DetResidual
+    ``-diag R`` and DiagDet the candidates' ``(p - k)``-block of ``R``.
+    FrobResidual forms each row's dense ``R``, one row at a time, and
+    CanonCorr runs :func:`_score_canon_corr` or, without ``omega``,
+    :func:`_score_canon_corr_ginv` once per row."""
+    sigma, fac, kind = stack.sigma, stack.factor, criterion.kind
+    if kind == CriterionKind.CANON_CORR:
+        rows = zip(fac.lt, stack.subset, cands)
+        if stack.omega is None:
+            return np.array([_score_canon_corr_ginv(sigma, sub, comp) for _, sub, comp in rows])
+        return np.array([_score_canon_corr(sigma, stack.omega, lt, sub, comp) for lt, sub, comp in rows])
     lt, diag_all, diag_sq = fac
     n, m = cands.shape
     p = sigma.shape[0]
     flat = cands + _starts(n, p)  # into the rows of a B x p array
     diag = diag_all.take(flat)
+    if kind == CriterionKind.DET_RESIDUAL:
+        return -diag
     var = sigma.diagonal()[cands]
     ok = symmat.adds_rank(diag, var)
     safe = np.where(ok, diag, 1.0)
+
+    if kind == CriterionKind.FROB_RESIDUAL:
+        scores = np.empty((n, m))
+        for b in range(n):
+            res = fac.map(lambda a: a[b]).residual(sigma)
+            cols = res[:, cands[b]]
+            colsq = np.einsum("ij,ij->j", cols, cols)
+            cubic = np.einsum("ij,ij->j", cols, res @ cols)
+            scores[b] = (colsq / safe[b]) ** 2 - 2.0 * cubic / safe[b]
+        return np.where(ok, scores, 0.0)
+
+    if kind in _SQUARES:
+        # diag R^2 is carried by differences from diag sigma^2, so its error
+        # is absolute, about eps |sigma|^2 per move; a candidate near a
+        # perfect fit (R_ii at most sqrt(RANK_TOL) sigma_ii) reads it from
+        # its residual column, whose error is relative to that column
+        sq = diag_sq.take(flat)
+        near = ok & (diag <= math.sqrt(RANK_TOL) * var)
+        if near.any():
+            for b in np.flatnonzero(near.any(axis=1)):
+                at = np.flatnonzero(near[b])
+                cols = fac.map(lambda a: a[b]).columns(sigma, cands[b, at])
+                sq[b, at] = np.einsum("ij,ij->j", cols, cols)
+        if kind == CriterionKind.CSS_TRACE:
+            return np.where(ok, -sq / safe, 0.0)
+
     with np.errstate(divide="ignore"):
         head = np.log(np.where(ok, diag, 0.0))
 
-        if criterion.kind == CriterionKind.ISO_LRT:
-            sq = diag_sq.take(flat)
-            near = ok & (diag <= math.sqrt(RANK_TOL) * var)
-            if near.any():
-                for b in np.flatnonzero(near.any(axis=1)):
-                    sq[b] = _squares(sigma, fac.map(lambda a: a[b]), cands[b], diag[b], var[b], ok[b])
+        if kind == CriterionKind.ISO_LRT:
             k = criterion.p - criterion.k
             tr = np.maximum(diag_all.sum(axis=1), 0.0)
             rest = np.maximum(tr[:, None] - np.where(ok, sq / safe, 0.0), 0.0)
@@ -691,23 +668,22 @@ def _score_rows(criterion, sigma, fac: symmat.Factor, cands) -> np.ndarray:
     return head + terms.sum(axis=2)
 
 
-def _block_inverses(state: SubsetState) -> Tuple[np.ndarray, np.ndarray]:
-    """``G = sigma_S^-1`` and ``H = (Omega_SS)^-1`` (subset order) of a
-    state with ``omega``, each in O(k^3).  ``G`` comes from the factor:
-    every member added rank, so ``M = L[S]^T`` is ``k x k`` and
-    nonsingular, ``sigma_S = M^T M`` and ``G = M^-1 M^-T``.  ``H`` inverts
-    a block of ``Omega``, which exists only for a well-conditioned
+def _block_inverses(lt: np.ndarray, omega: np.ndarray, sub: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``G = sigma_S^-1`` and ``H = (Omega_SS)^-1`` (subset order ``sub``)
+    of a state with ``omega``, each in O(k^3).  ``G`` comes from the
+    factor's ``lt``: every member added rank, so ``M = L[S]^T`` is ``k x
+    k`` and nonsingular, ``sigma_S = M^T M`` and ``G = M^-1 M^-T``.  ``H``
+    inverts a block of ``Omega``, which exists only for a well-conditioned
     ``sigma``."""
-    sub = state.subset
-    m_inv = np.linalg.inv(state.factor.lt.take(sub, 1))
-    return np.dot(m_inv, m_inv.T), np.linalg.inv(state.omega.take(sub, 0).take(sub, 1))
+    m_inv = np.linalg.inv(lt.take(sub, 1))
+    return np.dot(m_inv, m_inv.T), np.linalg.inv(omega.take(sub, 0).take(sub, 1))
 
 
-def _score_canon_corr(state: SubsetState, comp: np.ndarray) -> np.ndarray:
-    """CanonCorr's exact scores ``-cc(S + (i,))`` when the state has ``omega``,
-    from the block inverses ``G = sigma_S^-1`` and ``H = (Omega_SS)^-1``,
-    ``Omega = sigma^-1`` (:func:`_block_inverses`), in O(k^3 + k^2 (p -
-    k)).
+def _score_canon_corr(sigma, omega, lt, sub, comp: np.ndarray) -> np.ndarray:
+    """CanonCorr's exact scores ``-cc(S + (i,))`` of the state with subset
+    ``sub`` and factor rows ``lt``, when it has ``omega``, from the block
+    inverses ``G = sigma_S^-1`` and ``H = (Omega_SS)^-1``, ``Omega =
+    sigma^-1`` (:func:`_block_inverses`), in O(k^3 + k^2 (p - k)).
 
     By the partitioned inverse ``(Omega_SS)^-1 = sigma_S - sigma_{S,C}
     sigma_C^-1 sigma_{C,S}``, so ``-cc(S) = tr(G H) - k``.  Bordering both
@@ -728,9 +704,7 @@ def _score_canon_corr(state: SubsetState, comp: np.ndarray) -> np.ndarray:
     """
     if comp.size == 1:
         return np.zeros(1)  # S + (i,) is every variable: no correlation left
-    sigma, omega = state.sigma, state.omega
-    g, h = _block_inverses(state)
-    sub = list(state.subset)
+    g, h = _block_inverses(lt, omega, sub)
     cross = sigma.take(sub, 0).take(comp, 1)
     cross_omega = omega.take(sub, 0).take(comp, 1)
     d = np.dot(g, cross)
@@ -743,16 +717,16 @@ def _score_canon_corr(state: SubsetState, comp: np.ndarray) -> np.ndarray:
     return scores + (float(np.sum(g * h)) - (len(sub) + 1))
 
 
-def _score_canon_corr_ginv(state: SubsetState, comp: np.ndarray) -> np.ndarray:
-    """CanonCorr's scores when the state has no ``omega`` (``sigma`` singular
-    or its unit-diagonal condition number above ``CC_COND_MAX``), all
-    candidates at once, from generalised inverses of the complement block
-    and the selected one.  With ``C = comp`` the ascending complement of
-    the subset ``S`` (size k), ``Cp = ginv(sigma_C)``
-    (:func:`csskit.symmat.ginv`), ``A = sigma_{S,C} Cp``, leverages ``l =
-    diag(sigma_C Cp)`` and the swapped residual ``K = sigma_S - A
-    sigma_{C,S}`` (the residual of ``S`` on ``C``), the score of candidate
-    i at position j of C, with ``V = S + (i,)``, is
+def _score_canon_corr_ginv(sigma, s, comp: np.ndarray) -> np.ndarray:
+    """CanonCorr's scores of the state with subset ``s`` when it has no
+    ``omega`` (``sigma`` singular or its unit-diagonal condition number
+    above ``CC_COND_MAX``), all candidates at once, from generalised
+    inverses of the complement block and the selected one.  With ``C =
+    comp`` the ascending complement of the subset ``S`` (size k), ``Cp =
+    ginv(sigma_C)`` (:func:`csskit.symmat.ginv`), ``A = sigma_{S,C} Cp``,
+    leverages ``l = diag(sigma_C Cp)`` and the swapped residual ``K =
+    sigma_S - A sigma_{C,S}`` (the residual of ``S`` on ``C``), the score
+    of candidate i at position j of C, with ``V = S + (i,)``, is
 
         f(i) = <G_V[:k, :k], K>
              + x^T G_V x / Cp_jj    [if Cp_jj > 0 and l_j ~ 1]
@@ -782,8 +756,6 @@ def _score_canon_corr_ginv(state: SubsetState, comp: np.ndarray) -> np.ndarray:
     correlations themselves, the scores do not depend on the units of any
     one variable.
     """
-    sigma = state.sigma
-    s = np.asarray(state.subset, dtype=int)
     cross = sigma[np.ix_(s, comp)]
     sigma_c = sigma[np.ix_(comp, comp)]
     cp = symmat.ginv(sigma_c)
@@ -807,40 +779,50 @@ def _score_canon_corr_ginv(state: SubsetState, comp: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Objective readout from a live state (cheap paths where available)
+# Objective readout from a live state
 # ---------------------------------------------------------------------------
 
 
 def objective_from_state(criterion: Criterion, state: SubsetState) -> float:
-    """Objective of the state's subset, read from its factor when cheap.
+    """Objective of the state's subset, read from its factor as a stack of
+    one (:func:`objective_stack`).  Agrees with :func:`evaluate` to
+    update-roundoff (tested at 1e-8)."""
+    return float(objective_stack(criterion, StateStack.of_state(state))[0])
 
-    Agrees with :func:`evaluate` to update-roundoff (tested at 1e-8).
-    DiagDet and IsoLrt read ``log det(sigma_S)``: ``-inf`` when the side
-    list is not empty (the pivot rule's singular block), else ``2
-    log|det L[S]|`` in O(k^3), as :func:`objective_stack` reads it.
-    CanonCorr reads ``tr(G H) - k`` in O(k^3) (see :func:`_score_canon_corr`)
-    from a state with ``omega`` and falls back to ``evaluate`` without.
+
+def objective_stack(criterion: Criterion, stack: StateStack) -> np.ndarray:
+    """The objective of every row of a stack, read from its factor.
+
+    CssTrace sums ``diag R``.  DiagDet and IsoLrt read ``log det(sigma_S)``:
+    ``-inf`` when the stack's ``L`` has fewer rows than its subset (a side
+    list: the pivot rule's singular block), else ``2 log|det L[S]|`` in
+    O(k^3).  DetResidual and FrobResidual form each row's complement block
+    of ``R``.  CanonCorr reads ``tr(G H) - k`` in O(k^3) per row (see
+    :func:`_score_canon_corr`) with ``omega`` and falls back to
+    :func:`evaluate` without.
     """
-    kind = criterion.kind
-    fac = state.factor
+    sigma, fac, kind = stack.sigma, stack.factor, criterion.kind
+    n, k = stack.subset.shape
     if kind == CriterionKind.CSS_TRACE:
-        return float(np.sum(fac.diag))
+        return fac.diag.sum(axis=1)
     if kind == CriterionKind.CANON_CORR:
-        k = len(state.subset)
-        if state.omega is None:
-            return evaluate(criterion, state.sigma, state.subset)
+        if stack.omega is None:
+            return np.array([evaluate(criterion, sigma, sub) for sub in stack.subset.tolist()])
         if k == criterion.p:
-            return 0.0  # no complement, as in evaluate
-        g, h = _block_inverses(state)
-        return float(np.sum(g * h)) - k
-    sigma = state.sigma
-    comp = state.complement()
-    block = None
-    if kind in (CriterionKind.FROB_RESIDUAL, CriterionKind.DET_RESIDUAL):
-        block = fac.block(sigma, comp)
+            return np.zeros(n)  # no complement, as in evaluate
+        pairs = (_block_inverses(lt, stack.omega, sub) for lt, sub in zip(fac.lt, stack.subset))
+        return np.array([float(np.sum(g * h)) - k for g, h in pairs])
+    comp = _complements(sigma.shape[0], stack.subset)
+    diag = fac.diag[np.arange(n)[:, None], comp]
+    var = sigma.diagonal()[comp]
+    if kind in (CriterionKind.DIAG_DET, CriterionKind.ISO_LRT):
+        ld_block = np.full(n, float("-inf"))
+        if fac.lt.shape[1] == k:
+            # sigma_S = M^T M with the square M = L[S]^T, so log det(sigma_S)
+            # is 2 log|det M|, from one LU of M per row
+            ld_block = 2.0 * np.linalg.slogdet(_gather(fac.lt, stack.subset))[1]
+        return _readout_rows(criterion, diag, var, ld_block)
+    blocks = (fac.map(lambda a: a[b]).block(sigma, comp[b]) for b in range(n))
     if kind == CriterionKind.FROB_RESIDUAL:
-        return float(np.sum(block * block))
-    ld_block = float("-inf")  # DiagDet and IsoLrt read it; DetResidual does not
-    if kind in STACKED and len(state.ranked) == len(state.subset):
-        ld_block = float(_log_det_block(fac.lt, state.subset))
-    return _readout(criterion, fac.diag[comp], sigma.diagonal()[comp], ld_block, block)
+        return np.array([float(np.sum(block * block)) for block in blocks])
+    return np.array([_readout(diag[b], var[b], block) for b, block in enumerate(blocks)])

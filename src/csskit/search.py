@@ -23,8 +23,8 @@ the positions after the last accepted swap would re-score an unchanged
 state and keep again, so a full sweep with no swap is not waited for.
 ``max_sweeps`` caps the effort and is reported, not an error.
 
-Swap walks its restarts in groups.  Under DiagDet and IsoLrt a group
-holds as many restarts as keep the stacked temporaries within
+Swap walks its restarts in groups, under every criterion the same way.  A
+group holds as many restarts as keep the stacked temporaries within
 ``STACK_BUDGET`` elements, and they walk in lockstep: at step ``j`` of a
 sweep every live restart of the group decides its position ``j``.  One
 step retracts them all (the rows of a :class:`csskit.criteria.StateStack`
@@ -32,19 +32,18 @@ by one stacked retract, every other restart by the per-state one), scores
 every candidate of every restart into one table of ``p - k + 1`` columns,
 decides every row by one rule, advances the restarts that swap (by the
 helper that also builds the starting states) and reads their objectives.
-A restart is on the stack while its state is on the fast path (no side
-list and a finite objective) and it is not alone there; otherwise it
-moves through the per-state functions, which for one state cost less than
-a stack of one.  Only an advance or a readout takes a restart off the
-stack: a retract keeps a state without a side list on the fast path.
-CssTrace, DetResidual, FrobResidual and CanonCorr have no stacked scorer,
-so under them each restart is a group of one and walks after the one
-before it.  The stacked moves run the
-factor kernels of the per-state ones, and moves and scorer compute row for
-row, bit for bit, what the per-state ones do, so each restart makes the
-decisions, and ends where, it would run alone.  Every final subset is
-evaluated from scratch once all restarts are done, once per distinct set
-(per ordered subset under CanonCorr, whose value depends on the order).
+A group of two or more starts on the stack, and a restart stays on it
+while its state has no side list: only a stacked advance whose pivot adds
+no rank takes a restart off it (a retract keeps a state without a side
+list on the fast path), and it then moves through the per-state functions.
+A group of one, as a single run from ``init`` is, moves through the
+per-state functions throughout, which for one state cost less than a
+stack of one.  The stacked moves run the factor kernels of the per-state
+ones, and moves, scorer and readout compute row for row, bit for bit, what
+the per-state ones do, so each restart makes the decisions, and ends
+where, it would run alone.  Every final subset is evaluated from scratch
+once all restarts are done, once per distinct set (per ordered subset
+under CanonCorr, whose value depends on the order).
 """
 
 import itertools
@@ -139,8 +138,7 @@ class SearchResult:
 class RestartStats:
     """One restart of :func:`swap`: the sweeps it started, the swaps it
     accepted, and the from-scratch objective of its final subset.  No wall
-    time is kept per restart: under DiagDet and IsoLrt the restarts of a
-    group walk in lockstep."""
+    time is kept per restart: the restarts of a group walk in lockstep."""
 
     sweeps: int
     accepted: int
@@ -173,10 +171,12 @@ def greedy(sigma: SymMatrix, config: SearchConfig) -> SearchResult:
 
 
 def _group_size(crit: Criterion) -> int:
-    """Restarts per lockstep group: as many as keep the stacked kernels'
-    temporaries, about ``(p - k + 1)^2`` (DiagDet's candidate block) plus
-    ``2 k p`` (IsoLrt's factor) elements per restart, within
-    ``STACK_BUDGET``; at least one."""
+    """Restarts per lockstep group, under every criterion: as many as keep
+    the stacked kernels' temporaries, about ``(p - k + 1)^2`` (DiagDet's
+    candidate block) plus ``2 k p`` (a row's factor and its products)
+    elements per restart, within ``STACK_BUDGET``; at least one.
+    FrobResidual forms its ``p x p`` residual one row at a time, so it adds
+    no per-row term."""
     p, k = crit.p, crit.k
     return max(1, STACK_BUDGET // ((p - k + 1) ** 2 + 2 * k * p))
 
@@ -208,14 +208,13 @@ class _Walk:
     """Positional swapping of a group of restarts in lockstep.  At step
     ``j`` of a sweep, :meth:`_step` retracts position ``j`` of every live
     restart, scores its candidates into one row of a table, decides every
-    row by one rule, and advances the restarts that swap.  Under DiagDet and
-    IsoLrt a group of two or more starts on one
-    :class:`csskit.criteria.StateStack`, served by one call of each stacked
-    kernel per step.  A restart leaves the stack when a stacked advance
-    refuses it (a pivot under the rank rule), when its objective reads
-    ``-inf``, or when it is the last one on it; it then moves through
-    the per-state functions, as every restart of a group of one does.  A
-    restart's decisions do not depend on the others in its group."""
+    row by one rule, and advances the restarts that swap.  A group of two
+    or more starts on one :class:`csskit.criteria.StateStack`, served by
+    one call of each stacked function per step.  A restart leaves the stack
+    only when a stacked advance refuses it (a pivot under the rank rule);
+    it then moves through the per-state functions, as the restart of a
+    group of one does.  A restart's decisions do not depend on the others
+    in its group."""
 
     def __init__(self, config: SearchConfig, empty: criteria.SubsetState, margin: float, record: bool):
         self.crit = config.criterion
@@ -229,14 +228,13 @@ class _Walk:
     def run(self, runs: List[_Run]):
         """Walk ``runs`` from their starts until each has converged, reached
         a perfect fit or used ``max_sweeps``."""
-        stacked = self.crit.kind in criteria.STACKED and len(runs) > 1
+        stacked = len(runs) > 1
         for run in runs:
             run.state = None if stacked else self.empty
         start = criteria.StateStack.of_empty(self.empty, len(runs)) if stacked else None
         self.runs = runs
         self.stack, rows = self._move(start, runs, np.array([run.current for run in runs]).T)
         self.members = [runs[b] for b in rows]
-        self._settle()
         for sweep in range(1, self.max_sweeps + 1):
             live = [run for run in runs if not run.done]
             if not live:
@@ -249,6 +247,7 @@ class _Walk:
             for run in live:
                 if run.changed and run.trajectory[-1] == float("-inf"):
                     run.done = True  # perfect fit: nothing left to improve
+            self._settle()
         for run in runs:
             run.state = None  # the next group's states are not kept alive alongside
         self.stack = None
@@ -300,9 +299,8 @@ class _Walk:
         """Advance ``runs`` by each row of ``picks`` in turn, then append
         each one's objective to its trajectory.  The first runs, one per row
         of ``stack`` (if any), move in lockstep; a row the stack refuses,
-        and every other run, advances its own state.  A row that reads
-        ``-inf`` leaves the stack too.  Returns the grown stack and which of
-        ``stack``'s rows it holds."""
+        and every other run, advances its own state.  Returns the grown
+        stack and which of ``stack``'s rows it holds."""
         crit, sigma = self.crit, self.sigma
         rows = np.arange(0 if stack is None else len(stack.subset))
         for step in picks:
@@ -320,21 +318,14 @@ class _Walk:
         if rows.size:
             for t, value in enumerate(criteria.objective_stack(crit, stack).tolist()):
                 runs[rows[t]].trajectory.append(value)
-                if value == float("-inf"):
-                    runs[rows[t]].state = stack.state(t)
         return stack, rows
 
     def _settle(self):
-        """Drop the stack's rows whose restart left it or is done.  A
-        restart left alone on it goes on through the per-state functions,
-        which cost less than a stack of one and compute the same bits."""
+        """Drop the stack's rows whose restart left it or is done."""
         rows = [run.state is None and not run.done for run in self.members]
         if not all(rows):
             self.stack = self.stack.take(np.array(rows))
             self.members = [run for run, ok in zip(self.members, rows) if ok]
-        if len(self.members) == 1:
-            self.members[0].state = self.stack.state(0)
-            self.stack, self.members = None, []
 
 
 def swap(
@@ -348,10 +339,10 @@ def swap(
     When ``init`` is given, a single run starts there; otherwise restart
     ``r = 0..restarts-1`` draws a uniform size-k subset using seed
     ``config.seed + r`` and the best final objective wins (ties to the
-    lowest restart index).  Under DiagDet and IsoLrt the restarts walk in
-    lockstep, in groups of at most :func:`_group_size`; under the other
-    criteria each walks after the one before it.  Each makes the decisions,
-    and reaches the outcome, it makes when run alone from its start.
+    lowest restart index).  The restarts walk in lockstep, in groups of at
+    most :func:`_group_size`, under every criterion.  Each makes the
+    decisions, and reaches the outcome, it makes when run alone from its
+    start.
 
     ``decisions``, if provided, collects one tuple per position decision
     ``(kept_subset, incumbent, picked, candidates, scores)``, restart 0's
@@ -376,7 +367,7 @@ def swap(
     unit = max(float(np.trace(sigma)), 0.0) / p
     walk = _Walk(config, empty, SWAP_MARGIN * unit**crit.score_degree, decisions is not None)
     runs = [_Run(start) for start in starts]
-    size = _group_size(crit) if crit.kind in criteria.STACKED else 1
+    size = _group_size(crit)
     for lo in range(0, len(runs), size):
         walk.run(runs[lo : lo + size])
     del walk, empty  # CanonCorr's p x p inverse is not kept alive through evaluate

@@ -143,6 +143,18 @@ def test_cc_sum_values():
     assert cc_sum(sigma, (), (1, 2)) == 0.0
 
 
+def test_det_residual_evaluate_takes_one_log_det(monkeypatch):
+    # DetResidual reads the complement block's log-determinant only; the
+    # selected block's is read by DiagDet and IsoLrt.
+    sigma = rand_psd(np.random.default_rng(157), 8)
+    shapes = []
+    log_det = symmat.log_det
+    monkeypatch.setattr(symmat, "log_det", lambda m: shapes.append(np.shape(m)) or log_det(m))
+    value = evaluate(Criterion(CriterionKind.DET_RESIDUAL, p=8, k=3), sigma, (1, 4, 6))
+    assert shapes == [(5, 5)]
+    assert np.isfinite(value)
+
+
 def test_canon_corr_evaluate_is_negated_cc_sum():
     # evaluate's CanonCorr branch is cc_sum, bit for bit, on full-rank and
     # rank-deficient sigma alike; an empty side gives +0.0, not -0.0.
@@ -476,7 +488,7 @@ def test_retract_gives_a_side_member_back_its_rank():
         crit = Criterion(kind, p=6, k=3)
         state = state_from_subset(crit, sigma, (0, 1, 2))
         assert state.ranked == (0, 1)
-        if kind in criteria.STACKED:  # the side list makes sigma_S singular
+        if kind in (CriterionKind.DIAG_DET, CriterionKind.ISO_LRT):  # the side list makes sigma_S singular
             assert criteria.objective_from_state(crit, state) == -np.inf
         state = retract(crit, state, sigma, 0)
         fresh = state_from_subset(crit, sigma, (1, 2))
@@ -736,18 +748,24 @@ def _same_states(crit, stack, states):
 
 
 def test_stacked_moves_match_the_per_state_ones():
-    # swap moves a group of restarts through the stacked kernels and a lone
-    # restart through the per-state functions, so each row of a stack must
-    # be what the per-state move gives, bit for bit.
+    # swap moves a group of restarts through the stacked kernels and a
+    # single run, or a restart the stack refuses, through the per-state
+    # functions, so each row of a stack must be what the per-state move
+    # gives, bit for bit, under every criterion.  One sigma in three is
+    # ill-conditioned past CC_COND_MAX, where CanonCorr's rows score from
+    # generalised inverses.
     rng = np.random.default_rng(131)
     for t in range(30):
         p = int(rng.integers(6, 16))
         k = int(rng.integers(2, p - 1))
         sigma = rand_psd(rng, p)
+        if t % 3 == 2:
+            sigma = _unit_diagonal_with_condition(rng, p, 1e7, single=t % 2 == 0)
+            assert init_state(Criterion(CriterionKind.CANON_CORR, p=p, k=k), sigma).omega is None
         if t % 2:
             d = 10.0 ** rng.uniform(-3.0, 3.0, p)
             sigma = d[:, None] * sigma * d[None, :]
-        for kind in criteria.STACKED:
+        for kind in ALL_KINDS:
             crit = Criterion(kind, p=p, k=k)
             empty = init_state(crit, sigma)
             starts = np.array([rng.permutation(p)[:k] for _ in range(3)])

@@ -186,6 +186,11 @@ def test_swap_returns_first_minimum_of_its_restarts(monkeypatch):
     g[0] = g[2] + 10.0 * g[1] + np.sqrt(1e-9) * g[0]
     near = g @ g.T / 10
     near[9], near[:, 9] = near[3], near[:, 3]
+    # FrobResidual on a sigma of rank 8 of 10 whose variable 9 duplicates 0:
+    # restart 1 of seed 1 starts on both, so it is refused while it is built
+    # and walks alone.
+    frob = rand_psd(more, 10, rank=8)
+    frob[9], frob[:, 9] = frob[0], frob[:, 0]
     cases = [
         (rand_psd(rng, 10), SearchConfig(k=4, criterion=css(10, 4), restarts=4, seed=17), None),
         (rand_psd(rng, 12), SearchConfig(k=5, criterion=diag_det, restarts=3, seed=2), None),
@@ -197,6 +202,9 @@ def test_swap_returns_first_minimum_of_its_restarts(monkeypatch):
         (cc, SearchConfig(k=3, criterion=Criterion(CriterionKind.CANON_CORR, p=9, k=3), restarts=5, seed=0), None),
         (det, SearchConfig(k=3, criterion=Criterion(CriterionKind.DET_RESIDUAL, p=8, k=3), restarts=6, seed=9), None),
         (near, SearchConfig(k=4, criterion=Criterion(CriterionKind.ISO_LRT, p=10, k=4), restarts=8, seed=1), None),
+        (frob, SearchConfig(k=4, criterion=Criterion(CriterionKind.FROB_RESIDUAL, p=10, k=4), restarts=6, seed=1), None),
+        # CssTrace's 5 restarts in groups of two, two and one
+        (rand_psd(more, 10), SearchConfig(k=4, criterion=css(10, 4), restarts=5, seed=3), 2 * (7**2 + 8 * 10)),
         (tie, SearchConfig(k=1, criterion=css(8, 1), restarts=4, seed=14), None),
     ]
     for sigma, cfg, budget in cases:
@@ -222,6 +230,8 @@ def test_swap_returns_first_minimum_of_its_restarts(monkeypatch):
             assert len({tuple(sorted(run.subset)) for run in runs}) < len({run.subset for run in runs}) < len(runs)
         if sigma is dup or sigma is det:  # some restart starts finite and ends at -inf
             assert any(run.trajectory[0] > -np.inf and run.trajectory[-1] == -np.inf for run in runs)
+        if sigma is frob:  # restart 1 starts on both copies of variable 0
+            assert {0, 9} <= set(np.random.default_rng(cfg.seed + 1).choice(10, size=4, replace=False).tolist())
         if cfg.max_sweeps == 1:  # some restart accepts a swap, so the cap stops it
             assert any(run.restarts[0].accepted > 0 for run in runs)
     assert [run.subset for run in runs] == [(1,), (0,), (0,), (0,)]
@@ -240,6 +250,44 @@ def test_scale_equivariant_selection():
         scaled = swap(c * sigma, cfg)
         assert scaled.subset == base_s.subset
         assert scaled.objective == pytest.approx(c * base_s.objective, rel=1e-9)
+
+
+def test_selection_follows_a_relabeling_of_the_variables():
+    # Relabel the variables of a rescaled sigma: greedy picks the relabeled
+    # variables in the same order, and swap from the relabeled start ends on
+    # the relabeled subset.  At rank p - 2 a subset of k >= rank fits
+    # perfectly, and its last picks tie in every candidate and go to the
+    # lowest index, so there the objective is asserted instead.  CanonCorr
+    # is left out on rank-deficient sigma: its scores there are roundoff
+    # ties, which reach greedy's picks (ROADMAP items 7 and 9).
+    rng = np.random.default_rng(167)
+    for t in range(56):
+        p = int(rng.integers(5, 11))
+        rank = p if t % 2 == 0 else p - 2
+        d = 10.0 ** rng.uniform(-2.0, 2.0, p)
+        sigma = d[:, None] * rand_psd(rng, p, rank) * d[None, :]
+        perm = rng.permutation(p)
+        inv = np.argsort(perm)  # variable v of sigma is inv[v] of moved
+        moved = sigma[np.ix_(perm, perm)]
+        k = int(rng.integers(1, p - 1 if rank == p else p))
+        start = rng.permutation(p)[:k]
+        for kind in CriterionKind:
+            if kind == CriterionKind.CANON_CORR and rank < p:
+                continue
+            cfg = SearchConfig(k=k, criterion=Criterion(kind, p=p, k=k))
+            pairs = [
+                (greedy(sigma, cfg), greedy(moved, cfg)),
+                (swap(sigma, cfg, init=start.tolist()), swap(moved, cfg, init=inv[start].tolist())),
+            ]
+            for base, got in pairs:
+                if k < rank:
+                    assert got.subset == tuple(inv[list(base.subset)].tolist()), (t, kind)
+                elif kind == CriterionKind.CSS_TRACE:
+                    assert max(base.objective, got.objective) <= 1e-9 * np.trace(sigma)
+                elif kind == CriterionKind.FROB_RESIDUAL:
+                    assert max(base.objective, got.objective) <= (1e-9 * np.trace(sigma)) ** 2
+                else:
+                    assert base.objective == got.objective == -np.inf
 
 
 def test_swap_margin_follows_units():
