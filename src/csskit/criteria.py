@@ -28,13 +28,17 @@ residual covariance after projecting out the selected columns
     criterion, not the current subset size.  Returns ``-inf`` when every
     variable outside ``S`` is fit perfectly.
 
-Every rank decision on the search path is the pivot test of
-:mod:`csskit.symmat`: a variable adds rank to ``S``, and is not fit
-perfectly by it, when its residual variance exceeds ``RANK_TOL`` times its
-own (:func:`csskit.symmat.adds_rank`).  :func:`evaluate` and the scorer of a
-singular ``sigma`` also read blocks through :func:`csskit.symmat.ginv` and
-:func:`csskit.symmat.log_det`.  No decision depends on the units of a
-variable.
+Every rank decision is the pivot test of :mod:`csskit.symmat`: a variable
+adds rank to ``S``, and is not fit perfectly by it, when its residual
+variance exceeds ``RANK_TOL`` times its own
+(:func:`csskit.symmat.adds_rank`).  A search state applies it to each
+variable as it joins; :func:`evaluate` and the readout of DetResidual apply
+it to the pivots of a block's Cholesky factor through
+:func:`csskit.symmat.log_det`, the selected block on its own variances and
+the complement's residual block on the complement's own variances.
+:func:`evaluate` and the scorer of a singular ``sigma`` form regression
+coefficients through the generalised inverse :func:`csskit.symmat.ginv`.
+No decision depends on the units of a variable.
 
 :func:`evaluate` computes from scratch.  It reads ``diag R`` in O(pk^2)
 from the regression coefficients on ``S``; only DetResidual and
@@ -244,7 +248,7 @@ def evaluate(criterion: Criterion, sigma: SymMatrix, subset: Sequence[int]) -> f
     block = sigma[np.ix_(comp, comp)] - coef[comp] @ cols[comp].T
     if kind == CriterionKind.FROB_RESIDUAL:
         return float(np.sum(block * block))
-    return _readout(diag[comp], var[comp], block)
+    return symmat.log_det(block, var[comp])
 
 
 def cc_sum(sigma: SymMatrix, a: Sequence[int], b: Sequence[int]) -> float:
@@ -262,32 +266,6 @@ def cc_sum(sigma: SymMatrix, a: Sequence[int], b: Sequence[int]) -> float:
     # trace(G_a @ cross @ G_b @ cross.T) without forming products
     left = symmat.ginv(sigma[np.ix_(aa, aa)]) @ cross
     return float(np.sum(left * (cross @ symmat.ginv(sigma[np.ix_(bb, bb)]))))
-
-
-def _readout(diag, var, block) -> float:
-    """DetResidual from the residual variances ``diag`` of the complement
-    (own variances ``var``) and its residual ``block``.  A variable of the
-    complement that does not add rank to ``S`` is fit perfectly and sends
-    it to ``-inf``.  So does a block that reads as indefinite while some
-    direction of it is fit perfectly on the variables' own variances (the
-    least eigenvalue of ``D block D``, ``D = diag(var)^(-1/2)``, is within
-    ``RANK_TOL`` of zero), as on a rank-deficient ``sigma``; a block more
-    negative than that still raises :class:`NotPSD`."""
-    if np.any(~symmat.adds_rank(diag, var)):
-        return float("-inf")
-    try:
-        return symmat.log_det(block)
-    except NotPSD:
-        # The block's error is absolute, so on its own tiny diagonal the
-        # roundoff of a perfect fit (of a combination of the complement)
-        # reads as indefinite.  On the variables' own variances, as the
-        # rank rule reads them, that direction is a perfect fit; an
-        # eigenvalue below -RANK_TOL there is a truly indefinite sigma.
-        d = 1.0 / np.sqrt(var)
-        lam = symmat.eigh_desc(d[:, None] * block * d[None, :]).values[-1]
-        if abs(lam) <= RANK_TOL:
-            return float("-inf")
-        raise
 
 
 def _readout_rows(criterion: Criterion, diag, var, ld_block) -> np.ndarray:
@@ -797,9 +775,10 @@ def objective_stack(criterion: Criterion, stack: StateStack) -> np.ndarray:
     ``-inf`` when the stack's ``L`` has fewer rows than its subset (a side
     list: the pivot rule's singular block), else ``2 log|det L[S]|`` in
     O(k^3).  DetResidual and FrobResidual form each row's complement block
-    of ``R``.  CanonCorr reads ``tr(G H) - k`` in O(k^3) per row (see
-    :func:`_score_canon_corr`) with ``omega`` and falls back to
-    :func:`evaluate` without.
+    of ``R``, whose log-determinant DetResidual reads on the complement's
+    own variances (:func:`csskit.symmat.log_det`).  CanonCorr reads ``tr(G
+    H) - k`` in O(k^3) per row (see :func:`_score_canon_corr`) with
+    ``omega`` and falls back to :func:`evaluate` without.
     """
     sigma, fac, kind = stack.sigma, stack.factor, criterion.kind
     n, k = stack.subset.shape
@@ -813,7 +792,6 @@ def objective_stack(criterion: Criterion, stack: StateStack) -> np.ndarray:
         pairs = (_block_inverses(lt, stack.omega, sub) for lt, sub in zip(fac.lt, stack.subset))
         return np.array([float(np.sum(g * h)) - k for g, h in pairs])
     comp = _complements(sigma.shape[0], stack.subset)
-    diag = fac.diag[np.arange(n)[:, None], comp]
     var = sigma.diagonal()[comp]
     if kind in (CriterionKind.DIAG_DET, CriterionKind.ISO_LRT):
         ld_block = np.full(n, float("-inf"))
@@ -821,8 +799,8 @@ def objective_stack(criterion: Criterion, stack: StateStack) -> np.ndarray:
             # sigma_S = M^T M with the square M = L[S]^T, so log det(sigma_S)
             # is 2 log|det M|, from one LU of M per row
             ld_block = 2.0 * np.linalg.slogdet(_gather(fac.lt, stack.subset))[1]
-        return _readout_rows(criterion, diag, var, ld_block)
+        return _readout_rows(criterion, fac.diag[np.arange(n)[:, None], comp], var, ld_block)
     blocks = (fac.map(lambda a: a[b]).block(sigma, comp[b]) for b in range(n))
     if kind == CriterionKind.FROB_RESIDUAL:
         return np.array([float(np.sum(block * block)) for block in blocks])
-    return np.array([_readout(diag[b], var[b], block) for b, block in enumerate(blocks)])
+    return np.array([symmat.log_det(block, v) for block, v in zip(blocks, var)])

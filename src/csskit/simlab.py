@@ -140,7 +140,9 @@ def _draw_noise(rng: np.random.Generator, law: str, var: float, n: int) -> np.nd
 
 def sample(spec: ScenarioSpec, n: int, seed) -> DataMatrix:
     """Draw ``n`` rows from the scenario (fixed draw order for a given seed:
-    principal block, then noise column by column, then the MAR mask)."""
+    principal block, then noise column by column, then the MAR mask).
+    ``n`` must be a positive integer, else :class:`DimMismatch`."""
+    n = symmat.as_index(n, "n")
     if n < 1:
         raise DimMismatch(f"n must be positive, got {n}")
     rng = np.random.default_rng(seed)
@@ -267,8 +269,10 @@ def run_missing_study(
     ``restarts`` restarts) at the true size, and scores the selection
     against the population.  A uniform random subset is scored alongside as
     a baseline.  Returns (per-trial rows, summary).  Raises
-    :class:`DimMismatch` when ``trials < 1``.
+    :class:`DimMismatch` when ``trials < 1`` or when ``trials`` or ``n`` is
+    not an integer.
     """
+    trials, n = symmat.as_index(trials, "trials"), symmat.as_index(n, "n")
     if trials < 1:
         raise DimMismatch(f"trials must be >= 1, got {trials}")
     spec = missing_a1_spec(mar_prob=mar_prob)
@@ -335,8 +339,10 @@ def run_sizesel_study(
     ``mc_samples`` is checked and recorded, not used.  When ``timings`` is
     given, the walks' ``search_s`` and ``calibrate_s``, summed over trials,
     are added to it.
-    Raises :class:`DimMismatch` when ``trials < 1``.
+    Raises :class:`DimMismatch` when ``trials < 1`` or when ``trials`` or
+    ``n`` is not an integer.
     """
+    trials, n = symmat.as_index(trials, "trials"), symmat.as_index(n, "n")
     if trials < 1:
         raise DimMismatch(f"trials must be >= 1, got {trials}")
     spec = sizesel_a2_spec(signal=signal, factors=factors)

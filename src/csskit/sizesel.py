@@ -17,8 +17,9 @@ Both are nonnegative (Hadamard / AM-GM).  When some (resp. every)
 non-selected variable does not add rank to ``U`` (the unit-free rule
 :func:`csskit.symmat.adds_rank`), both determinants vanish and the statistic
 is taken to be 0 -- the subset explains everything it could.  When only
-``det R`` vanishes the statistic is ``+inf`` (honest rejection: the
-residual is singular but not diagonal).
+``det R`` vanishes, by the same rule applied to the pivots of ``R`` on the
+variables' own variances (:func:`csskit.symmat.log_det`), the statistic is
+``+inf`` (honest rejection: the residual is singular but not diagonal).
 
 Null critical values are exact: both null laws are laws of logarithms of
 products of independent Beta (Dirichlet) variables, so their
@@ -130,18 +131,18 @@ def _stat_core(sigma_hat, n, subset, isotropic: bool) -> float:
     m = p - len(u)
     if m < 1:
         raise DimMismatch("subset must leave at least one variable out")
-    if n < 1:
+    if symmat.as_index(n, "n") < 1:
         raise DimMismatch(f"n must be positive, got {n}")
     comp = symmat.complement(p, u)
     r = symmat.residual_covariance(sigma_hat, u)[np.ix_(comp, comp)]
-    diag = r.diagonal()
-    fits = ~symmat.adds_rank(diag, sigma_hat.diagonal()[comp])
+    diag, var = r.diagonal(), sigma_hat.diagonal()[comp]
+    fits = ~symmat.adds_rank(diag, var)
     if np.any(fits):
         # det R vanishes, and so does the fitted determinant unless the
         # isotropic fit still has residual variance to spread
         return 0.0 if np.all(fits) or not isotropic else float("inf")
     fitted = m * math.log(float(diag.sum()) / m) if isotropic else float(np.sum(np.log(diag)))
-    return float(n * (fitted - symmat.log_det(r)))  # +inf when det R is 0
+    return float(n * (fitted - symmat.log_det(r, var)))  # +inf when R is singular
 
 
 def stat_T(sigma_hat: SymMatrix, n: int, subset: Sequence[int]) -> float:
@@ -278,6 +279,7 @@ def _invert(cgf, y_hi: float, v: float, prob: float, x: float) -> float:
 
 
 def _check_size(n: int, p: int, k: int):
+    symmat.as_index(n, "n")
     if not 0 <= k <= p - 1:
         raise DimMismatch(f"k={k} out of range for p={p}")
     if n <= p:
@@ -443,8 +445,8 @@ def choose_k(
     ``perfect_fit``.
 
     Raises :class:`DegreesOfFreedom` unless ``n > p``,
-    :class:`DimMismatch` on a ``restarts``, ``seed`` or ``k_max`` that is
-    not an integer (:func:`csskit.symmat.as_index`), on a negative
+    :class:`DimMismatch` on an ``n``, ``restarts``, ``seed`` or ``k_max``
+    that is not an integer (:func:`csskit.symmat.as_index`), on a negative
     ``seed`` or ``k_max``, on ``restarts < 1``, on ``mc_samples < 1000``
     or on ``alpha`` outside (0, 1/2], and :class:`NoFeasibleK` only when a user-imposed
     ``k_max`` cuts the walk short of ``p - 1`` (at k = p - 1 the statistic
@@ -453,7 +455,7 @@ def choose_k(
     model = Model(model)
     sigma_hat = np.asarray(sigma_hat, dtype=float)
     p = symmat.check_square(sigma_hat)
-    if n <= p:
+    if symmat.as_index(n, "n") <= p:
         raise DegreesOfFreedom(f"size selection needs n > p (got n={n}, p={p})")
     restarts, seed = symmat.as_index(restarts, "restarts"), symmat.as_index(seed, "seed")
     if seed < 0:

@@ -1,29 +1,24 @@
 """Symmetric-matrix kernel.
 
 Everything in the toolkit that touches spectra goes through this module, so
-that pseudo-inversion, PSD projection, log-determinants, and rank decisions
-all share one eigendecomposition backend (:func:`numpy.linalg.eigh`) and
-one cutoff, ``RANK_TOL``, applied free of the units of every variable.
-Two tests decide rank:
+that pseudo-inversion, PSD projection and the PSD checks share one
+eigendecomposition backend (:func:`numpy.linalg.eigh`), and every rank
+decision one cutoff, ``RANK_TOL``, applied free of the units of every
+variable.  One test decides rank: a variable adds rank to a subset when its residual
+variance exceeds ``RANK_TOL`` times its own variance (:func:`adds_rank`).
+It is the pivot and perfect-fit test of a search state, and
+:func:`log_det` applies it to each pivot of a block's Cholesky factor, so a
+block is singular when one of its variables adds no rank to the ones
+before it.  :func:`inverse` refuses a matrix by its condition number.
 
-* a variable adds rank to a subset when its residual variance exceeds
-  ``RANK_TOL`` times its own variance (:func:`adds_rank`), the one pivot and
-  perfect-fit test of the package;
-* a block is singular when its unit-diagonal form ``D m D``, with
-  ``D = diag(m)^(-1/2)``, has an eigenvalue at or below ``RANK_TOL *
-  lambda_max`` (:func:`log_det`; :func:`ginv`, the generalised inverse
-  behind every Schur complement and canonical correlation).
-
-Beside them stands one convention, which is not a rank test: an
-eigenvalue below ``-RANK_TOL * lambda_max`` raises
-:class:`~csskit.errors.NotPSD`, and a singular log-determinant is ``-inf``.
-
-The two tests can disagree near the cutoff.  For unit variances with
-``1 - rho**2 = 3e-10`` the second variable's pivot ``3e-10`` adds rank,
-but the block's eigenvalue ``1 - rho = 1.5e-10`` is under the cutoff
-``2e-10``, so :func:`log_det` of the block is ``-inf``.  A search state
-decides by the first test alone, in its moves and in its readouts, while
-:func:`csskit.criteria.evaluate` reads the selected block by the second.
+Beside the test stand two conventions.  An eigenvalue below ``-RANK_TOL``
+times the largest (or, in :func:`log_det`, times ``max(1, lambda_max)`` of
+the block on its variances) raises :class:`~csskit.errors.NotPSD`, and a
+singular log-determinant is ``-inf``.  The generalised inverses
+:func:`pseudo_inverse` and :func:`ginv` (the latter behind every Schur
+complement and canonical correlation) drop the directions whose eigenvalue
+is at or below ``RANK_TOL * lambda_max``: that cut forms an inverse, it
+does not decide whether a block is singular.
 
 The subset updates are the workhorses of the search algorithms; they
 trust the state they are given (:func:`csskit.criteria.init_state`).  A
@@ -201,8 +196,6 @@ def pseudo_inverse(m: SymMatrix) -> SymMatrix:
     [[0.5, 0.0], [0.0, 0.0]]
     """
     w, v, cut = _psd_spectrum(m)
-    if w.size == 0:
-        return np.zeros((0, 0))
     inv = np.where(w > cut, 1.0, 0.0) / np.where(w > cut, w, 1.0)
     return _sym((v * inv) @ v.T)
 
@@ -214,8 +207,6 @@ def psd_project(m: SymMatrix) -> SymMatrix:
     input may be indefinite; only symmetry and finiteness are required.
     """
     w, v = eigh_desc(m)
-    if w.size == 0:
-        return np.zeros((0, 0))
     w = np.maximum(w, 0.0)
     return _clamp_diag(_sym((v * w) @ v.T))
 
@@ -231,53 +222,108 @@ def ginv(m: SymMatrix) -> SymMatrix:
     return d[:, None] * pseudo_inverse(d[:, None] * m * d[None, :]) * d[None, :]
 
 
-def log_det(m: SymMatrix) -> float:
+def log_det(m: SymMatrix, var: Optional[np.ndarray] = None) -> float:
     """Log-determinant of a symmetric PSD matrix, ``-inf`` when singular.
 
-    Computed as ``log det(D m D) + sum(log m_ii)``, ``D = diag(m)^(-1/2)``,
-    so singularity (a zero diagonal entry, or an eigenvalue of ``D m D`` at
-    or below ``RANK_TOL * lambda_max``) is decided on the unit-diagonal form.
-    The empty matrix has log-determinant 0.
+    Read from the Cholesky factor ``L`` of ``D m D``, the matrix on the
+    variances ``var``, ``D = diag(var)^(-1/2)``; ``var`` defaults to ``diag
+    m``, and a residual block passes its variables' own variances.  The
+    matrix is singular by the search's rank rule: when a variance is not
+    positive, or a pivot ``L_jj^2`` fails ``adds_rank(L_jj^2, 1)``, that
+    is, variable j adds no rank to the ones before it.  A diagonal entry of
+    ``D m D`` is the first pivot of its variable in any order; the others
+    are taken in the given order unless one of them nears the cutoff, and
+    then largest first (:func:`_pivots`).  When a later pivot fails, or a
+    variance is not positive (its variable is left unscaled), ``D m D`` is
+    decomposed: an eigenvalue below ``-RANK_TOL * max(1, lambda_max)``
+    raises :class:`~csskit.errors.NotPSD`, and anything else is the
+    roundoff of a singular matrix.  The empty matrix has log-determinant 0.
+
+    Examples
+    --------
+    >>> round(log_det(np.diag([2.0, 3.0])), 12) == round(math.log(6.0), 12)
+    True
+
+    With ``1 - rho^2 = 3e-10`` the second pivot adds rank, with ``5e-11``
+    it does not, at any units of the two variables:
+
+    >>> rho = math.sqrt(1.0 - 3e-10)
+    >>> round(log_det(np.array([[1.0, rho], [rho, 1.0]])), 3)
+    -21.927
+    >>> rho = math.sqrt(1.0 - 5e-11)
+    >>> log_det(np.array([[1e6, 1e3 * rho], [1e3 * rho, 1.0]]))
+    -inf
+
+    A residual block read on its variables' own variances:
+
+    >>> round(log_det(np.diag([0.5, 3e-10]), var=np.ones(2)), 3)
+    -22.62
+    >>> log_det(np.diag([0.5, 5e-11]), var=np.ones(2))
+    -inf
     """
     m = np.asarray(m, dtype=float)
     check_square(m)
     if m.size == 0:
         return 0.0
-    spectrum = _unit_spectrum(m)
-    if spectrum is None:
-        return float("-inf")
-    return float(np.sum(np.log(spectrum[1])) + np.sum(np.log(m.diagonal())))
+    var = m.diagonal() if var is None else np.asarray(var, dtype=float)
+    d = 1.0 / np.sqrt(np.where(var > 0.0, var, 1.0))
+    unit = d[:, None] * m * d[None, :]
+    if np.all(var > 0.0):
+        if not np.all(adds_rank(unit.diagonal(), 1.0)):
+            return float("-inf")  # a variable adds no rank even on its own
+        pivots = _pivots(unit)
+        if np.all(adds_rank(pivots, 1.0)):
+            return float(np.sum(np.log(pivots)) + np.sum(np.log(var)))
+    w = eigh_desc(unit).values
+    if float(w[-1]) < -RANK_TOL * max(1.0, float(w[0])):
+        raise NotPSD(f"matrix has eigenvalue {w[-1]:.3e} on its variances; not positive semidefinite")
+    return float("-inf")
+
+
+def _pivots(m: SymMatrix) -> np.ndarray:
+    """The Cholesky pivots of ``m``, a matrix on its variables' variances
+    as :func:`log_det` forms it.
+
+    Past a pivot ``a``, roundoff in the later pivots grows like ``eps /
+    a``, so a pivot near the cutoff after a small one is roundoff as much
+    as rank.  When every pivot of the given order exceeds
+    ``sqrt(RANK_TOL)`` they are returned.  Otherwise the pivots are taken
+    again, the variable of largest residual variance first, which reveals
+    rank (Higham 1990), up to the first that fails ``adds_rank(., 1)``: one
+    vector-matrix product a pivot, O(n^3) in all."""
+    try:
+        pivots = np.linalg.cholesky(m).diagonal() ** 2
+        if float(pivots.min()) > math.sqrt(RANK_TOL):
+            return pivots
+    except np.linalg.LinAlgError:
+        pass
+    lt, resid, out = np.empty(m.shape), m.diagonal().copy(), np.empty(m.shape[0])
+    for j in range(out.size):
+        q = int(np.argmax(resid))
+        out[j] = resid[q]
+        if not adds_rank(out[j], 1.0):
+            return out[: j + 1]
+        lt[j] = (m[q] - np.dot(lt[:j, q], lt[:j])) / math.sqrt(out[j])
+        resid -= lt[j] * lt[j]
+        resid[q] = -np.inf
+    return out
 
 
 def inverse(m: SymMatrix, cond_max: float) -> Optional[SymMatrix]:
     """Inverse of a nonempty symmetric PSD matrix as ``D (D m D)^-1 D``,
-    from one eigendecomposition of its unit-diagonal form ``D m D``, or
-    None when the condition number of ``D m D`` exceeds ``cond_max`` or
-    ``m`` is singular by the rule of :func:`log_det`.  Raises
-    :class:`~csskit.errors.NotPSD` when ``m`` is indefinite."""
-    spectrum = _unit_spectrum(np.asarray(m, dtype=float))
-    if spectrum is None:
-        return None
-    d, w, v = spectrum
-    if float(w[0]) > cond_max * float(w[-1]):
+    ``D = diag(m)^(-1/2)``, from one eigendecomposition of its
+    unit-diagonal form ``D m D``, or None when a variance is not positive
+    or the condition number of ``D m D`` exceeds ``cond_max``, as it does
+    for every singular ``m``.  Raises :class:`~csskit.errors.NotPSD` when
+    ``m`` is indefinite (a variable whose variance is not positive is then
+    left unscaled)."""
+    m = np.asarray(m, dtype=float)
+    dg = m.diagonal()
+    d = 1.0 / np.sqrt(np.where(dg > 0.0, dg, 1.0))
+    w, v, _ = _psd_spectrum(d[:, None] * m * d[None, :])
+    if float(np.min(dg)) <= 0.0 or float(w[0]) > cond_max * float(w[-1]):
         return None
     return _sym(d[:, None] * np.dot(v / w, v.T) * d[None, :])
-
-
-def _unit_spectrum(m: SymMatrix) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """``(d, values, vectors)`` of the unit-diagonal form ``D m D``, ``D =
-    diag(d)``, ``d = diag(m)^(-1/2)``, or None when ``m`` is singular: a
-    zero diagonal entry, or an eigenvalue of ``D m D`` at or below
-    ``RANK_TOL * lambda_max``."""
-    dg = m.diagonal()
-    if float(np.min(dg)) <= 0.0:
-        _psd_spectrum(m)  # raises NotPSD when m is indefinite
-        return None
-    d = 1.0 / np.sqrt(dg)
-    w, v, cut = _psd_spectrum(d[:, None] * m * d[None, :])
-    if float(w[-1]) <= cut:
-        return None
-    return d, w, v
 
 
 # ---------------------------------------------------------------------------

@@ -149,7 +149,7 @@ def test_det_residual_evaluate_takes_one_log_det(monkeypatch):
     sigma = rand_psd(np.random.default_rng(157), 8)
     shapes = []
     log_det = symmat.log_det
-    monkeypatch.setattr(symmat, "log_det", lambda m: shapes.append(np.shape(m)) or log_det(m))
+    monkeypatch.setattr(symmat, "log_det", lambda m, *args: shapes.append(np.shape(m)) or log_det(m, *args))
     value = evaluate(Criterion(CriterionKind.DET_RESIDUAL, p=8, k=3), sigma, (1, 4, 6))
     assert shapes == [(5, 5)]
     assert np.isfinite(value)

@@ -422,17 +422,19 @@ def test_drift_of_greedy_and_swap():
                 assert res.drift <= 1e-8 * max(1.0, abs(res.objective)), (t, kind, res)
 
 
-def test_drift_shows_the_two_rank_tests_disagreeing():
-    # Near the cutoff the pivot test and the block's eigenvalue test
-    # disagree: greedy's state has a finite log-determinant (-21.93), but
-    # evaluate's block is singular (-inf).
+def test_search_state_and_evaluate_share_the_pivot_rule():
+    # Near the cutoff the search state and evaluate decide singularity by
+    # one pivot test: with 1 - rho^2 = 3e-10 variable 1 adds rank to
+    # variable 0 in both, so greedy's trajectory and its from-scratch
+    # objective agree (once the state read -21.93 and evaluate -inf).
     rho = np.sqrt(1.0 - 3e-10)
     sigma = np.array([[1.0, rho, 0.0], [rho, 1.0, 0.0], [0.0, 0.0, 1.0]])
     cfg = SearchConfig(k=2, criterion=Criterion(CriterionKind.DIAG_DET, p=3, k=2))
     res = greedy(sigma, cfg)
     assert res.subset == (0, 1)
     assert_allclose(res.trajectory, [np.log(3e-10)] * 2, rtol=1e-5)
-    assert res.objective == -np.inf and res.drift == np.inf
+    assert_allclose(res.objective, np.log(3e-10), rtol=1e-5)
+    assert res.drift == 0.0
     both = SearchResult((0,), -np.inf, [-np.inf])
     assert both.drift == 0.0
 

@@ -328,6 +328,34 @@ def test_stat_rejects_a_non_matrix_and_a_non_integer_subset():
         stat_T(np.eye(3), 5, [0.6])  # once tested the subset (0,)
 
 
+_SMALL = covest.sample_cov(np.random.default_rng(0).standard_normal((300, 6)))
+
+# each entry point's sample size or trial count, with a value it accepts
+_COUNTS = {
+    "stat_T n": (lambda n: stat_T(_SMALL, n, (0, 1)), 200),
+    "null_quantile_subset_factor n": (lambda n: sizesel.null_quantile_subset_factor(n, 50, 20, 0.05), 200),
+    "null_quantile_pcss n": (lambda n: sizesel.null_quantile_pcss(n, 50, 20, 0.05), 200),
+    "null_draws_subset_factor n": (lambda n: sizesel.null_draws_subset_factor(n, 50, 20, 1000, 0), 200),
+    "choose_k n": (lambda n: choose_k(_SMALL, n=n, mc_samples=2000), 200),
+    "sample n": (lambda n: simlab.sample(simlab.sizesel_a2_spec(), n, seed=1), 200),
+    "run_missing_study n": (lambda n: simlab.run_missing_study(trials=1, n=n, restarts=1), 200),
+    "run_missing_study trials": (lambda t: simlab.run_missing_study(trials=t, restarts=1), 1),
+    "run_sizesel_study n": (lambda n: simlab.run_sizesel_study(trials=1, n=n, restarts=1), 200),
+    "run_sizesel_study trials": (lambda t: simlab.run_sizesel_study(trials=t, restarts=1), 1),
+}
+
+
+@pytest.mark.parametrize("entry", list(_COUNTS))
+def test_sample_sizes_and_trial_counts_are_integers(entry):
+    # stat_T(sigma, 200.5, ...) once returned a statistic, n=True read as
+    # n = 1, and n="200" raised a raw TypeError
+    call, good = _COUNTS[entry]
+    for bad in (200.5, np.float64(200.0), True, "200"):
+        with pytest.raises(DimMismatch, match="not an integer"):
+            call(bad)
+    call(np.int64(good))
+
+
 def test_report_with_infinite_statistic_is_strict_json():
     records = [
         SizeTestRecord(0, (), float("inf"), 12.5, True),

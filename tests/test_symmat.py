@@ -94,8 +94,66 @@ def test_log_det():
     # singularity does not depend on how far apart the variances are
     assert_allclose(symmat.log_det(np.diag([1e-12, 1e12])), 0.0, atol=1e-12)
     assert symmat.log_det(np.array([[1e-12, 1e-6], [1e-6, 1.0]])) == -np.inf
+    for bad in (np.diag([1.0, -1.0]), np.array([[1.0, 2.0], [2.0, 1.0]])):
+        with pytest.raises(NotPSD):
+            symmat.log_det(bad)
+
+
+def test_log_det_singular_by_the_pivot_rule():
+    # The second variable's pivot 1 - rho^2 adds rank at 3e-10 and not at
+    # 5e-11, the search's rank rule, at any units of the two variables.
+    for gap in (3e-10, 5e-11):
+        rho = np.sqrt(1.0 - gap)
+        c = np.array([[1.0, rho], [rho, 1.0]])
+        for d in (np.ones(2), np.array([1e-6, 1e6]), np.array([1e6, 1e6]), np.array([1e-6, 1e-6])):
+            got = symmat.log_det(d[:, None] * c * d[None, :]) - 2.0 * np.sum(np.log(d))
+            if gap > symmat.RANK_TOL:
+                assert_allclose(got, np.log(gap), rtol=1e-5)
+            else:
+                assert got == -np.inf
+    # Three variables spanning a plane, the first two nearly collinear: in
+    # the given order a pivot's roundoff grows to about eps / 1e-7 and can
+    # pass the cutoff; the largest pivot first reads the block as singular.
+    for t in range(50):
+        rng = np.random.default_rng(t)
+        x = rng.standard_normal((2, 3))
+        x[:, 1] = x[:, 0] + 3e-4 * rng.standard_normal(2)
+        x[:, 2] = x[:, 0] + (x[:, 1] - x[:, 0]) / 3e-4
+        assert symmat.log_det(x.T @ x) == -np.inf, t
+
+
+def test_log_det_reads_a_residual_block_on_its_variables_variances():
+    # A perfect fit leaves a residual block of roundoff, here indefinite on
+    # its own diagonal; on the variables' own variances it adds no rank.
+    block = np.array([[1e-14, 2e-14], [2e-14, 1e-14]])
     with pytest.raises(NotPSD):
-        symmat.log_det(np.diag([1.0, -1.0]))
+        symmat.log_det(block)
+    assert symmat.log_det(block, var=np.ones(2)) == -np.inf
+    # every 8-subset of a rank-8 sigma fits the other two variables
+    # perfectly (one such block once read as indefinite)
+    rng = np.random.default_rng(2024)
+    for _ in range(294):
+        g = rng.standard_normal((10, 8))
+    sigma = g @ g.T / 10
+    for subset in itertools.combinations(range(10), 8):
+        comp = symmat.complement(10, subset)
+        res = symmat.residual_covariance(sigma, subset)[np.ix_(comp, comp)]
+        assert symmat.log_det(res, sigma.diagonal()[comp]) == -np.inf, subset
+    # a residual block read on larger variances has the same pivots' verdicts
+    assert_allclose(symmat.log_det(np.diag([0.5, 3e-10]), var=[1.0, 1.0]), np.log(1.5e-10), rtol=1e-12)
+    assert symmat.log_det(np.diag([0.5, 5e-11]), var=[1.0, 1.0]) == -np.inf
+
+
+def test_inverse():
+    c = np.array([[1.0, 0.99], [0.99, 1.0]])  # unit-diagonal condition number 199
+    d = np.array([1e-3, 1e3])
+    got = symmat.inverse(d[:, None] * c * d[None, :], cond_max=1e4)
+    assert_allclose(d[:, None] * got * d[None, :], np.linalg.inv(c), rtol=1e-12)
+    assert symmat.inverse(c, cond_max=100.0) is None
+    for singular in (np.ones((2, 2)), np.diag([1.0, 0.0]), np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])):
+        assert symmat.inverse(singular, cond_max=1e4) is None
+    with pytest.raises(NotPSD):
+        symmat.inverse(np.array([[1.0, 2.0], [2.0, 1.0]]), cond_max=1e4)
 
 
 def test_adds_rank():
