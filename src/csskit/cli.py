@@ -132,7 +132,7 @@ def cmd_select(args, parser: argparse.ArgumentParser) -> int:
     trace = float(np.trace(sigma))
     pca_cum = None
     if args.pca:
-        vals = symmat.eigh_desc(sigma).values
+        vals = symmat.eigvals_desc(sigma)
         pca_cum = np.cumsum(np.maximum(vals, 0.0)) / max(trace, 1e-300)
 
     rows = []

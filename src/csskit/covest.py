@@ -31,7 +31,12 @@ CSV grammar (:func:`read_data_csv`, and :func:`read_cov_csv` on top of it):
 * a UTF-8 byte-order mark at the start of the file is dropped (one
   anywhere else is an ordinary byte).
 
-The file is read once, in blocks of lines.  numpy parses each block with
+The file is read twice.  The first pass counts its rows, so that the
+matrix is allocated once and each block is parsed into its rows of it; a
+stream that cannot seek (a pipe) is read into memory for this.  The second
+pass reads blocks of at most ``_BLOCK_LINES`` lines, cut shorter where the
+lines are long so that about ``_BLOCK_CHARS`` characters of text are held
+at a time.  numpy parses each block with
 one :func:`numpy.loadtxt` call and no quote character: it skips blank
 lines, reads ``nan`` as NaN, checks that the block's rows are equally wide
 and refuses every other missing field and every quoted one.  So blocks
@@ -43,7 +48,7 @@ their line and column.
 """
 
 import csv
-import itertools
+import io
 import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
@@ -94,8 +99,9 @@ def sample_cov(x) -> SymMatrix:
         raise DimMismatch("need at least one observation")
     vals = data.values
     xc = vals - vals.mean(axis=0)
-    cov = xc.T @ xc / data.n
-    return (cov + cov.T) / 2.0
+    cov = xc.T @ xc
+    cov /= data.n
+    return symmat._sym(cov)
 
 
 # Largest n whose overlap counts float32 sums exactly (its 24-bit significand).
@@ -136,7 +142,7 @@ def pairwise_cov(x) -> Tuple[SymMatrix, np.ndarray]:
     psi = np.dot(xc.T, xc)
     del xc
     psi /= counts
-    return (psi + psi.T) / 2.0, counts.astype(np.int64)
+    return symmat._sym(psi), counts.astype(np.int64)
 
 
 def pairwise_parts(x) -> Tuple[SymMatrix, np.ndarray, SymMatrix]:
@@ -157,13 +163,18 @@ def pairwise_parts(x) -> Tuple[SymMatrix, np.ndarray, SymMatrix]:
 
 
 def pairwise_cov_psd(x) -> SymMatrix:
-    """PSD-projected pairwise-complete covariance.
+    """PSD-projected pairwise-complete covariance, ``pairwise_parts(x)[2]``.
 
     With no missing entries this reduces to :func:`sample_cov` exactly (the
     same arithmetic, no projection).  Otherwise the pairwise estimate is
-    projected onto the PSD cone by eigenvalue clamping.
+    projected onto the PSD cone by eigenvalue clamping, with the overlap
+    counts already dropped: while it projects, the estimate holds the data,
+    the pairwise estimate and the projection's eigendecomposition.
     """
-    return pairwise_parts(x)[2]
+    data = _as_data(x)
+    if not data.has_missing:
+        return sample_cov(data)
+    return symmat.psd_project(pairwise_cov(data)[0])
 
 
 def to_correlation(sigma: SymMatrix) -> SymMatrix:
@@ -177,8 +188,9 @@ def to_correlation(sigma: SymMatrix) -> SymMatrix:
     for i in np.flatnonzero(d <= 0.0).tolist():
         raise ZeroVariance(int(i))
     s = np.sqrt(d)
-    corr = sigma / np.outer(s, s)
-    corr = (corr + corr.T) / 2.0
+    corr = np.outer(s, s)
+    np.divide(sigma, corr, out=corr)
+    corr = symmat._sym(corr)
     np.fill_diagonal(corr, 1.0)
     return corr
 
@@ -192,6 +204,16 @@ _LOADTXT = dict(delimiter=",", ndmin=2, dtype=float, comments=None)
 # Lines per numpy call: enough that the call's own cost is lost in the
 # parsing, few enough that a refused block is cheap to read again.
 _BLOCK_LINES = 256
+# Characters of text read at a time: on a wide file (a 774-column grid of
+# 17-digit numbers has lines of about 17 kB) this, not the line count, keeps
+# the text held beside the matrix small.
+_BLOCK_CHARS = 2**19
+
+
+def _chunks(fh):
+    """The lines of ``fh`` in lists of about ``_BLOCK_CHARS`` characters
+    (at least one line each)."""
+    return iter(lambda: fh.readlines(_BLOCK_CHARS), [])
 
 
 def _cell(path: str, lineno: int, column: int, field: str) -> float:
@@ -239,29 +261,42 @@ def _read_fields(path: str, lines: List[str], first: int, width) -> List[List[fl
 def read_data_csv(path: str, header: bool = False) -> DataMatrix:
     """Read a comma-separated data matrix; see the module docstring for the
     grammar.  A cell that is neither missing nor a number, or a row of
-    another width, raises :class:`DimMismatch` naming the line."""
-    blocks, width, lineno = [], None, 1
+    another width, raises :class:`DimMismatch` naming the line.
+
+    The matrix is held once: its rows are counted first, and each block
+    of lines is parsed into its place, so the peak is the matrix plus one
+    block's text and rows (about ``_BLOCK_CHARS`` characters)."""
+    out, filled, width, lineno = None, 0, None, 1
     with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh, warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        for lines in iter(lambda: list(itertools.islice(fh, _BLOCK_LINES)), []):
-            first, lineno = lineno, lineno + len(lines)
-            if header:  # drop the first non-blank line unread
-                skip = next((i + 1 for i, line in enumerate(lines) if line != "\n"), None)
-                if skip is None:
-                    continue
-                header, first, lines = False, first + skip, lines[skip:]
-            try:
-                values = np.loadtxt(lines, **_LOADTXT)
-            except ValueError:
-                values = None
-            if values is None or len(values) and width not in (None, values.shape[1]):
-                values = np.array(_read_fields(path, lines, first, width))
-            if len(values):
-                width = values.shape[1]
-                blocks.append(values)
-    if not blocks:
+        if not fh.seekable():
+            fh = io.StringIO(fh.read())
+        rows = sum(len(chunk) - chunk.count("\n") for chunk in _chunks(fh)) - bool(header)
+        fh.seek(0)
+        for chunk in _chunks(fh):
+            for at in range(0, len(chunk), _BLOCK_LINES):
+                lines = chunk[at : at + _BLOCK_LINES]
+                first, lineno = lineno, lineno + len(lines)
+                if header:  # drop the first non-blank line unread
+                    skip = next((i + 1 for i, line in enumerate(lines) if line != "\n"), None)
+                    if skip is None:
+                        continue
+                    header, first, lines = False, first + skip, lines[skip:]
+                try:
+                    values = np.loadtxt(lines, **_LOADTXT)
+                except ValueError:
+                    values = None
+                if values is None or len(values) and width not in (None, values.shape[1]):
+                    values = np.array(_read_fields(path, lines, first, width))
+                if len(values):
+                    width = values.shape[1]
+                    if out is None:
+                        out = np.empty((rows, width))
+                    out[filled : filled + len(values)] = values
+                    filled += len(values)
+    if out is None:
         raise DimMismatch(f"{path}: no data rows")
-    return DataMatrix(np.concatenate(blocks))
+    return DataMatrix(out[:filled])  # no row left unset, whatever the count
 
 
 def read_cov_csv(path: str, header: bool = False) -> SymMatrix:
@@ -290,8 +325,8 @@ def covest_diagnostics(x, psi: SymMatrix, counts: np.ndarray, sigma: SymMatrix) 
     ``psi, counts, sigma = pairwise_parts(x)``: missing fraction,
     overlap-count extremes and the eigenvalue floor before and after
     projection.  Nothing is estimated again."""
-    w_before = symmat.eigh_desc(psi).values
-    w_after = w_before if sigma is psi else symmat.eigh_desc(sigma).values
+    w_before = symmat.eigvals_desc(psi)
+    w_after = w_before if sigma is psi else symmat.eigvals_desc(sigma)
     return {
         "missing_fraction": float(np.isnan(_as_data(x).values).mean()),
         "min_overlap": int(counts.min()),

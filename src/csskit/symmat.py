@@ -2,7 +2,8 @@
 
 Everything in the toolkit that touches spectra goes through this module, so
 that pseudo-inversion, PSD projection and the PSD checks share one
-eigendecomposition backend (:func:`numpy.linalg.eigh`), and every rank
+eigendecomposition backend (:func:`numpy.linalg.eigh`, or
+:func:`numpy.linalg.eigvalsh` where only eigenvalues are read), and every rank
 decision one cutoff, ``RANK_TOL``, applied free of the units of every
 variable.  One test decides rank: a variable adds rank to a subset when its residual
 variance exceeds ``RANK_TOL`` times its own variance (:func:`adds_rank`).
@@ -64,8 +65,21 @@ class EigenDecomp(NamedTuple):
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
-    """Exact symmetrization, ``(m + m.T) / 2``."""
-    return (m + m.T) / 2.0
+    """Exact symmetrization, ``(m + m.T) / 2``, in one new array (halved
+    in place, which gives the same bits)."""
+    out = m + m.T
+    out /= 2.0
+    return out
+
+
+def _extremes(m: np.ndarray) -> Tuple[float, float]:
+    """``(m.min(), m.max())`` of a nonempty array, or :class:`NonFinite`
+    when it holds NaN or infinity: a NaN propagates through both, and an
+    infinity is one of them.  No temporary the size of ``m``."""
+    lo, hi = float(m.min()), float(m.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise NonFinite("matrix contains NaN or infinity")
+    return lo, hi
 
 
 def _clamp_diag(m: np.ndarray) -> np.ndarray:
@@ -119,6 +133,10 @@ def complement(p: int, subset: Sequence[int]) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
+# Elements of the row panel :func:`as_symmetric` compares at a time.
+_PANEL = 2**15
+
+
 def as_symmetric(m: np.ndarray) -> SymMatrix:
     """Validate a matrix as symmetric and return it exactly symmetric.
 
@@ -127,33 +145,61 @@ def as_symmetric(m: np.ndarray) -> SymMatrix:
     whatever the units of ``m``.  An exactly symmetric ``m`` is returned
     as it is (its symmetrization would equal it bit for bit).
     NaN or infinity raises :class:`NonFinite`.
+
+    The check holds no temporary the size of ``m``: finiteness is read
+    from ``m.min()`` and ``m.max()``, and the largest asymmetry
+    ``|m_ij - m_ji|`` from panels of about ``_PANEL`` elements, each a
+    band of rows of the upper triangle against the same band of columns of
+    the lower.  So beside ``m`` a symmetric input costs nothing and an
+    asymmetric one its symmetrized copy.
     """
     m = np.asarray(m, dtype=float)
-    check_square(m)
+    p = check_square(m)
     if not m.size:
         return m
-    if not np.all(np.isfinite(m)):
-        raise NonFinite("matrix contains NaN or infinity")
-    d = m - m.T
-    gap = float(np.max(np.abs(d, out=d)))
-    if gap > 1e-8 * max(float(m.max()), -float(m.min())):
+    lo, hi = _extremes(m)
+    rows = max(1, _PANEL // p)
+    gap = 0.0
+    for i in range(0, p, rows):
+        d = m[i : i + rows, i:] - m[i:, i : i + rows].T
+        gap = max(gap, float(np.max(np.abs(d, out=d))))
+        del d  # before the next panel is made
+    if gap > 1e-8 * max(hi, -lo):
         raise DimMismatch(f"matrix is not symmetric (max asymmetry {gap:g})")
     return m if gap == 0.0 else _sym(m)
+
+
+def _finite_square(m: np.ndarray) -> np.ndarray:
+    """``m`` as a float array, checked square and finite."""
+    m = np.asarray(m, dtype=float)
+    check_square(m)
+    if m.size:
+        _extremes(m)
+    return m
 
 
 def eigh_desc(m: SymMatrix) -> EigenDecomp:
     """Eigendecomposition of a symmetric matrix, eigenvalues descending.
 
-    The single backend for every spectral computation in the package.
+    The single backend for every spectral computation in the package that
+    reads eigenvectors; :func:`eigvals_desc` gives the values alone.
     """
-    m = np.asarray(m, dtype=float)
-    check_square(m)
+    m = _finite_square(m)
     if m.size == 0:
         return EigenDecomp(np.zeros(0), np.zeros((0, 0)))
-    if not np.all(np.isfinite(m)):
-        raise NonFinite("matrix contains NaN or infinity")
     w, v = np.linalg.eigh(_sym(m))
     return EigenDecomp(w[::-1].copy(), v[:, ::-1].copy())
+
+
+def eigvals_desc(m: SymMatrix) -> np.ndarray:
+    """The eigenvalues of a symmetric matrix, descending, without its
+    eigenvectors (:func:`numpy.linalg.eigvalsh`): about half the time of
+    :func:`eigh_desc` and no ``p x p`` vectors.  They may differ from
+    ``eigh_desc(m).values`` in the last bits."""
+    m = _finite_square(m)
+    if m.size == 0:
+        return np.zeros(0)
+    return np.linalg.eigvalsh(_sym(m))[::-1].copy()
 
 
 def adds_rank(resid_var, var):

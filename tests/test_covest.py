@@ -1,12 +1,14 @@
 """Covariance construction: sample, pairwise-complete with PSD repair, CSV IO."""
 
 import csv
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from csskit import covest, simlab
+from csskit import covest, simlab, symmat
 from csskit.errors import (
     CssKitError,
     DimMismatch,
@@ -105,6 +107,42 @@ def test_pairwise_psd_floor():
     got = covest.pairwise_cov_psd(x)
     assert np.min(np.linalg.eigvalsh(got)) >= -1e-10
     assert_allclose(got, got.T)
+
+
+def _peak_bytes(fn):
+    """Bytes allocated at the peak of ``fn()`` beyond what was held before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_pairwise_cov_psd_projects_without_the_counts(monkeypatch):
+    # While it projects, pairwise_cov_psd holds the pairwise estimate and
+    # no p x p overlap counts beside it.
+    rng = np.random.default_rng(193)
+    p = 300
+    x = rng.standard_normal((200, p))
+    x[rng.random(x.shape) < 0.1] = np.nan
+    project, held = symmat.psd_project, []
+
+    def spy(m):
+        held.append(tracemalloc.get_traced_memory()[0] - base)
+        return project(m)
+
+    monkeypatch.setattr(symmat, "psd_project", spy)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = covest.pairwise_cov_psd(x)
+    finally:
+        tracemalloc.stop()
+    monkeypatch.undo()
+    assert np.array_equal(got, covest.pairwise_parts(x)[2])
+    assert len(held) == 1 and held[0] < 1.5 * p * p * 8, held
 
 
 def test_pairwise_consistency_under_mar():
@@ -488,6 +526,38 @@ def test_read_data_csv_drops_a_leading_byte_order_mark(tmp_path):
     cov = tmp_path / "c.csv"
     cov.write_bytes(b"\xef\xbb\xbf2,1\n1,2\n")
     assert covest.read_cov_csv(str(cov)).tolist() == [[2, 1], [1, 2]]
+
+
+def test_read_data_csv_holds_the_matrix_once(tmp_path):
+    # The peak is the matrix plus about one block of text and rows, not two
+    # copies of the matrix: here 8 MB of data, of which a block is 0.5 MB.
+    rng = np.random.default_rng(197)
+    n, p = 2000, 500
+    rows = [",".join(format(v, ".4f") for v in rng.standard_normal(p)) for _ in range(8)]
+    path = tmp_path / "wide.csv"
+    body = "\n".join(rows[i % 8] for i in range(n))
+    path.write_text("\nheader\n" + body.replace(rows[3], rows[3] + "\n", 1) + "\n\n")
+    peak = _peak_bytes(lambda: covest.read_data_csv(str(path), header=True))
+    assert peak < 1.5 * n * p * 8, peak
+    got = covest.read_data_csv(str(path), header=True).values
+    assert got.shape == (n, p) and np.array_equal(got[8:16], got[:8])
+    assert got.base is None or got.base.shape == got.shape  # counted, not trimmed
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_read_data_csv_reads_a_pipe(tmp_path):
+    text = "x,y\n1,NA\n\n3,4\n"
+    path = tmp_path / "d.csv"
+    path.write_text(text)
+    want = covest.read_data_csv(str(path), header=True).values
+    r, w = os.pipe()
+    try:
+        os.write(w, text.encode())
+        os.close(w)
+        got = covest.read_data_csv(f"/dev/fd/{r}", header=True).values
+    finally:
+        os.close(r)
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_diagnostics_keys():

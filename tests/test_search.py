@@ -1,6 +1,7 @@
 """Search drivers: greedy, swapping with restarts, exhaustive enumeration."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -476,3 +477,26 @@ def test_swap_init_is_checked_as_an_index_set():
     assert got == swap(sigma, cfg, init=[0, 3])
     assert all(type(i) is int for i in got.subset)
     json.dumps(list(got.subset))  # numpy integers would be refused
+
+
+def _peak_bytes(fn):
+    """Bytes allocated at the peak of ``fn()`` beyond what was held before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_css_search_holds_sigma_once():
+    # Beside sigma, a CssTrace search holds O(kp) per state: its check of
+    # sigma makes no p x p temporary, and greedy makes none either.
+    p, k = 500, 10
+    rng = np.random.default_rng(191)
+    sigma = rand_psd(rng, p, rank=60) + 0.1 * np.eye(p)
+    peak = _peak_bytes(lambda: criteria.init_state(css(p, k), sigma))
+    assert peak < sigma.nbytes / 4, (peak, sigma.nbytes)
+    peak = _peak_bytes(lambda: greedy(sigma, SearchConfig(k=k, criterion=css(p, k))))
+    assert peak < sigma.nbytes / 2, (peak, sigma.nbytes)

@@ -61,6 +61,52 @@ def test_as_symmetric():
         symmat.as_symmetric(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+def _planted_cells(p):
+    """Off-diagonal cells in the first row panel of :func:`as_symmetric`'s
+    check, in its last row panel and in the last column."""
+    return [(0, 1), (p - 1, p - 2), (max(0, p // 2 - 1), p - 1)]
+
+
+@pytest.mark.parametrize("p", [1, 2, 41, 200, 777])
+def test_as_symmetric_matches_the_full_difference(p):
+    rng = np.random.default_rng(p)
+    g = rng.uniform(-1.0, 1.0, (p, p))
+    sym = (g + g.T) / 2.0
+    sym[0, 0] = 3.0  # the largest entry, whatever is planted below
+    assert symmat.as_symmetric(sym) is sym
+    tol = 1e-8 * 3.0
+    for i, j in _planted_cells(p) if p > 1 else []:
+        for factor in (1.01, 0.99):
+            m = sym.copy()
+            m[i, j] = m[j, i] + factor * tol
+            gap = float(np.max(np.abs(m - m.T)))
+            if factor > 1.0:
+                assert gap > tol
+                with pytest.raises(DimMismatch, match=rf"max asymmetry {gap:g}\)"):
+                    symmat.as_symmetric(m)
+            else:
+                assert 0.0 < gap <= tol
+                assert symmat.as_symmetric(m).tobytes() == ((m + m.T) / 2.0).tobytes()
+    for cell, value in [((p - 1, 0), np.nan), ((0, 0), np.inf), ((p - 1, p - 1), -np.inf)]:
+        if p == 1 and np.isnan(value):
+            continue  # no strict lower triangle
+        m = sym.copy()
+        m[cell] = value
+        with pytest.raises(NonFinite):
+            symmat.as_symmetric(m)
+
+
+def test_eigvals_desc_matches_eigh_desc():
+    rng = np.random.default_rng(11)
+    m = rand_psd(rng, 30, rank=12) - 0.01 * np.eye(30)
+    w = symmat.eigvals_desc(m)
+    assert np.all(np.diff(w) <= 0)
+    assert_allclose(w, symmat.eigh_desc(m).values, atol=1e-13)
+    assert symmat.eigvals_desc(np.zeros((0, 0))).shape == (0,)
+    with pytest.raises(NonFinite):
+        symmat.eigvals_desc(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+
 def test_check_subset():
     assert symmat.check_subset(5, [3, 1]) == (3, 1)
     with pytest.raises(DimMismatch):
