@@ -46,52 +46,52 @@ FrobResidual form a block of ``R``, the complement's, and only DiagDet and
 IsoLrt read ``log det(sigma_S)``.
 
 Greedy and swap searches never rank candidates by re-evaluating from
-scratch; they use :func:`score_all`, whose values are *order-equivalent* to
-the objective (argmin over candidates matches argmin of ``evaluate`` on the
-grown subset) but cheaper by at least one power of ``p``.  State is carried
-by :class:`SubsetState`, the same for all six criteria: ``R`` never as a
-dense matrix but by its factor ``R = sigma - L L^T``
-(:class:`csskit.symmat.Factor`), with ``diag R`` and, for CssTrace and
-IsoLrt, ``diag R^2``.  The factor is all a state carries: the selected
-block ``sigma_S = L[S] L[S]^T``, its log-determinant and its inverse are
-read from ``L[S]``, and CanonCorr's ``(Omega_SS)^-1`` from ``Omega``,
-where a score or an objective needs them.
-:func:`advance` appends a column to ``L`` in O(pr), plus one
-``sigma``-matvec under CssTrace and IsoLrt, and :func:`retract` reflects
-one out in O(pr + r^3), the same moves under every criterion.  Scores then
-cost O(p) for DetResidual, O(p) plus the near-perfect fits' residual
-columns for CssTrace and IsoLrt, one ``(p-k)``-block of ``R`` for DiagDet,
-and the dense ``R`` for FrobResidual.  CanonCorr reads no residual.  When
-the condition number of the unit-diagonal ``sigma`` is at most
-``CC_COND_MAX`` (1e4), :func:`init_state` inverts it once per search
+scratch; they use :func:`score_stack`, whose values are *order-equivalent*
+to the objective (argmin over candidates matches argmin of ``evaluate`` on
+the grown subset) but cheaper by at least one power of ``p``.  State is
+carried by :class:`StateStack`, the same for all six criteria and for any
+number of states: each row carries ``R`` never as a dense matrix but by
+its factor ``R = sigma - L L^T`` (:class:`csskit.symmat.Factor`), with
+``diag R`` and, for CssTrace and IsoLrt, ``diag R^2``.  ``L`` has one
+column per member; a member that added no rank when it joined has a zero
+column and sits on the row's side list.  The factor is all a state
+carries: the selected block ``sigma_S = L[S] L[S]^T``, its log-determinant
+(``-inf`` with a side list) and its inverse are read from ``L[S]``, and
+CanonCorr's ``(Omega_SS)^-1`` from ``Omega``, where a score or an objective
+needs them.  :func:`advance_stack` appends a column to ``L`` in O(pk), plus
+one ``sigma``-matvec under CssTrace and IsoLrt, and :func:`retract_stack`
+reflects one out in O(pk + k^3), or rebuilds a row with a side list from
+its members, the same moves under every criterion.  Scores then cost O(p)
+for DetResidual, O(p) plus the near-perfect fits' residual columns for
+CssTrace and IsoLrt, one ``(p-k)``-block of ``R`` for DiagDet, and the
+dense ``R`` for FrobResidual.  CanonCorr reads no residual.  When the
+condition number of the unit-diagonal ``sigma`` is at most ``CC_COND_MAX``
+(1e4), :func:`init_state` inverts it once per search
 (:func:`csskit.symmat.inverse`, one eigendecomposition).  With ``G =
 sigma_S^-1`` from the factor and ``H = (Omega_SS)^-1`` of ``Omega =
 sigma^-1``, each in O(k^3), the partitioned inverse gives ``-cc(S) = tr(G
-H) - k``: :func:`score_all` scores every candidate exactly in O(k^3 + k^2
-(p - k)) and :func:`objective_from_state` reads the objective in O(k^3).
-On a singular or worse-conditioned ``sigma`` each :func:`score_all` call
-generalised-inverts the selected and the complement block and scores every
-candidate from them, up to one constant, and the objective is
-:func:`evaluate`'s.
+H) - k``: :func:`score_stack` scores every candidate exactly in O(k^3 +
+k^2 (p - k)) and :func:`objective_stack` reads the objective in O(k^3).  On
+a singular or worse-conditioned ``sigma`` each score generalised-inverts
+the selected and the complement block and scores every candidate from
+them, up to one constant, and the objective is :func:`evaluate`'s.
 
-:class:`StateStack` holds many states of one size as one stack of
-factors, and :func:`retract_stack`, :func:`score_stack`,
-:func:`advance_stack` and :func:`objective_stack` move, score and read all
-of them at once, which is where a small-p search spends its time with
-several restarts.  The stacked moves call the kernels of the per-state
-ones, :func:`csskit.symmat.residual_add` and
-:func:`csskit.symmat.residual_remove`, on the whole stack and keep only
-the pivots and subsets.  The scorer and the readout are written once, for
-the rows of a stack, under every criterion: :func:`score_all` and
-:func:`objective_from_state` run them on a stack of one.  DetResidual,
-CssTrace, IsoLrt and DiagDet score all rows with one numpy call per step;
-FrobResidual and CanonCorr score, and DetResidual, FrobResidual and
-CanonCorr read, one row at a time.  So each row comes out bit for bit as
-the per-state function gives it.
+There is one move path.  Greedy, a single run and every lockstep group of
+swap's restarts move stacks, a stack of one included, through
+:func:`advance_stack`, :func:`retract_stack`, :func:`score_stack` and
+:func:`objective_stack`.  A :class:`SubsetState` is one row of a stack:
+:func:`advance`, :func:`retract`, :func:`score_all` and
+:func:`objective_from_state` run the stacked functions on a stack of one.
+Every product is a per-row BLAS call or an elementwise operation
+(DetResidual, CssTrace, IsoLrt and DiagDet score all rows with one numpy
+call per step; FrobResidual and CanonCorr score, and DetResidual,
+FrobResidual and CanonCorr read, one row at a time), so each row comes out
+bit for bit as it does in a stack of one.
 
 Inputs are checked once, where they enter: ``sigma`` in :func:`init_state`,
-an index in :func:`advance`, a position in :func:`retract`; the kernels
-trust the state.
+an index in :func:`advance`, a position in :func:`retract`; the stacked
+functions and the kernels trust the state (a search takes its moves from
+the rows).
 """
 
 import functools
@@ -166,43 +166,43 @@ CC_COND_MAX = 1e4
 
 @dataclass
 class SubsetState:
-    """One ordered subset of one matrix, with what scoring and moves need.
+    """One ordered subset of one matrix, with what scoring and moves need:
+    one row of a :class:`StateStack`, which :func:`advance`,
+    :func:`retract`, :func:`score_all` and :func:`objective_from_state`
+    move, score and read as a stack of one.
 
     The residual covariance ``R = sigma - L L^T`` is carried by its factor
     (:class:`csskit.symmat.Factor`: ``L``, ``diag R``, and for CssTrace and
     IsoLrt also ``diag R^2`` and ``sigma L``), never as a dense matrix.
-    ``L`` spans the members in ``ranked``, each of which added rank to the
-    ones before it when it joined; the other members sit on a side list,
-    because they leave the residual unchanged, and a retract
-    that drops a ranked member re-tests them.  Nothing else is carried:
-    the selected block is ``L[S] L[S]^T``, singular by the pivot rule
-    exactly when the side list is not empty.  ``sigma`` is a read-only reference to the source
-    matrix.  For CanonCorr on a ``sigma`` whose unit-diagonal form has
-    condition number at most ``CC_COND_MAX``, ``omega`` is a read-only
-    reference to ``sigma^-1``, shared by every state and stack of one
-    search;
-    otherwise it is None.
-
-    With ``r = len(ranked)``, :func:`advance` costs O(pr) plus one
-    ``sigma``-matvec under CssTrace and IsoLrt, and :func:`retract` O(pr +
-    r^3) plus an advance for each side member it gives back its rank.
-    States are values, never updated in place: swap keeps the state from
-    before a retract when it keeps the incumbent.
+    ``L`` has one column per member.  A member that added no rank to the
+    ones before it when it joined sits on a side list: its column is zero,
+    as it leaves the residual unchanged.  Nothing else is carried: the
+    selected block is ``L[S] L[S]^T``, singular by the pivot rule exactly
+    when the side list is not empty.  ``sigma`` is a read-only reference to
+    the source matrix.  For CanonCorr on a ``sigma`` whose unit-diagonal
+    form has condition number at most ``CC_COND_MAX``, ``omega`` is a
+    read-only reference to ``sigma^-1``, shared by every state and stack of
+    one search; otherwise it is None.  States are values, never updated in
+    place.
     """
 
     subset: IndexSet
     factor: symmat.Factor
-    ranked: IndexSet
     sigma: np.ndarray
     omega: Optional[np.ndarray] = None
 
     @property
-    def residual(self) -> np.ndarray:
-        """The dense residual covariance ``sigma - L L^T``, O(p^2 r)."""
-        return self.factor.residual(self.sigma)
+    def ranked(self) -> IndexSet:
+        """The members off the side list (a nonzero column of ``L``), in
+        subset order.  A zero column is always the one its member got when
+        it joined: a retract rebuilds a state with a side list."""
+        adds = self.factor.lt.any(axis=1).tolist()
+        return tuple(i for i, a in zip(self.subset, adds) if a)
 
-    def complement(self) -> np.ndarray:
-        return symmat.complement(self.sigma.shape[0], self.subset)
+    @property
+    def residual(self) -> np.ndarray:
+        """The dense residual covariance ``sigma - L L^T``, O(p^2 k)."""
+        return self.factor.residual(self.sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +312,7 @@ def init_state(criterion: Criterion, sigma: SymMatrix) -> SubsetState:
     omega = None
     if criterion.kind == CriterionKind.CANON_CORR:
         omega = symmat.inverse(sigma, CC_COND_MAX)
-    return SubsetState(
-        subset=(),
-        factor=symmat.Factor.empty(sigma, criterion.kind in _SQUARES),
-        ranked=(),
-        sigma=sigma,
-        omega=omega,
-    )
+    return SubsetState((), symmat.Factor.empty(sigma, criterion.kind in _SQUARES), sigma, omega)
 
 
 def state_from_subset(
@@ -334,74 +328,35 @@ def state_from_subset(
 def advance(
     criterion: Criterion, state: SubsetState, sigma: SymMatrix, i: int
 ) -> SubsetState:
-    """Grow the state by variable ``i`` (appended to the subset order).
-
-    :func:`csskit.symmat.residual_add` appends ``i``'s column to the
-    residual factor, or puts ``i`` on the side list when its pivot ``R_ii``
-    adds no rank, the move's one rank test.  Cost O(pr), plus one
-    ``sigma``-matvec under CssTrace and IsoLrt.  Returns a new state; the
-    input is not modified.  ``i`` must lie in ``[0, p)`` and not be
-    selected yet, else :class:`DimMismatch`.  The move reads ``state.sigma``, not its
-    ``sigma`` argument.
+    """Grow the state by variable ``i`` (appended to the subset order):
+    :func:`advance_stack` on the state as a stack of one.  Returns a new
+    state; the input is not modified.  ``i`` must lie in ``[0, p)`` and not
+    be selected yet, else :class:`DimMismatch`.  The move reads
+    ``state.sigma``, not its ``sigma`` argument.
     """
     i = symmat.as_index(i)
     if not 0 <= i < criterion.p or i in state.subset:
         raise DimMismatch(f"cannot append index {i} to subset {state.subset}")
-    sigma = state.sigma
-    factor = symmat.residual_add(sigma, state.factor, i)
-    adds = factor is not state.factor  # the kernel's rank test
-    ranked = state.ranked + (i,) if adds else state.ranked
-    return SubsetState(state.subset + (i,), factor, ranked, sigma, state.omega)
+    return advance_stack(StateStack.of_state(state), np.array([i])).state(0)
 
 
 def retract(
     criterion: Criterion, state: SubsetState, sigma: SymMatrix, position: int
 ) -> SubsetState:
-    """Drop the subset entry at ``position``, undoing its contribution.
-
-    A side-list member leaves the residual as it is.  A ranked member ``v``
-    leaves ``R + h h^T``, with ``h = beta / sqrt(beta_v)`` and ``beta`` its
-    residual profile on the other ranked members ``A'``.  Since ``h`` is 0
-    on ``A'``, ``h = L c`` for the ``c`` that solves ``L[A] c = e_v``
-    (``L[A]`` is square and nonsingular, as every ranked member added rank),
-    with ``|c|^2 = 1 / beta_v``, the pivot;
-    :func:`csskit.symmat.residual_remove` reflects it out of the factor.
-    :func:`retract_stack` does the same for many states without a side
-    list at once.  Each side-list member is then re-tested and appended to the
-    factor if it adds rank to what is left, by the pivot test of
-    :func:`advance`.
-
-    Cost O(pr + r^3), plus a ``sigma``-matvec per side member given back
-    its rank.  ``position`` must lie in ``[0, k)``, else
-    :class:`DimMismatch`.  The move reads ``state.sigma``, not its
-    ``sigma``.
+    """Drop the subset entry at ``position``, undoing its contribution:
+    :func:`retract_stack` on the state as a stack of one.  Returns a new
+    state.  ``position`` must lie in ``[0, k)``, else :class:`DimMismatch`.
+    The move reads ``state.sigma``, not its ``sigma`` argument.
     """
     k = len(state.subset)
     position = symmat.as_index(position)
     if not 0 <= position < k:
         raise DimMismatch(f"position {position} out of range for subset size {k}")
-    sigma = state.sigma
-    var = state.subset[position]
-    new_subset = state.subset[:position] + state.subset[position + 1 :]
-    factor, ranked = state.factor, state.ranked
-    if var in ranked:
-        q = ranked.index(var)
-        e = np.zeros(len(ranked))
-        e[q] = 1.0
-        c = np.linalg.solve(factor.lt.take(ranked, 1).T, e)
-        cc = float(np.dot(c, c))
-        factor = symmat.residual_remove(factor, c / math.sqrt(cc))
-        ranked = ranked[:q] + ranked[q + 1 :]
-        if len(ranked) < len(new_subset):  # re-test the side list
-            for j in new_subset:
-                if j not in ranked and symmat.adds_rank(factor.diag[j], sigma[j, j]):
-                    factor = symmat.residual_add(sigma, factor, j)
-                    ranked += (j,)
-    return SubsetState(new_subset, factor, ranked, sigma, state.omega)
+    return retract_stack(StateStack.of_state(state), np.array([state.subset[position]])).state(0)
 
 
 # ---------------------------------------------------------------------------
-# Stacked moves: many states of one size at once
+# The moves: many states of one size at once
 # ---------------------------------------------------------------------------
 
 
@@ -410,23 +365,18 @@ class StateStack:
     """``B`` states of one size ``k`` over one ``sigma``.  Row ``b`` of each
     field is one state's :class:`SubsetState` field: ``subset`` (``B x k``,
     state order) and ``factor`` (a stack of :class:`csskit.symmat.Factor`
-    rows: ``lt`` ``B x r x P``, ``diag`` and ``diag_sq`` ``B x p``);
+    rows: ``lt`` ``B x k x P``, ``diag`` and ``diag_sq`` ``B x p``);
     ``sigma`` and ``omega`` are the read-only ones every state of a search
     shares.
 
-    The moves take stacks on the fast path: every member added rank, so
-    there is no side list and ``L`` has ``r = k`` rows.  They run the
-    kernels of :func:`advance` and :func:`retract`,
+    Every search moves its states as stacks, a stack of one included:
+    :func:`advance_stack` and :func:`retract_stack` run the kernels
     :func:`csskit.symmat.residual_add` and
-    :func:`csskit.symmat.residual_remove`, on the whole stack.  An advance
-    that would leave the fast path (a pivot under the rank rule) is
-    flagged, and the caller redoes it with :func:`advance` on
-    :meth:`state`; a retract never leaves it.  The scorer and the readout
-    serve any stack, also the stack of one (:meth:`of_state`) of a state
-    with a side list, whose ``L`` has fewer rows than its subset: they are
-    what :func:`score_all` and :func:`objective_from_state` run.  Every
-    product is a per-row BLAS call or an elementwise operation, so a row's
-    values do not depend on the other rows or on ``B``.
+    :func:`csskit.symmat.residual_remove` on the whole stack, and
+    :func:`score_stack` and :func:`objective_stack` score and read every
+    row.  A row with a side list stays on the stack.  Every product is a
+    per-row BLAS call or an elementwise operation, so a row's values do not
+    depend on the other rows or on ``B``.
     """
 
     subset: np.ndarray
@@ -435,10 +385,14 @@ class StateStack:
     omega: Optional[np.ndarray] = None
 
     @classmethod
-    def of_empty(cls, empty: SubsetState, b: int) -> "StateStack":
-        """``b`` copies of an empty state."""
-        factor = empty.factor.map(lambda a: np.repeat(a[None], b, axis=0))
-        return cls(np.zeros((b, 0), dtype=np.intp), factor, empty.sigma, empty.omega)
+    def of_subsets(cls, empty: SubsetState, subsets: np.ndarray) -> "StateStack":
+        """The states of ``subsets`` (``B x k``, state order), grown from
+        the empty state ``empty`` by one :func:`advance_stack` per column."""
+        factor = empty.factor.map(lambda a: np.repeat(a[None], len(subsets), axis=0))
+        stack = cls(np.zeros((len(subsets), 0), dtype=np.intp), factor, empty.sigma, empty.omega)
+        for picks in subsets.T:
+            stack = advance_stack(stack, picks)
+        return stack
 
     @classmethod
     def of_state(cls, state: SubsetState) -> "StateStack":
@@ -450,7 +404,7 @@ class StateStack:
     def state(self, b: int) -> SubsetState:
         """Row ``b`` as a :class:`SubsetState` (a copy)."""
         sub = tuple(self.subset[b].tolist())
-        return SubsetState(sub, self.factor.map(lambda a: a[b].copy()), sub, self.sigma, self.omega)
+        return SubsetState(sub, self.factor.map(lambda a: a[b].copy()), self.sigma, self.omega)
 
     def take(self, rows) -> "StateStack":
         """The stack of the given rows (a boolean mask or indices)."""
@@ -476,6 +430,8 @@ def _starts(rows: int, n: int) -> np.ndarray:
 def _gather(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """``a[b, ..., idx[b]]`` for each row ``b``: entries ``idx[b]`` of the
     last axis of row ``b`` (``idx`` is ``B x m``), by one flat take."""
+    if len(a) == 1:
+        return a[0].take(idx[0], -1)[None]
     off = _starts(a.size // a.shape[-1], a.shape[-1]).reshape(a.shape[0], -1, 1)
     return a.take(off + idx[:, None, :])
 
@@ -488,37 +444,54 @@ def _complements(p: int, subset: np.ndarray) -> np.ndarray:
     return np.nonzero(mask)[1].reshape(n, p - k)
 
 
-def advance_stack(stack: StateStack, picks: np.ndarray) -> Tuple[StateStack, np.ndarray]:
-    """:func:`advance` of every row by its variable ``picks[b]``: the
-    pivot's rank test here, the new column of ``L`` by
-    :func:`csskit.symmat.residual_add` on the whole stack.  Returns the
-    grown stack and a mask of the rows that stay on the fast path, whose
-    pivot ``R_ii`` adds rank.  The other rows hold no state; redo them with
-    :func:`advance`.  The picks are trusted (the walk takes them from the
-    complement)."""
-    sigma = stack.sigma
-    pivot = stack.factor.diag[np.arange(picks.shape[0]), picks]
-    ok = symmat.adds_rank(pivot, sigma.diagonal()[picks])
-    factor = symmat.residual_add(sigma, stack.factor, picks)
+def advance_stack(stack: StateStack, picks: np.ndarray) -> StateStack:
+    """Grow every row by its variable ``picks[b]``: the new column of ``L``
+    by :func:`csskit.symmat.residual_add` on the whole stack, in O(pk) per
+    row plus one ``sigma``-matvec under CssTrace and IsoLrt.  A pick whose
+    pivot ``R_ii`` adds no rank (the move's one rank test) gets a zero
+    column and joins its row's side list.  The picks are trusted (the walk
+    takes them from the complement)."""
+    factor = symmat.residual_add(stack.sigma, stack.factor, picks)
     subset = np.concatenate([stack.subset, picks[:, None]], axis=1)
-    return StateStack(subset, factor, sigma, stack.omega), ok
+    return StateStack(subset, factor, stack.sigma, stack.omega)
 
 
-def retract_stack(stack: StateStack, positions: np.ndarray) -> StateStack:
-    """:func:`retract` of every row at its position ``positions[b]``: ``c``
-    from one batched solve over the ``B x k x k`` blocks ``L[S]``, the
-    LAPACK call of the per-state solve for each row, and the reflection by
-    :func:`csskit.symmat.residual_remove` on the whole stack, so rows stay
-    bit for bit what :func:`retract` gives.  A state with no side list
-    keeps none when a member leaves, so every row stays on the fast path."""
+def retract_stack(stack: StateStack, leaving: np.ndarray) -> StateStack:
+    """Drop member ``leaving[b]`` from row ``b``, for every row.
+
+    In a row without a side list, member ``v`` leaves ``R + h h^T``, with
+    ``h = beta / sqrt(beta_v)`` and ``beta`` its residual profile on the
+    other members ``A'``.  Since ``h`` is 0 on ``A'``, ``h = L c`` for the
+    ``c`` that solves ``L[S] c = e_v`` (``L[S]`` is square and nonsingular,
+    as every member added rank), with ``|c|^2 = 1 / beta_v``, the pivot.
+    One batched solve over the ``B x k x k`` blocks ``L[S]`` gives every
+    row's ``c``, and :func:`csskit.symmat.residual_remove` reflects ``h``
+    out of the whole stack, in O(pk + k^3) per row.  A row with a side list
+    (a zero column of ``L[S]``, which no solve takes) is rebuilt from its
+    remaining members by :meth:`StateStack.of_subsets`, as
+    :func:`state_from_subset` builds it, so a side member that adds rank to
+    what is left gets it back.  The members are trusted (the walk takes
+    them from the rows).
+    """
     n, k = stack.subset.shape
-    b_ = np.arange(n)
-    e = np.zeros((n, k, 1))
-    e[b_, positions] = 1.0
-    c = np.linalg.solve(_gather(stack.factor.lt, stack.subset).transpose(0, 2, 1), e)[:, :, 0]
+    drop = stack.subset == leaving[:, None]
+    subset = stack.subset[~drop].reshape(n, k - 1)
+    lts = _gather(stack.factor.lt, stack.subset)  # L[S]^T of each row
+    try:
+        c = np.linalg.solve(lts.transpose(0, 2, 1), drop[:, :, None] * 1.0)[:, :, 0]
+    except np.linalg.LinAlgError:  # a singular L[S]
+        side = (~lts.any(axis=2)).any(axis=1)  # a zero column of L[S]: a side list
+        if not side.any():
+            raise
+        squares = stack.factor.diag_sq is not None
+        empty = SubsetState((), symmat.Factor.empty(stack.sigma, squares), stack.sigma, stack.omega)
+        # every row's rebuilt state where it has a side list; the others are
+        # overwritten by their own retract
+        out = StateStack.of_subsets(empty, subset[side]).take(np.cumsum(side) - 1)
+        if not side.all():
+            out.put(~side, retract_stack(stack.take(~side), leaving[~side]))
+        return out
     factor = symmat.residual_remove(stack.factor, c / np.sqrt(symmat._rowdot(c, c)))
-    keep = np.arange(k - 1) + (np.arange(k - 1) >= positions[:, None])
-    subset = stack.subset[b_[:, None], keep]
     return StateStack(subset, factor, stack.sigma, stack.omega)
 
 
@@ -539,10 +512,10 @@ def score_all(criterion: Criterion, state: SubsetState) -> Tuple[np.ndarray, np.
     are the exact values of ``evaluate``, not values up to one constant.
     The state is scored as a stack of one (:func:`score_stack`).
     """
-    cands = state.complement()
-    if cands.size == 0:
-        return cands, np.zeros(0)
-    return cands, _score_rows(criterion, StateStack.of_state(state), cands[None])[0]
+    if len(state.subset) == criterion.p:
+        return np.zeros(0, dtype=np.intp), np.zeros(0)
+    cands, scores = score_stack(criterion, StateStack.of_state(state))
+    return cands[0], scores[0]
 
 
 def score_stack(criterion: Criterion, stack: StateStack) -> Tuple[np.ndarray, np.ndarray]:
@@ -555,8 +528,7 @@ def score_stack(criterion: Criterion, stack: StateStack) -> Tuple[np.ndarray, np
 
 def _score_rows(criterion: Criterion, stack: StateStack, cands: np.ndarray) -> np.ndarray:
     """Scores of the ``B`` states of ``stack`` for their candidates
-    ``cands`` (``B x m``); the scorer of :func:`score_all` and
-    :func:`score_stack`.  DetResidual, CssTrace, IsoLrt and DiagDet score
+    ``cands`` (``B x m``).  DetResidual, CssTrace, IsoLrt and DiagDet score
     all rows with one numpy call per step.  CssTrace and IsoLrt read the
     carried ``diag R^2`` (a near fit's from its residual column), DetResidual
     ``-diag R`` and DiagDet the candidates' ``(p - k)``-block of ``R``.
@@ -630,7 +602,7 @@ def _score_rows(criterion: Criterion, stack: StateStack, cands: np.ndarray) -> n
 
         # DiagDet: the candidates' block of R, one (p - k)-square per state,
         # row i of which gives candidate i's terms R_jj - R_ij^2 / R_ii; all
-        # in place, in the per-state order of operations
+        # in place, in one order of operations for every row
         li = _gather(lt, cands)
         terms = sigma.take(cands[:, :, None] * p + cands[:, None, :])
         terms -= np.matmul(li.transpose(0, 2, 1), li)
@@ -771,10 +743,9 @@ def objective_from_state(criterion: Criterion, state: SubsetState) -> float:
 def objective_stack(criterion: Criterion, stack: StateStack) -> np.ndarray:
     """The objective of every row of a stack, read from its factor.
 
-    CssTrace sums ``diag R``.  DiagDet and IsoLrt read ``log det(sigma_S)``:
-    ``-inf`` when the stack's ``L`` has fewer rows than its subset (a side
-    list: the pivot rule's singular block), else ``2 log|det L[S]|`` in
-    O(k^3).  DetResidual and FrobResidual form each row's complement block
+    CssTrace sums ``diag R``.  DiagDet and IsoLrt read ``log det(sigma_S)``
+    as ``2 log|det L[S]|`` in O(k^3): ``-inf`` with a side list, whose zero
+    column makes ``L[S]`` singular (the pivot rule's singular block).  DetResidual and FrobResidual form each row's complement block
     of ``R``, whose log-determinant DetResidual reads on the complement's
     own variances (:func:`csskit.symmat.log_det`).  CanonCorr reads ``tr(G
     H) - k`` in O(k^3) per row (see :func:`_score_canon_corr`) with
@@ -794,11 +765,9 @@ def objective_stack(criterion: Criterion, stack: StateStack) -> np.ndarray:
     comp = _complements(sigma.shape[0], stack.subset)
     var = sigma.diagonal()[comp]
     if kind in (CriterionKind.DIAG_DET, CriterionKind.ISO_LRT):
-        ld_block = np.full(n, float("-inf"))
-        if fac.lt.shape[1] == k:
-            # sigma_S = M^T M with the square M = L[S]^T, so log det(sigma_S)
-            # is 2 log|det M|, from one LU of M per row
-            ld_block = 2.0 * np.linalg.slogdet(_gather(fac.lt, stack.subset))[1]
+        # sigma_S = M^T M with the square M = L[S]^T, so log det(sigma_S) is
+        # 2 log|det M|, from one LU of M per row (-inf with a side list)
+        ld_block = 2.0 * np.linalg.slogdet(_gather(fac.lt, stack.subset))[1]
         return _readout_rows(criterion, fac.diag[np.arange(n)[:, None], comp], var, ld_block)
     blocks = (fac.map(lambda a: a[b]).block(sigma, comp[b]) for b in range(n))
     if kind == CriterionKind.FROB_RESIDUAL:

@@ -23,24 +23,19 @@ the positions after the last accepted swap would re-score an unchanged
 state and keep again, so a full sweep with no swap is not waited for.
 ``max_sweeps`` caps the effort and is reported, not an error.
 
-Swap walks its restarts in groups, under every criterion the same way.  A
-group holds as many restarts as keep the stacked temporaries within
-``STACK_BUDGET`` elements, and they walk in lockstep: at step ``j`` of a
-sweep every live restart of the group decides its position ``j``.  One
-step retracts them all (the rows of a :class:`csskit.criteria.StateStack`
-by one stacked retract, every other restart by the per-state one), scores
-every candidate of every restart into one table of ``p - k + 1`` columns,
-decides every row by one rule, advances the restarts that swap (by the
-helper that also builds the starting states) and reads their objectives.
-A group of two or more starts on the stack, and a restart stays on it
-while its state has no side list: only a stacked advance whose pivot adds
-no rank takes a restart off it (a retract keeps a state without a side
-list on the fast path), and it then moves through the per-state functions.
-A group of one, as a single run from ``init`` is, moves through the
-per-state functions throughout, which for one state cost less than a
-stack of one.  The stacked moves run the factor kernels of the per-state
-ones, and moves, scorer and readout compute row for row, bit for bit, what
-the per-state ones do, so each restart makes the decisions, and ends
+Greedy and swap move their states on one path, the rows of a
+:class:`csskit.criteria.StateStack`: greedy and a single run from ``init``
+a stack of one.  Swap walks its restarts in groups, under every criterion
+the same way.  A group holds as many restarts as keep the stacked
+temporaries within ``STACK_BUDGET`` elements, and they walk in lockstep,
+one row each: at step ``j`` of a sweep every live restart of the group
+decides its position ``j``.  One step retracts them all by one stacked
+retract, scores every candidate of every row into one table of ``p - k +
+1`` columns, decides every row by one rule, advances the rows that swap by
+one stacked advance and reads their objectives.  A row whose state has a
+side list (a member that added no rank, on a rank-deficient ``sigma``)
+stays on the stack.  Moves, scorer and readout compute each row bit for
+bit as on a stack of one, so each restart makes the decisions, and ends
 where, it would run alone.  Every final subset is evaluated from scratch
 once all restarts are done, once per distinct set (per ordered subset
 under CanonCorr, whose value depends on the order).
@@ -49,7 +44,7 @@ under CanonCorr, whose value depends on the order).
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -151,22 +146,22 @@ def resolve_threads() -> int:
 
 
 def greedy(sigma: SymMatrix, config: SearchConfig) -> SearchResult:
-    """Greedy forward selection: k successive argmin-score additions.
+    """Greedy forward selection: k successive argmin-score additions, on a
+    :class:`csskit.criteria.StateStack` of one.
 
     Deterministic.  The subset is in insertion order, so its prefixes are
     the nested picks of every smaller size (but not under IsoLrt).
     """
     crit = config.criterion
-    state = criteria.init_state(crit, sigma)
-    sigma = state.sigma
+    stack = criteria.StateStack.of_state(criteria.init_state(crit, sigma))
+    sigma = stack.sigma
     trajectory: List[float] = []
     for _ in range(config.k):
-        cands, scores = criteria.score_all(crit, state)
-        a = int(np.argmin(scores))
-        state = criteria.advance(crit, state, sigma, int(cands[a]))
-        trajectory.append(criteria.objective_from_state(crit, state))
-    subset = state.subset
-    del state  # CanonCorr's p x p inverse is not kept alive through evaluate
+        cands, scores = criteria.score_stack(crit, stack)
+        stack = criteria.advance_stack(stack, cands[:, scores[0].argmin()])
+        trajectory.append(float(criteria.objective_stack(crit, stack)[0]))
+    subset = tuple(stack.subset[0].tolist())
+    del stack  # CanonCorr's p x p inverse is not kept alive through evaluate
     return SearchResult(subset, criteria.evaluate(crit, sigma, subset), trajectory)
 
 
@@ -183,7 +178,7 @@ def _group_size(crit: Criterion) -> int:
 
 class _Run:
     """One restart's walk: its subset in positional order, its trajectory,
-    decisions and counters, and its state once it is off the stack."""
+    decisions and counters."""
 
     def __init__(self, start: Sequence[int]):
         self.current = list(start)
@@ -191,7 +186,6 @@ class _Run:
         self.decisions: list = []
         self.sweeps = self.accepted = self.kept = 0
         self.changed = self.done = False
-        self.state: Optional[criteria.SubsetState] = None
 
     def keep(self, k: int):
         self.kept += 1
@@ -205,22 +199,18 @@ class _Run:
 
 
 class _Walk:
-    """Positional swapping of a group of restarts in lockstep.  At step
-    ``j`` of a sweep, :meth:`_step` retracts position ``j`` of every live
-    restart, scores its candidates into one row of a table, decides every
-    row by one rule, and advances the restarts that swap.  A group of two
-    or more starts on one :class:`csskit.criteria.StateStack`, served by
-    one call of each stacked function per step.  A restart leaves the stack
-    only when a stacked advance refuses it (a pivot under the rank rule);
-    it then moves through the per-state functions, as the restart of a
-    group of one does.  A restart's decisions do not depend on the others
-    in its group."""
+    """Positional swapping of a group of restarts in lockstep, one row of a
+    :class:`csskit.criteria.StateStack` per live restart.  At step ``j`` of
+    a sweep, :meth:`_step` retracts position ``j`` of every row, scores
+    every row's candidates into one table, decides every row by one rule,
+    and advances the rows that swap: one call of each stacked function per
+    step.  A restart's decisions do not depend on the others in its
+    group."""
 
     def __init__(self, config: SearchConfig, empty: criteria.SubsetState, margin: float, record: bool):
         self.crit = config.criterion
         self.k = config.k
         self.max_sweeps = config.max_sweeps
-        self.sigma = empty.sigma
         self.empty = empty
         self.margin = margin
         self.record = record
@@ -228,15 +218,12 @@ class _Walk:
     def run(self, runs: List[_Run]):
         """Walk ``runs`` from their starts until each has converged, reached
         a perfect fit or used ``max_sweeps``."""
-        stacked = len(runs) > 1
-        for run in runs:
-            run.state = None if stacked else self.empty
-        start = criteria.StateStack.of_empty(self.empty, len(runs)) if stacked else None
         self.runs = runs
-        self.stack, rows = self._move(start, runs, np.array([run.current for run in runs]).T)
-        self.members = [runs[b] for b in rows]
+        self.stack = criteria.StateStack.of_subsets(self.empty, np.array([run.current for run in runs]))
+        for run, value in zip(runs, criteria.objective_stack(self.crit, self.stack).tolist()):
+            run.trajectory.append(value)
         for sweep in range(1, self.max_sweeps + 1):
-            live = [run for run in runs if not run.done]
+            live = self.runs
             if not live:
                 break
             for run in live:
@@ -248,84 +235,50 @@ class _Walk:
                 if run.changed and run.trajectory[-1] == float("-inf"):
                     run.done = True  # perfect fit: nothing left to improve
             self._settle()
-        for run in runs:
-            run.state = None  # the next group's states are not kept alive alongside
-        self.stack = None
+        self.stack = None  # the next group's stack is not kept alive alongside
 
     def _step(self, j: int):
-        """Position ``j`` of every live restart: the stack's rows first,
-        then each restart that moves alone."""
-        crit, sigma = self.crit, self.sigma
-        if self.members:
-            var = np.array([run.current[j] for run in self.members])
-            shrunk = criteria.retract_stack(self.stack, np.argmax(self.stack.subset == var[:, None], axis=1))
-        n = len(self.members)
-        tables = [criteria.score_stack(crit, shrunk)] if n else []
-        lone = [run for run in self.runs if run.state is not None and not run.done]
-        retracted = [criteria.retract(crit, run.state, sigma, run.state.subset.index(run.current[j])) for run in lone]
-        tables += [(c[None], s[None]) for c, s in (criteria.score_all(crit, state) for state in retracted)]
-        if not tables:
+        """Position ``j`` of every live restart, one row of the stack each."""
+        runs = self.runs
+        if not runs:
             return
-        cands, scores = tables[0] if len(tables) == 1 else map(np.concatenate, zip(*tables))
-        movers = self.members + lone
-        var = np.array([run.current[j] for run in movers])
+        var = np.array([run.current[j] for run in runs])
+        shrunk = criteria.retract_stack(self.stack, var)
+        cands, scores = criteria.score_stack(self.crit, shrunk)
+        rows = np.arange(len(runs))
         a = scores.argmin(axis=1)
-        rows = np.arange(len(movers))
-        best = cands[rows, a]
         # each row's incumbent is one of its candidates, once, so the mask
-        # picks one incumbent score per row, in row order
-        accept = (best != var) & (scores[rows, a] < scores[cands == var[:, None]] - self.margin)
-        pick = np.where(accept, best, var).tolist()
-        moved = []
-        for b, run in enumerate(movers):
+        # picks one incumbent score per row, in row order; the incumbent
+        # never beats itself by the margin
+        accept = scores[rows, a] < scores[cands == var[:, None]] - self.margin
+        picks = np.where(accept, cands[rows, a], var)
+        moved = accept.tolist()
+        for b, (run, pick) in enumerate(zip(runs, picks.tolist())):
             if self.record:
                 kept = tuple(run.current[:j] + run.current[j + 1 :])
-                run.decisions.append((kept, int(var[b]), pick[b], cands[b].copy(), scores[b].copy()))
-            if pick[b] == run.current[j]:
-                run.keep(self.k)
+                run.decisions.append((kept, run.current[j], pick, cands[b].copy(), scores[b].copy()))
+            if moved[b]:
+                run.accept(j, pick)
             else:
-                run.accept(j, pick[b])
-                moved.append(b)
-        if moved:
-            on = [b for b in moved if b < n]
-            for b in moved[len(on) :]:
-                movers[b].state = retracted[b - n]
-            grown, rows = self._move(shrunk.take(on) if on else None, [movers[b] for b in moved], best[moved][None])
-            if rows.size:
-                self.stack.put(np.array(on)[rows], grown)
+                run.keep(self.k)
+        if any(moved):
+            if all(moved):
+                self.stack = None  # the pre-move stack is not kept alive through the advance
+                self.stack = grown = criteria.advance_stack(shrunk, picks)
+            else:
+                grown = criteria.advance_stack(shrunk.take(accept), picks[accept])
+                self.stack.put(accept, grown)
+            values = criteria.objective_stack(self.crit, grown).tolist()
+            for run, value in zip(itertools.compress(runs, moved), values):
+                run.trajectory.append(value)
         self._settle()
 
-    def _move(self, stack, runs: List[_Run], picks: np.ndarray):
-        """Advance ``runs`` by each row of ``picks`` in turn, then append
-        each one's objective to its trajectory.  The first runs, one per row
-        of ``stack`` (if any), move in lockstep; a row the stack refuses,
-        and every other run, advances its own state.  Returns the grown
-        stack and which of ``stack``'s rows it holds."""
-        crit, sigma = self.crit, self.sigma
-        rows = np.arange(0 if stack is None else len(stack.subset))
-        for step in picks:
-            if rows.size:
-                grown, ok = criteria.advance_stack(stack, step[rows])
-                for b in np.flatnonzero(~ok):
-                    runs[rows[b]].state = stack.state(b)
-                stack, rows = (grown, rows) if ok.all() else (grown.take(ok), rows[ok])
-            for run, v in zip(runs, step.tolist()):
-                if run.state is not None:
-                    run.state = criteria.advance(crit, run.state, sigma, v)
-        for run in runs:
-            if run.state is not None:
-                run.trajectory.append(criteria.objective_from_state(crit, run.state))
-        if rows.size:
-            for t, value in enumerate(criteria.objective_stack(crit, stack).tolist()):
-                runs[rows[t]].trajectory.append(value)
-        return stack, rows
-
     def _settle(self):
-        """Drop the stack's rows whose restart left it or is done."""
-        rows = [run.state is None and not run.done for run in self.members]
+        """Drop the stack's rows whose restart is done."""
+        rows = [not run.done for run in self.runs]
         if not all(rows):
             self.stack = self.stack.take(np.array(rows))
-            self.members = [run for run, ok in zip(self.members, rows) if ok]
+            self.runs = [run for run, ok in zip(self.runs, rows) if ok]
 
 
 def swap(

@@ -26,17 +26,16 @@ trust the state they are given (:func:`csskit.criteria.init_state`).  A
 residual covariance is carried by its :class:`Factor`, ``R = sigma - L
 L^T`` with ``diag R`` (and optionally ``diag R^2``), never as a dense
 matrix: :func:`residual_add` appends a column to ``L`` when a variable joins
-and adds rank, and :func:`residual_remove` reflects one out by a
-Householder reflection when one leaves, each in O(pr) plus at most one
-``sigma``-matvec.  They are the package's only code that changes a factor,
-and each is written once for one factor and for a stack of factors (a
-leading axis of ``B`` rows on every array, as swap's lockstep walk moves
-its restarts): every product is a BLAS call per row and every other step
-elementwise, so a row of a stack comes out bit for bit as the call on that
-row alone.  :meth:`Factor.residual` forms the dense ``R`` on demand,
-exactly symmetric, with tiny negative diagonal entries (roundoff) clamped
-to zero; selected rows and columns decay to roughly machine scale but are
-never zeroed exactly.
+(a zero column when it adds no rank), and :func:`residual_remove` reflects
+one out by a Householder reflection when one leaves, each in O(pr) plus at
+most one ``sigma``-matvec.  They are the package's only code that changes a
+factor, and each is written for a stack of factors (a leading axis of ``B``
+rows on every array; one factor is a stack of one): every product is a BLAS
+call per row and every other step elementwise, so a row of a stack comes
+out bit for bit as the call on that row alone.  :meth:`Factor.residual`
+forms the dense ``R`` of one factor on demand, exactly symmetric, with tiny
+negative diagonal entries (roundoff) clamped to zero; selected rows and
+columns decay to roughly machine scale but are never zeroed exactly.
 """
 
 import math
@@ -403,16 +402,17 @@ def residual_covariance(sigma: SymMatrix, subset: Sequence[int]) -> SymMatrix:
 class Factor(NamedTuple):
     """The residual covariance of a subset, ``R = sigma - L L^T``, by factor.
 
-    ``L`` (``p x r``) has one column per selected variable that added rank
-    to the ones before it, so that ``L L^T = sigma[:, U] ginv(sigma_U)
-    sigma[U, :]``; ``diag = diag R``.  Row j of ``lt`` is column j of ``L``,
-    so a column is added or dropped as one contiguous row.  With squares,
-    the factor also carries ``diag_sq = diag R^2`` (the squared column norms
-    of ``R``), and row j of ``lt`` goes on with column j of ``sigma L``,
-    which keeps ``diag_sq`` up to date; without, ``diag_sq`` is None.
-    A stack of ``B`` factors has a leading axis of length ``B`` on each
-    array (:class:`csskit.criteria.StateStack`).  The kernels return new
-    factors and update none in place; only
+    ``L`` (``p x k``) has one column per selected variable, so that ``L
+    L^T = sigma[:, U] ginv(sigma_U) sigma[U, :]``; a variable that added no
+    rank to the ones before it has a zero column.  ``diag = diag R``.  Row
+    j of ``lt`` is column j of ``L``, so a column is added or dropped as one
+    contiguous row.  With squares, the factor also carries ``diag_sq = diag
+    R^2`` (the squared column norms of ``R``), and row j of ``lt`` goes on
+    with column j of ``sigma L``, which keeps ``diag_sq`` up to date;
+    without, ``diag_sq`` is None.  The kernels take a stack of ``B``
+    factors, a leading axis of length ``B`` on each array
+    (:class:`csskit.criteria.StateStack`); the methods read one factor.
+    The kernels return new factors and update none in place; only
     :meth:`csskit.criteria.StateStack.put` overwrites rows of the stack it
     holds.
     """
@@ -452,80 +452,78 @@ class Factor(NamedTuple):
         return sigma.take(idx, 0).take(idx, 1) - np.dot(li.T, li)
 
 
-# The row helpers of the kernels.  Each makes one BLAS call per row of a
-# stack; a single row goes through np.dot, the same BLAS call (so the same
-# bits) without the overhead of np.matmul, which a per-state move would pay.
+# The row helpers of the kernels: one BLAS call per row of a stack, through
+# np.matmul, which reads the strided L = lt[..., :p] in place where np.dot
+# would copy it.  A stack of one takes its row dot through np.dot, the same
+# BLAS call without np.matmul's overhead.
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray):
-    """``a . b`` along the last axis, kept as a last axis of length one for
-    a stack of rows."""
-    if a.ndim == 1:
-        return np.dot(a, b)
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0]
+    """``a[b] . b[b]`` for each row, as a ``B x 1`` column (a scalar for a
+    stack of one)."""
+    if len(a) == 1:
+        return np.dot(a[0], b[0])
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0]
 
 
 def _vecmat(v: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``v @ m`` for each row."""
-    if v.ndim == 1:
-        return np.dot(v, m)
-    return np.matmul(v[..., None, :], m)[..., 0, :]
+    """``v[b] @ m[b]`` for each row."""
+    return np.matmul(v[:, None, :], m)[:, 0]
 
 
 def _matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``m @ v`` for each row (``m`` may be one matrix for all rows)."""
-    if v.ndim == 1:
-        return np.dot(m, v)
-    return np.matmul(m, v[..., None])[..., 0]
+    """``m @ v[b]`` for each row, ``m`` one matrix for all rows or one per
+    row."""
+    return np.matmul(m, v[:, :, None])[:, :, 0]
 
 
-def residual_add(sigma: SymMatrix, factor: Factor, i) -> Factor:
-    """Append variable ``i`` to a residual factor, or variable ``i[b]`` to
-    row ``b`` of a stack of factors.
+def residual_add(sigma: SymMatrix, factor: Factor, i: np.ndarray) -> Factor:
+    """Append variable ``i[b]`` to row ``b`` of a stack of residual factors.
 
-    With pivot ``R_ii = factor.diag[i]`` the new column of ``L`` is ``g =
+    With pivot ``R_ii = factor.diag[b, i]`` the new column of ``L`` is ``g =
     (sigma[:, i] - L L[i]^T) / sqrt(R_ii)`` and the residual becomes ``R - g
     g^T``, in O(pr).  With squares, the matvec ``sigma g`` gives the new
     column of ``sigma L`` and ``diag (R - g g^T)^2 = diag R^2 - g * (2 Rg -
     |g|^2 g)``, in O(p^2).  A variable that does not add rank,
     ``adds_rank(R_ii, sigma_ii)`` false, is already (numerically) in the
-    span of the selection: one factor is returned unchanged, and a row of a
-    stack gets a finite column that means nothing (the caller drops it).
-    Unchecked: the arguments come from :func:`csskit.criteria.advance`,
-    :func:`csskit.criteria.retract` and :func:`csskit.criteria.advance_stack`.
+    span of the selection: its column is ``g = 0``, which leaves ``diag R``
+    and ``diag R^2`` as they are, bit for bit.  Unchecked: the arguments
+    come from :func:`csskit.criteria.advance_stack`.
     """
     lt = factor.lt
-    if lt.ndim == 2:
-        pivot, col = float(factor.diag[i]), lt[:, i]
-        if not adds_rank(pivot, sigma[i, i]):
-            return factor
-        root = math.sqrt(pivot)
+    n, r = lt.shape[:2]
+    if n == 1:
+        # one row: its pivot as a float, column i of L and row i of sigma as
+        # the views one factor has
+        j = int(i[0])
+        pivot, col, row = float(factor.diag[0, j]), lt[:, :, j], sigma[j : j + 1]
+        root = math.sqrt(pivot) if adds_rank(pivot, sigma[j, j]) else math.inf  # g = 0 where not
     else:
-        b = np.arange(lt.shape[0])
+        b = np.arange(n)
         pivot = factor.diag[b, i][:, None]
-        root = np.sqrt(np.where(adds_rank(pivot, sigma[i, i][:, None]), pivot, 1.0))  # dropped rows stay finite
+        root = np.sqrt(np.where(adds_rank(pivot, sigma[i, i][:, None]), pivot, np.inf))
         # column i of each L with a non-unit stride, as a view of one has:
         # OpenBLAS's matrix-vector kernels round a unit-stride vector differently
-        col = np.empty(lt.shape[:-1] + (2,))[..., 0]
+        col = np.empty((n, r, 2))[..., 0]
         col[...] = lt[b, :, i]
-    r = lt.shape[-2]
+        row = sigma[i]
     p = sigma.shape[0]
     l = lt[..., :p]
-    g = (sigma[i] - _vecmat(col, l)) / root  # row i of sigma is its column i
-    new = np.empty(lt.shape[:-2] + (r + 1, lt.shape[-1]))
-    new[..., :r, :] = lt
-    new[..., r, :p] = g
+    g = (row - _vecmat(col, l)) / root  # row i of sigma is its column i
+    new = np.empty((n, r + 1, lt.shape[2]))
+    new[:, :r] = lt
+    new[:, r, :p] = g
     diag = np.maximum(factor.diag - g * g, 0.0)
     if factor.diag_sq is None:
         return Factor(new, diag, None)
-    sg = new[..., r, p:] = _matvec(sigma, g)
+    sg = new[:, r, p:] = _matvec(sigma, g)
     rg2 = 2.0 * (sg - _vecmat(_matvec(l, g), l))
     return Factor(new, diag, factor.diag_sq - g * (rg2 - _rowdot(g, g) * g))
 
 
 def residual_remove(factor: Factor, u: np.ndarray) -> Factor:
-    """Drop the direction ``h = L u``, ``u`` a unit vector, from a residual
-    factor, or ``L[b] u[b]`` from row ``b`` of a stack of factors.
+    """Drop the direction ``h = L[b] u[b]``, ``u[b]`` a unit vector, from
+    row ``b`` of a stack of residual factors.
 
     One Householder reflection ``H`` with ``H u = -+e_r`` turns ``L`` into
     ``L H``, whose last column is ``-+h``; the other ``r - 1`` columns are
@@ -533,24 +531,26 @@ def residual_remove(factor: Factor, u: np.ndarray) -> Factor:
     ``sigma L`` is reflected alike, which gives ``sigma h`` without a
     matvec, and ``diag (R + h h^T)^2 = diag R^2 + h * (2 Rh + |h|^2 h)``.
     Cost O(pr).  Unchecked: the arguments come from
-    :func:`csskit.criteria.retract` and :func:`csskit.criteria.retract_stack`.
+    :func:`csskit.criteria.retract_stack`.
     """
     lt = factor.lt
     p = factor.diag.shape[-1]
     hs = _vecmat(u, lt)
-    h = hs[..., :p]
+    h = hs[:, :p]
     diag = factor.diag + h * h
     diag_sq = factor.diag_sq
     if diag_sq is not None:
         l = lt[..., :p]
-        rh2 = 2.0 * (hs[..., p:] - _vecmat(_matvec(l, h), l))
+        rh2 = 2.0 * (hs[:, p:] - _vecmat(_matvec(l, h), l))
         diag_sq = diag_sq + h * (rh2 + _rowdot(h, h) * h)
-    last = float(u[-1]) if u.ndim == 1 else u[:, -1:]  # u_r: a float for one factor
+    last = float(u[0, -1]) if len(u) == 1 else u[:, -1:]  # u_r: a float for one row
     scale = 1.0 + abs(last)
     v = u.copy()
-    v[..., -1:] = last + (2.0 * (last >= 0.0) - 1.0)  # u + sign(u_r) e_r, so |v|^2 = 2 + 2 |u_r|
-    new = (v[..., :-1] / scale)[..., :, None] * _vecmat(v, lt)[..., None, :]
-    np.subtract(lt[..., :-1, :], new, out=new)
+    v[:, -1:] = last + (2.0 * (last >= 0.0) - 1.0)  # u + sign(u_r) e_r, so |v|^2 = 2 + 2 |u_r|
+    # the outer product by einsum: the same products as a broadcast multiply,
+    # without the buffers numpy allocates for one
+    new = np.einsum("bi,bj->bij", v[:, :-1] / scale, _vecmat(v, lt))
+    np.subtract(lt[:, :-1], new, out=new)
     return Factor(new, diag, diag_sq)
 
 

@@ -747,18 +747,55 @@ def _same_states(crit, stack, states):
         assert objective[b] == criteria.objective_from_state(crit, want)
 
 
+def _same_as_fresh(crit, sigma, stack):
+    # each row against the state built afresh from its subset, to 1e-10
+    # relative to sigma's scale: residual, ranked, objective and scores
+    scale = max(1.0, float(np.abs(sigma).max()))
+    tol = 1e-10 * scale**crit.score_degree
+    objective = criteria.objective_stack(crit, stack)
+    cands, scores = criteria.score_stack(crit, stack)
+    for b in range(len(stack.subset)):
+        got = stack.state(b)
+        fresh = state_from_subset(crit, sigma, got.subset)
+        assert got.ranked == fresh.ranked
+        res = fresh.residual
+        assert np.abs(got.residual - res).max() < 1e-10 * scale
+        want = criteria.objective_from_state(crit, fresh)
+        assert objective[b] == pytest.approx(want, rel=1e-10, abs=tol)
+        want_cands, want_scores = score_all(crit, fresh)
+        assert np.array_equal(cands[b], want_cands)
+        got_scores, atol = scores[b], tol
+        if crit.kind == CriterionKind.ISO_LRT:
+            # the score is (p - k) log of the trace left once the candidate
+            # joins, tr R - (R^2)_ii / R_ii, whose carried (R^2)_ii has an
+            # absolute error (about eps |sigma|^2 per move): that trace is
+            # compared to 1e-10 trace(sigma)^2 / R_ii, and only where it
+            # is above 1e-6 trace(sigma) (nearer a perfect fit the score has
+            # no digits left)
+            col = res[:, want_cands]
+            pivot = res[want_cands, np.arange(len(want_cands))]
+            ok = symmat.adds_rank(pivot, sigma.diagonal()[want_cands])
+            left = np.trace(res) - np.einsum("ij,ij->j", col, col) / np.where(ok, pivot, np.inf)
+            far = ok & (left > 1e-6 * np.trace(sigma))
+            got_scores, want_scores = got_scores[far], want_scores[far]
+            atol = tol + 1e-10 * (crit.p - crit.k) * np.trace(sigma) ** 2 / (pivot * left)[far]
+        assert np.allclose(got_scores, want_scores, rtol=1e-10, atol=atol), (crit.kind, got.subset)
+
+
 def test_stacked_moves_match_the_per_state_ones():
-    # swap moves a group of restarts through the stacked kernels and a
-    # single run, or a restart the stack refuses, through the per-state
-    # functions, so each row of a stack must be what the per-state move
-    # gives, bit for bit, under every criterion.  One sigma in three is
-    # ill-conditioned past CC_COND_MAX, where CanonCorr's rows score from
-    # generalised inverses.
+    # Every search moves stacks: swap a group of restarts, greedy and a
+    # single run a stack of one.  So each row of a 3-row stack must be what
+    # its own stack of one gives (advance, retract, score_all), bit for
+    # bit, under every criterion, and what a state built afresh gives, to
+    # 1e-10.  One sigma in three is ill-conditioned past CC_COND_MAX, where
+    # CanonCorr's rows score from generalised inverses, and one in three has
+    # rank below k, where the rows carry side lists through every move.
     rng = np.random.default_rng(131)
+    sides = 0
     for t in range(30):
         p = int(rng.integers(6, 16))
         k = int(rng.integers(2, p - 1))
-        sigma = rand_psd(rng, p)
+        sigma = rand_psd(rng, p, int(rng.integers(1, k)) if t % 3 == 1 else p)
         if t % 3 == 2:
             sigma = _unit_diagonal_with_condition(rng, p, 1e7, single=t % 2 == 0)
             assert init_state(Criterion(CriterionKind.CANON_CORR, p=p, k=k), sigma).omega is None
@@ -767,20 +804,23 @@ def test_stacked_moves_match_the_per_state_ones():
             sigma = d[:, None] * sigma * d[None, :]
         for kind in ALL_KINDS:
             crit = Criterion(kind, p=p, k=k)
-            empty = init_state(crit, sigma)
             starts = np.array([rng.permutation(p)[:k] for _ in range(3)])
-            stack = criteria.StateStack.of_empty(empty, 3)
-            states = [empty] * 3
-            for i in range(k):
-                stack, ok = criteria.advance_stack(stack, starts[:, i])
-                assert ok.all()
-                states = [advance(crit, st, sigma, v) for st, v in zip(states, starts[:, i])]
+            stack = criteria.StateStack.of_subsets(init_state(crit, sigma), starts)
+            states = [state_from_subset(crit, sigma, start) for start in starts]
             _same_states(crit, stack, states)
-            positions = rng.integers(0, k, 3)
-            shrunk = criteria.retract_stack(stack, positions)
-            states = [retract(crit, st, sigma, q) for st, q in zip(states, positions)]
+            sides += sum(len(st.ranked) < k for st in states)
+            leaving = starts[np.arange(3), rng.integers(0, k, 3)]
+            shrunk = criteria.retract_stack(stack, leaving)
+            states = [retract(crit, st, sigma, st.subset.index(v)) for st, v in zip(states, leaving)]
             _same_states(crit, shrunk, states)
+            _same_as_fresh(crit, sigma, shrunk)
             cands, scores = criteria.score_stack(crit, shrunk)
             for b, st in enumerate(states):
                 want_cands, want_scores = score_all(crit, st)
                 assert np.array_equal(cands[b], want_cands) and np.array_equal(scores[b], want_scores)
+            picks = cands[np.arange(3), rng.integers(0, p - k + 1, 3)]
+            grown = criteria.advance_stack(shrunk, picks)
+            states = [advance(crit, st, sigma, v) for st, v in zip(states, picks)]
+            _same_states(crit, grown, states)
+            _same_as_fresh(crit, sigma, grown)
+    assert sides > 100

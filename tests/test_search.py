@@ -63,26 +63,24 @@ def test_swap_trajectory_monotone():
 
 
 def test_swap_keeps_the_state_of_a_kept_incumbent(monkeypatch):
-    # The state is advanced only to build the start and for an accepted
+    # The stack is advanced only to build the start and for an accepted
     # swap; a kept incumbent is not retracted and added back.
-    from csskit import criteria
+    rows = []
+    advance_stack = criteria.advance_stack
 
-    calls = []
-    advance = criteria.advance
+    def counting_advance_stack(stack, picks):
+        rows.append(len(picks))
+        return advance_stack(stack, picks)
 
-    def counting_advance(*args):
-        calls.append(args[3])
-        return advance(*args)
-
-    monkeypatch.setattr(criteria, "advance", counting_advance)
+    monkeypatch.setattr(criteria, "advance_stack", counting_advance_stack)
     rng = np.random.default_rng(97)
     for _ in range(10):
         p = int(rng.integers(8, 14))
         sigma = rand_psd(rng, p)
-        calls.clear()
+        rows.clear()
         res = swap(sigma, SearchConfig(k=4, criterion=css(p, 4), seed=3))
         accepted = len(res.trajectory) - 1
-        assert len(calls) == 4 + accepted
+        assert sum(rows) == 4 + accepted
         assert res.sweeps_used >= 1
 
 
@@ -500,3 +498,18 @@ def test_css_search_holds_sigma_once():
     assert peak < sigma.nbytes / 4, (peak, sigma.nbytes)
     peak = _peak_bytes(lambda: greedy(sigma, SearchConfig(k=k, criterion=css(p, k))))
     assert peak < sigma.nbytes / 2, (peak, sigma.nbytes)
+
+
+def test_swap_drops_the_stack_before_it_moves():
+    # A one-restart CssTrace swap holds about two factors beside sigma at
+    # its peak: the retracted stack and the one it grows into.  The stack
+    # from before a swap is dropped before the advance, not kept alive
+    # through take and put.
+    p, k = 500, 30
+    rng = np.random.default_rng(193)
+    sigma = rand_psd(rng, p, rank=60) + 0.1 * np.eye(p)
+    factor = (k * 2 * p + 2 * p) * 8  # L with sigma L, diag R and diag R^2
+    out = []
+    peak = _peak_bytes(lambda: out.append(swap(sigma, SearchConfig(k=k, criterion=css(p, k), seed=1))))
+    assert out[0].restarts[0].accepted > 0
+    assert peak < 2.5 * factor, (peak / factor, factor)

@@ -302,6 +302,11 @@ def test_residual_trace_monotone_in_subset():
         assert tr_v <= tr_u + 1e-10
 
 
+def _one(factor):
+    """One factor as a stack of one, the form the kernels take."""
+    return factor.map(lambda a: a[None])
+
+
 def test_residual_add_matches_from_scratch():
     rng = np.random.default_rng(23)
     for rank_frac in (1.0, 0.5):
@@ -310,24 +315,28 @@ def test_residual_add_matches_from_scratch():
             sigma = rand_psd(rng, p, max(2, int(p * rank_frac)))
             u = rng.permutation(p)[:3].tolist()
             for order in itertools.permutations(u):
-                fac = symmat.Factor.empty(sigma, squares=True)
+                fac = _one(symmat.Factor.empty(sigma, squares=True))
                 for i in order:
-                    fac = symmat.residual_add(sigma, fac, i)
-                res = fac.residual(sigma)
+                    fac = symmat.residual_add(sigma, fac, np.array([i]))
+                res = fac.map(lambda a: a[0]).residual(sigma)
                 want = symmat.residual_covariance(sigma, order)
                 assert np.linalg.norm(res - want) < 1e-8
 
 
 def test_residual_add_zero_pivot_is_noop():
     sigma = np.array([[1.0, 1.0], [1.0, 1.0]])
-    fac = symmat.Factor.empty(sigma, squares=True)
-    fac = symmat.residual_add(sigma, fac, 0)  # variable 1 now redundant
+    fac = _one(symmat.Factor.empty(sigma, squares=True))
+    fac = symmat.residual_add(sigma, fac, np.array([0]))  # variable 1 now redundant
     res = symmat.residual_covariance(sigma, (0,))
-    assert_allclose(symmat.residual_add(sigma, fac, 1).residual(sigma), res)
+    grown = symmat.residual_add(sigma, fac, np.array([1]))
+    assert_allclose(grown.map(lambda a: a[0]).residual(sigma), res)
+    # a zero column of L, and the diagonals bit for bit
+    assert np.array_equal(grown.lt[:, :1], fac.lt) and not grown.lt[:, 1].any()
+    assert np.array_equal(grown.diag, fac.diag) and np.array_equal(grown.diag_sq, fac.diag_sq)
 
 
 def _stack(factors):
-    return symmat.Factor(*(None if a[0] is None else np.stack(a) for a in zip(*factors)))
+    return symmat.Factor(*(None if a[0] is None else np.concatenate(a) for a in zip(*factors)))
 
 
 def _same_factor(got, want):
@@ -336,9 +345,9 @@ def _same_factor(got, want):
 
 
 def test_residual_kernels_give_each_row_of_a_stack_its_own_bits():
-    # swap's lockstep walk moves a stack of factors with the kernels that a
-    # lone restart's moves call on one factor; a row's bits must not depend
-    # on the other rows or on how many there are
+    # swap's lockstep walk moves a stack of factors, and a single run or
+    # greedy a stack of one; a row's bits must not depend on the other rows
+    # or on how many there are
     rng = np.random.default_rng(41)
     for squares in (False, True):
         for b in (1, 3):
@@ -352,9 +361,9 @@ def test_residual_kernels_give_each_row_of_a_stack_its_own_bits():
                 orders = [rng.permutation(p) for _ in range(b)]
                 singles = []
                 for order in orders:
-                    fac = symmat.Factor.empty(sigma, squares)
+                    fac = _one(symmat.Factor.empty(sigma, squares))
                     for i in order[:r]:
-                        fac = symmat.residual_add(sigma, fac, int(i))
+                        fac = symmat.residual_add(sigma, fac, np.array([i]))
                     singles.append(fac)
                 stack = _stack(singles)
                 assert stack.lt.shape == (b, r, 2 * p if squares else p)
@@ -362,30 +371,32 @@ def test_residual_kernels_give_each_row_of_a_stack_its_own_bits():
                 picks = np.array([order[r] for order in orders])
                 grown = symmat.residual_add(sigma, stack, picks)
                 for t, fac in enumerate(singles):
-                    _same_factor(grown.map(lambda a: a[t]), symmat.residual_add(sigma, fac, int(picks[t])))
+                    _same_factor(grown.map(lambda a: a[t : t + 1]), symmat.residual_add(sigma, fac, picks[t : t + 1]))
 
                 u = rng.standard_normal((b, r))
                 u /= np.linalg.norm(u, axis=1, keepdims=True)
                 shrunk = symmat.residual_remove(stack, u)
                 for t, fac in enumerate(singles):
-                    _same_factor(shrunk.map(lambda a: a[t]), symmat.residual_remove(fac, u[t]))
+                    _same_factor(shrunk.map(lambda a: a[t : t + 1]), symmat.residual_remove(fac, u[t : t + 1]))
 
 
 def test_residual_add_stack_row_without_rank_leaves_the_others():
-    # a pick already in the span of a row's selection: that row gets a
-    # finite column (the caller drops it), the other rows their own bits
+    # a pick already in the span of a row's selection: that row gets a zero
+    # column of L and keeps its diagonals bit for bit, the other rows get
+    # their own bits
     rng = np.random.default_rng(5)
     sigma = rand_psd(rng, 8)
     singles = []
     for order in ([0, 1, 2], [3, 4, 5]):
-        fac = symmat.Factor.empty(sigma, squares=True)
+        fac = _one(symmat.Factor.empty(sigma, squares=True))
         for i in order:
-            fac = symmat.residual_add(sigma, fac, i)
+            fac = symmat.residual_add(sigma, fac, np.array([i]))
         singles.append(fac)
     grown = symmat.residual_add(sigma, _stack(singles), np.array([1, 6]))
-    assert all(np.all(np.isfinite(a)) for a in grown)
-    assert symmat.residual_add(sigma, singles[0], 1) is singles[0]
-    _same_factor(grown.map(lambda a: a[1]), symmat.residual_add(sigma, singles[1], 6))
+    assert np.array_equal(grown.lt[:1, :3], singles[0].lt) and not grown.lt[0, 3].any()
+    assert np.array_equal(grown.diag[:1], singles[0].diag)
+    assert np.array_equal(grown.diag_sq[:1], singles[0].diag_sq)
+    _same_factor(grown.map(lambda a: a[1:]), symmat.residual_add(sigma, singles[1], np.array([6])))
 
 
 def rel_err(got, want):
