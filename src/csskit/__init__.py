@@ -9,6 +9,6 @@ goodness-of-fit tests.
 __version__ = "0.1.0"
 
 from . import covest, criteria, errors, search, simlab, sizesel, symmat  # noqa: F401
-from .criteria import Criterion, CriterionKind, SubsetState  # noqa: F401
+from .criteria import Criterion, CriterionKind  # noqa: F401
 from .search import SearchConfig, SearchResult, exhaustive, greedy, swap  # noqa: F401
 from .sizesel import Model, SizeSelectionReport, SizeTestRecord, choose_k  # noqa: F401

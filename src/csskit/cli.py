@@ -157,7 +157,7 @@ def cmd_select(args, parser: argparse.ArgumentParser) -> int:
                     criterion=crit,
                     restarts=args.restarts,
                     max_sweeps=args.max_sweeps,
-                    seed=args.seed + 1000003 * k,
+                    seed=search.size_seed(args.seed, k),
                 )
                 result = search.swap(sigma, cfg)
             else:

@@ -76,22 +76,24 @@ a singular or worse-conditioned ``sigma`` each score generalised-inverts
 the selected and the complement block and scores every candidate from
 them, up to one constant, and the objective is :func:`evaluate`'s.
 
-There is one move path.  Greedy, a single run and every lockstep group of
-swap's restarts move stacks, a stack of one included, through
-:func:`advance_stack`, :func:`retract_stack`, :func:`score_stack` and
-:func:`objective_stack`.  A :class:`SubsetState` is one row of a stack:
+There is one state type and one move path.  A state is a stack of one:
+:func:`init_state` and :func:`state_from_subset` return one, and
 :func:`advance`, :func:`retract`, :func:`score_all` and
-:func:`objective_from_state` run the stacked functions on a stack of one.
-Every product is a per-row BLAS call or an elementwise operation
-(DetResidual, CssTrace, IsoLrt and DiagDet score all rows with one numpy
-call per step; FrobResidual and CanonCorr score, and DetResidual,
-FrobResidual and CanonCorr read, one row at a time), so each row comes out
-bit for bit as it does in a stack of one.
+:func:`objective_from_state` check that it has one row and run the stacked
+functions on it.  Greedy, a single run and every lockstep group of swap's
+restarts move stacks through :func:`advance_stack`, :func:`retract_stack`,
+:func:`score_stack` and :func:`objective_stack`.  Every product is a
+per-row BLAS call or an elementwise operation (DetResidual, CssTrace,
+IsoLrt and DiagDet score all rows with one numpy call per step;
+FrobResidual and CanonCorr score, and DetResidual, FrobResidual and
+CanonCorr read, one row at a time), so each row comes out bit for bit as
+it does in a stack of one.
 
 Inputs are checked once, where they enter: ``sigma`` in :func:`init_state`,
-an index in :func:`advance`, a position in :func:`retract`; the stacked
-functions and the kernels trust the state (a search takes its moves from
-the rows).
+a subset in :func:`state_from_subset`, an index in :func:`advance`, a
+position in :func:`retract`, and the one row of a state in the four
+functions of a single state; the stacked functions and the kernels trust
+the state (a search takes its moves from the rows).
 """
 
 import functools
@@ -104,7 +106,7 @@ import numpy as np
 
 from . import symmat
 from .errors import DimMismatch, NotPSD
-from .symmat import RANK_TOL, IndexSet, SymMatrix
+from .symmat import RANK_TOL, SymMatrix
 
 
 class CriterionKind(str, Enum):
@@ -162,47 +164,6 @@ _SQUARES = (CriterionKind.CSS_TRACE, CriterionKind.ISO_LRT)
 # missed the 50-digit argmin in 80-113 of 300 instances per decade at
 # 1e6-1e10, where the complement scorer missed none.
 CC_COND_MAX = 1e4
-
-
-@dataclass
-class SubsetState:
-    """One ordered subset of one matrix, with what scoring and moves need:
-    one row of a :class:`StateStack`, which :func:`advance`,
-    :func:`retract`, :func:`score_all` and :func:`objective_from_state`
-    move, score and read as a stack of one.
-
-    The residual covariance ``R = sigma - L L^T`` is carried by its factor
-    (:class:`csskit.symmat.Factor`: ``L``, ``diag R``, and for CssTrace and
-    IsoLrt also ``diag R^2`` and ``sigma L``), never as a dense matrix.
-    ``L`` has one column per member.  A member that added no rank to the
-    ones before it when it joined sits on a side list: its column is zero,
-    as it leaves the residual unchanged.  Nothing else is carried: the
-    selected block is ``L[S] L[S]^T``, singular by the pivot rule exactly
-    when the side list is not empty.  ``sigma`` is a read-only reference to
-    the source matrix.  For CanonCorr on a ``sigma`` whose unit-diagonal
-    form has condition number at most ``CC_COND_MAX``, ``omega`` is a
-    read-only reference to ``sigma^-1``, shared by every state and stack of
-    one search; otherwise it is None.  States are values, never updated in
-    place.
-    """
-
-    subset: IndexSet
-    factor: symmat.Factor
-    sigma: np.ndarray
-    omega: Optional[np.ndarray] = None
-
-    @property
-    def ranked(self) -> IndexSet:
-        """The members off the side list (a nonzero column of ``L``), in
-        subset order.  A zero column is always the one its member got when
-        it joined: a retract rebuilds a state with a side list."""
-        adds = self.factor.lt.any(axis=1).tolist()
-        return tuple(i for i, a in zip(self.subset, adds) if a)
-
-    @property
-    def residual(self) -> np.ndarray:
-        """The dense residual covariance ``sigma - L L^T``, O(p^2 k)."""
-        return self.factor.residual(self.sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +247,83 @@ def _readout_rows(criterion: Criterion, diag, var, ld_block) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# State construction and incremental moves
+# The state: a stack of rows
 # ---------------------------------------------------------------------------
 
 
-def init_state(criterion: Criterion, sigma: SymMatrix) -> SubsetState:
-    """Fresh state for the empty subset, and the one check of its ``sigma``:
-    :func:`csskit.symmat.as_symmetric`, shape ``p x p``, and no negative
-    diagonal entry (:class:`NotPSD`).  Moves and scores trust ``state.sigma``.
+@dataclass
+class StateStack:
+    """``B`` states of one size ``k`` over one ``sigma``, one per row: the
+    one state type of the package.  A single state is a stack of one.
+
+    ``subset`` (``B x k``) holds each row's subset in state order, and
+    ``factor`` a stack of :class:`csskit.symmat.Factor` rows (``lt`` ``B x
+    k x P``, ``diag`` and ``diag_sq`` ``B x p``): row ``b`` carries its
+    residual covariance ``R = sigma - L L^T`` by its factor, never as a
+    dense matrix.  ``L`` has one column per member.  A member that added no
+    rank to the ones before it when it joined sits on the row's side list:
+    its column is zero, as it leaves the residual unchanged, so the
+    selected block ``L[S] L[S]^T`` is singular exactly when the side list is
+    not empty.  ``sigma`` is a read-only reference to the source matrix.
+    For CanonCorr on a ``sigma`` whose unit-diagonal form has condition
+    number at most ``CC_COND_MAX``, ``omega`` is a read-only reference to
+    ``sigma^-1``; otherwise it is None.  Every row of a search shares both.
+
+    :func:`advance_stack` and :func:`retract_stack` run the kernels
+    :func:`csskit.symmat.residual_add` and
+    :func:`csskit.symmat.residual_remove` on the whole stack and return a
+    new one, and :func:`score_stack` and :func:`objective_stack` score and
+    read every row.  A row with a side list stays on the stack.  Every
+    product is a per-row BLAS call or an elementwise operation, so a row's
+    values do not depend on the other rows or on ``B``.
+    """
+
+    subset: np.ndarray
+    factor: symmat.Factor
+    sigma: np.ndarray
+    omega: Optional[np.ndarray] = None
+
+    @classmethod
+    def empty(cls, sigma: np.ndarray, omega: Optional[np.ndarray], squares: bool) -> "StateStack":
+        """The stack of one of the empty subset, ``R = sigma``, carrying
+        ``diag R^2`` when ``squares``.  Trusts ``sigma`` (see
+        :func:`init_state`)."""
+        factor = symmat.Factor.empty(sigma, squares).map(lambda a: a[None])
+        return cls(np.zeros((1, 0), dtype=np.intp), factor, sigma, omega)
+
+    @classmethod
+    def of_subsets(cls, empty: "StateStack", subsets: np.ndarray) -> "StateStack":
+        """The states of ``subsets`` (``B x k``, state order), grown from
+        ``empty``, a stack of one of the empty subset, by one
+        :func:`advance_stack` per column."""
+        factor = empty.factor.map(lambda a: np.repeat(a, len(subsets), axis=0))
+        stack = cls(np.zeros((len(subsets), 0), dtype=np.intp), factor, empty.sigma, empty.omega)
+        for picks in subsets.T:
+            stack = advance_stack(stack, picks)
+        return stack
+
+    def take(self, rows) -> "StateStack":
+        """The stack of the given rows (a boolean mask or indices)."""
+        return StateStack(self.subset[rows], self.factor.map(lambda a: a[rows]), self.sigma, self.omega)
+
+    def put(self, rows, other: "StateStack"):
+        """Overwrite the given rows with ``other``'s, in place."""
+        self.subset[rows] = other.subset
+        for mine, theirs in zip(self.factor, other.factor):
+            if mine is not None:
+                mine[rows] = theirs
+
+
+# ---------------------------------------------------------------------------
+# State construction and the moves of a single state
+# ---------------------------------------------------------------------------
+
+
+def init_state(criterion: Criterion, sigma: SymMatrix) -> StateStack:
+    """Fresh state for the empty subset, a ``1 x 0`` stack, and the one
+    check of its ``sigma``: :func:`csskit.symmat.as_symmetric`, shape ``p x
+    p``, and no negative diagonal entry (:class:`NotPSD`).  Moves and scores
+    trust ``state.sigma``.
 
     Under CanonCorr this is also the one eigendecomposition of the search:
     :func:`csskit.symmat.inverse` gives ``omega = sigma^-1``, or None when
@@ -312,110 +342,62 @@ def init_state(criterion: Criterion, sigma: SymMatrix) -> SubsetState:
     omega = None
     if criterion.kind == CriterionKind.CANON_CORR:
         omega = symmat.inverse(sigma, CC_COND_MAX)
-    return SubsetState((), symmat.Factor.empty(sigma, criterion.kind in _SQUARES), sigma, omega)
+    return StateStack.empty(sigma, omega, criterion.kind in _SQUARES)
 
 
 def state_from_subset(
     criterion: Criterion, sigma: SymMatrix, subset: Sequence[int]
-) -> SubsetState:
-    """State for an explicit subset, built by successive advances."""
-    state = init_state(criterion, sigma)
-    for i in subset:
-        state = advance(criterion, state, state.sigma, i)
-    return state
+) -> StateStack:
+    """State for an explicit subset (:func:`csskit.symmat.check_subset`),
+    a stack of one grown from :func:`init_state` by one advance per
+    member."""
+    empty = init_state(criterion, sigma)
+    row = np.array(symmat.check_subset(criterion.p, subset), dtype=np.intp)
+    return StateStack.of_subsets(empty, row[None])
+
+
+def _subset_of_one(state: StateStack) -> np.ndarray:
+    """The subset of a state, which must be a stack of one row, else
+    :class:`DimMismatch`."""
+    if len(state.subset) != 1:
+        raise DimMismatch(f"a state is a stack of one row, got {len(state.subset)} rows")
+    return state.subset[0]
 
 
 def advance(
-    criterion: Criterion, state: SubsetState, sigma: SymMatrix, i: int
-) -> SubsetState:
+    criterion: Criterion, state: StateStack, sigma: SymMatrix, i: int
+) -> StateStack:
     """Grow the state by variable ``i`` (appended to the subset order):
-    :func:`advance_stack` on the state as a stack of one.  Returns a new
+    :func:`advance_stack` on the state, a stack of one.  Returns a new
     state; the input is not modified.  ``i`` must lie in ``[0, p)`` and not
     be selected yet, else :class:`DimMismatch`.  The move reads
     ``state.sigma``, not its ``sigma`` argument.
     """
+    sub = _subset_of_one(state)
     i = symmat.as_index(i)
-    if not 0 <= i < criterion.p or i in state.subset:
-        raise DimMismatch(f"cannot append index {i} to subset {state.subset}")
-    return advance_stack(StateStack.of_state(state), np.array([i])).state(0)
+    if not 0 <= i < criterion.p or i in sub:
+        raise DimMismatch(f"cannot append index {i} to subset {tuple(sub.tolist())}")
+    return advance_stack(state, np.array([i]))
 
 
 def retract(
-    criterion: Criterion, state: SubsetState, sigma: SymMatrix, position: int
-) -> SubsetState:
+    criterion: Criterion, state: StateStack, sigma: SymMatrix, position: int
+) -> StateStack:
     """Drop the subset entry at ``position``, undoing its contribution:
-    :func:`retract_stack` on the state as a stack of one.  Returns a new
+    :func:`retract_stack` on the state, a stack of one.  Returns a new
     state.  ``position`` must lie in ``[0, k)``, else :class:`DimMismatch`.
     The move reads ``state.sigma``, not its ``sigma`` argument.
     """
-    k = len(state.subset)
+    sub = _subset_of_one(state)
     position = symmat.as_index(position)
-    if not 0 <= position < k:
-        raise DimMismatch(f"position {position} out of range for subset size {k}")
-    return retract_stack(StateStack.of_state(state), np.array([state.subset[position]])).state(0)
+    if not 0 <= position < len(sub):
+        raise DimMismatch(f"position {position} out of range for subset size {len(sub)}")
+    return retract_stack(state, sub[position : position + 1])
 
 
 # ---------------------------------------------------------------------------
 # The moves: many states of one size at once
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class StateStack:
-    """``B`` states of one size ``k`` over one ``sigma``.  Row ``b`` of each
-    field is one state's :class:`SubsetState` field: ``subset`` (``B x k``,
-    state order) and ``factor`` (a stack of :class:`csskit.symmat.Factor`
-    rows: ``lt`` ``B x k x P``, ``diag`` and ``diag_sq`` ``B x p``);
-    ``sigma`` and ``omega`` are the read-only ones every state of a search
-    shares.
-
-    Every search moves its states as stacks, a stack of one included:
-    :func:`advance_stack` and :func:`retract_stack` run the kernels
-    :func:`csskit.symmat.residual_add` and
-    :func:`csskit.symmat.residual_remove` on the whole stack, and
-    :func:`score_stack` and :func:`objective_stack` score and read every
-    row.  A row with a side list stays on the stack.  Every product is a
-    per-row BLAS call or an elementwise operation, so a row's values do not
-    depend on the other rows or on ``B``.
-    """
-
-    subset: np.ndarray
-    factor: symmat.Factor
-    sigma: np.ndarray
-    omega: Optional[np.ndarray] = None
-
-    @classmethod
-    def of_subsets(cls, empty: SubsetState, subsets: np.ndarray) -> "StateStack":
-        """The states of ``subsets`` (``B x k``, state order), grown from
-        the empty state ``empty`` by one :func:`advance_stack` per column."""
-        factor = empty.factor.map(lambda a: np.repeat(a[None], len(subsets), axis=0))
-        stack = cls(np.zeros((len(subsets), 0), dtype=np.intp), factor, empty.sigma, empty.omega)
-        for picks in subsets.T:
-            stack = advance_stack(stack, picks)
-        return stack
-
-    @classmethod
-    def of_state(cls, state: SubsetState) -> "StateStack":
-        """The stack of one of ``state``, on views of its arrays."""
-        lt, diag, sq = state.factor
-        factor = symmat.Factor(lt[None], diag[None], None if sq is None else sq[None])
-        return cls(np.array([state.subset], dtype=np.intp), factor, state.sigma, state.omega)
-
-    def state(self, b: int) -> SubsetState:
-        """Row ``b`` as a :class:`SubsetState` (a copy)."""
-        sub = tuple(self.subset[b].tolist())
-        return SubsetState(sub, self.factor.map(lambda a: a[b].copy()), self.sigma, self.omega)
-
-    def take(self, rows) -> "StateStack":
-        """The stack of the given rows (a boolean mask or indices)."""
-        return StateStack(self.subset[rows], self.factor.map(lambda a: a[rows]), self.sigma, self.omega)
-
-    def put(self, rows, other: "StateStack"):
-        """Overwrite the given rows with ``other``'s, in place."""
-        self.subset[rows] = other.subset
-        for mine, theirs in zip(self.factor, other.factor):
-            if mine is not None:
-                mine[rows] = theirs
 
 
 @functools.lru_cache(maxsize=256)
@@ -483,8 +465,7 @@ def retract_stack(stack: StateStack, leaving: np.ndarray) -> StateStack:
         side = (~lts.any(axis=2)).any(axis=1)  # a zero column of L[S]: a side list
         if not side.any():
             raise
-        squares = stack.factor.diag_sq is not None
-        empty = SubsetState((), symmat.Factor.empty(stack.sigma, squares), stack.sigma, stack.omega)
+        empty = StateStack.empty(stack.sigma, stack.omega, stack.factor.diag_sq is not None)
         # every row's rebuilt state where it has a side list; the others are
         # overwritten by their own retract
         out = StateStack.of_subsets(empty, subset[side]).take(np.cumsum(side) - 1)
@@ -500,7 +481,7 @@ def retract_stack(stack: StateStack, leaving: np.ndarray) -> StateStack:
 # ---------------------------------------------------------------------------
 
 
-def score_all(criterion: Criterion, state: SubsetState) -> Tuple[np.ndarray, np.ndarray]:
+def score_all(criterion: Criterion, state: StateStack) -> Tuple[np.ndarray, np.ndarray]:
     """Scores for appending each variable outside the subset to it.
 
     Returns ``(candidates, scores)``, the candidates being the complement of
@@ -510,18 +491,18 @@ def score_all(criterion: Criterion, state: SubsetState) -> Tuple[np.ndarray, np.
     ``-inf`` marks a perfect fit under DiagDet/IsoLrt, decided by the same
     rank rule as ``evaluate``.  CanonCorr scores of a state with ``omega``
     are the exact values of ``evaluate``, not values up to one constant.
-    The state is scored as a stack of one (:func:`score_stack`).
+    The state, a stack of one, is scored by :func:`score_stack`.
     """
-    if len(state.subset) == criterion.p:
+    if _subset_of_one(state).size == criterion.p:
         return np.zeros(0, dtype=np.intp), np.zeros(0)
-    cands, scores = score_stack(criterion, StateStack.of_state(state))
+    cands, scores = score_stack(criterion, state)
     return cands[0], scores[0]
 
 
 def score_stack(criterion: Criterion, stack: StateStack) -> Tuple[np.ndarray, np.ndarray]:
     """:func:`score_all` of every row of a stack: ``(candidates, scores)``,
-    each ``B x (p - k)``, row ``b`` as :func:`score_all` gives it for
-    :meth:`StateStack.state` ``(b)``."""
+    each ``B x (p - k)``, row ``b`` as :func:`score_all` gives it for the
+    stack of that row alone."""
     cands = _complements(stack.sigma.shape[0], stack.subset)
     return cands, _score_rows(criterion, stack, cands)
 
@@ -733,11 +714,12 @@ def _score_canon_corr_ginv(sigma, s, comp: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def objective_from_state(criterion: Criterion, state: SubsetState) -> float:
-    """Objective of the state's subset, read from its factor as a stack of
-    one (:func:`objective_stack`).  Agrees with :func:`evaluate` to
-    update-roundoff (tested at 1e-8)."""
-    return float(objective_stack(criterion, StateStack.of_state(state))[0])
+def objective_from_state(criterion: Criterion, state: StateStack) -> float:
+    """Objective of the state's subset, read from the factor of the state,
+    a stack of one, by :func:`objective_stack`.  Agrees with
+    :func:`evaluate` to update-roundoff (tested at 1e-8)."""
+    _subset_of_one(state)
+    return float(objective_stack(criterion, state)[0])
 
 
 def objective_stack(criterion: Criterion, stack: StateStack) -> np.ndarray:

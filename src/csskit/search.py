@@ -24,21 +24,26 @@ state and keep again, so a full sweep with no swap is not waited for.
 ``max_sweeps`` caps the effort and is reported, not an error.
 
 Greedy and swap move their states on one path, the rows of a
-:class:`csskit.criteria.StateStack`: greedy and a single run from ``init``
-a stack of one.  Swap walks its restarts in groups, under every criterion
-the same way.  A group holds as many restarts as keep the stacked
-temporaries within ``STACK_BUDGET`` elements, and they walk in lockstep,
-one row each: at step ``j`` of a sweep every live restart of the group
-decides its position ``j``.  One step retracts them all by one stacked
-retract, scores every candidate of every row into one table of ``p - k +
-1`` columns, decides every row by one rule, advances the rows that swap by
-one stacked advance and reads their objectives.  A row whose state has a
+:class:`csskit.criteria.StateStack`, the one state type: greedy moves the
+stack of one that :func:`csskit.criteria.init_state` returns, and a single
+run from ``init`` a stack of one grown from it.  Swap walks its restarts
+in groups, under every criterion the same way.  A group holds as many
+restarts as keep the stacked temporaries within ``STACK_BUDGET``
+elements, and they walk in lockstep, one row each: at step ``j`` of a
+sweep every live restart of the group decides its position ``j``.  One
+step retracts them all by one stacked retract, scores every candidate of
+every row into one table of ``p - k + 1`` columns, decides every row by
+one rule, advances the rows that swap by one stacked advance and reads
+their objectives.  A row whose state has a
 side list (a member that added no rank, on a rank-deficient ``sigma``)
 stays on the stack.  Moves, scorer and readout compute each row bit for
 bit as on a stack of one, so each restart makes the decisions, and ends
 where, it would run alone.  Every final subset is evaluated from scratch
 once all restarts are done, once per distinct set (per ordered subset
 under CanonCorr, whose value depends on the order).
+
+A run over several sizes seeds its swap at size ``k`` with
+:func:`size_seed`.
 """
 
 import itertools
@@ -94,6 +99,16 @@ class SearchConfig:
             raise DimMismatch(f"restarts must be >= 1, got {self.restarts}")
         if self.max_sweeps < 1:
             raise DimMismatch(f"max_sweeps must be >= 1, got {self.max_sweeps}")
+
+
+def size_seed(seed: int, k: int) -> int:
+    """The :class:`SearchConfig` seed of size ``k`` in a run over several
+    sizes (``csskit select --method swap --k-range`` and
+    :func:`csskit.sizesel.choose_k`): ``seed + 1000003 * k``.  Restart ``r``
+    of size ``k`` then draws its start with ``size_seed(seed, k) + r``, so
+    no two sizes share a start seed while ``restarts`` stays below
+    1000003."""
+    return seed + 1000003 * k
 
 
 @dataclass
@@ -153,7 +168,7 @@ def greedy(sigma: SymMatrix, config: SearchConfig) -> SearchResult:
     the nested picks of every smaller size (but not under IsoLrt).
     """
     crit = config.criterion
-    stack = criteria.StateStack.of_state(criteria.init_state(crit, sigma))
+    stack = criteria.init_state(crit, sigma)
     sigma = stack.sigma
     trajectory: List[float] = []
     for _ in range(config.k):
@@ -207,7 +222,7 @@ class _Walk:
     step.  A restart's decisions do not depend on the others in its
     group."""
 
-    def __init__(self, config: SearchConfig, empty: criteria.SubsetState, margin: float, record: bool):
+    def __init__(self, config: SearchConfig, empty: criteria.StateStack, margin: float, record: bool):
         self.crit = config.criterion
         self.k = config.k
         self.max_sweeps = config.max_sweeps

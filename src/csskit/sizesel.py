@@ -435,8 +435,8 @@ def choose_k(
     statistic is compared to the exact critical value at level ``alpha``
     (:func:`null_quantile_subset_factor` / :func:`null_quantile_pcss`), and
     the walk stops at the first non-rejection.  Search seeds are derived per
-    size (``seed + 1000003 * k`` plus the restart offset) so runs are
-    reproducible end to end.  ``mc_samples`` no longer enters the result:
+    size (:func:`csskit.search.size_seed` plus the restart offset) so runs
+    are reproducible end to end.  ``mc_samples`` no longer enters the result:
     it is checked and recorded in the report, whose schema keeps the field.
 
     A ``-inf`` search objective means some subset fits the residual
@@ -480,7 +480,7 @@ def choose_k(
             subset: IndexSet = ()
         else:
             crit = Criterion(kind=kind, p=p, k=k)
-            cfg = SearchConfig(k=k, criterion=crit, restarts=restarts, seed=seed + 1000003 * k)
+            cfg = SearchConfig(k=k, criterion=crit, restarts=restarts, seed=search.size_seed(seed, k))
             result = search.swap(sigma_hat, cfg)
             subset = tuple(sorted(result.subset))
             perfect = result.objective == float("-inf")

@@ -22,11 +22,13 @@ is at or below ``RANK_TOL * lambda_max``: that cut forms an inverse, it
 does not decide whether a block is singular.
 
 The subset updates are the workhorses of the search algorithms; they
-trust the state they are given (:func:`csskit.criteria.init_state`).  A
-residual covariance is carried by its :class:`Factor`, ``R = sigma - L
-L^T`` with ``diag R`` (and optionally ``diag R^2``), never as a dense
-matrix: :func:`residual_add` appends a column to ``L`` when a variable joins
-(a zero column when it adds no rank), and :func:`residual_remove` reflects
+trust the state they are given, the factors of a
+:class:`csskit.criteria.StateStack`, the package's one state type, whose
+``sigma`` :func:`csskit.criteria.init_state` checks.  A residual
+covariance is carried by its :class:`Factor`, ``R = sigma - L L^T`` with
+``diag R`` (and optionally ``diag R^2``), never as a dense matrix:
+:func:`residual_add` appends a column to ``L`` when a variable joins (a
+zero column when it adds no rank), and :func:`residual_remove` reflects
 one out by a Householder reflection when one leaves, each in O(pr) plus at
 most one ``sigma``-matvec.  They are the package's only code that changes a
 factor, and each is written for a stack of factors (a leading axis of ``B``

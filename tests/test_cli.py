@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from csskit import covest, simlab
+from csskit import covest, search, simlab
 from csskit.cli import main
+from csskit.criteria import Criterion, CriterionKind
+from csskit.search import SearchConfig
 
 
 def write_cov(path, sigma):
@@ -71,6 +73,28 @@ def test_select_greedy_k_range_rows_are_the_k_runs(tmp_path, capsys):
         for k, row in enumerate(rows, start=1):
             assert main(argv + ["--k", str(k)]) == 0
             assert row == capsys.readouterr().out.splitlines()[1], (token, k)
+
+
+def test_select_swap_seeds_each_size_by_size_seed(tmp_path, capsys):
+    # A swap --k-range row is what --k prints for its k with the same
+    # --seed: both run search.swap seeded with size_seed(seed, k).
+    rng = np.random.default_rng(11)
+    g = rng.standard_normal((40, 10))
+    sigma = g.T @ g / 40
+    cov = write_cov(tmp_path / "c.csv", sigma)
+    argv = ["select", "--cov", cov, "--method", "swap", "--restarts", "2", "--seed", "5"]
+    assert main(argv + ["--k-range", "2..4"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    sigma = covest.read_cov_csv(cov)
+    for k, row in zip(range(2, 5), rows):
+        assert main(argv + ["--k", str(k)]) == 0
+        assert row == capsys.readouterr().out.splitlines()[1], k
+        crit = Criterion(CriterionKind.CSS_TRACE, p=10, k=k)
+        cfg = SearchConfig(k=k, criterion=crit, restarts=2, seed=search.size_seed(5, k))
+        assert search.size_seed(5, k) == 5 + 1000003 * k
+        want = search.swap(sigma, cfg)
+        assert row.split(",")[3] == ";".join(map(str, want.subset))
+        assert float(row.split(",")[1]) == want.objective
 
 
 def test_select_swap_requires_seed(diag_cov):

@@ -33,6 +33,24 @@ def rel_err(got, want):
     return np.linalg.norm(got - want) / max(1.0, np.linalg.norm(want))
 
 
+def _subset(state):
+    """The subset of a state, a stack of one, as a tuple."""
+    (row,) = state.subset.tolist()
+    return tuple(row)
+
+
+def _ranked(state):
+    """The members of a state off its side list (a nonzero column of L), in
+    subset order."""
+    adds = state.factor.lt[0].any(axis=1).tolist()
+    return tuple(i for i, a in zip(_subset(state), adds) if a)
+
+
+def _residual(state):
+    """The dense residual covariance of a state, sigma - L L^T."""
+    return state.factor.map(lambda a: a[0]).residual(state.sigma)
+
+
 def test_css_trace_hand_values():
     crit = Criterion(CriterionKind.CSS_TRACE, p=3, k=1)
     assert evaluate(crit, np.eye(3), (0,)) == pytest.approx(2.0)
@@ -79,7 +97,7 @@ def test_state_checks_sigma_and_each_move():
     for i in (-1, 5, 3, 2.9):
         with pytest.raises(DimMismatch):
             advance(crit, state, sigma, i)
-    assert advance(crit, state, sigma, np.int64(2)).subset == (3, 2)
+    assert _subset(advance(crit, state, sigma, np.int64(2))) == (3, 2)
     for position in (1, 0.5):  # position k, not an integer
         with pytest.raises(DimMismatch):
             retract(crit, state, sigma, position)
@@ -89,6 +107,38 @@ def test_state_checks_sigma_and_each_move():
         cc_sum(np.float64(2.0), [0], [1])
     with pytest.raises(DimMismatch):
         state_from_subset(crit, sigma, [1, 1])
+
+
+def test_init_state_is_an_empty_stack_of_one():
+    sigma = rand_psd(np.random.default_rng(107), 5)
+    for kind in ALL_KINDS:
+        state = init_state(Criterion(kind, p=5, k=2), sigma)
+        assert isinstance(state, criteria.StateStack)
+        assert state.subset.shape == (1, 0) and state.factor.diag.shape == (1, 5)
+        assert _subset(state_from_subset(Criterion(kind, p=5, k=2), sigma, ())) == ()
+
+
+def test_single_state_functions_take_one_row():
+    # advance, retract, score_all and objective_from_state read one state:
+    # a stack of two rows or of none is refused, not read at its row 0
+    sigma = rand_psd(np.random.default_rng(109), 5)
+    for kind in ALL_KINDS:
+        crit = Criterion(kind, p=5, k=2)
+        two = criteria.StateStack.of_subsets(init_state(crit, sigma), np.array([[0, 3], [2, 1]]))
+        for stack in (two, two.take(np.array([False, False]))):
+            for call in (
+                lambda: advance(crit, stack, sigma, 4),
+                lambda: retract(crit, stack, sigma, 0),
+                lambda: score_all(crit, stack),
+                lambda: criteria.objective_from_state(crit, stack),
+            ):
+                with pytest.raises(DimMismatch, match="one row"):
+                    call()
+        one = two.take([1])
+        assert _subset(advance(crit, one, sigma, 4)) == (2, 1, 4)
+        assert _subset(retract(crit, one, sigma, 0)) == (1,)
+        assert score_all(crit, one)[0].tolist() == [0, 3, 4]
+        assert criteria.objective_from_state(crit, one) == criteria.objective_stack(crit, two)[1]
 
 
 def test_css_trace_equals_least_squares():
@@ -238,23 +288,23 @@ def test_score_all_perfect_fits_match_evaluate():
             crit = Criterion(kind, p=p, k=3)
             state = init_state(crit, sigma)
             for _ in range(8):
-                k = len(state.subset)
+                k = len(_subset(state))
                 if k == 3 or (k and rng.random() < 0.4):
                     state = retract(crit, state, sigma, int(rng.integers(k)))
                 else:
-                    outside = [j for j in range(p) if j not in state.subset]
+                    outside = [j for j in range(p) if j not in _subset(state)]
                     state = advance(crit, state, sigma, int(rng.choice(outside)))
                 cands, scores = score_all(crit, state)
-                vals = [evaluate(crit, sigma, state.subset + (int(i),)) for i in cands]
+                vals = [evaluate(crit, sigma, _subset(state) + (int(i),)) for i in cands]
                 assert np.array_equal(np.isneginf(scores), np.isneginf(vals)), (
-                    t, kind, state.subset, scores, vals,
+                    t, kind, _subset(state), scores, vals,
                 )
 
 
 def _assert_argmin_attained(crit, sigma, state, tag):
     """The incremental pick attains the reference minimum; exact ties
     (equal scores) resolve to the lowest index."""
-    subset = state.subset
+    subset = _subset(state)
     cands, scores = score_all(crit, state)
     pos = int(np.argmin(scores))
     vals = np.array([evaluate(crit, sigma, subset + (int(i),)) for i in cands])
@@ -309,7 +359,7 @@ def test_argmin_consistency_sampled():
             at = int(rng.integers(0, size + 1))
             grown = subset[:at] + (perm[size],) + subset[at:]
             state = retract(crit, state_from_subset(crit, sigma, grown), sigma, at)
-            assert state.subset == subset
+            assert _subset(state) == subset
         else:
             state = state_from_subset(crit, sigma, subset)
         _assert_argmin_attained(crit, sigma, state, (t, subset))
@@ -376,11 +426,11 @@ def test_advance_retract_roundtrip():
         crit = Criterion(kind, p=8, k=4)
         state = state_from_subset(crit, sigma, (1, 6, 3))
         state = retract(crit, state, sigma, 1)  # drop variable 6
-        assert state.subset == (1, 3)
+        assert _subset(state) == (1, 3)
         want_res = symmat.residual_covariance(sigma, (1, 3))
-        assert rel_err(state.residual, want_res) < 1e-8
+        assert rel_err(_residual(state), want_res) < 1e-8
         state = advance(crit, state, sigma, 0)
-        assert state.subset == (1, 3, 0)
+        assert _subset(state) == (1, 3, 0)
         want = evaluate(crit, sigma, (1, 3, 0))
         assert criteria.objective_from_state(crit, state) == pytest.approx(want, abs=1e-8)
 
@@ -395,15 +445,15 @@ def test_retract_dependent_column():
         for position, kept in ((1, (0,)), (0, (1,))):
             got = retract(crit, state, sigma, position)
             want = state_from_subset(crit, sigma, kept)
-            assert got.subset == want.subset and got.ranked == want.ranked
+            assert _subset(got) == _subset(want) and _ranked(got) == _ranked(want)
             want_obj = criteria.objective_from_state(crit, want)
             assert criteria.objective_from_state(crit, got) == pytest.approx(want_obj, abs=1e-10)
-            assert_allclose(got.residual, want.residual, atol=1e-10)
+            assert_allclose(_residual(got), _residual(want), atol=1e-10)
             (got_cands, got_scores), (want_cands, want_scores) = score_all(crit, got), score_all(crit, want)
             assert np.array_equal(got_cands, want_cands)
             assert_allclose(got_scores, want_scores, atol=1e-10)
             got, want = advance(crit, got, sigma, 2), advance(crit, want, sigma, 2)
-            assert got.ranked == want.ranked
+            assert _ranked(got) == _ranked(want)
             want_obj = criteria.objective_from_state(crit, want)
             assert criteria.objective_from_state(crit, got) == pytest.approx(want_obj, abs=1e-10)
 
@@ -423,7 +473,7 @@ def test_no_move_pseudo_inverts(monkeypatch):
         state = init_state(crit, sigma)
         for i in (1, 4, 2):
             state = advance(crit, state, sigma, i)
-        assert state.ranked == (1, 2)  # 4 is on the side list
+        assert _ranked(state) == (1, 2)  # 4 is on the side list
         for position in range(3):
             retract(crit, state, sigma, position)
     assert calls == []
@@ -468,13 +518,14 @@ def test_advance_retract_keep_residual_exactly_symmetric():
         crit = Criterion(CriterionKind.CSS_TRACE, p=p, k=p)
         state = init_state(crit, sigma)
         for _ in range(30):
-            k = len(state.subset)
+            k = len(_subset(state))
             if k and (k == p or rng.random() < 0.4):
                 state = retract(crit, state, sigma, int(rng.integers(k)))
             else:
-                outside = [j for j in range(p) if j not in state.subset]
+                outside = [j for j in range(p) if j not in _subset(state)]
                 state = advance(crit, state, sigma, int(rng.choice(outside)))
-            assert np.array_equal(state.residual, state.residual.T)
+            res = _residual(state)
+            assert np.array_equal(res, res.T)
 
 
 def test_retract_gives_a_side_member_back_its_rank():
@@ -487,14 +538,14 @@ def test_retract_gives_a_side_member_back_its_rank():
     for kind in ALL_KINDS:
         crit = Criterion(kind, p=6, k=3)
         state = state_from_subset(crit, sigma, (0, 1, 2))
-        assert state.ranked == (0, 1)
+        assert _ranked(state) == (0, 1)
         if kind in (CriterionKind.DIAG_DET, CriterionKind.ISO_LRT):  # the side list makes sigma_S singular
             assert criteria.objective_from_state(crit, state) == -np.inf
         state = retract(crit, state, sigma, 0)
         fresh = state_from_subset(crit, sigma, (1, 2))
-        assert state.subset == (1, 2) and sorted(state.ranked) == [1, 2]
-        assert rel_err(state.residual, fresh.residual) < 1e-10
-        assert rel_err(state.residual, symmat.residual_covariance(sigma, (1, 2))) < 1e-10
+        assert _subset(state) == (1, 2) and sorted(_ranked(state)) == [1, 2]
+        assert rel_err(_residual(state), _residual(fresh)) < 1e-10
+        assert rel_err(_residual(state), symmat.residual_covariance(sigma, (1, 2))) < 1e-10
         want_obj = criteria.objective_from_state(crit, fresh)
         assert criteria.objective_from_state(crit, state) == pytest.approx(want_obj, rel=1e-8, abs=1e-10)
         cands, scores = score_all(crit, state)
@@ -520,18 +571,18 @@ def test_factor_moves_match_fresh_residual():
         state = init_state(crit, sigma)
         scale = float(np.linalg.norm(sigma))
         for _ in range(3 * p):
-            k = len(state.subset)
+            k = len(_subset(state))
             if k and (k == p or rng.random() < 0.45):
                 state = retract(crit, state, sigma, int(rng.integers(k)))
             else:
-                outside = [j for j in range(p) if j not in state.subset]
+                outside = [j for j in range(p) if j not in _subset(state)]
                 state = advance(crit, state, sigma, int(rng.choice(outside)))
-            want = symmat.residual_covariance(sigma, state.subset)
-            gap = np.linalg.norm(state.residual - want)
-            assert gap < 1e-8 * scale, (t, state.subset)
-            assert np.max(np.abs(state.factor.diag - want.diagonal())) < 1e-8 * scale
+            want = symmat.residual_covariance(sigma, _subset(state))
+            gap = np.linalg.norm(_residual(state) - want)
+            assert gap < 1e-8 * scale, (t, _subset(state))
+            assert np.max(np.abs(state.factor.diag[0] - want.diagonal())) < 1e-8 * scale
             sq = np.einsum("ij,ij->i", want, want)
-            assert np.max(np.abs(state.factor.diag_sq - sq)) < 1e-8 * scale**2
+            assert np.max(np.abs(state.factor.diag_sq[0] - sq)) < 1e-8 * scale**2
 
 
 def test_css_trace_scores_a_near_fit_from_its_residual_column():
@@ -549,12 +600,12 @@ def test_css_trace_scores_a_near_fit_from_its_residual_column():
     state = init_state(crit, sigma)
     others = [j for j in range(p) if j not in (0, 1, 5)]
     for _ in range(60):
-        outside = [j for j in others if j not in state.subset]
+        outside = [j for j in others if j not in _subset(state)]
         state = advance(crit, state, sigma, int(rng.choice(outside)))
-        if len(state.subset) > 3:
-            state = retract(crit, state, sigma, int(rng.integers(len(state.subset))))
+        if len(_subset(state)) > 3:
+            state = retract(crit, state, sigma, int(rng.integers(len(_subset(state)))))
     state = advance(crit, advance(crit, state, sigma, 0), sigma, 1)
-    res = symmat.residual_covariance(sigma, state.subset)
+    res = symmat.residual_covariance(sigma, _subset(state))
     assert 1e-10 < res[5, 5] / sigma[5, 5] < 1e-5
     cands, scores = score_all(crit, state)
     want = -np.sum(res * res, axis=0)[cands] / res.diagonal()[cands]
@@ -626,15 +677,15 @@ def test_canon_corr_objective_from_state_after_moves():
         assert init_state(crit, sigma).omega is not None
         state = init_state(crit, sigma)
         for _ in range(12):
-            k = len(state.subset)
+            k = len(_subset(state))
             if k == p or (k and rng.random() < 0.4):
                 state = retract(crit, state, sigma, int(rng.integers(k)))
             else:
-                outside = [j for j in range(p) if j not in state.subset]
+                outside = [j for j in range(p) if j not in _subset(state)]
                 state = advance(crit, state, sigma, int(rng.choice(outside)))
             got = criteria.objective_from_state(crit, state)
-            want = evaluate(crit, sigma, state.subset)
-            assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (t, state.subset)
+            want = evaluate(crit, sigma, _subset(state))
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (t, _subset(state))
 
 
 def test_canon_corr_state_has_no_inverse_of_singular_sigma():
@@ -737,10 +788,11 @@ def test_canon_corr_factors_sigma_once_per_search(monkeypatch):
 
 
 def _same_states(crit, stack, states):
+    # each row against its own stack of one, bit for bit
     objective = criteria.objective_stack(crit, stack).tolist()
     for b, want in enumerate(states):
-        got = stack.state(b)
-        assert got.subset == want.subset and got.ranked == want.ranked
+        got = stack.take([b])
+        assert _subset(got) == _subset(want) and _ranked(got) == _ranked(want)
         for name in ("lt", "diag", "diag_sq"):
             a, w = getattr(got.factor, name), getattr(want.factor, name)
             assert (a is None and w is None) or np.array_equal(a, w), name
@@ -755,11 +807,11 @@ def _same_as_fresh(crit, sigma, stack):
     objective = criteria.objective_stack(crit, stack)
     cands, scores = criteria.score_stack(crit, stack)
     for b in range(len(stack.subset)):
-        got = stack.state(b)
-        fresh = state_from_subset(crit, sigma, got.subset)
-        assert got.ranked == fresh.ranked
-        res = fresh.residual
-        assert np.abs(got.residual - res).max() < 1e-10 * scale
+        got = stack.take([b])
+        fresh = state_from_subset(crit, sigma, _subset(got))
+        assert _ranked(got) == _ranked(fresh)
+        res = _residual(fresh)
+        assert np.abs(_residual(got) - res).max() < 1e-10 * scale
         want = criteria.objective_from_state(crit, fresh)
         assert objective[b] == pytest.approx(want, rel=1e-10, abs=tol)
         want_cands, want_scores = score_all(crit, fresh)
@@ -779,15 +831,15 @@ def _same_as_fresh(crit, sigma, stack):
             far = ok & (left > 1e-6 * np.trace(sigma))
             got_scores, want_scores = got_scores[far], want_scores[far]
             atol = tol + 1e-10 * (crit.p - crit.k) * np.trace(sigma) ** 2 / (pivot * left)[far]
-        assert np.allclose(got_scores, want_scores, rtol=1e-10, atol=atol), (crit.kind, got.subset)
+        assert np.allclose(got_scores, want_scores, rtol=1e-10, atol=atol), (crit.kind, _subset(got))
 
 
-def test_stacked_moves_match_the_per_state_ones():
+def test_stack_rows_match_their_stacks_of_one():
     # Every search moves stacks: swap a group of restarts, greedy and a
-    # single run a stack of one.  So each row of a 3-row stack must be what
-    # its own stack of one gives (advance, retract, score_all), bit for
-    # bit, under every criterion, and what a state built afresh gives, to
-    # 1e-10.  One sigma in three is ill-conditioned past CC_COND_MAX, where
+    # single run a stack of one, which is also what a single state is.  So
+    # each row of a 3-row stack must be what its own stack of one gives
+    # (advance, retract, score_all), bit for bit, under every criterion,
+    # and what a state built afresh gives, to 1e-10.  One sigma in three is ill-conditioned past CC_COND_MAX, where
     # CanonCorr's rows score from generalised inverses, and one in three has
     # rank below k, where the rows carry side lists through every move.
     rng = np.random.default_rng(131)
@@ -808,10 +860,10 @@ def test_stacked_moves_match_the_per_state_ones():
             stack = criteria.StateStack.of_subsets(init_state(crit, sigma), starts)
             states = [state_from_subset(crit, sigma, start) for start in starts]
             _same_states(crit, stack, states)
-            sides += sum(len(st.ranked) < k for st in states)
+            sides += sum(len(_ranked(st)) < k for st in states)
             leaving = starts[np.arange(3), rng.integers(0, k, 3)]
             shrunk = criteria.retract_stack(stack, leaving)
-            states = [retract(crit, st, sigma, st.subset.index(v)) for st, v in zip(states, leaving)]
+            states = [retract(crit, st, sigma, _subset(st).index(v)) for st, v in zip(states, leaving)]
             _same_states(crit, shrunk, states)
             _same_as_fresh(crit, sigma, shrunk)
             cands, scores = criteria.score_stack(crit, shrunk)
