@@ -170,7 +170,12 @@ def cmd_select(args, parser: argparse.ArgumentParser) -> int:
         header.append("pca_cumvar")
     lines = [",".join(header)]
     for k, subset, obj in rows:
-        avg_r2 = 1.0 - obj / trace if trace > 0 else float("nan")
+        # the share of variance explained, 1 - tr R(S) / tr sigma, under
+        # every criterion; css's objective is tr R(S) itself
+        resid = obj
+        if kind != CriterionKind.CSS_TRACE:
+            resid = criteria.evaluate(Criterion(CriterionKind.CSS_TRACE, p=p, k=k), sigma, subset)
+        avg_r2 = 1.0 - resid / trace if trace > 0 else float("nan")
         cells = [
             str(k),
             format(obj, ".17g"),

@@ -205,7 +205,7 @@ def evaluate(criterion: Criterion, sigma: SymMatrix, subset: Sequence[int]) -> f
         return float(np.sum(diag))
     if kind in (CriterionKind.DIAG_DET, CriterionKind.ISO_LRT):
         ld_block = np.array([symmat.log_det(block_u)])
-        return float(_readout_rows(criterion, diag[comp][None], var[comp][None], ld_block)[0])
+        return float(_readout_rows(kind, p - criterion.k, diag[comp][None], var[comp][None], ld_block)[0])
     block = sigma[np.ix_(comp, comp)] - coef[comp] @ cols[comp].T
     if kind == CriterionKind.FROB_RESIDUAL:
         return float(np.sum(block * block))
@@ -229,15 +229,16 @@ def cc_sum(sigma: SymMatrix, a: Sequence[int], b: Sequence[int]) -> float:
     return float(np.sum(left * (cross @ symmat.ginv(sigma[np.ix_(bb, bb)]))))
 
 
-def _readout_rows(criterion: Criterion, diag, var, ld_block) -> np.ndarray:
-    """DiagDet or IsoLrt of ``B`` subsets at once: row ``b`` of ``diag``
-    and ``var`` is a complement's residual and own variances, ``ld_block[b]``
+def _readout_rows(kind: CriterionKind, m: int, diag, var, ld_block) -> np.ndarray:
+    """DiagDet or IsoLrt (``kind``, IsoLrt's exponent ``m``, ``p - k`` for
+    a criterion) of ``B`` subsets at once: row ``b`` of ``diag`` and
+    ``var`` is a complement's residual and own variances, ``ld_block[b]``
     its subset's ``log det(sigma_S)``.  A variable of the complement that
     does not add rank to ``S`` is fit perfectly: one sends DiagDet to
-    ``-inf``, IsoLrt needs all of them."""
+    ``-inf``, IsoLrt needs all of them.  The size test reads the empty
+    subset here (``m = p``), which no :class:`Criterion` describes."""
     fits = ~symmat.adds_rank(diag, var)
-    if criterion.kind == CriterionKind.ISO_LRT:
-        m = criterion.p - criterion.k
+    if kind == CriterionKind.ISO_LRT:
         rows = zip(ld_block.tolist(), diag.sum(axis=1).tolist(), fits.all(axis=1).tolist())
         return np.array([float("-inf") if all_fit else ld + m * math.log(total / m) for ld, total, all_fit in rows])
     with np.errstate(divide="ignore"):
@@ -511,7 +512,8 @@ def _score_rows(criterion: Criterion, stack: StateStack, cands: np.ndarray) -> n
     """Scores of the ``B`` states of ``stack`` for their candidates
     ``cands`` (``B x m``).  DetResidual, CssTrace, IsoLrt and DiagDet score
     all rows with one numpy call per step.  CssTrace and IsoLrt read the
-    carried ``diag R^2`` (a near fit's from its residual column), DetResidual
+    carried ``diag R^2`` (a near fit's, and under IsoLrt the trace left by a
+    candidate that leaves little, from its residual column), DetResidual
     ``-diag R`` and DiagDet the candidates' ``(p - k)``-block of ``R``.
     FrobResidual forms each row's dense ``R``, one row at a time, and
     CanonCorr runs :func:`_score_canon_corr` or, without ``omega``,
@@ -565,20 +567,21 @@ def _score_rows(criterion: Criterion, stack: StateStack, cands: np.ndarray) -> n
             k = criterion.p - criterion.k
             tr = np.maximum(diag_all.sum(axis=1), 0.0)
             rest = np.maximum(tr[:, None] - np.where(ok, sq / safe, 0.0), 0.0)
-            # -inf when, once the candidate joins, every variable is fit
-            # perfectly by the rank rule of evaluate.  Their residual
-            # variances then sum to at most RANK_TOL * trace(sigma), so only
-            # the residual columns of candidates below that are formed (the
-            # subset's own rows are 0; a candidate that adds no rank is -inf
-            # by its own term below).
-            near = ~symmat.adds_rank(rest, np.trace(sigma))
+            # rest, the trace left once the candidate joins, differences the
+            # carried diag R^2, whose error is absolute; at most
+            # sqrt(RANK_TOL) * trace(sigma) it is read from the candidate's
+            # residual column instead, as the sum of what each variable
+            # keeps, and it is 0 (-inf) when every variable is then fit
+            # perfectly by the rank rule of evaluate (the subset's own rows
+            # are 0; a candidate that adds no rank is -inf by its own term)
+            near = ok & (rest <= math.sqrt(RANK_TOL) * np.trace(sigma))
             if near.any():
                 for b in np.flatnonzero(near.any(axis=1)):
                     at = np.flatnonzero(near[b])
                     cols = fac.map(lambda a: a[b]).columns(sigma, cands[b, at])
-                    left = diag_all[b][:, None] - cols**2 / safe[b, at]
+                    left = np.maximum(diag_all[b][:, None] - cols**2 / safe[b, at], 0.0)
                     fit = ~symmat.adds_rank(left, sigma.diagonal()[:, None]).any(axis=0)
-                    rest[b, at[fit]] = 0.0
+                    rest[b, at] = np.where(fit, 0.0, left.sum(axis=0))
             return head + k * np.log(rest)
 
         # DiagDet: the candidates' block of R, one (p - k)-square per state,
@@ -750,7 +753,7 @@ def objective_stack(criterion: Criterion, stack: StateStack) -> np.ndarray:
         # sigma_S = M^T M with the square M = L[S]^T, so log det(sigma_S) is
         # 2 log|det M|, from one LU of M per row (-inf with a side list)
         ld_block = 2.0 * np.linalg.slogdet(_gather(fac.lt, stack.subset))[1]
-        return _readout_rows(criterion, fac.diag[np.arange(n)[:, None], comp], var, ld_block)
+        return _readout_rows(kind, criterion.p - criterion.k, fac.diag[np.arange(n)[:, None], comp], var, ld_block)
     blocks = (fac.map(lambda a: a[b]).block(sigma, comp[b]) for b in range(n))
     if kind == CriterionKind.FROB_RESIDUAL:
         return np.array([float(np.sum(block * block)) for block in blocks])

@@ -13,13 +13,20 @@ each model implies for a *correct* subset:
     isotropic.  Used for the stricter model with one shared residual
     variance.
 
-Both are nonnegative (Hadamard / AM-GM).  When some (resp. every)
-non-selected variable does not add rank to ``U`` (the unit-free rule
-:func:`csskit.symmat.adds_rank`), both determinants vanish and the statistic
-is taken to be 0 -- the subset explains everything it could.  When only
-``det R`` vanishes, by the same rule applied to the pivots of ``R`` on the
-variables' own variances (:func:`csskit.symmat.log_det`), the statistic is
-``+inf`` (honest rejection: the residual is singular but not diagonal).
+Both are nonnegative (Hadamard / AM-GM).  By the Schur identity ``det S =
+det S_U * det R`` each is the search's own objective shifted by a
+constant: ``stat_T = n * (DiagDet(U) - log det S)`` and ``stat_Ttilde = n *
+(IsoLrt(U) - log det S)`` (:func:`csskit.criteria.evaluate`, IsoLrt with
+exponent p - k).  So the subset the search picks is the one whose statistic
+is least, and :func:`choose_k` reads each size's statistic from the
+objective its search returns, with ``log det S`` taken once per walk
+(:func:`csskit.symmat.log_det`).  The conventions live in one place: the
+statistic is 0 when one variable is left out (m = 1) and when the objective
+is ``-inf`` (a perfect fit by the unit-free rule
+:func:`csskit.symmat.adds_rank`: some, for IsoLrt every, non-selected
+variable adds no rank to ``U``, or ``S_U`` is singular), and ``+inf`` when
+only ``S`` is singular (honest rejection: the residual is singular but not
+of the model's form).
 
 Null critical values are exact: both null laws are laws of logarithms of
 products of independent Beta (Dirichlet) variables, so their
@@ -30,7 +37,7 @@ a seed, not on a sample count.  The Monte Carlo draws of the same laws
 (:func:`null_draws_subset_factor`, :func:`null_draws_pcss`) and their
 quantiles (:func:`mc_quantile_subset_factor`, :func:`mc_quantile_pcss`)
 stay as the oracle the exact values are tested against.  The null law
-requires ``n > p``.
+requires ``n > p`` complete rows, and so a nonsingular ``S``.
 
 :func:`choose_k` walks k = 0, 1, 2, ... and returns the smallest k whose
 test fails to reject, searching each size with the swapping algorithm
@@ -50,7 +57,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from . import search, symmat
+from . import criteria, search, symmat
 from .criteria import Criterion, CriterionKind
 from .errors import DegreesOfFreedom, DimMismatch, NoFeasibleK
 from .search import SearchConfig
@@ -124,36 +131,51 @@ class SizeSelectionReport:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def _stat_core(sigma_hat, n, subset, isotropic: bool) -> float:
+def _statistic(n: int, m: int, objective: float, log_det_sigma: float) -> float:
+    """The statistic of a size-k subset, m = p - k, from its objective
+    under the model's criterion and ``log det(sigma_hat)``: the one place
+    of its conventions.  0 when m = 1, where no structure is left to test
+    (the shift would read roundoff), and on a perfect fit (objective
+    ``-inf``); otherwise ``n * (objective - log det sigma_hat)``, which is
+    ``+inf`` when only ``sigma_hat`` is singular."""
+    if m == 1 or objective == float("-inf"):
+        return 0.0
+    return float(n * (objective - log_det_sigma))
+
+
+def _objective(sigma_hat: np.ndarray, subset: IndexSet, kind: CriterionKind) -> float:
+    """DiagDet or IsoLrt of ``subset`` with IsoLrt's exponent p - k:
+    :func:`csskit.criteria.evaluate`, or for the empty subset, which no
+    :class:`Criterion` describes, its readout of ``R = sigma_hat``."""
+    p, k = len(sigma_hat), len(subset)
+    if k:
+        return criteria.evaluate(Criterion(kind, p=p, k=k), sigma_hat, subset)
+    var = sigma_hat.diagonal()[None]
+    return float(criteria._readout_rows(kind, p, var, var, np.zeros(1))[0])
+
+
+def _stat_core(sigma_hat, n, subset, kind: CriterionKind) -> float:
     sigma_hat = np.asarray(sigma_hat, dtype=float)
     p = symmat.check_square(sigma_hat)
     u = symmat.check_subset(p, subset)
-    m = p - len(u)
-    if m < 1:
+    if len(u) >= p:
         raise DimMismatch("subset must leave at least one variable out")
     if symmat.as_index(n, "n") < 1:
         raise DimMismatch(f"n must be positive, got {n}")
-    comp = symmat.complement(p, u)
-    r = symmat.residual_covariance(sigma_hat, u)[np.ix_(comp, comp)]
-    diag, var = r.diagonal(), sigma_hat.diagonal()[comp]
-    fits = ~symmat.adds_rank(diag, var)
-    if np.any(fits):
-        # det R vanishes, and so does the fitted determinant unless the
-        # isotropic fit still has residual variance to spread
-        return 0.0 if np.all(fits) or not isotropic else float("inf")
-    fitted = m * math.log(float(diag.sum()) / m) if isotropic else float(np.sum(np.log(diag)))
-    return float(n * (fitted - symmat.log_det(r, var)))  # +inf when R is singular
+    return _statistic(n, p - len(u), _objective(sigma_hat, u, kind), symmat.log_det(sigma_hat))
 
 
 def stat_T(sigma_hat: SymMatrix, n: int, subset: Sequence[int]) -> float:
     """Diagonality statistic ``n log(det(Diag R)/det R)`` for the residual
-    of the non-selected block.  ``subset`` may be empty (tests k = 0)."""
-    return _stat_core(sigma_hat, n, subset, isotropic=False)
+    of the non-selected block, read as ``n * (DiagDet(S) - log det
+    sigma_hat)``.  ``subset`` may be empty (tests k = 0)."""
+    return _stat_core(sigma_hat, n, subset, CriterionKind.DIAG_DET)
 
 
 def stat_Ttilde(sigma_hat: SymMatrix, n: int, subset: Sequence[int]) -> float:
-    """Isotropy statistic ``n log((trace(R)/m)^m / det R)``, m = p - k."""
-    return _stat_core(sigma_hat, n, subset, isotropic=True)
+    """Isotropy statistic ``n log((trace(R)/m)^m / det R)``, m = p - k,
+    read as ``n * (IsoLrt(S) - log det sigma_hat)``."""
+    return _stat_core(sigma_hat, n, subset, CriterionKind.ISO_LRT)
 
 
 # ---------------------------------------------------------------------------
@@ -439,12 +461,18 @@ def choose_k(
     are reproducible end to end.  ``mc_samples`` no longer enters the result:
     it is checked and recorded in the report, whose schema keeps the field.
 
-    A ``-inf`` search objective means some subset fits the residual
-    structure perfectly; the statistic is then 0 by the
-    both-determinants-vanish convention and the record is flagged
-    ``perfect_fit``.
+    Each size's statistic is ``n * (objective - log det sigma_hat)``, the
+    objective the search returned (at k = 0, the empty subset's), with
+    ``log det sigma_hat`` taken once (:func:`csskit.symmat.log_det`).  A
+    ``-inf`` objective means the subset fits the residual structure
+    perfectly; the statistic is then 0 by the both-determinants-vanish
+    convention and the record is flagged ``perfect_fit``.  A singular
+    ``sigma_hat`` draws a ``RuntimeWarning`` before the walk: every size
+    without a perfect fit then reads ``+inf`` and is rejected, and the null
+    law assumes a nonsingular ``sigma_hat`` from n complete rows.
 
-    Raises :class:`DegreesOfFreedom` unless ``n > p``,
+    Raises :class:`DegreesOfFreedom` unless ``n > p``, :class:`NotPSD`
+    when ``sigma_hat`` is indefinite (:func:`csskit.symmat.log_det`),
     :class:`DimMismatch` on an ``n``, ``restarts``, ``seed`` or ``k_max``
     that is not an integer (:func:`csskit.symmat.as_index`), on a negative
     ``seed`` or ``k_max``, on ``restarts < 1``, on ``mc_samples < 1000``
@@ -467,34 +495,32 @@ def choose_k(
     _check_level(alpha)
     _check_mc_args(alpha, mc_samples)
     if model == Model.SUBSET_FACTOR:
-        stat_fn, quant_fn, kind = stat_T, null_quantile_subset_factor, CriterionKind.DIAG_DET
+        quant_fn, kind = null_quantile_subset_factor, CriterionKind.DIAG_DET
     else:
-        stat_fn, quant_fn, kind = stat_Ttilde, null_quantile_pcss, CriterionKind.ISO_LRT
+        quant_fn, kind = null_quantile_pcss, CriterionKind.ISO_LRT
+    log_det_sigma = symmat.log_det(sigma_hat)
+    if log_det_sigma == float("-inf"):
+        warnings.warn("sigma_hat is singular: every size without a perfect fit reads statistic +inf and is "
+                      "rejected; the null law assumes a nonsingular sigma_hat from n complete rows",
+                      RuntimeWarning, stacklevel=2)
 
     k_hi = p - 1 if k_max is None else min(k_max, p - 1)
     records: List[SizeTestRecord] = []
     for k in range(0, k_hi + 1):
-        perfect = False
         t0 = time.perf_counter()
         if k == 0:
-            subset: IndexSet = ()
+            subset, objective = (), _objective(sigma_hat, (), kind)
         else:
             crit = Criterion(kind=kind, p=p, k=k)
             cfg = SearchConfig(k=k, criterion=crit, restarts=restarts, seed=search.size_seed(seed, k))
             result = search.swap(sigma_hat, cfg)
-            subset = tuple(sorted(result.subset))
-            perfect = result.objective == float("-inf")
+            subset, objective = tuple(sorted(result.subset)), result.objective
         searched = time.perf_counter() - t0
+        perfect = objective == float("-inf")
         if perfect:
-            statistic = 0.0
-            warnings.warn(
-                f"perfect fit at k={k}: subset {subset} leaves a singular "
-                "residual; statistic taken as 0",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        else:
-            statistic = stat_fn(sigma_hat, n, subset)
+            warnings.warn(f"perfect fit at k={k}: subset {subset} leaves a singular residual; "
+                          "statistic taken as 0", RuntimeWarning, stacklevel=2)
+        statistic = _statistic(n, p - k, objective, log_det_sigma)
         t0 = time.perf_counter()
         critical = quant_fn(n, p, k, alpha)
         calibrated = time.perf_counter() - t0

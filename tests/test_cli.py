@@ -45,6 +45,25 @@ def test_select_greedy_on_cov(diag_cov, tmp_path, capsys):
     assert 0.0 <= timings["search_s"] <= timings["total_s"] - timings["load_s"]
 
 
+def test_select_avg_r2_is_the_variance_explained_under_every_criterion(tmp_path, capsys):
+    # avg_r2 is 1 - tr R(S) / tr sigma whatever the criterion: under
+    # diag-det it once read 1 - objective / tr sigma, 1.44 to 1.95 here
+    g = np.random.default_rng(5).standard_normal((8, 8))
+    sigma = g @ g.T / 8
+    cov = write_cov(tmp_path / "cov.csv", sigma)
+    for name in ("css", "det", "frob", "cc", "diag-det", "iso-lrt"):
+        assert main(["select", "--cov", cov, "--k-range", "1..6", "--criterion", name]) == 0
+        for line in capsys.readouterr().out.splitlines()[1:]:
+            k, obj, avg_r2, subset = line.split(",")
+            s = [int(i) for i in subset.split(";")]
+            resid = sigma - sigma[:, s] @ np.linalg.solve(sigma[np.ix_(s, s)], sigma[s, :])
+            want = 1.0 - np.trace(resid) / np.trace(sigma)
+            assert float(avg_r2) == pytest.approx(want, rel=1e-10), (name, k)
+            assert 0.0 <= float(avg_r2) <= 1.0
+            if name == "css":  # css's objective is the residual trace itself
+                assert avg_r2 == format(1.0 - float(obj) / np.trace(sigma), ".17g")
+
+
 def test_select_k_range_and_pca(diag_cov, capsys):
     code = main(
         ["select", "--cov", diag_cov, "--k-range", "1..3", "--pca"]
@@ -225,6 +244,23 @@ def test_choose_k_end_to_end(tmp_path, capsys):
     assert 0.0 <= timings["read_s"] <= timings["load_s"] <= timings["total_s"]
     assert timings["search_s"] >= 0.0 and timings["calibrate_s"] >= 0.0
     assert timings["search_s"] + timings["calibrate_s"] <= timings["total_s"] - timings["load_s"]
+
+
+def test_choose_k_warns_on_a_singular_estimate(tmp_path, capsys):
+    # 2% of cells missing at random on sizesel-a2: the projected pairwise
+    # estimate is singular, so every size without a perfect fit reads +inf;
+    # the walk runs on to k = 47 of 50, and once warned only of that fit
+    x = np.asarray(simlab.sample(simlab.sizesel_a2_spec(), 200, seed=[1, 0, 0]).values, dtype=float)
+    x[np.random.default_rng(7).random(x.shape) < 0.02] = np.nan
+    path = tmp_path / "mar.csv"
+    np.savetxt(path, x, delimiter=",")
+    with pytest.warns(RuntimeWarning) as caught:
+        assert main(["choose-k", "--data", str(path), "--seed", "1", "--out", str(tmp_path / "r.json")]) == 0
+    assert "sigma_hat is singular" in str(caught[0].message)
+    assert "n complete rows" in str(caught[0].message)
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert all(r["statistic"] is None for r in report["records"][:-1])  # +inf, rejected
+    assert report["records"][-1]["perfect_fit"]
 
 
 def test_choose_k_requires_seed(tmp_path):

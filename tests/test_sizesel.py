@@ -12,7 +12,7 @@ import pytest
 import scipy.special
 import scipy.stats
 
-from csskit import covest, simlab, sizesel
+from csskit import covest, simlab, sizesel, symmat
 from csskit.criteria import Criterion, CriterionKind, evaluate
 from csskit.errors import DegreesOfFreedom, DimMismatch, NoFeasibleK
 from csskit.search import SearchConfig, swap
@@ -36,6 +36,88 @@ from csskit.sizesel import (
 def rand_pd(rng, p):
     g = rng.standard_normal((p + 3, p))
     return g.T @ g / (p + 3)
+
+
+def block_statistic(sigma, n, subset, isotropic):
+    """The statistic by its definition, the oracle of the shifted objective:
+    the complement's block R of the residual covariance, and ``n * (fitted
+    - log det R)`` by ``slogdet``.  0 when one variable is left (m = 1),
+    when every left-out variable is fit perfectly (its residual variance at
+    most 1e-10 of its own) and, for the diagonal model, when one is; +inf
+    when the isotropic model has some but not all fit, or when R on the
+    variables' own variances has an eigenvalue of at most 1e-10."""
+    p = len(sigma)
+    comp = [j for j in range(p) if j not in subset]
+    r = symmat.residual_covariance(sigma, subset)[np.ix_(comp, comp)]
+    m, diag, var = len(comp), np.diag(r), np.diag(sigma)[comp]
+    fits = diag <= 1e-10 * var
+    if m == 1 or fits.all() or (fits.any() and not isotropic):
+        return 0.0
+    unit = r / np.sqrt(np.outer(var, var))
+    if fits.any() or np.linalg.eigvalsh(unit)[0] <= 1e-10:
+        return np.inf
+    fitted = m * np.log(np.trace(r) / m) if isotropic else np.sum(np.log(diag))
+    return n * (fitted - np.linalg.slogdet(r)[1])
+
+
+def assert_block_statistic(got, sigma, n, subset, isotropic):
+    want = block_statistic(sigma, n, subset, isotropic)
+    if np.isinf(want) or want == 0.0:
+        assert got == want, (subset, got, want)
+    else:
+        # the shift n (objective - log det sigma) cancels to the statistic:
+        # 1e-10 relative to its terms
+        terms = n * (abs(np.linalg.slogdet(sigma)[1]) + 1.0)
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-10 * terms), (subset, got, want)
+
+
+def test_statistics_match_the_block_formula():
+    # stat_T and stat_Ttilde are the search objectives shifted by log det
+    # sigma; the residual block and its slogdet give the same numbers, and
+    # the same 0 and +inf verdicts on rank-deficient sigma, at every size
+    rng = np.random.default_rng(907)
+    for t in range(120):
+        p = int(rng.integers(3, 12))
+        rank = p if t % 2 else int(rng.integers(1, p))
+        g = rng.standard_normal((p, rank))
+        sigma = g @ g.T / rank
+        if t % 3 == 0:
+            d = 10.0 ** rng.uniform(-3.0, 3.0, p)
+            sigma = d[:, None] * sigma * d[None, :]
+        for k in range(p):
+            subset = tuple(sorted(rng.permutation(p)[:k].tolist()))
+            assert_block_statistic(stat_T(sigma, 60, subset), sigma, 60, subset, False)
+            assert_block_statistic(stat_Ttilde(sigma, 60, subset), sigma, 60, subset, True)
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_choose_k_records_match_the_block_formula(model, monkeypatch):
+    # every record of a walk, full rank and singular: the statistic read
+    # from the search's objective is the block formula's at its subset,
+    # and sizesel takes one log-determinant per walk, that of sigma_hat
+    isotropic = model == Model.PCSS
+    x = simlab.sample(simlab.sizesel_a2_spec(), 200, seed=[3, 0, 0])
+    sigma = covest.sample_cov(x)[:12, :12]
+    calls, log_det = [], symmat.log_det
+
+    def counted(m, var=None):
+        if sys._getframe(1).f_globals["__name__"] == sizesel.__name__:
+            calls.append(np.shape(m))
+        return log_det(m, var)
+
+    monkeypatch.setattr(symmat, "log_det", counted)
+    report = choose_k(sigma, n=200, model=model, mc_samples=2000, seed=1)
+    monkeypatch.undo()
+    assert len(report.records) > 3 and calls == [(12, 12)]
+    for rec in report.records:
+        assert_block_statistic(rec.statistic, sigma, 200, rec.subset, isotropic)
+    g = np.random.default_rng(11).standard_normal((8, 4))
+    with pytest.warns(RuntimeWarning) as caught:
+        report = choose_k(g @ g.T, n=50, model=model, mc_samples=2000, seed=1)
+    assert [str(w.message)[:21] for w in caught] == ["sigma_hat is singular", "perfect fit at k=4: s"]
+    assert report.chosen_k == 4 and report.records[-1].perfect_fit
+    for rec in report.records:
+        assert_block_statistic(rec.statistic, g @ g.T, 50, rec.subset, isotropic)
 
 
 def test_stat_T_zero_on_diagonal():
@@ -296,7 +378,8 @@ def test_choose_k_errors():
     with pytest.raises(DegreesOfFreedom):
         choose_k(np.eye(5), n=5, mc_samples=2000)
     pop = simlab.population_cov(pcss_toy_spec(noise=0.0))
-    with pytest.raises(NoFeasibleK):
+    # a noiseless population is singular, which choose_k says before it walks
+    with pytest.raises(NoFeasibleK), pytest.warns(RuntimeWarning, match="sigma_hat is singular"):
         choose_k(pop, n=50, model=Model.PCSS, mc_samples=2000, seed=0, k_max=1)
     with pytest.raises(DimMismatch, match="k_max"):
         choose_k(pop, n=50, mc_samples=2000, k_max=-1)  # not NoFeasibleK
