@@ -32,18 +32,21 @@ Every rank decision is the pivot test of :mod:`csskit.symmat`: a variable
 adds rank to ``S``, and is not fit perfectly by it, when its residual
 variance exceeds ``RANK_TOL`` times its own
 (:func:`csskit.symmat.adds_rank`).  A search state applies it to each
-variable as it joins; :func:`evaluate` and the readout of DetResidual apply
-it to the pivots of a block's Cholesky factor through
-:func:`csskit.symmat.log_det`, the selected block on its own variances and
-the complement's residual block on the complement's own variances.
-:func:`evaluate` and the scorer of a singular ``sigma`` form regression
-coefficients through the generalised inverse :func:`csskit.symmat.ginv`.
-No decision depends on the units of a variable.
+variable as it joins.  :func:`evaluate` applies it to the pivots of one
+pivoted Cholesky of the selected block on its own variances
+(``symmat._pivots``), and, with the readout of DetResidual, to the
+complement's residual block on the complement's own variances through
+:func:`csskit.symmat.log_det`.  Only CanonCorr forms generalised inverses
+(:func:`csskit.symmat.ginv`, in :func:`cc_sum` and in the scorer of a
+singular ``sigma``).  No decision depends on the units of a variable.
 
-:func:`evaluate` computes from scratch.  It reads ``diag R`` in O(pk^2)
-from the regression coefficients on ``S``; only DetResidual and
-FrobResidual form a block of ``R``, the complement's, and only DiagDet and
-IsoLrt read ``log det(sigma_S)``.
+:func:`evaluate` computes from scratch.  All but CanonCorr regress on the
+members ``R`` of ``S`` that add rank by those pivots: with ``D sigma_S D =
+L L^T`` over them, ``b = L^-1 D sigma[R, :]`` gives ``diag R = diag sigma -
+colsum(b^2)`` in O(pk^2), and the same pivots give ``log det(sigma_S)``.
+Only DetResidual and FrobResidual form a block of ``R``, the complement's,
+as ``sigma_CC - b_C^T b_C``, and only DiagDet and IsoLrt read ``log
+det(sigma_S)``.
 
 Greedy and swap searches never rank candidates by re-evaluating from
 scratch; they use :func:`score_stack`, whose values are *order-equivalent*
@@ -177,8 +180,13 @@ def evaluate(criterion: Criterion, sigma: SymMatrix, subset: Sequence[int]) -> f
     The subset may be any size (greedy evaluates its prefixes).  All but
     CanonCorr (:func:`cc_sum`, in the given order) read it in ascending
     order, so their value does not depend on its order, not even by
-    roundoff: restarts of swap that reach one set tie exactly.  This is the
-    reference implementation the incremental paths are tested against.
+    roundoff: restarts of swap that reach one set tie exactly.  They
+    regress on the members that add rank by the pivots of one Cholesky
+    factor of ``sigma_S`` on its own variances, in ascending order, or
+    largest first once a pivot nears the cutoff (``symmat._pivots``), and
+    invert nothing else; a state takes its pivots in the order its members
+    joined.  This is the reference implementation the incremental paths are
+    tested against.
     """
     sigma = np.asarray(sigma, dtype=float)
     p = criterion.p
@@ -189,24 +197,33 @@ def evaluate(criterion: Criterion, sigma: SymMatrix, subset: Sequence[int]) -> f
     kind = criterion.kind
 
     if kind == CriterionKind.CANON_CORR:
-        if not u or not comp.size:
-            return 0.0
-        return -cc_sum(sigma, u, comp)
+        # 0.0 - x is -x bit for bit, and +0.0 where cc_sum reads an empty side
+        return 0.0 - cc_sum(sigma, u, comp)
 
-    # diag R = diag sigma - rowsum(coef * sigma[:, U]), coef the regression
-    # coefficients on U, in O(p k^2); only a block criterion forms R[-S, -S]
-    idx = sorted(u)
-    cols = sigma[:, idx]
+    # One pivoted Cholesky of sigma_S on its own variances, D sigma_S D =
+    # L L^T over the members R that add rank (symmat._pivots), and b = L^-1
+    # D sigma[R, :], so that b^T b is the part of sigma that R explains:
+    # diag R = diag sigma - colsum(b^2) in O(p k^2), and only a block
+    # criterion forms R[-S, -S] = sigma[-S, -S] - b[:, -S]^T b[:, -S]
+    idx = np.array(sorted(u), dtype=np.intp)
     block_u = sigma[np.ix_(idx, idx)]
-    coef = cols @ symmat.ginv(block_u)
     var = sigma.diagonal()
-    diag = np.maximum(var - np.einsum("ij,ij->i", coef, cols), 0.0)
+    d = 1.0 / np.sqrt(np.where(var > 0.0, var, 1.0))
+    ranked, lt, pivots = symmat._pivots(d[idx, None] * block_u * d[idx])
+    # log det sigma_S from the same pivots; a singular sigma_S is read by
+    # log_det, which takes the same pivots and then tells roundoff (-inf)
+    # from an indefinite block (NotPSD)
+    ld = np.sum(np.log(pivots)) + np.sum(np.log(var[idx])) if ranked.size == idx.size else symmat.log_det(block_u)
+    # L^-1 by one k x k inverse and one product: numpy's solve against the
+    # p columns of D sigma[R, :] took about ten times as long at p = 774
+    b = np.linalg.inv(np.triu(lt[:, ranked]).T) @ (d[idx[ranked], None] * sigma[idx[ranked]])
+    diag = np.maximum(var - np.einsum("ij,ij->j", b, b), 0.0)
     if kind == CriterionKind.CSS_TRACE:
         return float(np.sum(diag))
     if kind in (CriterionKind.DIAG_DET, CriterionKind.ISO_LRT):
-        ld_block = np.array([symmat.log_det(block_u)])
-        return float(_readout_rows(kind, p - criterion.k, diag[comp][None], var[comp][None], ld_block)[0])
-    block = sigma[np.ix_(comp, comp)] - coef[comp] @ cols[comp].T
+        return float(_readout_rows(kind, p - criterion.k, diag[comp][None], var[comp][None], np.array([ld]))[0])
+    bc = b[:, comp]
+    block = sigma[np.ix_(comp, comp)] - np.dot(bc.T, bc)  # exactly symmetric (syrk)
     if kind == CriterionKind.FROB_RESIDUAL:
         return float(np.sum(block * block))
     return symmat.log_det(block, var[comp])

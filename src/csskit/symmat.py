@@ -7,19 +7,21 @@ eigendecomposition backend (:func:`numpy.linalg.eigh`, or
 decision one cutoff, ``RANK_TOL``, applied free of the units of every
 variable.  One test decides rank: a variable adds rank to a subset when its residual
 variance exceeds ``RANK_TOL`` times its own variance (:func:`adds_rank`).
-It is the pivot and perfect-fit test of a search state, and
-:func:`log_det` applies it to each pivot of a block's Cholesky factor, so a
-block is singular when one of its variables adds no rank to the ones
-before it.  :func:`inverse` refuses a matrix by its condition number.
+It is the pivot and perfect-fit test of a search state, and the one
+pivoted Cholesky, :func:`_pivots`, applies it to each pivot of a block on
+its variables' variances: :func:`log_det` reads a block as singular when
+one of its variables adds no rank to the ones before it, and
+:func:`csskit.criteria.evaluate` regresses on the members that add rank.
+:func:`inverse` refuses a matrix by its condition number.
 
 Beside the test stand two conventions.  An eigenvalue below ``-RANK_TOL``
 times the largest (or, in :func:`log_det`, times ``max(1, lambda_max)`` of
 the block on its variances) raises :class:`~csskit.errors.NotPSD`, and a
 singular log-determinant is ``-inf``.  The generalised inverses
-:func:`pseudo_inverse` and :func:`ginv` (the latter behind every Schur
-complement and canonical correlation) drop the directions whose eigenvalue
-is at or below ``RANK_TOL * lambda_max``: that cut forms an inverse, it
-does not decide whether a block is singular.
+:func:`pseudo_inverse` and :func:`ginv` (the latter behind the canonical
+correlations and :func:`residual_covariance`) drop the directions whose
+eigenvalue is at or below ``RANK_TOL * lambda_max``: that cut forms an
+inverse, it does not decide whether a block is singular.
 
 The subset updates are the workhorses of the search algorithms; they
 trust the state they are given, the factors of a
@@ -250,12 +252,15 @@ def pseudo_inverse(m: SymMatrix) -> SymMatrix:
 def psd_project(m: SymMatrix) -> SymMatrix:
     """Project a symmetric matrix onto the PSD cone (Frobenius-closest point).
 
-    Negative eigenvalues are clamped to zero and the matrix is rebuilt.  The
-    input may be indefinite; only symmetry and finiteness are required.
+    Negative eigenvalues are clamped to zero and the matrix is rebuilt as
+    ``v v^T`` from the eigenvectors scaled in place by ``sqrt(max(w, 0))``:
+    beside its input it holds the eigenvectors and the result, which is
+    exactly symmetric with a nonnegative diagonal.  The input may be
+    indefinite; only symmetry and finiteness are required.
     """
     w, v = eigh_desc(m)
-    w = np.maximum(w, 0.0)
-    return _clamp_diag(_sym((v * w) @ v.T))
+    v *= np.sqrt(np.maximum(w, 0.0))
+    return np.dot(v, v.T)  # numpy's syrk for a product with its own transpose
 
 
 def ginv(m: SymMatrix) -> SymMatrix:
@@ -310,16 +315,14 @@ def log_det(m: SymMatrix, var: Optional[np.ndarray] = None) -> float:
     """
     m = np.asarray(m, dtype=float)
     check_square(m)
-    if m.size == 0:
-        return 0.0
     var = m.diagonal() if var is None else np.asarray(var, dtype=float)
     d = 1.0 / np.sqrt(np.where(var > 0.0, var, 1.0))
     unit = d[:, None] * m * d[None, :]
-    if np.all(var > 0.0):
+    if np.all(var > 0.0):  # true of the empty matrix, which reads 0 from no pivots
         if not np.all(adds_rank(unit.diagonal(), 1.0)):
             return float("-inf")  # a variable adds no rank even on its own
-        pivots = _pivots(unit)
-        if np.all(adds_rank(pivots, 1.0)):
+        ranked, _, pivots = _pivots(unit)
+        if ranked.size == len(m):
             return float(np.sum(np.log(pivots)) + np.sum(np.log(var)))
     w = eigh_desc(unit).values
     if float(w[-1]) < -RANK_TOL * max(1.0, float(w[0])):
@@ -327,33 +330,41 @@ def log_det(m: SymMatrix, var: Optional[np.ndarray] = None) -> float:
     return float("-inf")
 
 
-def _pivots(m: SymMatrix) -> np.ndarray:
-    """The Cholesky pivots of ``m``, a matrix on its variables' variances
-    as :func:`log_det` forms it.
+def _pivots(m: SymMatrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pivoted Cholesky factor of ``m``, a matrix on its variables'
+    variances as :func:`log_det` forms it: ``(ranked, lt, pivots)``, the
+    members that add rank in pivot order, the rows of their factor and their
+    pivots ``L_jj^2``.  Row j of ``lt`` is column j of ``L`` over every
+    member, so ``m[ranked][:, ranked] = L L^T`` with ``L^T =
+    triu(lt[:, ranked])``.  It is the package's one pivoted Cholesky:
+    :func:`log_det` reads its pivots, and :func:`csskit.criteria.evaluate`
+    regresses on the ranked members.
 
     Past a pivot ``a``, roundoff in the later pivots grows like ``eps /
     a``, so a pivot near the cutoff after a small one is roundoff as much
     as rank.  When every pivot of the given order exceeds
-    ``sqrt(RANK_TOL)`` they are returned.  Otherwise the pivots are taken
-    again, the variable of largest residual variance first, which reveals
-    rank (Higham 1990), up to the first that fails ``adds_rank(., 1)``: one
-    vector-matrix product a pivot, O(n^3) in all."""
+    ``sqrt(RANK_TOL)``, that order stands and every member is ranked.
+    Otherwise the pivots are taken again, the variable of largest residual
+    variance first, which reveals rank (Higham 1990), up to the first that
+    fails ``adds_rank(., 1)``: it and every member left after it add no
+    rank.  One vector-matrix product a pivot, O(n^3) in all."""
     try:
-        pivots = np.linalg.cholesky(m).diagonal() ** 2
-        if float(pivots.min()) > math.sqrt(RANK_TOL):
-            return pivots
+        l = np.linalg.cholesky(m)
+        pivots = l.diagonal() ** 2
+        if float(pivots.min(initial=np.inf)) > math.sqrt(RANK_TOL):
+            return np.arange(len(m)), l.T, pivots
     except np.linalg.LinAlgError:
         pass
-    lt, resid, out = np.empty(m.shape), m.diagonal().copy(), np.empty(m.shape[0])
-    for j in range(out.size):
-        q = int(np.argmax(resid))
+    lt, resid, out, order = np.empty(m.shape), m.diagonal().copy(), np.empty(len(m)), np.empty(len(m), dtype=np.intp)
+    for j in range(len(m)):
+        q = order[j] = np.argmax(resid)
         out[j] = resid[q]
         if not adds_rank(out[j], 1.0):
-            return out[: j + 1]
+            return order[:j], lt[:j], out[:j]
         lt[j] = (m[q] - np.dot(lt[:j, q], lt[:j])) / math.sqrt(out[j])
         resid -= lt[j] * lt[j]
         resid[q] = -np.inf
-    return out
+    return order, lt, out
 
 
 def inverse(m: SymMatrix, cond_max: float) -> Optional[SymMatrix]:

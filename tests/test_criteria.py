@@ -1,5 +1,6 @@
 """Selection criteria: reference evaluation, incremental scoring, state moves."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -203,6 +204,25 @@ def test_det_residual_evaluate_takes_one_log_det(monkeypatch):
     value = evaluate(Criterion(CriterionKind.DET_RESIDUAL, p=8, k=3), sigma, (1, 4, 6))
     assert shapes == [(5, 5)]
     assert np.isfinite(value)
+
+
+def test_evaluate_forms_an_exactly_symmetric_complement_block(monkeypatch):
+    # On a rank-8-of-10 sigma, S = (0, 2, 3, 4, 5, 6, 8, 9) fits the other
+    # two variables perfectly.  Through generalised-inverse coefficients
+    # their 2 x 2 residual block came out asymmetric, with an eigenvalue of
+    # -3.0e-10 on their variances; as sigma_CC - b_C^T b_C it is exactly
+    # symmetric and reads as singular.
+    rng = np.random.default_rng(2024)
+    for _ in range(294):
+        g = rng.standard_normal((10, 8))
+    sigma = g @ g.T / 10
+    blocks = []
+    log_det = symmat.log_det
+    monkeypatch.setattr(symmat, "log_det", lambda m, *args: blocks.append(m) or log_det(m, *args))
+    crit = Criterion(CriterionKind.DET_RESIDUAL, p=10, k=8)
+    assert evaluate(crit, sigma, (0, 2, 3, 4, 5, 6, 8, 9)) == -np.inf
+    (block,) = blocks
+    assert block.shape == (2, 2) and np.array_equal(block, block.T)
 
 
 def test_canon_corr_evaluate_is_negated_cc_sum():
@@ -651,6 +671,102 @@ def test_objective_from_state_matches_evaluate():
         assert criteria.objective_from_state(crit, state) == pytest.approx(
             evaluate(crit, sigma, (4, 1)), abs=1e-8
         )
+
+
+# evaluate regresses on the pivots of symmat._pivots, as a state does; CanonCorr
+# reads generalised inverses (cc_sum)
+PIVOTED = [kind for kind in CriterionKind if kind != CriterionKind.CANON_CORR]
+
+
+def _assert_evaluate_matches_the_state(crit, sigma, subset, scale, rel, log_tol):
+    """evaluate and the state's objective agree: equal (both -inf, say),
+    within ``log_tol`` for a log criterion, and otherwise within ``rel``
+    times ``scale`` (squared for FrobResidual)."""
+    got = evaluate(crit, sigma, subset)
+    want = criteria.objective_from_state(crit, state_from_subset(crit, sigma, subset))
+    tol = {CriterionKind.CSS_TRACE: rel * scale, CriterionKind.FROB_RESIDUAL: rel * scale**2}.get(crit.kind, log_tol)
+    assert got == want or abs(got - want) <= tol, (crit.kind, subset, got, want)
+
+
+def test_evaluate_regresses_on_the_members_that_add_rank():
+    # Variable 2 is (x1 - x0) / eps, fit exactly by S = (0, 1), whose
+    # unit-diagonal block has 1 - rho^2 = 3e-10: its second pivot adds rank
+    # (the state's rule), but an eigenvalue cut at RANK_TOL * lambda_max
+    # dropped that direction, and evaluate read variable 2 as not fit at all
+    # (CssTrace 1.0 and DiagDet -21.93, where the state reads 8.3e-8 and
+    # -38.23).  Both now read the roundoff of the exact fit, of order eps /
+    # 3e-10 of variable 2's variance, and agree wherever rescaling the
+    # variables is exact (powers of two).  At other units the roundoff
+    # moves, and the state may read it below the cutoff (-inf), but
+    # evaluate still fits variable 2.
+    eps2 = 3e-10
+    eps = np.sqrt(eps2)
+    base = np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + eps2, eps], [0.0, eps, 1.0]])
+    for units in (np.ones(3), 2.0 ** np.array([-10, 10, 3]), 2.0 ** np.array([8, -5, -13])):
+        sigma = base * np.outer(units, units)
+        for kind, subset in itertools.product(PIVOTED, ((0, 1), (1, 0))):
+            _assert_evaluate_matches_the_state(Criterion(kind, p=3, k=2), sigma, subset, sigma[2, 2], 1e-8, 0.05)
+    crit = Criterion(CriterionKind.CSS_TRACE, p=3, k=2)
+    for units in (np.array([1e-3, 1e3, 7.0]), np.array([2e2, 3e-2, 1e-4]), np.array([1e3, 1e3, 1.0])):
+        sigma = base * np.outer(units, units)
+        assert evaluate(crit, sigma, (0, 1)) <= 1e-5 * sigma[2, 2]
+
+
+def _near_cutoff_sigma(rng, p, k):
+    """A ``p x p`` sigma, each variable in its own units, whose unit-diagonal
+    block of the first ``k`` variables has its least eigenvalue in
+    ``(10^-10.2, 10^-8.5)``: variable ``k - 1`` lies within about 1e-5 of
+    the span of the ones before it."""
+    while True:
+        f = rng.standard_normal((p, p + 2))
+        f[k - 1] = rng.standard_normal(k - 1) @ f[: k - 1] + 10 ** rng.uniform(-5.5, -4.0) * f[k - 1]
+        units = np.exp(rng.uniform(-3.0, 3.0, p))
+        sigma = (f @ f.T) * np.outer(units, units)  # exactly symmetric
+        d = 1.0 / np.sqrt(sigma.diagonal()[:k])
+        least = np.linalg.eigvalsh(d[:, None] * sigma[:k, :k] * d[None, :])[0]
+        if 10**-10.2 < least < 10**-8.5:
+            return sigma
+
+
+def test_evaluate_matches_the_state_near_the_rank_cutoff():
+    # Near the cutoff the eigenvalue cut dropped directions that add rank
+    # by the state's pivots: on these sigma evaluate read CssTrace up to
+    # half of tr(sigma) and the log criteria up to 2.9 away from the state.
+    # Both sides now regress on the same members and differ by roundoff
+    # (at most 1.2e-6 of tr(sigma) and 1.4e-5 over 300 such sigma).
+    rng = np.random.default_rng(1031)
+    for _ in range(100):
+        p = int(rng.integers(4, 9))
+        k = int(rng.integers(2, p - 1))
+        sigma = _near_cutoff_sigma(rng, p, k)
+        for kind in PIVOTED:
+            crit = Criterion(kind, p=p, k=k)
+            _assert_evaluate_matches_the_state(crit, sigma, tuple(range(k)), np.trace(sigma), 1e-5, 1e-3)
+
+
+def test_evaluate_takes_no_generalised_inverse(monkeypatch):
+    # Every criterion but CanonCorr regresses on the pivots of one Cholesky
+    # factor of sigma_S: no eigenvalue cut, on full-rank and rank-deficient
+    # sigma alike, for any subset size.
+    def refuse(m):
+        raise AssertionError("evaluate took a generalised inverse")
+
+    monkeypatch.setattr(symmat, "ginv", refuse)
+    monkeypatch.setattr(symmat, "pseudo_inverse", refuse)
+    rng = np.random.default_rng(1033)
+    twin = rand_psd(rng, 7)
+    twin[:, 5] = twin[:, 2]
+    twin[5, :] = twin[2, :]
+    for sigma in (rand_psd(rng, 7), rand_psd(rng, 7, rank=4), twin):
+        for kind in PIVOTED:
+            crit = Criterion(kind, p=7, k=3)
+            for subset in ((), (2,), (5, 2), (0, 3, 5), (2, 5, 1, 6, 0), tuple(range(7))):
+                assert not np.isnan(evaluate(crit, sigma, subset))
+    # an indefinite sigma_S, eigenvalue -1 on its variances, is still refused
+    bad = np.array([[1.0, 2.0, 0.5], [2.0, 1.0, 0.5], [0.5, 0.5, 1.0]])
+    for kind in PIVOTED:
+        with pytest.raises(NotPSD):
+            evaluate(Criterion(kind, p=3, k=2), bad, (0, 1))
 
 
 def test_canon_corr_scores_are_exact_on_nonsingular_sigma():

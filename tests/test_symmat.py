@@ -1,6 +1,7 @@
 """Symmetric-matrix kernels: pseudo-inverse, residuals, rank-one updates."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,6 +252,55 @@ def test_psd_project_closest_point():
     for _ in range(200):
         cand = rand_psd(rng, 5, int(rng.integers(1, 6)))
         assert np.linalg.norm(cand - a) >= base - 1e-10
+
+
+def test_psd_project_holds_one_array_beside_its_output():
+    # The eigenvectors are scaled in place and multiplied by their own
+    # transpose, so beside its input psd_project holds the eigenvectors and
+    # the output (three p x p arrays at the peak before).  The product of
+    # an array with its own transpose comes out exactly symmetric.
+    p = 300
+    a = np.random.default_rng(5).standard_normal((p, p))
+    a = (a + a.T) / 2
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = symmat.psd_project(a)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * p * p, peak / (8 * p * p)
+    assert np.array_equal(got, got.T)
+    assert np.min(got.diagonal()) >= 0.0
+
+
+def test_pivots_factor_the_ranked_members():
+    # _pivots, the one pivoted Cholesky: L L^T reproduces the block of the
+    # ranked members, with L^T = triu(lt[:, ranked]) and pivots diag(L)^2,
+    # and log_det reads its value from those pivots.  Three variables on a
+    # plane rank two of them; a near-collinear pair is taken again largest
+    # first; a full-rank block keeps its given order.
+    rng = np.random.default_rng(23)
+    x = rng.standard_normal((2, 3))
+    x[:, 2] = x[:, 0] - 2.0 * x[:, 1]
+    eps2 = 3e-10
+    near = np.array([[1.0, 1.0], [1.0, 1.0 + eps2]])
+    near = near / np.sqrt(np.outer(near.diagonal(), near.diagonal()))
+    for m, rank in ((x.T @ x, 2), (near, 2), (rand_psd(rng, 5) + 0.1 * np.eye(5), 5)):
+        d = 1.0 / np.sqrt(m.diagonal())
+        m = d[:, None] * m * d[None, :]
+        ranked, lt, pivots = symmat._pivots(m)
+        assert ranked.size == rank == len(lt) == len(pivots)
+        upper = np.triu(lt[:, ranked])
+        assert_allclose(upper.T @ upper, m[np.ix_(ranked, ranked)], atol=1e-12)
+        assert_allclose(upper.diagonal() ** 2, pivots, rtol=1e-12)
+        assert np.all(symmat.adds_rank(pivots, 1.0))
+        if rank == len(m):
+            assert symmat.log_det(m) == float(np.sum(np.log(pivots)) + np.sum(np.log(m.diagonal())))
+        else:
+            assert symmat.log_det(m) == -np.inf
+    assert symmat._pivots(np.eye(3))[0].tolist() == [0, 1, 2]
+    assert symmat._pivots(np.zeros((0, 0)))[0].size == 0
 
 
 def test_residual_hand_example():
