@@ -66,8 +66,8 @@ one ``sigma``-matvec under CssTrace and IsoLrt, and :func:`retract_stack`
 reflects one out in O(pk + k^3), or rebuilds a row with a side list from
 its members, the same moves under every criterion.  Scores then cost O(p)
 for DetResidual, O(p) plus the near-perfect fits' residual columns for
-CssTrace and IsoLrt, one ``(p-k)``-block of ``R`` for DiagDet, and the
-dense ``R`` for FrobResidual.  CanonCorr reads no residual.  When the
+CssTrace and IsoLrt, and the complement's ``(p-k)``-block of ``R`` for
+DiagDet and FrobResidual.  CanonCorr reads no residual.  When the
 condition number of the unit-diagonal ``sigma`` is at most ``CC_COND_MAX``
 (1e4), :func:`init_state` inverts it once per search
 (:func:`csskit.symmat.inverse`, one eigendecomposition).  With ``G =
@@ -86,11 +86,10 @@ There is one state type and one move path.  A state is a stack of one:
 functions on it.  Greedy, a single run and every lockstep group of swap's
 restarts move stacks through :func:`advance_stack`, :func:`retract_stack`,
 :func:`score_stack` and :func:`objective_stack`.  Every product is a
-per-row BLAS call or an elementwise operation (DetResidual, CssTrace,
-IsoLrt and DiagDet score all rows with one numpy call per step;
-FrobResidual and CanonCorr score, and DetResidual, FrobResidual and
-CanonCorr read, one row at a time), so each row comes out bit for bit as
-it does in a stack of one.
+per-row BLAS call or an elementwise operation (all but CanonCorr score all
+rows with one numpy call per step; CanonCorr scores, and DetResidual's
+log-determinant and CanonCorr read, one row at a time), so each row comes
+out bit for bit as it does in a stack of one.
 
 Inputs are checked once, where they enter: ``sigma`` in :func:`init_state`,
 a subset in :func:`state_from_subset`, an index in :func:`advance`, a
@@ -444,6 +443,15 @@ def _complements(p: int, subset: np.ndarray) -> np.ndarray:
     return np.nonzero(mask)[1].reshape(n, p - k)
 
 
+def _blocks(sigma: np.ndarray, lt: np.ndarray, cands: np.ndarray) -> np.ndarray:
+    """``R[C, C] = sigma[C, C] - L[C]^T L[C]`` of every row ``b``, ``C =
+    cands[b]``, ``B x m x m``, by one gather and one batched syrk."""
+    li = _gather(lt, cands)
+    out = sigma.take(cands[:, :, None] * sigma.shape[0] + cands[:, None, :])
+    out -= np.matmul(li.transpose(0, 2, 1), li)
+    return out
+
+
 def advance_stack(stack: StateStack, picks: np.ndarray) -> StateStack:
     """Grow every row by its variable ``picks[b]``: the new column of ``L``
     by :func:`csskit.symmat.residual_add` on the whole stack, in O(pk) per
@@ -527,14 +535,13 @@ def score_stack(criterion: Criterion, stack: StateStack) -> Tuple[np.ndarray, np
 
 def _score_rows(criterion: Criterion, stack: StateStack, cands: np.ndarray) -> np.ndarray:
     """Scores of the ``B`` states of ``stack`` for their candidates
-    ``cands`` (``B x m``).  DetResidual, CssTrace, IsoLrt and DiagDet score
-    all rows with one numpy call per step.  CssTrace and IsoLrt read the
-    carried ``diag R^2`` (a near fit's, and under IsoLrt the trace left by a
-    candidate that leaves little, from its residual column), DetResidual
-    ``-diag R`` and DiagDet the candidates' ``(p - k)``-block of ``R``.
-    FrobResidual forms each row's dense ``R``, one row at a time, and
-    CanonCorr runs :func:`_score_canon_corr` or, without ``omega``,
-    :func:`_score_canon_corr_ginv` once per row."""
+    ``cands`` (``B x m``).  All but CanonCorr score all rows with one numpy
+    call per step.  CssTrace and IsoLrt read the carried ``diag R^2`` (a
+    near fit's, and under IsoLrt the trace left by a candidate that leaves
+    little, from its residual column), DetResidual ``-diag R``, and DiagDet
+    and FrobResidual the candidates' ``(p - k)``-block of ``R``
+    (:func:`_blocks`).  CanonCorr runs :func:`_score_canon_corr` or, without
+    ``omega``, :func:`_score_canon_corr_ginv` once per row."""
     sigma, fac, kind = stack.sigma, stack.factor, criterion.kind
     if kind == CriterionKind.CANON_CORR:
         rows = zip(fac.lt, stack.subset, cands)
@@ -553,14 +560,14 @@ def _score_rows(criterion: Criterion, stack: StateStack, cands: np.ndarray) -> n
     safe = np.where(ok, diag, 1.0)
 
     if kind == CriterionKind.FROB_RESIDUAL:
-        scores = np.empty((n, m))
-        for b in range(n):
-            res = fac.map(lambda a: a[b]).residual(sigma)
-            cols = res[:, cands[b]]
-            colsq = np.einsum("ij,ij->j", cols, cols)
-            cubic = np.einsum("ij,ij->j", cols, res @ cols)
-            scores[b] = (colsq / safe[b]) ** 2 - 2.0 * cubic / safe[b]
-        return np.where(ok, scores, 0.0)
+        # S's rows of R are 0, so with B = R[C, C] candidate i has |r_i|^2 =
+        # (B^2)_ii and r_i^T R r_i = (B^3)_ii, the row sum of B^2 * B
+        blocks = _blocks(sigma, lt, cands)
+        sq = np.matmul(blocks, blocks)
+        colsq = np.einsum("bii->bi", sq).copy()
+        sq *= blocks
+        cubic = sq.sum(axis=2)
+        return np.where(ok, (colsq / safe) ** 2 - 2.0 * cubic / safe, 0.0)
 
     if kind in _SQUARES:
         # diag R^2 is carried by differences from diag sigma^2, so its error
@@ -601,12 +608,9 @@ def _score_rows(criterion: Criterion, stack: StateStack, cands: np.ndarray) -> n
                     rest[b, at] = np.where(fit, 0.0, left.sum(axis=0))
             return head + k * np.log(rest)
 
-        # DiagDet: the candidates' block of R, one (p - k)-square per state,
-        # row i of which gives candidate i's terms R_jj - R_ij^2 / R_ii; all
-        # in place, in one order of operations for every row
-        li = _gather(lt, cands)
-        terms = sigma.take(cands[:, :, None] * p + cands[:, None, :])
-        terms -= np.matmul(li.transpose(0, 2, 1), li)
+        # DiagDet: row i of the candidates' block of R gives candidate i's
+        # terms R_jj - R_ij^2 / R_ii; all in place, in one order for every row
+        terms = _blocks(sigma, lt, cands)
         terms *= terms
         terms /= safe[:, :, None]
         if not ok.all():
@@ -747,9 +751,10 @@ def objective_stack(criterion: Criterion, stack: StateStack) -> np.ndarray:
 
     CssTrace sums ``diag R``.  DiagDet and IsoLrt read ``log det(sigma_S)``
     as ``2 log|det L[S]|`` in O(k^3): ``-inf`` with a side list, whose zero
-    column makes ``L[S]`` singular (the pivot rule's singular block).  DetResidual and FrobResidual form each row's complement block
-    of ``R``, whose log-determinant DetResidual reads on the complement's
-    own variances (:func:`csskit.symmat.log_det`).  CanonCorr reads ``tr(G
+    column makes ``L[S]`` singular (the pivot rule's singular block).
+    DetResidual and FrobResidual read each row's complement block of ``R``
+    (:func:`_blocks`): its log-determinant on the complement's own variances
+    (:func:`csskit.symmat.log_det`), its squared sum.  CanonCorr reads ``tr(G
     H) - k`` in O(k^3) per row (see :func:`_score_canon_corr`) with
     ``omega`` and falls back to :func:`evaluate` without.
     """
@@ -771,7 +776,7 @@ def objective_stack(criterion: Criterion, stack: StateStack) -> np.ndarray:
         # 2 log|det M|, from one LU of M per row (-inf with a side list)
         ld_block = 2.0 * np.linalg.slogdet(_gather(fac.lt, stack.subset))[1]
         return _readout_rows(kind, criterion.p - criterion.k, fac.diag[np.arange(n)[:, None], comp], var, ld_block)
-    blocks = (fac.map(lambda a: a[b]).block(sigma, comp[b]) for b in range(n))
+    blocks = _blocks(sigma, fac.lt, comp)
     if kind == CriterionKind.FROB_RESIDUAL:
-        return np.array([float(np.sum(block * block)) for block in blocks])
+        return np.einsum("bij,bij->b", blocks, blocks)
     return np.array([symmat.log_det(block, v) for block, v in zip(blocks, var)])

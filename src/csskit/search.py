@@ -185,8 +185,8 @@ def _group_size(crit: Criterion) -> int:
     the stacked kernels' temporaries, about ``(p - k + 1)^2`` (DiagDet's
     candidate block) plus ``2 k p`` (a row's factor and its products)
     elements per restart, within ``STACK_BUDGET``; at least one.
-    FrobResidual forms its ``p x p`` residual one row at a time, so it adds
-    no per-row term."""
+    FrobResidual holds two such blocks per restart (the block and its
+    square), so its groups may take up to twice the budget."""
     p, k = crit.p, crit.k
     return max(1, STACK_BUDGET // ((p - k + 1) ** 2 + 2 * k * p))
 

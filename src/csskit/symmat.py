@@ -459,11 +459,6 @@ class Factor(NamedTuple):
         l = self.lt[:, : self.diag.shape[0]]
         return sigma[:, idx] - np.dot(l.T, self.lt.take(idx, 1))
 
-    def block(self, sigma: SymMatrix, idx: np.ndarray) -> SymMatrix:
-        """``R[idx, idx] = sigma[idx, idx] - L[idx] L[idx]^T``."""
-        li = self.lt.take(idx, 1)
-        return sigma.take(idx, 0).take(idx, 1) - np.dot(li.T, li)
-
 
 # The row helpers of the kernels: one BLAS call per row of a stack, through
 # np.matmul, which reads the strided L = lt[..., :p] in place where np.dot

@@ -640,17 +640,22 @@ def test_css_trace_scores_a_near_fit_from_its_residual_column():
 def test_moves_allocate_no_dense_residual():
     # A CssTrace advance to k=20 and a retract from it, at p=600, each
     # allocate under a quarter of one p x p array (2.9 MB): the residual
-    # lives in its factor.
+    # lives in its factor.  FrobResidual scores and reads a state of k=300
+    # under one p x p array: both read only the complement's block of R.
     p, k = 600, 20
     rng = np.random.default_rng(167)
     sigma = rand_psd(rng, p, rank=40) + 0.1 * np.eye(p)
     crit = Criterion(CriterionKind.CSS_TRACE, p=p, k=k)
     state = state_from_subset(crit, sigma, range(0, 2 * k - 2, 2))
     grown = advance(crit, state, sigma, 1)
-    bound = p * p * 8 / 4
-    for move in (
-        lambda: advance(crit, state, sigma, 1),
-        lambda: retract(crit, grown, sigma, 7),
+    frob = Criterion(CriterionKind.FROB_RESIDUAL, p=p, k=p // 2)
+    half = state_from_subset(frob, sigma, range(0, p, 2))
+    dense = p * p * 8
+    for move, bound in (
+        (lambda: advance(crit, state, sigma, 1), dense / 4),
+        (lambda: retract(crit, grown, sigma, 7), dense / 4),
+        (lambda: score_all(frob, half), dense),
+        (lambda: criteria.objective_from_state(frob, half), dense),
     ):
         tracemalloc.start()
         try:
@@ -660,6 +665,39 @@ def test_moves_allocate_no_dense_residual():
         finally:
             tracemalloc.stop()
         assert peak < bound, (peak, bound)
+
+
+def test_frob_residual_scores_are_objective_differences():
+    # A FrobResidual score is the change of the objective when its candidate
+    # joins: score_i + objective(S) = evaluate(S + (i,)) to 1e-9 of (tr sigma
+    # / p)^2, on full-rank sigma, on rank-deficient sigma (x2 = x0 - x1) and
+    # on sigma with a duplicated column (x1 = x0), whose states hold those
+    # members and carry side lists, and on rescaled sigma.
+    rng = np.random.default_rng(173)
+    sides = 0
+    for t in range(40):
+        p = int(rng.integers(5, 12))
+        g = rng.standard_normal((p, p + 2))
+        dependent = [(), (0, 1, 2), (0, 1), ()][t % 4]
+        if t % 4 == 1:
+            g[2] = g[0] - g[1]
+        if t % 4 == 2:
+            g[1] = g[0]
+        sigma = g @ g.T / p
+        if t % 4 == 3:
+            d = 10.0 ** rng.uniform(-3.0, 3.0, p)
+            sigma = d[:, None] * sigma * d[None, :]
+        others = [int(i) for i in rng.permutation(p) if i not in dependent]
+        subset = list(dependent) + others[: int(rng.integers(0, p - 1 - len(dependent)))]
+        subset = tuple(rng.permutation(subset).tolist())
+        crit = Criterion(CriterionKind.FROB_RESIDUAL, p=p, k=max(1, len(subset)))
+        state = state_from_subset(crit, sigma, subset)
+        sides += len(_ranked(state)) < len(subset)
+        cands, scores = score_all(crit, state)
+        want = [evaluate(crit, sigma, subset + (int(i),)) for i in cands]
+        got = scores + criteria.objective_from_state(crit, state)
+        assert_allclose(got, want, rtol=0, atol=1e-9 * (np.trace(sigma) / p) ** 2, err_msg=str((t, subset)))
+    assert sides == 20
 
 
 def test_objective_from_state_matches_evaluate():
