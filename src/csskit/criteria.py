@@ -34,11 +34,13 @@ variance exceeds ``RANK_TOL`` times its own
 (:func:`csskit.symmat.adds_rank`).  A search state applies it to each
 variable as it joins.  :func:`evaluate` applies it to the pivots of one
 pivoted Cholesky of the selected block on its own variances
-(``symmat._pivots``), and, with the readout of DetResidual, to the
+(``symmat._pivots``), under CanonCorr to the complement's block too
+(:func:`cc_sum`), and, with the readout of DetResidual, to the
 complement's residual block on the complement's own variances through
-:func:`csskit.symmat.log_det`.  Only CanonCorr forms generalised inverses
-(:func:`csskit.symmat.ginv`, in :func:`cc_sum` and in the scorer of a
-singular ``sigma``).  No decision depends on the units of a variable.
+:func:`csskit.symmat.log_det`.  Only CanonCorr's scorer of a singular or
+ill-conditioned ``sigma`` forms generalised inverses
+(:func:`csskit.symmat.ginv`).  No decision depends on the units of a
+variable.
 
 :func:`evaluate` computes from scratch.  All but CanonCorr regress on the
 members ``R`` of ``S`` that add rank by those pivots: with ``D sigma_S D =
@@ -46,7 +48,10 @@ L L^T`` over them, ``b = L^-1 D sigma[R, :]`` gives ``diag R = diag sigma -
 colsum(b^2)`` in O(pk^2), and the same pivots give ``log det(sigma_S)``.
 Only DetResidual and FrobResidual form a block of ``R``, the complement's,
 as ``sigma_CC - b_C^T b_C``, and only DiagDet and IsoLrt read ``log
-det(sigma_S)``.
+det(sigma_S)``.  CanonCorr whitens ``S`` and its complement ``C`` alike,
+``D sigma_C D = L_C L_C^T`` over the members of ``C`` that add rank, and
+reads ``-||L^-1 D sigma_{S,C} D L_C^-T||_F^2`` (:func:`cc_sum`), with no
+generalised inverse.
 
 Greedy and swap searches never rank candidates by re-evaluating from
 scratch; they use :func:`score_stack`, whose values are *order-equivalent*
@@ -70,8 +75,8 @@ CssTrace and IsoLrt, and the complement's ``(p-k)``-block of ``R`` for
 DiagDet and FrobResidual.  CanonCorr reads no residual.  When the
 condition number of the unit-diagonal ``sigma`` is at most ``CC_COND_MAX``
 (1e4), :func:`init_state` inverts it once per search
-(:func:`csskit.symmat.inverse`, one eigendecomposition).  With ``G =
-sigma_S^-1`` from the factor and ``H = (Omega_SS)^-1`` of ``Omega =
+(:func:`csskit.symmat.inverse`: its eigenvalues, then one Cholesky).  With
+``G = sigma_S^-1`` from the factor and ``H = (Omega_SS)^-1`` of ``Omega =
 sigma^-1``, each in O(k^3), the partitioned inverse gives ``-cc(S) = tr(G
 H) - k``: :func:`score_stack` scores every candidate exactly in O(k^3 +
 k^2 (p - k)) and :func:`objective_stack` reads the objective in O(k^3).  On
@@ -176,16 +181,16 @@ CC_COND_MAX = 1e4
 def evaluate(criterion: Criterion, sigma: SymMatrix, subset: Sequence[int]) -> float:
     """Objective value of ``subset`` under ``criterion``, from scratch.
 
-    The subset may be any size (greedy evaluates its prefixes).  All but
-    CanonCorr (:func:`cc_sum`, in the given order) read it in ascending
-    order, so their value does not depend on its order, not even by
-    roundoff: restarts of swap that reach one set tie exactly.  They
-    regress on the members that add rank by the pivots of one Cholesky
-    factor of ``sigma_S`` on its own variances, in ascending order, or
-    largest first once a pivot nears the cutoff (``symmat._pivots``), and
-    invert nothing else; a state takes its pivots in the order its members
-    joined.  This is the reference implementation the incremental paths are
-    tested against.
+    The subset may be any size (greedy evaluates its prefixes).  Every
+    criterion reads it in ascending order, so its value does not depend on
+    its order, not even by roundoff: restarts of swap that reach one set tie
+    exactly.  All but CanonCorr regress on the members that add rank by the
+    pivots of one Cholesky factor of ``sigma_S`` on its own variances, in
+    ascending order, or largest first once a pivot nears the cutoff
+    (:func:`_whiten`), and invert nothing else; CanonCorr whitens ``S`` and
+    its complement alike (:func:`cc_sum`).  A state takes its pivots in the
+    order its members joined.  This is the reference implementation the
+    incremental paths are tested against.
     """
     sigma = np.asarray(sigma, dtype=float)
     p = criterion.p
@@ -205,17 +210,15 @@ def evaluate(criterion: Criterion, sigma: SymMatrix, subset: Sequence[int]) -> f
     # diag R = diag sigma - colsum(b^2) in O(p k^2), and only a block
     # criterion forms R[-S, -S] = sigma[-S, -S] - b[:, -S]^T b[:, -S]
     idx = np.array(sorted(u), dtype=np.intp)
-    block_u = sigma[np.ix_(idx, idx)]
     var = sigma.diagonal()
     d = 1.0 / np.sqrt(np.where(var > 0.0, var, 1.0))
-    ranked, lt, pivots = symmat._pivots(d[idx, None] * block_u * d[idx])
-    # log det sigma_S from the same pivots; a singular sigma_S is read by
-    # log_det, which takes the same pivots and then tells roundoff (-inf)
-    # from an indefinite block (NotPSD)
-    ld = np.sum(np.log(pivots)) + np.sum(np.log(var[idx])) if ranked.size == idx.size else symmat.log_det(block_u)
+    ranked, l, pivots = _whiten(sigma, d, idx)
+    # log det sigma_S from the same pivots; a singular sigma_S is -inf (an
+    # indefinite one raised NotPSD in symmat._pivots)
+    ld = np.sum(np.log(pivots)) + np.sum(np.log(var[idx])) if ranked.size == idx.size else -np.inf
     # L^-1 by one k x k inverse and one product: numpy's solve against the
     # p columns of D sigma[R, :] took about ten times as long at p = 774
-    b = np.linalg.inv(np.triu(lt[:, ranked]).T) @ (d[idx[ranked], None] * sigma[idx[ranked]])
+    b = np.linalg.inv(l) @ (d[ranked, None] * sigma[ranked])
     diag = np.maximum(var - np.einsum("ij,ij->j", b, b), 0.0)
     if kind == CriterionKind.CSS_TRACE:
         return float(np.sum(diag))
@@ -230,19 +233,38 @@ def evaluate(criterion: Criterion, sigma: SymMatrix, subset: Sequence[int]) -> f
 
 def cc_sum(sigma: SymMatrix, a: Sequence[int], b: Sequence[int]) -> float:
     """Sum of squared canonical correlations between column sets ``a`` and
-    ``b`` under covariance ``sigma``:
-    ``trace(G_a sigma_ab G_b sigma_ba)`` with the generalised inverses
-    ``G = ginv(.)`` of :func:`csskit.symmat.ginv`."""
+    ``b`` under covariance ``sigma``, each side read in ascending order.
+
+    Each side is whitened by the pivots of one Cholesky factor of its block
+    on its own variances (:func:`_whiten`): with ``D sigma[r, r] D = L
+    L^T`` over the members ``r`` that add rank, the value is ``||L_a^-1
+    X[r_a, r_b] L_b^-T||_F^2``, ``X = D sigma D``.  A member that adds no
+    rank lies in the span of its side's ranked members, so it adds no
+    canonical correlation, and a zero variance none at all.  No generalised
+    inverse and no eigenvector is formed; an indefinite side raises
+    :class:`NotPSD`."""
     sigma = np.asarray(sigma, dtype=float)
     p = symmat.check_square(sigma)
-    aa = list(symmat.check_subset(p, a))
-    bb = list(symmat.check_subset(p, b))
-    if not aa or not bb:
+    sides = [np.array(sorted(symmat.check_subset(p, side)), dtype=np.intp) for side in (a, b)]
+    if not (sides[0].size and sides[1].size):
         return 0.0
-    cross = sigma[np.ix_(aa, bb)]
-    # trace(G_a @ cross @ G_b @ cross.T) without forming products
-    left = symmat.ginv(sigma[np.ix_(aa, aa)]) @ cross
-    return float(np.sum(left * (cross @ symmat.ginv(sigma[np.ix_(bb, bb)]))))
+    var = sigma.diagonal()
+    d = 1.0 / np.sqrt(np.where(var > 0.0, var, 1.0))
+    (ra, la, _), (rb, lb, _) = (_whiten(sigma, d, side) for side in sides)
+    # two solves against the |a| rows of X: inverting L_b cost twice as
+    # much at |b| = 114
+    w = np.linalg.solve(lb, np.linalg.solve(la, d[ra, None] * sigma[np.ix_(ra, rb)] * d[rb]).T)
+    return float(np.sum(w * w))
+
+
+def _whiten(sigma: SymMatrix, d: np.ndarray, idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One pivoted Cholesky of ``D sigma[idx, idx] D`` (``symmat._pivots``):
+    ``(ranked, l, pivots)``, the members of ``idx`` that add rank, as
+    indices of ``sigma`` in pivot order, the lower factor ``L`` of their
+    block, ``D sigma[ranked, ranked] D = L L^T``, and its pivots.  Raises
+    :class:`NotPSD` when the block is indefinite."""
+    ranked, lt, pivots = symmat._pivots(d[idx, None] * sigma[np.ix_(idx, idx)] * d[idx])
+    return idx[ranked], np.triu(lt[:, ranked]).T, pivots
 
 
 def _readout_rows(kind: CriterionKind, m: int, diag, var, ld_block) -> np.ndarray:
@@ -342,9 +364,10 @@ def init_state(criterion: Criterion, sigma: SymMatrix) -> StateStack:
     p``, and no negative diagonal entry (:class:`NotPSD`).  Moves and scores
     trust ``state.sigma``.
 
-    Under CanonCorr this is also the one eigendecomposition of the search:
-    :func:`csskit.symmat.inverse` gives ``omega = sigma^-1``, or None when
-    ``sigma`` is singular or its unit-diagonal condition number exceeds
+    Under CanonCorr this also reads the eigenvalues of ``sigma``, once per
+    search: :func:`csskit.symmat.inverse` gives ``omega = sigma^-1`` from
+    one Cholesky factor (no eigenvectors), or None when ``sigma`` is
+    singular or its unit-diagonal condition number exceeds
     ``CC_COND_MAX``, and raises :class:`NotPSD` when it is indefinite.
     Build the empty state once and advance from it (as swap does for its
     restarts) rather than calling this per start.

@@ -39,8 +39,9 @@ side list (a member that added no rank, on a rank-deficient ``sigma``)
 stays on the stack.  Moves, scorer and readout compute each row bit for
 bit as on a stack of one, so each restart makes the decisions, and ends
 where, it would run alone.  Every final subset is evaluated from scratch
-once all restarts are done, once per distinct set (per ordered subset
-under CanonCorr, whose value depends on the order).
+once all restarts are done, once per distinct set: its value does not
+depend on the order of the members, so restarts that reach one set tie
+exactly and the lowest restart index wins.
 
 A run over several sizes seeds its swap at size ``k`` with
 :func:`size_seed`.
@@ -54,7 +55,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import criteria, symmat
-from .criteria import Criterion, CriterionKind
+from .criteria import Criterion
 from .errors import DimMismatch, TooManySubsets
 from .symmat import IndexSet, SymMatrix
 
@@ -339,13 +340,12 @@ def swap(
     for lo in range(0, len(runs), size):
         walk.run(runs[lo : lo + size])
     del walk, empty  # CanonCorr's p x p inverse is not kept alive through evaluate
-    # evaluate reads all but CanonCorr in ascending order, so restarts that
-    # reach one set share one value, bit for bit
-    ordered = crit.kind == CriterionKind.CANON_CORR
+    # evaluate reads every subset in ascending order, so restarts that reach
+    # one set share one value, bit for bit
     values = {}
     objectives = []
     for run in runs:
-        key = tuple(run.current) if ordered else tuple(sorted(run.current))
+        key = tuple(sorted(run.current))
         if key not in values:
             values[key] = criteria.evaluate(crit, sigma, run.current)
         objectives.append(values[key])

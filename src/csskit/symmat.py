@@ -10,16 +10,19 @@ variance exceeds ``RANK_TOL`` times its own variance (:func:`adds_rank`).
 It is the pivot and perfect-fit test of a search state, and the one
 pivoted Cholesky, :func:`_pivots`, applies it to each pivot of a block on
 its variables' variances: :func:`log_det` reads a block as singular when
-one of its variables adds no rank to the ones before it, and
-:func:`csskit.criteria.evaluate` regresses on the members that add rank.
-:func:`inverse` refuses a matrix by its condition number.
+one of its variables adds no rank to the ones before it,
+:func:`csskit.criteria.evaluate` regresses on the members that add rank,
+and :func:`csskit.criteria.cc_sum` whitens each side by them.
+:func:`inverse` refuses a matrix by its condition number, read from its
+eigenvalues, and inverts it by one Cholesky factor.
 
 Beside the test stand two conventions.  An eigenvalue below ``-RANK_TOL``
-times the largest (or, in :func:`log_det`, times ``max(1, lambda_max)`` of
-the block on its variances) raises :class:`~csskit.errors.NotPSD`, and a
-singular log-determinant is ``-inf``.  The generalised inverses
-:func:`pseudo_inverse` and :func:`ginv` (the latter behind the canonical
-correlations and :func:`residual_covariance`) drop the directions whose
+times the largest (or, where the pivots of :func:`_pivots` stop short,
+times ``max(1, lambda_max)`` of the block on its variances) raises
+:class:`~csskit.errors.NotPSD`, and a singular log-determinant is
+``-inf``.  The generalised inverses :func:`pseudo_inverse` and
+:func:`ginv` (the latter behind CanonCorr's scorer of a state without
+``Omega`` and :func:`residual_covariance`) drop the directions whose
 eigenvalue is at or below ``RANK_TOL * lambda_max``: that cut forms an
 inverse, it does not decide whether a block is singular.
 
@@ -212,22 +215,17 @@ def adds_rank(resid_var, var):
     return resid_var > RANK_TOL * var
 
 
-def _psd_spectrum(m: SymMatrix) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Eigendecomposition plus the PSD admissibility check.
-
-    Returns ``(values desc, vectors, cut)`` where ``cut`` is the zero
-    threshold ``RANK_TOL * lambda_max``.  Raises :class:`NotPSD` if any
-    eigenvalue falls below ``-cut``.
-    """
-    w, v = eigh_desc(m)
-    lam_max = max(float(w[0]), 0.0) if w.size else 0.0
-    cut = RANK_TOL * lam_max
+def _psd_cut(w: np.ndarray) -> float:
+    """The zero threshold ``RANK_TOL * lambda_max`` of the eigenvalues ``w``
+    (descending) of a symmetric matrix.  Raises :class:`NotPSD` if any
+    eigenvalue falls below ``-cut``."""
+    cut = RANK_TOL * max(float(w[0]), 0.0) if w.size else 0.0
     if w.size and float(w[-1]) < -cut:
         raise NotPSD(
             f"matrix has eigenvalue {w[-1]:.3e} below -{cut:.3e}; "
             "not positive semidefinite"
         )
-    return w, v, cut
+    return cut
 
 
 def pseudo_inverse(m: SymMatrix) -> SymMatrix:
@@ -244,7 +242,8 @@ def pseudo_inverse(m: SymMatrix) -> SymMatrix:
     >>> pseudo_inverse(np.diag([2.0, 0.0])).tolist()
     [[0.5, 0.0], [0.0, 0.0]]
     """
-    w, v, cut = _psd_spectrum(m)
+    w, v = eigh_desc(m)
+    cut = _psd_cut(w)
     inv = np.where(w > cut, 1.0, 0.0) / np.where(w > cut, w, 1.0)
     return _sym((v * inv) @ v.T)
 
@@ -286,10 +285,10 @@ def log_det(m: SymMatrix, var: Optional[np.ndarray] = None) -> float:
     ``D m D`` is the first pivot of its variable in any order; the others
     are taken in the given order unless one of them nears the cutoff, and
     then largest first (:func:`_pivots`).  When a later pivot fails, or a
-    variance is not positive (its variable is left unscaled), ``D m D`` is
-    decomposed: an eigenvalue below ``-RANK_TOL * max(1, lambda_max)``
-    raises :class:`~csskit.errors.NotPSD`, and anything else is the
-    roundoff of a singular matrix.  The empty matrix has log-determinant 0.
+    variance is not positive (its variable is left unscaled, and its pivot
+    fails), :func:`_pivots` tells an indefinite ``D m D``
+    (:class:`~csskit.errors.NotPSD`) from the roundoff of a singular one.
+    The empty matrix has log-determinant 0.
 
     Examples
     --------
@@ -318,16 +317,12 @@ def log_det(m: SymMatrix, var: Optional[np.ndarray] = None) -> float:
     var = m.diagonal() if var is None else np.asarray(var, dtype=float)
     d = 1.0 / np.sqrt(np.where(var > 0.0, var, 1.0))
     unit = d[:, None] * m * d[None, :]
-    if np.all(var > 0.0):  # true of the empty matrix, which reads 0 from no pivots
-        if not np.all(adds_rank(unit.diagonal(), 1.0)):
-            return float("-inf")  # a variable adds no rank even on its own
-        ranked, _, pivots = _pivots(unit)
-        if ranked.size == len(m):
-            return float(np.sum(np.log(pivots)) + np.sum(np.log(var)))
-    w = eigh_desc(unit).values
-    if float(w[-1]) < -RANK_TOL * max(1.0, float(w[0])):
-        raise NotPSD(f"matrix has eigenvalue {w[-1]:.3e} on its variances; not positive semidefinite")
-    return float("-inf")
+    if np.all(var > 0.0) and not np.all(adds_rank(unit.diagonal(), 1.0)):
+        return float("-inf")  # a variable adds no rank even on its own
+    ranked, _, pivots = _pivots(unit)  # the empty matrix reads 0 from no pivots
+    if ranked.size < len(m):
+        return float("-inf")
+    return float(np.sum(np.log(pivots)) + np.sum(np.log(var)))
 
 
 def _pivots(m: SymMatrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -337,8 +332,9 @@ def _pivots(m: SymMatrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     pivots ``L_jj^2``.  Row j of ``lt`` is column j of ``L`` over every
     member, so ``m[ranked][:, ranked] = L L^T`` with ``L^T =
     triu(lt[:, ranked])``.  It is the package's one pivoted Cholesky:
-    :func:`log_det` reads its pivots, and :func:`csskit.criteria.evaluate`
-    regresses on the ranked members.
+    :func:`log_det` reads its pivots, :func:`csskit.criteria.evaluate`
+    regresses on the ranked members, and :func:`csskit.criteria.cc_sum`
+    whitens each side by them.
 
     Past a pivot ``a``, roundoff in the later pivots grows like ``eps /
     a``, so a pivot near the cutoff after a small one is roundoff as much
@@ -347,7 +343,10 @@ def _pivots(m: SymMatrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     Otherwise the pivots are taken again, the variable of largest residual
     variance first, which reveals rank (Higham 1990), up to the first that
     fails ``adds_rank(., 1)``: it and every member left after it add no
-    rank.  One vector-matrix product a pivot, O(n^3) in all."""
+    rank.  One vector-matrix product a pivot, O(n^3) in all.  When the
+    pivots stop short, ``m`` is decomposed: an eigenvalue below ``-RANK_TOL
+    * max(1, lambda_max)`` raises :class:`~csskit.errors.NotPSD`, and
+    anything else is the roundoff of a singular matrix."""
     try:
         l = np.linalg.cholesky(m)
         pivots = l.diagonal() ** 2
@@ -360,6 +359,9 @@ def _pivots(m: SymMatrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         q = order[j] = np.argmax(resid)
         out[j] = resid[q]
         if not adds_rank(out[j], 1.0):
+            w = eigh_desc(m).values
+            if float(w[-1]) < -RANK_TOL * max(1.0, float(w[0])):
+                raise NotPSD(f"matrix has eigenvalue {w[-1]:.3e} on its variances; not positive semidefinite")
             return order[:j], lt[:j], out[:j]
         lt[j] = (m[q] - np.dot(lt[:j, q], lt[:j])) / math.sqrt(out[j])
         resid -= lt[j] * lt[j]
@@ -369,19 +371,25 @@ def _pivots(m: SymMatrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def inverse(m: SymMatrix, cond_max: float) -> Optional[SymMatrix]:
     """Inverse of a nonempty symmetric PSD matrix as ``D (D m D)^-1 D``,
-    ``D = diag(m)^(-1/2)``, from one eigendecomposition of its
-    unit-diagonal form ``D m D``, or None when a variance is not positive
-    or the condition number of ``D m D`` exceeds ``cond_max``, as it does
-    for every singular ``m``.  Raises :class:`~csskit.errors.NotPSD` when
-    ``m`` is indefinite (a variable whose variance is not positive is then
-    left unscaled)."""
+    ``D = diag(m)^(-1/2)``, or None when a variance is not positive or the
+    condition number of the unit-diagonal ``D m D`` exceeds ``cond_max``,
+    as it does for every singular ``m``.  Raises
+    :class:`~csskit.errors.NotPSD` when ``m`` is indefinite (a variable
+    whose variance is not positive is then left unscaled).  The rule reads
+    the eigenvalues of ``D m D`` (:func:`eigvals_desc`), and the inverse
+    comes from its Cholesky factor: with ``D m D = L L^T`` and ``M = L^-1
+    D``, it is ``M^T M``, exactly symmetric, and no eigenvector is formed."""
     m = np.asarray(m, dtype=float)
     dg = m.diagonal()
     d = 1.0 / np.sqrt(np.where(dg > 0.0, dg, 1.0))
-    w, v, _ = _psd_spectrum(d[:, None] * m * d[None, :])
+    unit = d[:, None] * m * d[None, :]
+    w = eigvals_desc(unit)
+    _psd_cut(w)  # raises NotPSD on an indefinite m
     if float(np.min(dg)) <= 0.0 or float(w[0]) > cond_max * float(w[-1]):
         return None
-    return _sym(d[:, None] * np.dot(v / w, v.T) * d[None, :])
+    half = np.linalg.inv(np.linalg.cholesky(unit))
+    half *= d
+    return np.dot(half.T, half)  # numpy's syrk for a product with its own transpose
 
 
 # ---------------------------------------------------------------------------

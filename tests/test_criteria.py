@@ -194,6 +194,71 @@ def test_cc_sum_values():
     assert cc_sum(sigma, (), (1, 2)) == 0.0
 
 
+def _canonical_correlations(sigma, a, b):
+    """The canonical correlations of column sets ``a`` and ``b``, computed
+    apart from cc_sum: the singular values of ``C_aa^(-1/2) C_ab
+    C_bb^(-1/2)`` on the correlation scale ``C`` (a zero variance stays a
+    zero row), each inverse square root taken on its block's range through
+    an eigendecomposition."""
+    sd = np.sqrt(sigma.diagonal())
+    scale = np.where(sd > 0.0, sd, 1.0)
+    corr = sigma / np.outer(scale, scale)
+
+    def inverse_root(block):
+        w, v = np.linalg.eigh(block)
+        keep = w > 1e-10 * max(float(w[-1]), 1.0)
+        return (v[:, keep] / np.sqrt(w[keep])) @ v[:, keep].T
+
+    a, b = list(a), list(b)
+    m = inverse_root(corr[np.ix_(a, a)]) @ corr[np.ix_(a, b)] @ inverse_root(corr[np.ix_(b, b)])
+    return np.linalg.svd(m, compute_uv=False)
+
+
+def test_cc_sum_matches_canonical_correlations_in_any_units():
+    # Four kinds of sigma: full rank; of rank below |b| with a duplicated
+    # column; with a zero-variance column; and each variable rescaled by
+    # 10^U(-3, 3), which moves no canonical correlation.
+    rng = np.random.default_rng(181)
+    worst = 0.0
+    for t in range(160):
+        p = int(rng.integers(4, 12))
+        kind = t % 4
+        if kind == 1:
+            sigma = rand_psd(rng, p, rank=int(rng.integers(1, p - 2)))
+            j, i = rng.choice(p, size=2, replace=False)
+            sigma[j], sigma[:, j] = sigma[i], sigma[:, i]
+        else:
+            sigma = rand_psd(rng, p)
+        if kind == 2:
+            j = int(rng.integers(p))
+            sigma[j], sigma[:, j] = 0.0, 0.0
+        perm = rng.permutation(p).tolist()
+        cut = int(rng.integers(1, p))
+        a, b = perm[:cut], perm[cut : int(rng.integers(cut + 1, p + 1))]
+        if kind == 1:
+            a, b = perm[: min(cut, 2)], perm[min(cut, 2) :]  # |b| exceeds the rank
+            assert np.linalg.matrix_rank(sigma) < len(b)
+        want = float(np.sum(_canonical_correlations(sigma, a, b) ** 2))
+        got = cc_sum(sigma, a, b)
+        worst = max(worst, abs(got - want))
+        assert abs(got - want) <= 1e-9, (t, kind, a, b, got, want)
+        d = 10.0 ** rng.uniform(-3.0, 3.0, p)
+        rescaled = d[:, None] * sigma * d[None, :]
+        assert abs(cc_sum(rescaled, a, b) - got) <= 1e-9, (t, kind)
+        assert abs(cc_sum(sigma, b[::-1], a[::-1]) - got) <= 1e-9, (t, kind)
+    assert worst <= 1e-9
+
+
+def test_cc_sum_refuses_an_indefinite_side():
+    # Variables 0-2 have an eigenvalue of -0.8 on their variances: their
+    # pivots stop short of three, and either side order refuses them
+    # rather than whitening the two that add rank.
+    sigma = np.array([[1.0, 0.9, 0.9, 0.2], [0.9, 1.0, -0.9, 0.1], [0.9, -0.9, 1.0, 0.3], [0.2, 0.1, 0.3, 1.0]])
+    for a, b in (((3,), (0, 1, 2)), ((0, 1, 2), (3,))):
+        with pytest.raises(NotPSD):
+            cc_sum(sigma, a, b)
+
+
 def test_det_residual_evaluate_takes_one_log_det(monkeypatch):
     # DetResidual reads the complement block's log-determinant only; the
     # selected block's is read by DiagDet and IsoLrt.
@@ -711,11 +776,6 @@ def test_objective_from_state_matches_evaluate():
         )
 
 
-# evaluate regresses on the pivots of symmat._pivots, as a state does; CanonCorr
-# reads generalised inverses (cc_sum)
-PIVOTED = [kind for kind in CriterionKind if kind != CriterionKind.CANON_CORR]
-
-
 def _assert_evaluate_matches_the_state(crit, sigma, subset, scale, rel, log_tol):
     """evaluate and the state's objective agree: equal (both -inf, say),
     within ``log_tol`` for a log criterion, and otherwise within ``rel``
@@ -742,7 +802,7 @@ def test_evaluate_regresses_on_the_members_that_add_rank():
     base = np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + eps2, eps], [0.0, eps, 1.0]])
     for units in (np.ones(3), 2.0 ** np.array([-10, 10, 3]), 2.0 ** np.array([8, -5, -13])):
         sigma = base * np.outer(units, units)
-        for kind, subset in itertools.product(PIVOTED, ((0, 1), (1, 0))):
+        for kind, subset in itertools.product(ALL_KINDS, ((0, 1), (1, 0))):
             _assert_evaluate_matches_the_state(Criterion(kind, p=3, k=2), sigma, subset, sigma[2, 2], 1e-8, 0.05)
     crit = Criterion(CriterionKind.CSS_TRACE, p=3, k=2)
     for units in (np.array([1e-3, 1e3, 7.0]), np.array([2e2, 3e-2, 1e-4]), np.array([1e3, 1e3, 1.0])):
@@ -777,15 +837,15 @@ def test_evaluate_matches_the_state_near_the_rank_cutoff():
         p = int(rng.integers(4, 9))
         k = int(rng.integers(2, p - 1))
         sigma = _near_cutoff_sigma(rng, p, k)
-        for kind in PIVOTED:
+        for kind in ALL_KINDS:
             crit = Criterion(kind, p=p, k=k)
             _assert_evaluate_matches_the_state(crit, sigma, tuple(range(k)), np.trace(sigma), 1e-5, 1e-3)
 
 
 def test_evaluate_takes_no_generalised_inverse(monkeypatch):
-    # Every criterion but CanonCorr regresses on the pivots of one Cholesky
-    # factor of sigma_S: no eigenvalue cut, on full-rank and rank-deficient
-    # sigma alike, for any subset size.
+    # Every criterion reads the pivots of one Cholesky factor of sigma_S (and
+    # CanonCorr of its complement's block): no eigenvalue cut, on full-rank
+    # and rank-deficient sigma alike, for any subset size.
     def refuse(m):
         raise AssertionError("evaluate took a generalised inverse")
 
@@ -796,13 +856,13 @@ def test_evaluate_takes_no_generalised_inverse(monkeypatch):
     twin[:, 5] = twin[:, 2]
     twin[5, :] = twin[2, :]
     for sigma in (rand_psd(rng, 7), rand_psd(rng, 7, rank=4), twin):
-        for kind in PIVOTED:
+        for kind in ALL_KINDS:
             crit = Criterion(kind, p=7, k=3)
             for subset in ((), (2,), (5, 2), (0, 3, 5), (2, 5, 1, 6, 0), tuple(range(7))):
                 assert not np.isnan(evaluate(crit, sigma, subset))
     # an indefinite sigma_S, eigenvalue -1 on its variances, is still refused
     bad = np.array([[1.0, 2.0, 0.5], [2.0, 1.0, 0.5], [0.5, 0.5, 1.0]])
-    for kind in PIVOTED:
+    for kind in ALL_KINDS:
         with pytest.raises(NotPSD):
             evaluate(Criterion(kind, p=3, k=2), bad, (0, 1))
 
@@ -903,46 +963,38 @@ def test_canon_corr_picks_on_ill_conditioned_sigma():
 
 
 def test_canon_corr_factors_sigma_once_per_search(monkeypatch):
-    # Greedy and swap eigendecompose sigma once per search, whatever k and
-    # the number of restarts; the only other eigendecompositions are those
-    # of the final from-scratch evaluate (one per block).
+    # On a well-conditioned sigma, greedy and swap read sigma's eigenvalues
+    # once per search (init_state's condition number), whatever k and the
+    # number of restarts, and form no eigenvectors and no generalised
+    # inverse: Omega comes from one Cholesky, the scores from the factor,
+    # and the final evaluate whitens both sides by pivots.
     from csskit.search import SearchConfig, greedy, swap
 
-    counts = {"eigh": 0, "in_evaluate": 0, "evaluate": 0, "init_state": 0}
-    inside = []
-    eigh_desc, evaluate_, init_state_ = symmat.eigh_desc, criteria.evaluate, criteria.init_state
+    counts = dict.fromkeys(("eigvals_desc", "eigh_desc", "ginv", "pseudo_inverse", "init_state"), 0)
 
-    def counting_eigh(m):
-        counts["in_evaluate" if inside else "eigh"] += 1
-        return eigh_desc(m)
+    def counting(module, name):
+        fn = getattr(module, name)
 
-    def counting_evaluate(*args):
-        counts["evaluate"] += 1
-        inside.append(1)
-        try:
-            return evaluate_(*args)
-        finally:
-            inside.pop()
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
 
-    def counting_init_state(*args):
-        counts["init_state"] += 1
-        return init_state_(*args)
+        monkeypatch.setattr(module, name, wrapper)
 
-    monkeypatch.setattr(symmat, "eigh_desc", counting_eigh)
-    monkeypatch.setattr(criteria, "evaluate", counting_evaluate)
-    monkeypatch.setattr(criteria, "init_state", counting_init_state)
+    for name in ("eigvals_desc", "eigh_desc", "ginv", "pseudo_inverse"):
+        counting(symmat, name)
+    counting(criteria, "init_state")
     sigma = rand_psd(np.random.default_rng(179), 60) + 0.1 * np.eye(60)
     runs = [
-        (greedy, SearchConfig(k=2, criterion=Criterion(CriterionKind.CANON_CORR, p=60, k=2)), 1),
-        (greedy, SearchConfig(k=8, criterion=Criterion(CriterionKind.CANON_CORR, p=60, k=8)), 1),
-        (swap, SearchConfig(k=4, criterion=Criterion(CriterionKind.CANON_CORR, p=60, k=4),
-                            restarts=3, seed=5), 3),
+        (greedy, SearchConfig(k=2, criterion=Criterion(CriterionKind.CANON_CORR, p=60, k=2))),
+        (greedy, SearchConfig(k=8, criterion=Criterion(CriterionKind.CANON_CORR, p=60, k=8))),
+        (swap, SearchConfig(k=4, criterion=Criterion(CriterionKind.CANON_CORR, p=60, k=4), restarts=3, seed=5)),
     ]
-    for search, cfg, evaluates in runs:
+    for search, cfg in runs:
         counts.update(dict.fromkeys(counts, 0))
         search(sigma, cfg)
         assert counts == {
-            "eigh": 1, "in_evaluate": 2 * evaluates, "evaluate": evaluates, "init_state": 1,
+            "eigvals_desc": 1, "eigh_desc": 0, "ginv": 0, "pseudo_inverse": 0, "init_state": 1,
         }, (search.__name__, cfg.k)
 
 

@@ -1,6 +1,9 @@
 """Search drivers: greedy, swapping with restarts, exhaustive enumeration."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -167,8 +170,8 @@ def test_swap_returns_first_minimum_of_its_restarts(monkeypatch):
     # Under CSS at k=1 variables 0 and 1 tie exactly: a start at 1 keeps 1,
     # every other start moves to 0.  Restart 0 of seed 14 starts at 1.
     tie = np.diag([5.0, 5.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
-    # CanonCorr's restarts end on one set in different orders, whose
-    # from-scratch objectives differ in the last bits.
+    # CanonCorr's restarts end on one set in different orders, which
+    # evaluate reads in ascending order: they tie exactly.
     more = np.random.default_rng(131)
     cc = rand_psd(more, 9)
     # DetResidual on a sigma of rank 7 of 8 (variable 7 duplicates 0): only a
@@ -227,6 +230,7 @@ def test_swap_returns_first_minimum_of_its_restarts(monkeypatch):
             assert np.array_equal(got[3], want[3]) and np.array_equal(got[4], want[4])
         if sigma is cc:  # one set reached in two orders, one order twice
             assert len({tuple(sorted(run.subset)) for run in runs}) < len({run.subset for run in runs}) < len(runs)
+            assert len({run.objective for run in runs}) == len({tuple(sorted(run.subset)) for run in runs})
         if sigma is dup or sigma is det:  # some restart starts finite and ends at -inf
             assert any(run.trajectory[0] > -np.inf and run.trajectory[-1] == -np.inf for run in runs)
         if sigma is frob:  # restart 1 starts on both copies of variable 0
@@ -236,6 +240,70 @@ def test_swap_returns_first_minimum_of_its_restarts(monkeypatch):
     assert [run.subset for run in runs] == [(1,), (0,), (0,), (0,)]
     assert len({run.objective for run in runs}) == 1  # an exact tie
     assert res.subset == (1,)  # the lowest restart wins
+
+
+def _planted_sigma(p, k_star, rng):
+    """A planted-factor correlation matrix: ``k_star`` planted variables
+    with equicorrelation 0.2, every other one loading strongly on one of
+    them, on a second weakly with probability 0.3, plus noise; the
+    variables in random order."""
+    m = p - k_star
+    w = np.zeros((m, k_star))
+    primary = rng.integers(0, k_star, m)
+    w[np.arange(m), primary] = rng.uniform(0.7, 0.95, m) * rng.choice([-1.0, 1.0], m)
+    second = rng.random(m) < 0.3
+    other = (primary + rng.integers(1, k_star, m)) % k_star
+    n2 = int(second.sum())
+    w[np.arange(m)[second], other[second]] += rng.uniform(0.2, 0.4, n2) * rng.choice([-1.0, 1.0], n2)
+    noise = np.concatenate([np.zeros(k_star), rng.uniform(0.2, 0.5, m)])
+    load = np.vstack([np.eye(k_star), w])
+    order = np.argsort(rng.permutation(p))  # generated variable perm[t] sits at position t
+    load, noise = load[order], noise[order]
+    sigma = load @ (0.8 * np.eye(k_star) + 0.2) @ load.T + np.diag(noise)
+    scale = np.sqrt(np.diag(sigma))
+    sigma = sigma / np.outer(scale, scale)
+    sigma = (sigma + sigma.T) / 2.0
+    np.fill_diagonal(sigma, 1.0)
+    return sigma
+
+
+_CC_THREADS_SCRIPT = """
+import json, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from csskit import search
+from csskit.criteria import Criterion, CriterionKind
+sigma = np.load(sys.argv[2])
+crit = Criterion(CriterionKind.CANON_CORR, p=sigma.shape[0], k=6)
+for res in (search.greedy(sigma, search.SearchConfig(k=6, criterion=crit)),
+            search.swap(sigma, search.SearchConfig(k=6, criterion=crit, restarts=3, seed=1))):
+    print(json.dumps([list(res.subset), res.objective, [r.objective for r in res.restarts]]))
+"""
+
+
+def test_canon_corr_swap_is_the_same_under_one_and_two_blas_threads(tmp_path):
+    # The three restarts of swap reach one set, each in another order; read
+    # in the given order, their objectives differed in the last bits and
+    # the winner with the thread count.  The thread count is read when
+    # numpy loads, so each run is a process of its own.
+    path = str(tmp_path / "planted120.npy")
+    np.save(path, _planted_sigma(120, 6, np.random.default_rng([1, 1])))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", _CC_THREADS_SCRIPT, src, path],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        outs.append([json.loads(line) for line in proc.stdout.splitlines()])
+    assert len(outs[0]) == len(outs[1]) == 2
+    for (subset, objective, restarts), (subset2, objective2, restarts2) in zip(*outs):
+        assert subset == subset2
+        assert objective == pytest.approx(objective2, rel=1e-12, abs=0.0)
+        assert restarts == pytest.approx(restarts2, rel=1e-12, abs=0.0)
+    swap_restarts = outs[0][1][2]
+    assert len(set(swap_restarts)) == 1  # one set, an exact tie: restart 0 wins
 
 
 def test_scale_equivariant_selection():

@@ -196,6 +196,7 @@ def test_inverse():
     d = np.array([1e-3, 1e3])
     got = symmat.inverse(d[:, None] * c * d[None, :], cond_max=1e4)
     assert_allclose(d[:, None] * got * d[None, :], np.linalg.inv(c), rtol=1e-12)
+    assert np.array_equal(got, got.T)  # M^T M from the Cholesky factor
     assert symmat.inverse(c, cond_max=100.0) is None
     for singular in (np.ones((2, 2)), np.diag([1.0, 0.0]), np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])):
         assert symmat.inverse(singular, cond_max=1e4) is None
