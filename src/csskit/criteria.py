@@ -39,8 +39,8 @@ pivoted Cholesky of the selected block on its own variances
 complement's residual block on the complement's own variances through
 :func:`csskit.symmat.log_det`.  Only CanonCorr's scorer of a singular or
 ill-conditioned ``sigma`` forms generalised inverses
-(:func:`csskit.symmat.ginv`).  No decision depends on the units of a
-variable.
+(:func:`csskit.symmat.ginv`), for the terms of its one formula.  No
+decision depends on the units of a variable.
 
 :func:`evaluate` computes from scratch.  All but CanonCorr regress on the
 members ``R`` of ``S`` that add rank by those pivots: with ``D sigma_S D =
@@ -72,17 +72,20 @@ reflects one out in O(pk + k^3), or rebuilds a row with a side list from
 its members, the same moves under every criterion.  Scores then cost O(p)
 for DetResidual, O(p) plus the near-perfect fits' residual columns for
 CssTrace and IsoLrt, and the complement's ``(p-k)``-block of ``R`` for
-DiagDet and FrobResidual.  CanonCorr reads no residual.  When the
-condition number of the unit-diagonal ``sigma`` is at most ``CC_COND_MAX``
-(1e4), :func:`init_state` inverts it once per search
-(:func:`csskit.symmat.inverse`: its eigenvalues, then one Cholesky).  With
-``G = sigma_S^-1`` from the factor and ``H = (Omega_SS)^-1`` of ``Omega =
-sigma^-1``, each in O(k^3), the partitioned inverse gives ``-cc(S) = tr(G
-H) - k``: :func:`score_stack` scores every candidate exactly in O(k^3 +
-k^2 (p - k)) and :func:`objective_stack` reads the objective in O(k^3).  On
-a singular or worse-conditioned ``sigma`` each score generalised-inverts
-the selected and the complement block and scores every candidate from
-them, up to one constant, and the objective is :func:`evaluate`'s.
+DiagDet and FrobResidual.  CanonCorr reads no residual: one scorer
+(:func:`_score_canon_corr`) scores every candidate by one formula from the
+inverse ``G`` of ``sigma_S``, the residual ``K`` of ``S`` on its
+complement ``C`` and the regression of ``S`` on ``C``, with two sources
+for them.  When the condition number of the unit-diagonal ``sigma`` is at
+most ``CC_COND_MAX`` (1e4), :func:`init_state` inverts it once per search
+(:func:`csskit.symmat.inverse`: its eigenvalues, then one Cholesky), and
+the terms come from ``Omega = sigma^-1`` with no ``(p - k)``-block: ``G``
+from the factor and ``K = (Omega_SS)^-1``, each in O(k^3), so every
+candidate is scored exactly in O(k^3 + k^2 (p - k)), and
+:func:`objective_stack` reads ``-cc(S) = <G, K> - k`` in O(k^3).  On a
+singular or worse-conditioned ``sigma`` they come from generalised
+inverses of the selected and the complement block, the scores are exact up
+to one constant, and the objective is :func:`evaluate`'s.
 
 There is one state type and one move path.  A state is a stack of one:
 :func:`init_state` and :func:`state_from_subset` return one, and
@@ -160,9 +163,10 @@ class Criterion:
 # The criteria whose scores read diag R^2 (symmat.Factor's squares).
 _SQUARES = (CriterionKind.CSS_TRACE, CriterionKind.ISO_LRT)
 
-# Largest condition number of the unit-diagonal sigma that CanonCorr scores
-# through sigma^-1 (see _score_canon_corr); above it, CanonCorr scores from
-# the complement.  Scores through sigma^-1 lose about eps * cond^2, while
+# Largest condition number of the unit-diagonal sigma at which CanonCorr's
+# scorer takes its terms from sigma^-1 (see _score_canon_corr); above it,
+# from generalised inverses of the complement.  It decides accuracy, not the
+# formula.  Terms from sigma^-1 lose about eps * cond^2, while
 # one near-linear dependency puts the candidates' -cc values about 1 / cond
 # apart.  On random rescaled sigma (p = 5-15, one tiny eigenvalue or a
 # spread spectrum), greedy and 2-restart swap runs matched the complement
@@ -306,7 +310,9 @@ class StateStack:
     not empty.  ``sigma`` is a read-only reference to the source matrix.
     For CanonCorr on a ``sigma`` whose unit-diagonal form has condition
     number at most ``CC_COND_MAX``, ``omega`` is a read-only reference to
-    ``sigma^-1``; otherwise it is None.  Every row of a search shares both.
+    ``sigma^-1``, the source of the CanonCorr scorer's terms; otherwise it
+    is None, and the scorer takes them from generalised inverses.  Every
+    row of a search shares both.
 
     :func:`advance_stack` and :func:`retract_stack` run the kernels
     :func:`csskit.symmat.residual_add` and
@@ -539,8 +545,9 @@ def score_all(criterion: Criterion, state: StateStack) -> Tuple[np.ndarray, np.n
     ties are broken toward the lowest index by taking the first minimum.
     ``-inf`` marks a perfect fit under DiagDet/IsoLrt, decided by the same
     rank rule as ``evaluate``.  CanonCorr scores of a state with ``omega``
-    are the exact values of ``evaluate``, not values up to one constant.
-    The state, a stack of one, is scored by :func:`score_stack`.
+    are the exact values of ``evaluate``; without it they are the same
+    scores plus ``k``, one constant (:func:`_score_canon_corr`).  The
+    state, a stack of one, is scored by :func:`score_stack`.
     """
     if _subset_of_one(state).size == criterion.p:
         return np.zeros(0, dtype=np.intp), np.zeros(0)
@@ -563,13 +570,12 @@ def _score_rows(criterion: Criterion, stack: StateStack, cands: np.ndarray) -> n
     near fit's, and under IsoLrt the trace left by a candidate that leaves
     little, from its residual column), DetResidual ``-diag R``, and DiagDet
     and FrobResidual the candidates' ``(p - k)``-block of ``R``
-    (:func:`_blocks`).  CanonCorr runs :func:`_score_canon_corr` or, without
-    ``omega``, :func:`_score_canon_corr_ginv` once per row."""
+    (:func:`_blocks`).  CanonCorr runs its one scorer,
+    :func:`_score_canon_corr`, once per row, with the terms from ``omega``
+    or, without it, from generalised inverses."""
     sigma, fac, kind = stack.sigma, stack.factor, criterion.kind
     if kind == CriterionKind.CANON_CORR:
         rows = zip(fac.lt, stack.subset, cands)
-        if stack.omega is None:
-            return np.array([_score_canon_corr_ginv(sigma, sub, comp) for _, sub, comp in rows])
         return np.array([_score_canon_corr(sigma, stack.omega, lt, sub, comp) for lt, sub, comp in rows])
     lt, diag_all, diag_sq = fac
     n, m = cands.shape
@@ -647,86 +653,58 @@ def _score_rows(criterion: Criterion, stack: StateStack, cands: np.ndarray) -> n
 
 
 def _block_inverses(lt: np.ndarray, omega: np.ndarray, sub: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``G = sigma_S^-1`` and ``H = (Omega_SS)^-1`` (subset order ``sub``)
-    of a state with ``omega``, each in O(k^3).  ``G`` comes from the
-    factor's ``lt``: every member added rank, so ``M = L[S]^T`` is ``k x
-    k`` and nonsingular, ``sigma_S = M^T M`` and ``G = M^-1 M^-T``.  ``H``
-    inverts a block of ``Omega``, which exists only for a well-conditioned
-    ``sigma``."""
+    """``G = sigma_S^-1`` and ``K = (Omega_SS)^-1`` (subset order ``sub``),
+    the residual of ``S`` on its complement, of a state with ``omega``, each
+    in O(k^3).  ``G`` comes from the factor's ``lt``: every member added
+    rank, so ``M = L[S]^T`` is ``k x k`` and nonsingular, ``sigma_S = M^T
+    M`` and ``G = M^-1 M^-T``.  ``K`` inverts a block of ``Omega``, which
+    exists only for a well-conditioned ``sigma``."""
     m_inv = np.linalg.inv(lt.take(sub, 1))
     return np.dot(m_inv, m_inv.T), np.linalg.inv(omega.take(sub, 0).take(sub, 1))
 
 
 def _score_canon_corr(sigma, omega, lt, sub, comp: np.ndarray) -> np.ndarray:
-    """CanonCorr's exact scores ``-cc(S + (i,))`` of the state with subset
-    ``sub`` and factor rows ``lt``, when it has ``omega``, from the block
-    inverses ``G = sigma_S^-1`` and ``H = (Omega_SS)^-1``, ``Omega =
-    sigma^-1`` (:func:`_block_inverses`), in O(k^3 + k^2 (p - k)).
-
-    By the partitioned inverse ``(Omega_SS)^-1 = sigma_S - sigma_{S,C}
-    sigma_C^-1 sigma_{C,S}``, so ``-cc(S) = tr(G H) - k``.  Bordering both
-    inverses by candidate i, with ``d = G sigma_{S,i}``, ``e = H
-    Omega_{S,i}`` and the Schur complements ``s = sigma_ii - sigma_{i,S} d``
-    and ``t = Omega_ii - Omega_{i,S} e``, gives
-
-        -cc(S + (i,)) = tr(G H) + e^T G e / t + d^T H d / s
-                        + (d^T e + 1)^2 / (s t) - (k + 1).
-
-    Every product pairs a ``sigma`` entry with an ``Omega`` entry, so
-    rescaling a variable leaves the terms unchanged.  ``s / sigma_ii`` and
-    ``t / Omega_ii`` are at least the smallest eigenvalue of the
-    unit-diagonal ``sigma``, ``1 / CC_COND_MAX`` or more, far above their
-    roundoff.  The cancellations in ``t`` and in the sum cost about ``eps *
-    cond^2`` absolute, which is why ``omega`` exists only up to
-    ``CC_COND_MAX``.
-    """
-    if comp.size == 1:
-        return np.zeros(1)  # S + (i,) is every variable: no correlation left
-    g, h = _block_inverses(lt, omega, sub)
-    cross = sigma.take(sub, 0).take(comp, 1)
-    cross_omega = omega.take(sub, 0).take(comp, 1)
-    d = np.dot(g, cross)
-    e = np.dot(h, cross_omega)
-    s = sigma.diagonal()[comp] - np.einsum("ij,ij->j", cross, d)
-    t = omega.diagonal()[comp] - np.einsum("ij,ij->j", cross_omega, e)
-    scores = np.einsum("ij,ij->j", e, np.dot(g, e)) / t
-    scores += np.einsum("ij,ij->j", d, np.dot(h, d)) / s
-    scores += (np.einsum("ij,ij->j", d, e) + 1.0) ** 2 / (s * t)
-    return scores + (float(np.sum(g * h)) - (len(sub) + 1))
-
-
-def _score_canon_corr_ginv(sigma, s, comp: np.ndarray) -> np.ndarray:
-    """CanonCorr's scores of the state with subset ``s`` when it has no
-    ``omega`` (``sigma`` singular or its unit-diagonal condition number
-    above ``CC_COND_MAX``), all candidates at once, from generalised
-    inverses of the complement block and the selected one.  With ``C =
-    comp`` the ascending complement of the subset ``S`` (size k), ``Cp =
-    ginv(sigma_C)`` (:func:`csskit.symmat.ginv`), ``A = sigma_{S,C} Cp``,
-    leverages ``l = diag(sigma_C Cp)`` and the swapped residual ``K =
-    sigma_S - A sigma_{C,S}`` (the residual of ``S`` on ``C``), the score
-    of candidate i at position j of C, with ``V = S + (i,)``, is
+    """CanonCorr's scores of the state with subset ``sub`` and factor rows
+    ``lt``, all candidates at once, from the complement: exact with
+    ``omega``, up to one constant without.  With ``C = comp`` the ascending
+    complement of the subset ``S`` (size k), ``G`` a generalised inverse of
+    ``sigma_S``, the residual ``K = sigma_S - A sigma_{C,S}`` of ``S`` on
+    ``C``, ``A = sigma_{S,C} Cp`` with ``Cp`` a generalised inverse of
+    ``sigma_C`` and leverages ``l = diag(sigma_C Cp)``, the score of
+    candidate i at position j of C, with ``V = S + (i,)``, is
 
         f(i) = <G_V[:k, :k], K>
              + x^T G_V x / Cp_jj    [if Cp_jj > 0 and l_j ~ 1]
              - 1{i adds rank to S}
 
     with ``x = (A[:, j], l_j)`` and ``G_V`` a generalised inverse of
-    ``sigma_V``.  Taking i out of the conditioning set adds
-    ``x x^T / Cp_jj`` to the residual of V when i lies outside the span of
-    the rest of C (its leverage is then 1) and nothing otherwise, so
-    ``f(i) + const = -cc(V)``: order-equivalent to evaluate on V.  The
-    value is the same with any generalised inverse of ``sigma_C`` or
-    ``sigma_V``.
+    ``sigma_V``.  Taking i out of the conditioning set adds ``x x^T /
+    Cp_jj`` to the residual of V when i lies outside the span of the rest
+    of C (its leverage is then 1) and nothing otherwise, so ``f(i) - k =
+    -cc(V)`` on a nonsingular ``sigma`` and ``f(i) + const = -cc(V)`` on
+    any: order-equivalent to evaluate on V.  The value is the same with any
+    generalised inverse of ``sigma_C`` or ``sigma_V``.
 
-    ``G_V`` is built from ``G = ginv(sigma_S)`` in closed form: with ``b =
-    sigma_{S,i}``, ``d = G b`` and Schur complement ``s = sigma_ii - b^T
-    d``, it is ``G`` bordered by ``d / s`` and ``1 / s`` when i adds rank
-    (``w = 1/s``), and the zero-padded ``G`` when it does not (``w = 0``), so
+    ``G_V`` is built from ``G`` in closed form: with ``b = sigma_{S,i}``,
+    ``d = G b`` and Schur complement ``s = sigma_ii - b^T d``, it is ``G``
+    bordered by ``d / s`` and ``1 / s`` when i adds rank (``w = 1/s``), and
+    the zero-padded ``G`` when it does not (``w = 0``), so
 
         <G_V[:k, :k], K> = <G, K> + w d^T K d
         x^T G_V x = A_j^T G A_j + w (d^T A_j - l_j)^2
 
     for every candidate from a few k x (p - k) products.
+
+    The five inputs ``G``, ``K``, ``A``, ``l`` and ``Cp_jj`` come from one
+    of two sources.  With ``omega = sigma^-1`` (a unit-diagonal condition
+    number at most ``CC_COND_MAX``) no ``(p - k)``-block is formed: ``G =
+    sigma_S^-1`` and ``K = (Omega_SS)^-1`` (:func:`_block_inverses`), ``A =
+    -K Omega_{S,C}``, every leverage is 1 and ``Cp_jj = (sigma_C^-1)_jj =
+    Omega_jj + Omega_{j,S} A_j``, and the scores are exact, ``f(i) - k``.
+    Their cancellations cost about ``eps * cond^2`` absolute, which is why
+    ``omega`` exists only up to ``CC_COND_MAX``.  Without it ``Cp`` and
+    ``G`` are :func:`csskit.symmat.ginv` of ``sigma_C`` and ``sigma_S``, in
+    O((p - k)^3) per score.
 
     Every rank decision is made relative to each variable's own variance:
     the leverages are those of the unit-diagonal block, and whether i adds
@@ -734,26 +712,35 @@ def _score_canon_corr_ginv(sigma, s, comp: np.ndarray) -> np.ndarray:
     correlations themselves, the scores do not depend on the units of any
     one variable.
     """
-    cross = sigma[np.ix_(s, comp)]
-    sigma_c = sigma[np.ix_(comp, comp)]
-    cp = symmat.ginv(sigma_c)
-    a = cross @ cp
-    swapped = sigma[np.ix_(s, s)] - a @ cross.T
-    swapped = (swapped + swapped.T) / 2.0
-    lev = np.einsum("ij,ji->i", sigma_c, cp)
-    g = symmat.ginv(sigma[np.ix_(s, s)])
+    cross = sigma.take(sub, 0).take(comp, 1)
+    if omega is None:
+        sigma_c = sigma.take(comp, 0).take(comp, 1)
+        cp = symmat.ginv(sigma_c)
+        a = cross @ cp
+        sigma_s = sigma.take(sub, 0).take(sub, 1)
+        swapped = sigma_s - a @ cross.T
+        swapped = (swapped + swapped.T) / 2.0
+        lev = np.einsum("ij,ji->i", sigma_c, cp)
+        g = symmat.ginv(sigma_s)
+        cjj = cp.diagonal()
+    else:
+        g, swapped = _block_inverses(lt, omega, sub)
+        cross_omega = omega.take(sub, 0).take(comp, 1)
+        a = np.dot(-swapped, cross_omega)
+        lev = 1.0
+        cjj = omega.diagonal()[comp] + np.einsum("ij,ij->j", cross_omega, a)
     c = sigma.diagonal()[comp]
     d = g @ cross
     schur = c - np.einsum("ij,ij->j", cross, d)
     adds = symmat.adds_rank(schur, c)
     w = np.divide(1.0, schur, out=np.zeros_like(schur), where=adds)
     term1 = float(np.sum(g * swapped)) + w * np.einsum("ij,ij->j", d, swapped @ d)
-    cjj = cp.diagonal()
     # leverage 1 within the rank cutoff taken on the singular-value scale
     outside = (cjj > 0.0) & (1.0 - lev <= math.sqrt(RANK_TOL))
     quad = np.einsum("ij,ij->j", a, g @ a) + w * (np.einsum("ij,ij->j", d, a) - lev) ** 2
     term2 = np.divide(quad, cjj, out=np.zeros_like(quad), where=outside)
-    return term1 + term2 - adds
+    scores = term1 + term2 - adds
+    return scores if omega is None else scores - len(sub)
 
 
 # ---------------------------------------------------------------------------
@@ -777,9 +764,11 @@ def objective_stack(criterion: Criterion, stack: StateStack) -> np.ndarray:
     column makes ``L[S]`` singular (the pivot rule's singular block).
     DetResidual and FrobResidual read each row's complement block of ``R``
     (:func:`_blocks`): its log-determinant on the complement's own variances
-    (:func:`csskit.symmat.log_det`), its squared sum.  CanonCorr reads ``tr(G
-    H) - k`` in O(k^3) per row (see :func:`_score_canon_corr`) with
-    ``omega`` and falls back to :func:`evaluate` without.
+    (:func:`csskit.symmat.log_det`), its squared sum.  CanonCorr reads ``<G,
+    K> - k`` in O(k^3) per row with ``omega``, the first term of
+    :func:`_score_canon_corr` with ``G = sigma_S^-1`` and ``K =
+    (Omega_SS)^-1`` (:func:`_block_inverses`), and falls back to
+    :func:`evaluate` without.
     """
     sigma, fac, kind = stack.sigma, stack.factor, criterion.kind
     n, k = stack.subset.shape

@@ -7,8 +7,9 @@ lexicographically and keeps the first best).  All three take ``(sigma,
 config)``, and :class:`SearchConfig` checks the request.  Greedy and swap
 check ``sigma`` by building their states with
 :func:`csskit.criteria.init_state`; exhaustive, which builds none, runs
-:func:`csskit.symmat.as_symmetric` itself.  An asymmetric ``sigma``
-raises, since the pick would depend on which triangle is read.
+:func:`csskit.symmat.as_symmetric` itself and refuses an indefinite
+``sigma``.  An asymmetric ``sigma`` raises, since the pick would depend on
+which triangle is read.
 
 The swapping search sweeps the subset positions in order; at each position
 the incumbent is retracted and every outside variable (incumbent included)
@@ -363,7 +364,14 @@ def exhaustive(sigma: SymMatrix, config: SearchConfig) -> SearchResult:
 
     Raises :class:`TooManySubsets` when ``C(p, k)`` exceeds
     ``EXHAUSTIVE_CAP`` (2e6).  The shape of ``sigma`` is checked by
-    ``evaluate``, its symmetry once here.
+    ``evaluate``, its symmetry once here, and so is its sign: one
+    :func:`csskit.symmat.log_det` raises :class:`~csskit.errors.NotPSD` on
+    an indefinite ``sigma``, whose subsets ``evaluate`` alone would rank by
+    values no covariance has (each subset's own blocks can be PSD).
+    Greedy and swap still answer on one under CssTrace, FrobResidual,
+    DiagDet and IsoLrt: their states check only the diagonal, since one
+    factorization per state would add about 28% to a CssTrace round of
+    greedy and swap at p = 774.
     """
     sigma = symmat.as_symmetric(sigma)
     crit, k = config.criterion, config.k
@@ -371,6 +379,7 @@ def exhaustive(sigma: SymMatrix, config: SearchConfig) -> SearchResult:
     total = math.comb(p, k)
     if total > EXHAUSTIVE_CAP:
         raise TooManySubsets(f"C({p},{k}) = {total} exceeds cap {EXHAUSTIVE_CAP}")
+    symmat.log_det(sigma)  # NotPSD on an indefinite sigma; one pivoted Cholesky
     best_sub: Optional[IndexSet] = None
     best_val = math.inf
     for comb in itertools.combinations(range(p), k):

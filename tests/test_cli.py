@@ -192,6 +192,17 @@ def test_select_exhaustive_matches_library(tmp_path, capsys):
     assert float(line.split(",")[1]) == pytest.approx(want.objective, rel=1e-12)
 
 
+def test_select_exhaustive_exits_3_on_an_indefinite_cov(tmp_path, capsys):
+    # eigenvalue -0.81: evaluate alone reads CanonCorr -17.29 at its best
+    # 2-subset, a sum of two squared canonical correlations past 2
+    sigma = np.array([[1.0, 0.9, 0.9, 0.2], [0.9, 1.0, -0.9, 0.1], [0.9, -0.9, 1.0, 0.3], [0.2, 0.1, 0.3, 1.0]])
+    cov = write_cov(tmp_path / "indef.csv", sigma)
+    for criterion in ("cc", "css", "diag-det"):
+        argv = ["select", "--cov", cov, "--k", "2", "--method", "exhaustive", "--criterion", criterion]
+        assert main(argv) == 3
+        assert "error [NotPSD]" in capsys.readouterr().err
+
+
 def test_covest_pairwise_round_trip(tmp_path):
     spec = simlab.missing_a1_spec(mar_prob=0.1)
     data = simlab.sample(spec, 80, seed=[9, 0])

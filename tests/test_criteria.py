@@ -1,5 +1,6 @@
 """Selection criteria: reference evaluation, incremental scoring, state moves."""
 
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -937,6 +938,28 @@ def _unit_diagonal_with_condition(rng, p, cond, single):
     d = 1.0 / np.sqrt(m.diagonal())
     m = d[:, None] * m * d[None, :]
     return (m + m.T) / 2.0
+
+
+def test_canon_corr_scores_from_either_source_differ_by_k():
+    # One formula scores from the complement, its inputs taken from sigma^-1
+    # when the state has it and from generalised inverses when it has not:
+    # on one state the two differ by exactly -k, to roundoff, at every size
+    # up to a single candidate, at condition numbers up to CC_COND_MAX and in
+    # any units.
+    rng = np.random.default_rng(181)
+    for t in range(300):
+        p = int(rng.integers(3, 13))
+        base = _unit_diagonal_with_condition(rng, p, 10.0 ** rng.uniform(0.0, 4.0), single=t % 2 == 0)
+        d = 10.0 ** rng.uniform(-3.0, 3.0, p)
+        sigma = d[:, None] * base * d[None, :]
+        k = t % p
+        subset = tuple(rng.permutation(p)[:k].tolist())
+        crit = Criterion(CriterionKind.CANON_CORR, p=p, k=min(k + 1, p))
+        state = state_from_subset(crit, sigma, subset)
+        assert state.omega is not None, t
+        _, exact = score_all(crit, state)
+        _, shifted = score_all(crit, dataclasses.replace(state, omega=None))
+        assert np.all(np.abs(exact - (shifted - k)) <= 1e-9 * np.maximum(1.0, np.abs(exact))), (t, subset)
 
 
 def test_canon_corr_picks_on_ill_conditioned_sigma():

@@ -267,43 +267,80 @@ def _planted_sigma(p, k_star, rng):
     return sigma
 
 
-_CC_THREADS_SCRIPT = """
+_THREADS_SCRIPT = """
 import json, sys
 import numpy as np
 sys.path.insert(0, sys.argv[1])
 from csskit import search
 from csskit.criteria import Criterion, CriterionKind
 sigma = np.load(sys.argv[2])
-crit = Criterion(CriterionKind.CANON_CORR, p=sigma.shape[0], k=6)
-for res in (search.greedy(sigma, search.SearchConfig(k=6, criterion=crit)),
-            search.swap(sigma, search.SearchConfig(k=6, criterion=crit, restarts=3, seed=1))):
-    print(json.dumps([list(res.subset), res.objective, [r.objective for r in res.restarts]]))
+for kind, k, restarts in json.loads(sys.argv[3]):
+    crit = Criterion(CriterionKind(kind), p=sigma.shape[0], k=k)
+    for res in (search.greedy(sigma, search.SearchConfig(k=k, criterion=crit)),
+                search.swap(sigma, search.SearchConfig(k=k, criterion=crit, restarts=restarts, seed=1))):
+        print(json.dumps([kind, list(res.subset), res.objective, [r.objective for r in res.restarts]]))
 """
 
 
-def test_canon_corr_swap_is_the_same_under_one_and_two_blas_threads(tmp_path):
-    # The three restarts of swap reach one set, each in another order; read
-    # in the given order, their objectives differed in the last bits and
-    # the winner with the thread count.  The thread count is read when
-    # numpy loads, so each run is a process of its own.
-    path = str(tmp_path / "planted120.npy")
-    np.save(path, _planted_sigma(120, 6, np.random.default_rng([1, 1])))
+def _greedy_and_swap_under_one_and_two_threads(tmp_path, sigma, runs):
+    """Greedy and swap on ``sigma`` for each ``(kind, k, restarts)`` of
+    ``runs``, under 1 and 2 BLAS threads: one list of ``[kind, subset,
+    objective, restart objectives]`` per thread count.  The thread count is
+    read when numpy loads, so each is a process of its own."""
+    path = str(tmp_path / "sigma.npy")
+    np.save(path, sigma)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     outs = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
         proc = subprocess.run(
-            [sys.executable, "-c", _CC_THREADS_SCRIPT, src, path],
+            [sys.executable, "-c", _THREADS_SCRIPT, src, path, json.dumps(runs)],
             env=env, capture_output=True, text=True, timeout=300, check=True,
         )
         outs.append([json.loads(line) for line in proc.stdout.splitlines()])
-    assert len(outs[0]) == len(outs[1]) == 2
-    for (subset, objective, restarts), (subset2, objective2, restarts2) in zip(*outs):
-        assert subset == subset2
-        assert objective == pytest.approx(objective2, rel=1e-12, abs=0.0)
-        assert restarts == pytest.approx(restarts2, rel=1e-12, abs=0.0)
-    swap_restarts = outs[0][1][2]
+    assert [out[0] for out in outs[0]] == [kind for kind, _, _ in runs for _ in range(2)]
+    for (kind, subset, objective, restarts), (_, subset2, objective2, restarts2) in zip(*outs):
+        assert subset == subset2, kind
+        assert objective == pytest.approx(objective2, rel=1e-12, abs=0.0), kind
+        assert restarts == pytest.approx(restarts2, rel=1e-12, abs=0.0), kind
+    return outs
+
+
+def test_canon_corr_swap_is_the_same_under_one_and_two_blas_threads(tmp_path):
+    # The three restarts of swap reach one set, each in another order; read
+    # in the given order, their objectives differed in the last bits and
+    # the winner with the thread count.
+    sigma = _planted_sigma(120, 6, np.random.default_rng([1, 1]))
+    outs = _greedy_and_swap_under_one_and_two_threads(tmp_path, sigma, [("CanonCorr", 6, 3)])
+    swap_restarts = outs[0][1][3]
     assert len(set(swap_restarts)) == 1  # one set, an exact tie: restart 0 wins
+
+
+def test_every_criterion_is_the_same_under_one_and_two_blas_threads(tmp_path):
+    # At the reference scale, p = 774 with 30 planted variables, greedy and
+    # a one-restart swap pick the same subsets, in the same order, under 1
+    # and 2 BLAS threads, and their objectives agree to 1e-12 (DetResidual's
+    # and CanonCorr's differ in the last bits).  DiagDet, DetResidual and
+    # FrobResidual run at k = 8 to keep the test to a few seconds.
+    sigma = _planted_sigma(774, 30, np.random.default_rng([1, 1]))
+    runs = [("CssTrace", 30, 1), ("IsoLrt", 30, 1), ("CanonCorr", 30, 1)]
+    runs += [("DiagDet", 8, 1), ("DetResidual", 8, 1), ("FrobResidual", 8, 1)]
+    _greedy_and_swap_under_one_and_two_threads(tmp_path, sigma, runs)
+
+
+def test_exhaustive_refuses_an_indefinite_sigma():
+    # Variables 0-2 have an eigenvalue of -0.81 on their variances.  A
+    # 2-subset's own blocks can be PSD, so evaluate alone ranks them (under
+    # CanonCorr down to -17.3, a sum of two squared canonical correlations
+    # past 2); exhaustive factors sigma once and refuses it under every
+    # criterion.  A singular sigma is still accepted.
+    sigma = np.array([[1.0, 0.9, 0.9, 0.2], [0.9, 1.0, -0.9, 0.1], [0.9, -0.9, 1.0, 0.3], [0.2, 0.1, 0.3, 1.0]])
+    x = np.random.default_rng(1).standard_normal((6, 2))
+    for kind in CriterionKind:
+        with pytest.raises(NotPSD):
+            exhaustive(sigma, SearchConfig(k=2, criterion=Criterion(kind, p=4, k=2)))
+        res = exhaustive(x @ x.T, SearchConfig(k=3, criterion=Criterion(kind, p=6, k=3)))
+        assert len(res.subset) == 3
 
 
 def test_scale_equivariant_selection():
