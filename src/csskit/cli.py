@@ -247,7 +247,6 @@ def cmd_choose_k(args, parser: argparse.ArgumentParser) -> int:
         alpha=args.alpha,
         model=Model(args.model),
         restarts=args.restarts,
-        mc_samples=args.mc_samples,
         seed=args.seed,
         k_max=args.k_max,
     )
@@ -290,7 +289,6 @@ def cmd_simulate(args, parser: argparse.ArgumentParser) -> int:
             factors=args.factors,
             seed=args.seed,
             restarts=args.restarts,
-            mc_samples=args.mc_samples,
             timings=manifest.timings,
         )
     manifest.timings["total_s"] = time.perf_counter() - t0
@@ -367,9 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="level of each size's test, in (0, 0.5]")
     pk.add_argument("--model", choices=[m.value for m in Model],
                     default=Model.SUBSET_FACTOR.value)
-    pk.add_argument("--mc-samples", type=int, default=100_000,
-                    help="recorded in the report, not used: critical values are "
-                         "exact (must be >= 1000)")
     pk.add_argument("--restarts", type=int, default=1)
     pk.add_argument("--k-max", type=int, default=None)
     pk.add_argument("--out", default=None, help="output report JSON")
@@ -387,9 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--factors", choices=["gaussian", "mixed"], default="gaussian")
     pm.add_argument("--mar-prob", type=float, default=0.05)
     pm.add_argument("--restarts", type=int, default=10)
-    pm.add_argument("--mc-samples", type=int, default=100_000,
-                    help="sizesel-a2: recorded in the summary, not used: critical "
-                         "values are exact (must be >= 1000)")
     pm.add_argument("--out", default=None, help="output rows CSV")
     _add_seed(pm, seed_required=True)
     pm.set_defaults(func=cmd_simulate)

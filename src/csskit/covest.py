@@ -303,12 +303,20 @@ def read_cov_csv(path: str, header: bool = False) -> SymMatrix:
     """Read a covariance matrix from a plain ``p x p`` CSV grid.
 
     Symmetry is checked by :func:`csskit.symmat.as_symmetric` and then
-    enforced exactly.
+    enforced exactly.  The grid must be positive semidefinite: one pivoted
+    Cholesky (:func:`csskit.symmat.log_det`) raises
+    :class:`~csskit.errors.NotPSD` on an indefinite grid and accepts a
+    singular PSD one, so ``csskit select --cov`` refuses it under every
+    method and criterion.  The library's ``greedy`` and ``swap`` do not
+    check a raw array: on an indefinite one they can still answer (ROADMAP
+    item 19).
     """
     data = read_data_csv(path, header)
     if data.has_missing:
         raise NonFinite(f"{path}: covariance grid contains missing entries")
-    return symmat.as_symmetric(data.values)
+    sigma = symmat.as_symmetric(data.values)
+    symmat.log_det(sigma)  # raises NotPSD on an indefinite grid
+    return sigma
 
 
 def write_matrix_csv(path: str, m: np.ndarray):

@@ -328,15 +328,14 @@ def run_sizesel_study(
     factors: str = "gaussian",
     seed: int = 0,
     restarts: int = 10,
-    mc_samples: int = 100_000,
     timings: Optional[Dict[str, float]] = None,
 ) -> Tuple[List[dict], dict]:
     """Size selection on the ``sizesel-a2`` scenario.
 
     Each trial draws ``n`` complete rows, forms the sample covariance, and
     runs :func:`csskit.sizesel.choose_k` under the subset-factor model.
-    Critical values are exact, so they depend on (n, p, alpha) only;
-    ``mc_samples`` is checked and recorded, not used.  When ``timings`` is
+    Critical values are exact, so they depend on (n, p, k, alpha) only
+    and the study takes no sample count for them.  When ``timings`` is
     given, the walks' ``search_s`` and ``calibrate_s``, summed over trials,
     are added to it.
     Raises :class:`DimMismatch` when ``trials < 1`` or when ``trials`` or
@@ -357,7 +356,6 @@ def run_sizesel_study(
             alpha=alpha,
             model=Model.SUBSET_FACTOR,
             restarts=restarts,
-            mc_samples=mc_samples,
             seed=seed,
         )
         if timings is not None:
@@ -383,7 +381,6 @@ def run_sizesel_study(
         "signal": signal,
         "factors": factors,
         "restarts": restarts,
-        "mc_samples": mc_samples,
         "seed": seed,
         "k_star": len(spec.subset),
         "k_distribution": {str(k): ks.count(k) for k in sorted(set(ks))},

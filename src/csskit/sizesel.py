@@ -459,7 +459,11 @@ def choose_k(
     the walk stops at the first non-rejection.  Search seeds are derived per
     size (:func:`csskit.search.size_seed` plus the restart offset) so runs
     are reproducible end to end.  ``mc_samples`` no longer enters the result:
-    it is checked and recorded in the report, whose schema keeps the field.
+    it is checked and recorded in the report, whose schema v1 requires the
+    field.  No csskit caller passes it, so every ``choose-k`` report records
+    the default; the parameter stays only for perfbench's ``choosek-a2``
+    workload, which passes it, until that moves off it (ROADMAP items 1
+    and 8).
 
     Each size's statistic is ``n * (objective - log det sigma_hat)``, the
     objective the search returned (at k = 0, the empty subset's), with

@@ -344,8 +344,9 @@ def _pivots(m: SymMatrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     variance first, which reveals rank (Higham 1990), up to the first that
     fails ``adds_rank(., 1)``: it and every member left after it add no
     rank.  One vector-matrix product a pivot, O(n^3) in all.  When the
-    pivots stop short, ``m`` is decomposed: an eigenvalue below ``-RANK_TOL
-    * max(1, lambda_max)`` raises :class:`~csskit.errors.NotPSD`, and
+    pivots stop short, the eigenvalues of ``m`` are read
+    (:func:`eigvals_desc`, no eigenvectors): one below ``-RANK_TOL *
+    max(1, lambda_max)`` raises :class:`~csskit.errors.NotPSD`, and
     anything else is the roundoff of a singular matrix."""
     try:
         l = np.linalg.cholesky(m)
@@ -359,7 +360,7 @@ def _pivots(m: SymMatrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         q = order[j] = np.argmax(resid)
         out[j] = resid[q]
         if not adds_rank(out[j], 1.0):
-            w = eigh_desc(m).values
+            w = eigvals_desc(m)
             if float(w[-1]) < -RANK_TOL * max(1.0, float(w[0])):
                 raise NotPSD(f"matrix has eigenvalue {w[-1]:.3e} on its variances; not positive semidefinite")
             return order[:j], lt[:j], out[:j]

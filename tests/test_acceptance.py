@@ -224,7 +224,7 @@ def test_criterion_6_block_factor_size_study():
     for factors in ("gaussian", "mixed"):
         rows, summary = simlab.run_sizesel_study(
             trials=50, n=200, alpha=0.05, signal=0.254, factors=factors,
-            seed=0, restarts=10, mc_samples=100_000,
+            seed=0, restarts=10,
         )
         ks = np.array([row["chosen_k"] for row in rows])
         in_band = float(np.mean((ks >= 20) & (ks <= 22)))

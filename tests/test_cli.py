@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from csskit import covest, search, simlab
-from csskit.cli import main
+from csskit.cli import CRITERION_TOKENS, main
 from csskit.criteria import Criterion, CriterionKind
 from csskit.search import SearchConfig
 
@@ -143,6 +143,21 @@ def test_select_rerun_is_byte_identical(tmp_path):
     assert first_manifest == second_manifest
 
 
+def _stdout_under_one_and_two_threads(script, *args):
+    # The thread count is read when numpy loads, so each run is a process
+    # of its own.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, src, *args],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        outs.append(proc.stdout)
+    return outs
+
+
 # select on one covariance file: greedy with k=30, then a 2-restart swap.
 _SELECT_THREADS_SCRIPT = """
 import sys
@@ -155,25 +170,48 @@ main(argv + ["--method", "swap", "--restarts", "2", "--seed", "1"])
 
 
 def test_select_at_p774_is_the_same_under_one_and_two_blas_threads(tmp_path):
-    # The thread count is read when numpy loads, so each run is a process
-    # of its own.  The covariance is fixed (a file); at this size a
-    # covariance estimated from data would itself differ with the thread
-    # count.
+    # The covariance is fixed (a file), so the printed bytes are the same.
     rng = np.random.default_rng(774)
     g = rng.standard_normal((774, 40))
     sigma = g @ g.T / 40 + np.diag(rng.uniform(0.2, 0.5, 774))
     path = write_cov(tmp_path / "cov774.csv", (sigma + sigma.T) / 2)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    outs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        proc = subprocess.run(
-            [sys.executable, "-c", _SELECT_THREADS_SCRIPT, src, path],
-            env=env, capture_output=True, timeout=300, check=True,
-        )
-        outs.append(proc.stdout)
-    assert outs[0].count(b"k,objective,avg_r2,subset") == 2
+    outs = _stdout_under_one_and_two_threads(_SELECT_THREADS_SCRIPT, path)
+    assert outs[0].count("k,objective,avg_r2,subset") == 2
     assert outs[0] == outs[1]
+
+
+# select on one data file: greedy over k = 1..25, then a 2-restart swap at k = 20.
+_SELECT_DATA_THREADS_SCRIPT = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from csskit.cli import main
+argv = ["select", "--data", sys.argv[2]]
+main(argv + ["--k-range", "1..25"])
+main(argv + ["--k", "20", "--method", "swap", "--restarts", "2", "--seed", "1"])
+"""
+
+
+def test_select_data_at_p774_is_the_same_under_one_and_two_blas_threads(tmp_path):
+    # 1500 rows drawn from a planted p = 774 correlation matrix, 10% of the
+    # cells missing: the pairwise estimate and its PSD projection differ in
+    # the last bits with the thread count, the picks do not.  The printed
+    # digits differ, so the fields are compared parsed: every subset
+    # exactly, order included, objective and avg_r2 to 1e-12 relative.
+    from test_search import _planted_sigma
+
+    rng = np.random.default_rng([1, 3])
+    sigma = _planted_sigma(774, 20, rng)
+    x = rng.standard_normal((1500, 774)) @ np.linalg.cholesky(sigma).T
+    x[rng.random(x.shape) < 0.1] = np.nan
+    path = tmp_path / "mar774.csv"
+    np.savetxt(path, x, fmt="%.9g", delimiter=",")
+    outs = _stdout_under_one_and_two_threads(_SELECT_DATA_THREADS_SCRIPT, str(path))
+    runs = [[line.split(",") for line in out.splitlines() if not line.startswith("k,")] for out in outs]
+    assert [len(rows) for rows in runs] == [26, 26]
+    for (k, obj, r2, subset), (k2, obj2, r2_2, subset2) in zip(*runs):
+        assert (k, subset) == (k2, subset2)
+        assert float(obj) == pytest.approx(float(obj2), rel=1e-12, abs=0.0), k
+        assert float(r2) == pytest.approx(float(r2_2), rel=1e-12, abs=0.0), k
 
 
 def test_select_exhaustive_matches_library(tmp_path, capsys):
@@ -194,27 +232,98 @@ def test_select_exhaustive_matches_library(tmp_path, capsys):
 
 def test_select_exhaustive_exits_3_on_an_indefinite_cov(tmp_path, capsys):
     # eigenvalue -0.81: evaluate alone reads CanonCorr -17.29 at its best
-    # 2-subset, a sum of two squared canonical correlations past 2
+    # 2-subset, a sum of two squared canonical correlations past 2, and
+    # greedy and swap answered under css, frob, diag-det and iso-lrt.  The
+    # reader refuses the grid, so every method and criterion exits 3 with
+    # one message about the grid itself.
     sigma = np.array([[1.0, 0.9, 0.9, 0.2], [0.9, 1.0, -0.9, 0.1], [0.9, -0.9, 1.0, 0.3], [0.2, 0.1, 0.3, 1.0]])
     cov = write_cov(tmp_path / "indef.csv", sigma)
-    for criterion in ("cc", "css", "diag-det"):
-        argv = ["select", "--cov", cov, "--k", "2", "--method", "exhaustive", "--criterion", criterion]
-        assert main(argv) == 3
-        assert "error [NotPSD]" in capsys.readouterr().err
+    methods = (["greedy"], ["swap", "--restarts", "3", "--seed", "1"], ["exhaustive"])
+    for method in methods:
+        for criterion in CRITERION_TOKENS:
+            argv = ["select", "--cov", cov, "--k", "2", "--criterion", criterion, "--method", *method]
+            assert main(argv) == 3, argv
+            captured = capsys.readouterr()
+            assert "error [NotPSD]" in captured.err and "eigenvalue -8.076e-01" in captured.err, argv
+            assert captured.out == ""
+
+
+def test_select_standardize_is_select_on_the_correlation(tmp_path, capsys):
+    rng = np.random.default_rng(211)
+    g = rng.standard_normal((40, 6)) * 10.0 ** rng.uniform(-2, 2, 6)
+    sigma = g.T @ g / 40
+    cov = write_cov(tmp_path / "cov.csv", sigma)
+    corr = write_cov(tmp_path / "corr.csv", covest.to_correlation(covest.read_cov_csv(cov)))
+    for criterion in ("css", "diag-det"):
+        for method in (["greedy"], ["swap", "--restarts", "2", "--seed", "4"]):
+            argv = ["--k-range", "1..3", "--criterion", criterion, "--method", *method]
+            assert main(["select", "--cov", cov, "--standardize", *argv]) == 0
+            standardized = capsys.readouterr().out
+            assert main(["select", "--cov", corr, *argv]) == 0
+            assert standardized == capsys.readouterr().out
+            assert len(standardized.splitlines()) == 4
+
+
+def _write_rows(path, vals):
+    with open(path, "w") as fh:
+        for row in vals:
+            fh.write(",".join("" if np.isnan(v) else format(v, ".17g") for v in row))
+            fh.write("\n")
+    return str(path)
+
+
+def test_covest_standardize_writes_the_correlation_of_the_estimate(tmp_path):
+    rng = np.random.default_rng(223)
+    vals = rng.standard_normal((60, 5)) @ rng.standard_normal((5, 5)) * [1e-3, 1.0, 1.0, 10.0, 1e3]
+    complete = _write_rows(tmp_path / "complete.csv", vals)
+    vals[rng.random(vals.shape) < 0.1] = np.nan
+    gaps = _write_rows(tmp_path / "gaps.csv", vals)
+    for path, missing, estimate in (
+        (complete, "none", covest.sample_cov),
+        (gaps, "pairwise-psd", covest.pairwise_cov_psd),
+    ):
+        out = tmp_path / "corr.csv"
+        assert main(["covest", "--data", path, "--missing", missing, "--standardize", "--out", str(out)]) == 0
+        want = covest.to_correlation(estimate(covest.read_data_csv(path)))
+        assert_allclose(covest.read_cov_csv(str(out)), want, atol=0, rtol=0)
+
+
+def test_covest_pairwise_on_complete_data_is_the_sample_covariance(tmp_path):
+    vals = np.random.default_rng(227).standard_normal((50, 4))
+    path = _write_rows(tmp_path / "d.csv", vals)
+    assert main(["covest", "--data", path, "--out", str(tmp_path / "none.csv")]) == 0
+    assert main(["covest", "--data", path, "--missing", "pairwise-psd", "--out", str(tmp_path / "pw.csv")]) == 0
+    assert (tmp_path / "pw.csv").read_bytes() == (tmp_path / "none.csv").read_bytes()
+    diag = json.loads((tmp_path / "pw.csv.diag.json").read_text())
+    assert diag["missing_fraction"] == 0.0
+    assert diag["min_overlap"] == diag["max_overlap"] == 50
+    assert diag["min_eig_before"] == diag["min_eig_after"] > 0.0
+
+
+def test_choose_k_and_simulate_print_what_out_writes(tmp_path, capsys):
+    rng = np.random.default_rng(229)
+    vals = rng.standard_normal((80, 3)) @ rng.standard_normal((3, 6)) + 0.3 * rng.standard_normal((80, 6))
+    data = _write_rows(tmp_path / "d.csv", vals)
+    for argv, out, written in (
+        (["choose-k", "--data", data, "--seed", "2", "--k-max", "4"], "report.json", "report.json"),
+        (["simulate", "--scenario", "missing-a1", "--trials", "2", "--n", "150", "--restarts", "1", "--seed", "5"],
+         "rows.csv", "rows.csv.summary.json"),
+    ):
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert main(argv + ["--out", str(tmp_path / out)]) == 0
+        assert printed == (tmp_path / written).read_text()
+        assert json.loads(printed)
 
 
 def test_covest_pairwise_round_trip(tmp_path):
     spec = simlab.missing_a1_spec(mar_prob=0.1)
     data = simlab.sample(spec, 80, seed=[9, 0])
     vals = np.asarray(data.values, dtype=float)
-    data_path = tmp_path / "data.csv"
-    with open(data_path, "w") as fh:
-        for row in vals:
-            fh.write(",".join("" if np.isnan(v) else format(v, ".17g") for v in row))
-            fh.write("\n")
+    data_path = _write_rows(tmp_path / "data.csv", vals)
     out = tmp_path / "cov.csv"
     code = main(
-        ["covest", "--data", str(data_path), "--missing", "pairwise-psd",
+        ["covest", "--data", data_path, "--missing", "pairwise-psd",
          "--out", str(out)]
     )
     assert code == 0
@@ -243,7 +352,7 @@ def test_choose_k_end_to_end(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(
         ["choose-k", "--data", str(path), "--model", "pcss",
-         "--mc-samples", "20000", "--seed", "3", "--out", str(out)]
+         "--seed", "3", "--out", str(out)]
     )
     assert code == 0
     assert "chosen k = 2" in capsys.readouterr().err
@@ -368,6 +477,9 @@ def test_exit_code_two_on_bad_flags(diag_cov):
         ["select", "--cov", diag_cov, "--k", "1", "--threads", "1"],
         ["choose-k", "--data", diag_cov, "--seed", "1", "--threads", "1"],
         ["simulate", "--scenario", "missing-a1", "--seed", "1", "--threads", "1"],
+        # critical values are exact: no command takes a Monte Carlo sample count
+        ["choose-k", "--data", diag_cov, "--seed", "1", "--mc-samples", "1000"],
+        ["simulate", "--scenario", "sizesel-a2", "--seed", "1", "--mc-samples", "1000"],
         # seeds are non-negative
         ["select", "--cov", diag_cov, "--k", "1", "--method", "swap", "--seed", "-1"],
         ["choose-k", "--data", diag_cov, "--header", "--seed", "-1"],

@@ -167,9 +167,7 @@ def test_missing_study_smoke(tmp_path):
 
 
 def test_sizesel_study_smoke():
-    rows, summary = run_sizesel_study(
-        trials=2, n=200, seed=4, restarts=1, mc_samples=2000
-    )
+    rows, summary = run_sizesel_study(trials=2, n=200, seed=4, restarts=1)
     assert len(rows) == 2
     assert sum(summary["k_distribution"].values()) == 2
     assert summary["k_star"] == 20
