@@ -78,7 +78,8 @@ inverse ``G`` of ``sigma_S``, the residual ``K`` of ``S`` on its
 complement ``C`` and the regression of ``S`` on ``C``, with two sources
 for them.  When the condition number of the unit-diagonal ``sigma`` is at
 most ``CC_COND_MAX`` (1e4), :func:`init_state` inverts it once per search
-(:func:`csskit.symmat.inverse`: its eigenvalues, then one Cholesky), and
+(:func:`csskit.symmat.inverse`: one Cholesky, and the rule from norm
+bounds, or from its eigenvalues where they leave it open), and
 the terms come from ``Omega = sigma^-1`` with no ``(p - k)``-block: ``G``
 from the factor and ``K = (Omega_SS)^-1``, each in O(k^3), so every
 candidate is scored exactly in O(k^3 + k^2 (p - k)), and
@@ -267,7 +268,7 @@ def _whiten(sigma: SymMatrix, d: np.ndarray, idx: np.ndarray) -> Tuple[np.ndarra
     indices of ``sigma`` in pivot order, the lower factor ``L`` of their
     block, ``D sigma[ranked, ranked] D = L L^T``, and its pivots.  Raises
     :class:`NotPSD` when the block is indefinite."""
-    ranked, lt, pivots = symmat._pivots(d[idx, None] * sigma[np.ix_(idx, idx)] * d[idx])
+    ranked, lt, pivots = symmat._pivots(d[idx, None] * sigma.take(idx, 0).take(idx, 1) * d[idx])
     return idx[ranked], np.triu(lt[:, ranked]).T, pivots
 
 
@@ -370,11 +371,14 @@ def init_state(criterion: Criterion, sigma: SymMatrix) -> StateStack:
     p``, and no negative diagonal entry (:class:`NotPSD`).  Moves and scores
     trust ``state.sigma``.
 
-    Under CanonCorr this also reads the eigenvalues of ``sigma``, once per
-    search: :func:`csskit.symmat.inverse` gives ``omega = sigma^-1`` from
-    one Cholesky factor (no eigenvectors), or None when ``sigma`` is
-    singular or its unit-diagonal condition number exceeds
-    ``CC_COND_MAX``, and raises :class:`NotPSD` when it is indefinite.
+    Under CanonCorr this also factors ``sigma``, once per search:
+    :func:`csskit.symmat.inverse` gives ``omega = sigma^-1`` from one
+    Cholesky factor (no eigenvectors), or None when ``sigma`` is singular
+    or its unit-diagonal condition number exceeds ``CC_COND_MAX``, and
+    raises :class:`NotPSD` when it is indefinite.  The condition number is
+    bounded by norms of ``sigma`` and ``omega``; the eigenvalues of
+    ``sigma`` are read only when the bounds straddle ``CC_COND_MAX``, when
+    a variance is zero or when the Cholesky fails.
     Build the empty state once and advance from it (as swap does for its
     restarts) rather than calling this per start.
     """
@@ -658,9 +662,10 @@ def _block_inverses(lt: np.ndarray, omega: np.ndarray, sub: np.ndarray) -> Tuple
     in O(k^3).  ``G`` comes from the factor's ``lt``: every member added
     rank, so ``M = L[S]^T`` is ``k x k`` and nonsingular, ``sigma_S = M^T
     M`` and ``G = M^-1 M^-T``.  ``K`` inverts a block of ``Omega``, which
-    exists only for a well-conditioned ``sigma``."""
-    m_inv = np.linalg.inv(lt.take(sub, 1))
-    return np.dot(m_inv, m_inv.T), np.linalg.inv(omega.take(sub, 0).take(sub, 1))
+    exists only for a well-conditioned ``sigma``.  Both ``k x k`` inverses
+    come from one call on the stacked pair, the same bits as two."""
+    m_inv, k_inv = np.linalg.inv(np.stack((lt.take(sub, 1), omega.take(sub, 0).take(sub, 1))))
+    return np.dot(m_inv, m_inv.T), k_inv
 
 
 def _score_canon_corr(sigma, omega, lt, sub, comp: np.ndarray) -> np.ndarray:

@@ -13,8 +13,9 @@ its variables' variances: :func:`log_det` reads a block as singular when
 one of its variables adds no rank to the ones before it,
 :func:`csskit.criteria.evaluate` regresses on the members that add rank,
 and :func:`csskit.criteria.cc_sum` whitens each side by them.
-:func:`inverse` refuses a matrix by its condition number, read from its
-eigenvalues, and inverts it by one Cholesky factor.
+:func:`inverse` inverts a matrix by one Cholesky factor and refuses it by
+its condition number, bounded by norms of the matrix and of that inverse,
+and read from its eigenvalues only where the bounds leave the rule open.
 
 Beside the test stand two conventions.  An eigenvalue below ``-RANK_TOL``
 times the largest (or, where the pivots of :func:`_pivots` stop short,
@@ -47,6 +48,7 @@ columns decay to roughly machine scale but are never zeroed exactly.
 
 import math
 import operator
+import sys
 from typing import NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -373,24 +375,74 @@ def _pivots(m: SymMatrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 def inverse(m: SymMatrix, cond_max: float) -> Optional[SymMatrix]:
     """Inverse of a nonempty symmetric PSD matrix as ``D (D m D)^-1 D``,
     ``D = diag(m)^(-1/2)``, or None when a variance is not positive or the
-    condition number of the unit-diagonal ``D m D`` exceeds ``cond_max``,
-    as it does for every singular ``m``.  Raises
-    :class:`~csskit.errors.NotPSD` when ``m`` is indefinite (a variable
-    whose variance is not positive is then left unscaled).  The rule reads
-    the eigenvalues of ``D m D`` (:func:`eigvals_desc`), and the inverse
-    comes from its Cholesky factor: with ``D m D = L L^T`` and ``M = L^-1
-    D``, it is ``M^T M``, exactly symmetric, and no eigenvector is formed."""
+    condition number of the unit-diagonal ``A = D m D``, by its
+    eigenvalues, exceeds ``cond_max``, as it does for every singular
+    ``m``.  Raises :class:`~csskit.errors.NotPSD` when ``m`` is indefinite
+    (a variable whose variance is not positive is then left unscaled).
+    The inverse comes from the Cholesky factor of ``A``: with ``A = L
+    L^T`` and ``M = L^-1 D``, it is ``M^T M``, exactly symmetric, and no
+    eigenvector is formed.
+
+    The rule is decided by bounds on the condition number from ``A`` and
+    that inverse (:func:`_cholesky_inverse`): the inverse is returned when
+    the upper bound is below ``cond_max`` and None when the lower bound is
+    above it, each by a relative margin of ``100 p eps cond_max``, past
+    the roundoff of the bounds and of the eigenvalues.  Only between the
+    bounds, at a variance that is not positive and where the Cholesky
+    fails are the eigenvalues read (:func:`eigvals_desc`), and every
+    outcome is theirs."""
     m = np.asarray(m, dtype=float)
     dg = m.diagonal()
     d = 1.0 / np.sqrt(np.where(dg > 0.0, dg, 1.0))
-    unit = d[:, None] * m * d[None, :]
-    w = eigvals_desc(unit)
+    omega = None
+    if float(np.min(dg)) > 0.0:
+        found = _cholesky_inverse(m, d)
+        if found is not None:
+            omega, upper, lower = found
+            margin = 100.0 * len(m) * sys.float_info.epsilon * cond_max
+            if upper <= cond_max * (1.0 - margin):
+                return omega
+            if lower > cond_max * (1.0 + margin):
+                return None
+    w = eigvals_desc(d[:, None] * m * d[None, :])
     _psd_cut(w)  # raises NotPSD on an indefinite m
-    if float(np.min(dg)) <= 0.0 or float(w[0]) > cond_max * float(w[-1]):
+    if omega is None or float(w[0]) > cond_max * float(w[-1]):
         return None
-    half = np.linalg.inv(np.linalg.cholesky(unit))
+    return omega
+
+
+def _cholesky_inverse(m: SymMatrix, d: np.ndarray) -> Optional[Tuple[SymMatrix, float, float]]:
+    """``(omega, upper, lower)`` for :func:`inverse`: ``omega = D A^-1 D``
+    of ``A = D m D`` (``d`` positive) from the Cholesky factor of ``A``,
+    and an upper and a lower bound on the condition number of ``A``, or
+    None when the Cholesky fails.  ``upper = ||A||_1 ||A^-1||_1``, since
+    ``||X||_2 <= ||X||_1`` for a symmetric ``X`` (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 6).  ``lower`` bounds the
+    largest eigenvalue of ``A`` from below by ``max(1, 1^T A 1 / p,
+    ||A||_1 / sqrt(p))`` and that of ``A^-1`` by ``max(max_j A^-1_jj,
+    ||A^-1||_1 / sqrt(p))``.  ``A`` goes once it is factored and the
+    factor once it is inverted, and each norm is taken on the buffer of an
+    array that is done with, so no more than two ``p x p`` arrays are held
+    at once."""
+    unit = d[:, None] * m * d[None, :]
+    try:
+        half = np.linalg.cholesky(unit)
+    except np.linalg.LinAlgError:
+        return None
+    root = math.sqrt(len(m))
+    rayleigh = float(np.sum(unit)) / len(m)  # the Rayleigh quotient at the vector of ones
+    norm = float(np.max(np.sum(np.abs(unit, out=unit), axis=0)))
+    del unit
+    half = np.linalg.inv(half)
     half *= d
-    return np.dot(half.T, half)  # numpy's syrk for a product with its own transpose
+    omega = np.dot(half.T, half)  # numpy's syrk for a product with its own transpose
+    # A^-1 = S omega S with S = D^-1: its column sums of magnitudes on half's buffer
+    s = 1.0 / d
+    inv_norm = float(np.max(np.dot(s, np.abs(omega, out=half)) * s))
+    del half
+    inv_diag = float(np.max(omega.diagonal() * s * s))
+    lower = max(1.0, rayleigh, norm / root) * max(inv_diag, inv_norm / root)
+    return omega, norm * inv_norm, lower
 
 
 # ---------------------------------------------------------------------------

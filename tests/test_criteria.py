@@ -986,11 +986,15 @@ def test_canon_corr_picks_on_ill_conditioned_sigma():
 
 
 def test_canon_corr_factors_sigma_once_per_search(monkeypatch):
-    # On a well-conditioned sigma, greedy and swap read sigma's eigenvalues
-    # once per search (init_state's condition number), whatever k and the
+    # On a well-conditioned sigma, greedy and swap factor sigma once per
+    # search (init_state's Omega, from one Cholesky), whatever k and the
     # number of restarts, and form no eigenvectors and no generalised
-    # inverse: Omega comes from one Cholesky, the scores from the factor,
-    # and the final evaluate whitens both sides by pivots.
+    # inverse: the scores come from the factor, and the final evaluate
+    # whitens both sides by pivots.  Sigma's eigenvalues are read only when
+    # the norm bounds of symmat.inverse leave its condition rule open: not
+    # for the first sigma (unit-diagonal condition number 37, upper bound
+    # 241), once per search for the second (3 360, bounds 255 and 15 300
+    # about CC_COND_MAX).
     from csskit.search import SearchConfig, greedy, swap
 
     counts = dict.fromkeys(("eigvals_desc", "eigh_desc", "ginv", "pseudo_inverse", "init_state"), 0)
@@ -1007,18 +1011,19 @@ def test_canon_corr_factors_sigma_once_per_search(monkeypatch):
     for name in ("eigvals_desc", "eigh_desc", "ginv", "pseudo_inverse"):
         counting(symmat, name)
     counting(criteria, "init_state")
-    sigma = rand_psd(np.random.default_rng(179), 60) + 0.1 * np.eye(60)
     runs = [
         (greedy, SearchConfig(k=2, criterion=Criterion(CriterionKind.CANON_CORR, p=60, k=2))),
         (greedy, SearchConfig(k=8, criterion=Criterion(CriterionKind.CANON_CORR, p=60, k=8))),
         (swap, SearchConfig(k=4, criterion=Criterion(CriterionKind.CANON_CORR, p=60, k=4), restarts=3, seed=5)),
     ]
-    for search, cfg in runs:
-        counts.update(dict.fromkeys(counts, 0))
-        search(sigma, cfg)
-        assert counts == {
-            "eigvals_desc": 1, "eigh_desc": 0, "ginv": 0, "pseudo_inverse": 0, "init_state": 1,
-        }, (search.__name__, cfg.k)
+    for ridge, reads in ((0.1, 0), (1e-3, 1)):
+        sigma = rand_psd(np.random.default_rng(179), 60) + ridge * np.eye(60)
+        for search, cfg in runs:
+            counts.update(dict.fromkeys(counts, 0))
+            search(sigma, cfg)
+            assert counts == {
+                "eigvals_desc": reads, "eigh_desc": 0, "ginv": 0, "pseudo_inverse": 0, "init_state": 1,
+            }, (ridge, search.__name__, cfg.k)
 
 
 def _same_states(crit, stack, states):

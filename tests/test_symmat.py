@@ -1,6 +1,7 @@
 """Symmetric-matrix kernels: pseudo-inverse, residuals, rank-one updates."""
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -202,6 +203,94 @@ def test_inverse():
         assert symmat.inverse(singular, cond_max=1e4) is None
     with pytest.raises(NotPSD):
         symmat.inverse(np.array([[1.0, 2.0], [2.0, 1.0]]), cond_max=1e4)
+
+
+def _inverse_by_eigenvalues(m, cond_max):
+    # The condition rule read from the eigenvalues of D m D alone, as
+    # symmat.inverse decided it before its norm bounds: the oracle of the
+    # parity test below.
+    m = np.asarray(m, dtype=float)
+    dg = m.diagonal()
+    d = 1.0 / np.sqrt(np.where(dg > 0.0, dg, 1.0))
+    unit = d[:, None] * m * d[None, :]
+    w = symmat.eigvals_desc(unit)
+    symmat._psd_cut(w)
+    if float(np.min(dg)) <= 0.0 or float(w[0]) > cond_max * float(w[-1]):
+        return None
+    half = np.linalg.inv(np.linalg.cholesky(unit))
+    half *= d
+    return np.dot(half.T, half)
+
+
+def _outcome(fn, m):
+    try:
+        return fn(m, 1e4)
+    except NotPSD as e:
+        return str(e)
+
+
+def test_inverse_decides_as_the_eigenvalue_rule(monkeypatch):
+    # About 2 000 sigma, p = 3-40, unit-diagonal condition numbers 1e1-1e6
+    # and many in 5e3-2e4, with one tiny eigenvalue or a spread spectrum,
+    # each variable rescaled by 10^U(-3, 3); 2 x 2 matrices within 1e-13 to
+    # 1e-3 (relative) of cond_max, where both bounds are tight; and a zero
+    # variance, a singular and an indefinite sigma.  Each gives the
+    # eigenvalue rule's None, NotPSD or inverse, bit for bit, and only the
+    # cases between the bounds read eigenvalues.
+    rng = np.random.default_rng(397)
+    cases = []
+    for t in range(2000):
+        p = int(rng.integers(3, 41))
+        cond = 10.0 ** (rng.uniform(1.0, 6.0) if t % 2 else rng.uniform(math.log10(5e3), math.log10(2e4)))
+        q = np.linalg.qr(rng.standard_normal((p, p)))[0]
+        if t % 4 < 2:
+            w = rng.uniform(0.5, 2.0, p)
+            w[-1] = 1.0 / cond
+        else:
+            w = np.geomspace(1.0, 1.0 / cond, p)
+        c = (q * w) @ q.T
+        s = 10.0 ** rng.uniform(-3.0, 3.0, p)
+        cases.append(symmat.as_symmetric(s[:, None] * ((c + c.T) / 2.0) * s))
+    for rel in 10.0 ** np.linspace(-13.0, -3.0, 21):
+        for cond in (1e4 * (1.0 - rel), 1e4 * (1.0 + rel)):
+            rho = (cond - 1.0) / (cond + 1.0)  # condition number (1 + rho) / (1 - rho)
+            cases.append(np.array([[1.0, rho], [rho, 1.0]]) * 10.0 ** rng.uniform(-3.0, 3.0))
+    g = rng.standard_normal((6, 4))
+    cases += [np.diag([1.0, 0.0, 2.0]), g @ g.T, np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])]
+    real, calls, reads, kinds = symmat.eigvals_desc, [], [], set()
+    monkeypatch.setattr(symmat, "eigvals_desc", lambda m: calls.append(1) or real(m))
+    for m in cases:
+        want = _outcome(_inverse_by_eigenvalues, m)
+        before = len(calls)
+        got = _outcome(symmat.inverse, m)
+        reads.append(len(calls) - before)
+        kinds.add(type(want).__name__)
+        if isinstance(want, np.ndarray):
+            assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+        else:
+            assert got == want
+    assert kinds == {"ndarray", "NoneType", "str"}
+    # with condition numbers spread over 1e1-1e6 the bounds decide most
+    # (726 of 1 000); in 5e3-2e4 most fall between them (914 of 1 000)
+    assert sum(reads[1:2000:2]) < 400 and 0 < sum(reads[0:2000:2]) < 1000
+
+
+def test_inverse_holds_under_three_square_arrays():
+    # The Cholesky factor, its inverse and Omega come one after the other,
+    # and both bounds are taken on the buffers of arrays done with: the
+    # peak stays under three p x p arrays (reading the eigenvalues first,
+    # inverse held three).
+    rng = np.random.default_rng(401)
+    p = 600
+    sigma = rand_psd(rng, p) + 0.5 * np.eye(p)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        symmat.inverse(sigma, 1e4)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * p * p * 8, peak / (p * p * 8)
 
 
 def test_adds_rank():
