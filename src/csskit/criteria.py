@@ -268,8 +268,8 @@ def _whiten(sigma: SymMatrix, d: np.ndarray, idx: np.ndarray) -> Tuple[np.ndarra
     indices of ``sigma`` in pivot order, the lower factor ``L`` of their
     block, ``D sigma[ranked, ranked] D = L L^T``, and its pivots.  Raises
     :class:`NotPSD` when the block is indefinite."""
-    ranked, lt, pivots = symmat._pivots(d[idx, None] * sigma.take(idx, 0).take(idx, 1) * d[idx])
-    return idx[ranked], np.triu(lt[:, ranked]).T, pivots
+    ranked, l, pivots = symmat._pivots(d[idx, None] * sigma.take(idx, 0).take(idx, 1) * d[idx])
+    return idx[ranked], l, pivots
 
 
 def _readout_rows(kind: CriterionKind, m: int, diag, var, ld_block) -> np.ndarray:

@@ -38,11 +38,14 @@ one rule, advances the rows that swap by one stacked advance and reads
 their objectives.  A row whose state has a
 side list (a member that added no rank, on a rank-deficient ``sigma``)
 stays on the stack.  Moves, scorer and readout compute each row bit for
-bit as on a stack of one, so each restart makes the decisions, and ends
-where, it would run alone.  Every final subset is evaluated from scratch
-once all restarts are done, once per distinct set: its value does not
-depend on the order of the members, so restarts that reach one set tie
-exactly and the lowest restart index wins.
+bit as on a stack of one, so each restart makes the decisions it would
+make run alone.  A set at which a restart kept k positions in a row is a
+confirmed optimum, and a restart that holds one stops without confirming
+it again, so it may make fewer of them; each restart still ends with the
+outcome and statistics it reaches run alone.  Every final subset is
+evaluated from scratch once all restarts are done, once per distinct set:
+its value does not depend on the order of the members, so restarts that
+reach one set tie exactly and the lowest restart index wins.
 
 A run over several sizes seeds its swap at size ``k`` with
 :func:`size_seed`.
@@ -128,7 +131,10 @@ class SearchResult:
     the position that completes k consecutive kept positions, which need
     not end a sweep.  ``subset``, ``trajectory``, ``sweeps_used`` and
     ``drift`` are the returned run's.  ``restarts`` (swap only) has one
-    :class:`RestartStats` per restart, in restart order.
+    :class:`RestartStats` per restart, in restart order; its
+    ``known_optimum`` is True for a restart that stopped on a set another
+    restart had confirmed as an optimum, and that restart's ``sweeps``
+    counts the sweeps it uses run alone.
     """
 
     subset: IndexSet
@@ -149,12 +155,16 @@ class SearchResult:
 @dataclass(frozen=True)
 class RestartStats:
     """One restart of :func:`swap`: the sweeps it started, the swaps it
-    accepted, and the from-scratch objective of its final subset.  No wall
-    time is kept per restart: the restarts of a group walk in lockstep."""
+    accepted, the from-scratch objective of its final subset, and whether
+    it stopped on a set another restart had confirmed as an optimum
+    (``known_optimum``; its ``sweeps`` are then those it uses run alone).
+    No wall time is kept per restart: the restarts of a group walk in
+    lockstep."""
 
     sweeps: int
     accepted: int
     objective: float
+    known_optimum: bool = False
 
 
 def resolve_threads() -> int:
@@ -202,7 +212,14 @@ class _Run:
         self.trajectory: List[float] = []
         self.decisions: list = []
         self.sweeps = self.accepted = self.kept = 0
-        self.changed = self.done = False
+        self.last_sweep = 0  # the sweep of the last accepted swap
+        self.changed = self.done = self.known_optimum = False
+
+    def key(self) -> frozenset:
+        # not a sorted tuple: CPython keeps freed tuples of up to 19 items
+        # for reuse, and one per accepted swap raised the traced peak of
+        # choose_k on a sizesel-a2 sample (p = 50) by 7%
+        return frozenset(self.current)
 
     def keep(self, k: int):
         self.kept += 1
@@ -213,6 +230,21 @@ class _Run:
         self.changed = True
         self.kept = 0
         self.accepted += 1
+        self.last_sweep = self.sweeps
+
+    def stop(self, max_sweeps: int):
+        """Stop on a set another restart confirmed, with the sweeps it
+        reports run alone, where it keeps every remaining position: the
+        first sweep if it never swapped; else the sweep of its last swap,
+        which a perfect fit or ``max_sweeps`` ends, or the one after."""
+        self.done = self.known_optimum = True
+        s = self.last_sweep
+        if not self.accepted:
+            self.sweeps = 1
+        elif self.trajectory[-1] == float("-inf") or s == max_sweeps:
+            self.sweeps = s
+        else:
+            self.sweeps = s + 1
 
 
 class _Walk:
@@ -222,7 +254,15 @@ class _Walk:
     every row's candidates into one table, decides every row by one rule,
     and advances the rows that swap: one call of each stacked function per
     step.  A restart's decisions do not depend on the others in its
-    group."""
+    group.
+
+    ``optima`` holds the sets at which a restart of this walk, in any
+    group, kept k positions in a row.  Every position of such a set keeps
+    its incumbent, so a restart whose set is one would only confirm it
+    again: it stops at the first step after which it holds one (its
+    start, a swap into one, or another restart confirming the set it
+    holds), with the trajectory, subset, swaps and sweeps it ends with run
+    alone (:meth:`_Run.stop`); only its decisions end early."""
 
     def __init__(self, config: SearchConfig, empty: criteria.StateStack, margin: float, record: bool):
         self.crit = config.criterion
@@ -231,14 +271,18 @@ class _Walk:
         self.empty = empty
         self.margin = margin
         self.record = record
+        self.optima: set = set()
 
     def run(self, runs: List[_Run]):
         """Walk ``runs`` from their starts until each has converged, reached
-        a perfect fit or used ``max_sweeps``."""
+        a perfect fit, used ``max_sweeps`` or stopped on a confirmed set."""
         self.runs = runs
         self.stack = criteria.StateStack.of_subsets(self.empty, np.array([run.current for run in runs]))
         for run, value in zip(runs, criteria.objective_stack(self.crit, self.stack).tolist()):
             run.trajectory.append(value)
+            if run.key() in self.optima:  # an earlier group confirmed its start
+                run.stop(self.max_sweeps)
+        self._settle()
         for sweep in range(1, self.max_sweeps + 1):
             live = self.runs
             if not live:
@@ -270,6 +314,7 @@ class _Walk:
         accept = scores[rows, a] < scores[cands == var[:, None]] - self.margin
         picks = np.where(accept, cands[rows, a], var)
         moved = accept.tolist()
+        confirmed = False
         for b, (run, pick) in enumerate(zip(runs, picks.tolist())):
             if self.record:
                 kept = tuple(run.current[:j] + run.current[j + 1 :])
@@ -278,6 +323,9 @@ class _Walk:
                 run.accept(j, pick)
             else:
                 run.keep(self.k)
+                if run.done:
+                    self.optima.add(run.key())
+                    confirmed = True
         if any(moved):
             if all(moved):
                 self.stack = None  # the pre-move stack is not kept alive through the advance
@@ -288,6 +336,9 @@ class _Walk:
             values = criteria.objective_stack(self.crit, grown).tolist()
             for run, value in zip(itertools.compress(runs, moved), values):
                 run.trajectory.append(value)
+        for run, swapped in zip(runs, moved):
+            if (swapped or confirmed) and not run.done and run.key() in self.optima:
+                run.stop(self.max_sweeps)
         self._settle()
 
     def _settle(self):
@@ -310,15 +361,19 @@ def swap(
     ``r = 0..restarts-1`` draws a uniform size-k subset using seed
     ``config.seed + r`` and the best final objective wins (ties to the
     lowest restart index).  The restarts walk in lockstep, in groups of at
-    most :func:`_group_size`, under every criterion.  Each makes the
-    decisions, and reaches the outcome, it makes when run alone from its
-    start.
+    most :func:`_group_size`, under every criterion.  Each ends with the
+    outcome and statistics it reaches run alone from its start.  A set at
+    which a restart kept k positions in a row is a confirmed optimum: a
+    restart that holds one (its start, a swap into one, or one another
+    restart confirms while it holds it) stops without confirming it again.
 
     ``decisions``, if provided, collects one tuple per position decision
     ``(kept_subset, incumbent, picked, candidates, scores)``, restart 0's
-    first; intended for diagnostics and tests.  A run stops at the position
-    that completes k kept positions in a row, so its last sweep may record
-    fewer than k decisions.
+    first; intended for diagnostics and tests.  A restart's decisions are
+    the first ones it makes run alone: a run stops at the position that
+    completes k kept positions in a row, so its last sweep may record fewer
+    than k decisions, and a restart that stops on a confirmed optimum
+    records none of the keeps that would confirm it again.
     """
     crit = config.criterion
     p = crit.p
@@ -346,14 +401,14 @@ def swap(
     values = {}
     objectives = []
     for run in runs:
-        key = tuple(sorted(run.current))
+        key = run.key()
         if key not in values:
             values[key] = criteria.evaluate(crit, sigma, run.current)
         objectives.append(values[key])
     if decisions is not None:
         for run in runs:
             decisions.extend(run.decisions)
-    stats = [RestartStats(run.sweeps, run.accepted, obj) for run, obj in zip(runs, objectives)]
+    stats = [RestartStats(run.sweeps, run.accepted, obj, run.known_optimum) for run, obj in zip(runs, objectives)]
     best = min(range(len(runs)), key=objectives.__getitem__)  # first minimum
     run = runs[best]
     return SearchResult(tuple(run.current), objectives[best], run.trajectory, run.sweeps, stats)

@@ -329,11 +329,11 @@ def log_det(m: SymMatrix, var: Optional[np.ndarray] = None) -> float:
 
 def _pivots(m: SymMatrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The pivoted Cholesky factor of ``m``, a matrix on its variables'
-    variances as :func:`log_det` forms it: ``(ranked, lt, pivots)``, the
-    members that add rank in pivot order, the rows of their factor and their
-    pivots ``L_jj^2``.  Row j of ``lt`` is column j of ``L`` over every
-    member, so ``m[ranked][:, ranked] = L L^T`` with ``L^T =
-    triu(lt[:, ranked])``.  It is the package's one pivoted Cholesky:
+    variances as :func:`log_det` forms it: ``(ranked, l, pivots)``, the
+    members that add rank in pivot order, the lower factor of their block,
+    ``m[ranked][:, ranked] = L L^T``, and its pivots ``L_jj^2``.  When the
+    given order stands, ``L`` is numpy's Cholesky factor itself, with no
+    copy.  It is the package's one pivoted Cholesky:
     :func:`log_det` reads its pivots, :func:`csskit.criteria.evaluate`
     regresses on the ranked members, and :func:`csskit.criteria.cc_sum`
     whitens each side by them.
@@ -354,9 +354,10 @@ def _pivots(m: SymMatrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         l = np.linalg.cholesky(m)
         pivots = l.diagonal() ** 2
         if float(pivots.min(initial=np.inf)) > math.sqrt(RANK_TOL):
-            return np.arange(len(m)), l.T, pivots
+            return np.arange(len(m)), l, pivots
     except np.linalg.LinAlgError:
         pass
+    # row j of lt is column j of L over every member
     lt, resid, out, order = np.empty(m.shape), m.diagonal().copy(), np.empty(len(m)), np.empty(len(m), dtype=np.intp)
     for j in range(len(m)):
         q = order[j] = np.argmax(resid)
@@ -365,11 +366,11 @@ def _pivots(m: SymMatrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
             w = eigvals_desc(m)
             if float(w[-1]) < -RANK_TOL * max(1.0, float(w[0])):
                 raise NotPSD(f"matrix has eigenvalue {w[-1]:.3e} on its variances; not positive semidefinite")
-            return order[:j], lt[:j], out[:j]
+            return order[:j], np.triu(lt[:j, order[:j]]).T, out[:j]
         lt[j] = (m[q] - np.dot(lt[:j, q], lt[:j])) / math.sqrt(out[j])
         resid -= lt[j] * lt[j]
         resid[q] = -np.inf
-    return order, lt, out
+    return order, np.triu(lt[:, order]).T, out
 
 
 def inverse(m: SymMatrix, cond_max: float) -> Optional[SymMatrix]:

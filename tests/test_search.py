@@ -142,18 +142,41 @@ def test_search_chain_orderings():
 
 
 def _single_runs(sigma, cfg):
-    # Restart r of swap, run alone from its seeded start.
+    # Restart r of swap, run alone from its seeded start, and its decisions.
     one = SearchConfig(k=cfg.k, criterion=cfg.criterion, max_sweeps=cfg.max_sweeps)
     runs, decisions = [], []
     for r in range(cfg.restarts):
         rng = np.random.default_rng(cfg.seed + r)
         start = tuple(sorted(rng.choice(cfg.criterion.p, size=cfg.k, replace=False).tolist()))
-        runs.append(swap(sigma, one, init=start, decisions=decisions))
+        decisions.append([])
+        runs.append(swap(sigma, one, init=start, decisions=decisions[-1]))
     return runs, decisions
 
 
 def _outcome(res):
     return res.subset, res.objective, res.trajectory, res.sweeps_used
+
+
+def _swap_by_restart(monkeypatch, sigma, cfg):
+    """``swap(sigma, cfg)`` and the decisions of each of its restarts, read
+    from the walks that ``monkeypatch`` records."""
+    made = []
+
+    class Recorded(search._Run):
+        def __init__(self, start):
+            super().__init__(start)
+            made.append(self)
+
+    decisions = []
+    monkeypatch.setattr(search, "_Run", Recorded)
+    res = swap(sigma, cfg, decisions=decisions)
+    # restart 0's decisions first, then each restart in turn
+    assert decisions == [d for run in made for d in run.decisions]
+    return res, [run.decisions for run in made]
+
+
+def _same_decision(got, want):
+    return got[:3] == want[:3] and np.array_equal(got[3], want[3]) and np.array_equal(got[4], want[4])
 
 
 def test_swap_returns_first_minimum_of_its_restarts(monkeypatch):
@@ -209,25 +232,28 @@ def test_swap_returns_first_minimum_of_its_restarts(monkeypatch):
         (rand_psd(more, 10), SearchConfig(k=4, criterion=css(10, 4), restarts=5, seed=3), 2 * (7**2 + 8 * 10)),
         (tie, SearchConfig(k=1, criterion=css(8, 1), restarts=4, seed=14), None),
     ]
+    stopped_early = 0
     for sigma, cfg, budget in cases:
         runs, expected = _single_runs(sigma, cfg)
         best = min(run.objective for run in runs)
         first = next(run for run in runs if run.objective == best)
-        decisions = []
         with monkeypatch.context() as m:
             if budget is not None:
                 m.setattr(search, "STACK_BUDGET", budget)
                 assert search._group_size(cfg.criterion) == 2
-            res = swap(sigma, cfg, decisions=decisions)
+            res, decisions = _swap_by_restart(m, sigma, cfg)
         assert _outcome(res) == _outcome(first)
         assert [(s.sweeps, s.accepted, s.objective) for s in res.restarts] == [
             (run.sweeps_used, len(run.trajectory) - 1, run.objective) for run in runs
         ]
-        # restart 0's decisions first, then each restart in turn
-        assert len(decisions) == len(expected)
-        for got, want in zip(decisions, expected):
-            assert got[:3] == want[:3]
-            assert np.array_equal(got[3], want[3]) and np.array_equal(got[4], want[4])
+        # each restart makes the first n decisions it makes run alone; one
+        # that stops on a confirmed optimum skips only keeps
+        for stats, got, want in zip(res.restarts, decisions, expected):
+            n = len(got)
+            assert n <= len(want) and all(_same_decision(a, b) for a, b in zip(got, want))
+            assert all(incumbent == picked for _, incumbent, picked, _, _ in want[n:])
+            assert n == len(want) or stats.known_optimum
+        stopped_early += any(len(got) < len(want) for got, want in zip(decisions, expected))
         if sigma is cc:  # one set reached in two orders, one order twice
             assert len({tuple(sorted(run.subset)) for run in runs}) < len({run.subset for run in runs}) < len(runs)
             assert len({run.objective for run in runs}) == len({tuple(sorted(run.subset)) for run in runs})
@@ -240,6 +266,78 @@ def test_swap_returns_first_minimum_of_its_restarts(monkeypatch):
     assert [run.subset for run in runs] == [(1,), (0,), (0,), (0,)]
     assert len({run.objective for run in runs}) == 1  # an exact tie
     assert res.subset == (1,)  # the lowest restart wins
+    assert stopped_early >= 3
+
+
+def test_swap_stops_restarts_on_confirmed_optima(monkeypatch):
+    # A restart whose set another restart confirmed (kept k positions in a
+    # row) stops there.  In one lockstep group and in groups of one, swap
+    # returns what its restarts reach run alone, and each restart the
+    # sweeps, swaps and objective it reports run alone.
+    dup = rand_psd(np.random.default_rng(0), 6)
+    dup[5], dup[:, 5] = dup[0], dup[:, 0]
+    diag_det = Criterion(CriterionKind.DIAG_DET, p=6, k=2)
+    cases = [
+        # one sweep: restarts that swap into a set confirmed in it report it
+        (rand_psd(np.random.default_rng(3), 8),
+         SearchConfig(k=3, criterion=css(8, 3), restarts=5, seed=0, max_sweeps=1),
+         lambda s: s.known_optimum and s.accepted > 0, True),
+        # variable 5 duplicates 0: a start holding both is -inf and confirmed,
+        # and a restart that swaps into it arrives at a perfect fit
+        (dup, SearchConfig(k=2, criterion=diag_det, restarts=4, seed=2),
+         lambda s: s.known_optimum and s.accepted > 0 and s.objective == -np.inf, True),
+        (rand_psd(np.random.default_rng(0), 8), SearchConfig(k=1, criterion=css(8, 1), restarts=4, seed=1),
+         lambda s: s.known_optimum and s.accepted > 0, True),
+        # restart 3 starts on the set restart 0 confirmed in an earlier
+        # group; in one group no start can be confirmed before it is kept
+        (rand_psd(np.random.default_rng(0), 6), SearchConfig(k=3, criterion=css(6, 3), restarts=4, seed=3),
+         lambda s: s.known_optimum and s.accepted == 0, False),
+    ]
+    # each case's kind of stop, and whether one lockstep group shows it too
+    for sigma, cfg, stopped, lockstep in cases:
+        runs, _ = _single_runs(sigma, cfg)
+        assert not any(run.restarts[0].known_optimum for run in runs)
+        first = next(run for run in runs if run.objective == min(r.objective for r in runs))
+        assert search._group_size(cfg.criterion) >= cfg.restarts
+        results = [swap(sigma, cfg)]
+        with monkeypatch.context() as m:
+            m.setattr(search, "STACK_BUDGET", 1)
+            assert search._group_size(cfg.criterion) == 1
+            results.append(swap(sigma, cfg))
+        for res in results:
+            assert _outcome(res) == _outcome(first)
+            assert [(s.sweeps, s.accepted, s.objective) for s in res.restarts] == [
+                (run.sweeps_used, len(run.trajectory) - 1, run.objective) for run in runs
+            ]
+        assert [any(map(stopped, res.restarts)) for res in results] == [lockstep, True]
+    # restart 0 confirms the set, 1 and 2 swap into it and 3 starts on it
+    assert [s.known_optimum for s in results[1].restarts] == [False, True, True, True]
+
+
+def test_swap_stop_rule_saves_scored_rows(monkeypatch):
+    # Four CssTrace restarts on a planted sigma score fewer rows than the
+    # same four run alone, with the same outcome.
+    sigma = _planted_sigma(60, 8, np.random.default_rng([1, 1]))
+    cfg = SearchConfig(k=8, criterion=css(60, 8), restarts=4, seed=1)
+    rows = []
+    score_stack = criteria.score_stack
+
+    def counting_score_stack(crit, stack):
+        rows.append(len(stack.subset))
+        return score_stack(crit, stack)
+
+    monkeypatch.setattr(criteria, "score_stack", counting_score_stack)
+    runs, _ = _single_runs(sigma, cfg)
+    alone = sum(rows)
+    rows.clear()
+    res = swap(sigma, cfg)
+    first = next(run for run in runs if run.objective == min(r.objective for r in runs))
+    assert _outcome(res) == _outcome(first)
+    assert [(s.sweeps, s.accepted, s.objective) for s in res.restarts] == [
+        (run.sweeps_used, len(run.trajectory) - 1, run.objective) for run in runs
+    ]
+    assert any(s.known_optimum for s in res.restarts)
+    assert sum(rows) < alone
 
 
 def _planted_sigma(p, k_star, rng):

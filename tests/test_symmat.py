@@ -365,9 +365,9 @@ def test_psd_project_holds_one_array_beside_its_output():
 
 
 def test_pivots_factor_the_ranked_members():
-    # _pivots, the one pivoted Cholesky: L L^T reproduces the block of the
-    # ranked members, with L^T = triu(lt[:, ranked]) and pivots diag(L)^2,
-    # and log_det reads its value from those pivots.  Three variables on a
+    # _pivots, the one pivoted Cholesky: its lower factor L reproduces the
+    # block of the ranked members, L L^T, with pivots diag(L)^2, and
+    # log_det reads its value from those pivots.  Three variables on a
     # plane rank two of them; a near-collinear pair is taken again largest
     # first; a full-rank block keeps its given order.
     rng = np.random.default_rng(23)
@@ -379,11 +379,11 @@ def test_pivots_factor_the_ranked_members():
     for m, rank in ((x.T @ x, 2), (near, 2), (rand_psd(rng, 5) + 0.1 * np.eye(5), 5)):
         d = 1.0 / np.sqrt(m.diagonal())
         m = d[:, None] * m * d[None, :]
-        ranked, lt, pivots = symmat._pivots(m)
-        assert ranked.size == rank == len(lt) == len(pivots)
-        upper = np.triu(lt[:, ranked])
-        assert_allclose(upper.T @ upper, m[np.ix_(ranked, ranked)], atol=1e-12)
-        assert_allclose(upper.diagonal() ** 2, pivots, rtol=1e-12)
+        ranked, l, pivots = symmat._pivots(m)
+        assert ranked.size == rank == len(pivots) and l.shape == (rank, rank)
+        assert np.array_equal(l, np.tril(l))
+        assert_allclose(l @ l.T, m[np.ix_(ranked, ranked)], atol=1e-12)
+        assert_allclose(l.diagonal() ** 2, pivots, rtol=1e-12)
         assert np.all(symmat.adds_rank(pivots, 1.0))
         if rank == len(m):
             assert symmat.log_det(m) == float(np.sum(np.log(pivots)) + np.sum(np.log(m.diagonal())))
